@@ -25,8 +25,6 @@ from .linalg import (
     companion,
     hnf,
     kernel_dim,
-    matmul,
-    matpow,
     minpoly,
     n_of,
     permutation_conjugator,
@@ -116,8 +114,6 @@ __all__ = [
     "is_good_prime",
     "kernel_dim",
     "local_euler_factor",
-    "matmul",
-    "matpow",
     "minpoly",
     "n_of",
     "nilpotent_type",

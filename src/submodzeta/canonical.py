@@ -107,13 +107,11 @@ def nilpotent_type(a: IntMatrix) -> Partition:
 
 
 def _primary_blocks(a: IntMatrix, factored_minpoly):
-    """Kernel bases and restricted matrices, one per irreducible factor."""
+    """Kernel bases and restricted matrices, one per irreducible factor.
+
+    The caller guarantees that factored_minpoly multiplies to minpoly(a).
+    """
     n = a.n_rows
-    product = IntPoly([1])
-    for f, m in factored_minpoly:
-        product = product * f ** m
-    if product != minpoly(a):
-        raise ValueError("factorization does not multiply to the minimal polynomial")
     a_rat = RatMatrix.from_int(a)
     blocks = []
     total = 0
@@ -141,6 +139,11 @@ def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly,
     """Restriction of a to each primary component, as a rational matrix."""
     if not a.is_square or a.n_rows == 0:
         raise ValueError("primary_decomposition wants a square matrix of size >= 1")
+    product = IntPoly([1])
+    for f, m in factored_minpoly:
+        product = product * f ** m
+    if product != minpoly(a):
+        raise ValueError("factorization does not multiply to the minimal polynomial")
     return [(f, block) for f, _, _, block in _primary_blocks(a, factored_minpoly)]
 
 

@@ -12,8 +12,8 @@ MATRIX is inline JSON ("[[0,1],[0,0]]" or {"n":2,"entries":[[0,1],[0,0]]}),
 a path to a file holding the same, or "-" for standard input.
 
 Flags may also be supplied through SUBMODZETA_-prefixed environment
-variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET,
-_PRUNE); explicit flags win.
+variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
+explicit flags win.
 
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
@@ -296,7 +296,7 @@ def cmd_verify(args) -> int:
             args.max_index_exp,
             max_n=args.max_n,
             max_candidates=args.budget,
-            prune=args.prune,
+            ctx=ctx,
         )
         for p in primes
     ]
@@ -477,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None, help="HNF candidate budget per prime"
     )
     pv.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="oracle size cap")
-    pv.add_argument(
-        "--prune",
-        action="store_true",
-        default=None,
-        help="drop rejected candidates between substitution columns",
-    )
     add_format(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -518,9 +512,6 @@ def _apply_env(args) -> None:
         if args.budget is None:
             env = _env("BUDGET")
             args.budget = int(env) if env else DEFAULT_MAX_CANDIDATES
-        if args.prune is None:
-            env = (_env("PRUNE") or "").lower()
-            args.prune = env in ("1", "true", "yes", "on")
 
 
 def main(argv=None) -> int:

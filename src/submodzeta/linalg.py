@@ -444,14 +444,6 @@ class RatMatrix:
         return f"RatMatrix({[list(map(str, r)) for r in self._rows]!r})"
 
 
-def matmul(a, b):
-    return a * b
-
-
-def matpow(a, k: int):
-    return a ** k
-
-
 def poly_at_matrix(f: IntPoly, a):
     """Evaluate f at a square matrix (IntMatrix or RatMatrix) by Horner."""
     if not a.is_square:

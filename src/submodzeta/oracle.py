@@ -9,23 +9,23 @@ arithmetic.  Enumerating all HNF bases of determinant p^e and counting the
 invariant ones gives the exact Dirichlet coefficient a_{p^e}, the number
 the symbolic formulas must reproduce.
 
-Two interchangeable enumeration backends: a vectorized int64 path used
-whenever a rigorous worst-case bound keeps every intermediate below 2^62,
-and a big-integer fallback.  Both visit candidates in the same order
-(compositions of e in ascending lexicographic order, then mixed-radix over
-the off-diagonal residues) and count their visits, which tests compare
-against the closed-form candidate total.
+One vectorized enumerator serves every matrix; the dtype of the numpy
+array it is handed decides the arithmetic.  int64 is used whenever a
+rigorous worst-case bound keeps every intermediate below 2^62, and Python
+integers (dtype object) otherwise.  Candidates are visited in one fixed
+order (compositions of e in ascending lexicographic order, then mixed-radix
+over the off-diagonal residues), and the rows each chunk decodes are counted
+as visits, which are checked against the closed-form candidate total.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy
 
-from .canonical import edv_context
+from .canonical import EdvContext, edv_context
 from .linalg import IntMatrix
 from .zetacore import (
     DirichletCoefficients,
@@ -76,48 +76,17 @@ def _int64_bound(n: int, p: int, e: int, abs_max: int) -> int:
     return 4 * (2 ** n) * n * max(1, abs_max) * (p ** e) ** n
 
 
-def _count_python(rows, n, diag, prune):
-    """Big-integer reference enumeration for one diagonal composition."""
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    count = 0
-    visits = 0
-    for digits in itertools.product(*(range(diag[j]) for _, j in positions)):
-        visits += 1
-        b = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), value in zip(positions, digits):
-            b[i][j] = value
-        # w = B*A, then solve M*B = w column by column
-        w = [
-            [sum(b[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        m = [[0] * n for _ in range(n)]
-        ok = True
-        for j in range(n):
-            dj = diag[j]
-            for i in range(n):
-                acc = w[i][j] - sum(m[i][k] * b[k][j] for k in range(j))
-                if acc % dj:
-                    ok = False
-                    break
-                m[i][j] = acc // dj
-            if not ok and prune:
-                break
-        if ok:
-            count += 1
-    return count, visits
-
-
-def _count_numpy(a_np, n, diag, prune, chunk):
-    """Vectorized int64 enumeration for one diagonal composition."""
+def _count_numpy(a_np, n, diag, chunk):
+    """Vectorized enumeration for one diagonal composition, in a_np's dtype."""
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = _composition_size(diag)
     count = 0
+    visits = 0
     start = 0
     while start < total:
         m_size = min(chunk, total - start)
         idx = np.arange(start, start + m_size, dtype=np.int64)
-        b = np.zeros((m_size, n, n), dtype=np.int64)
+        b = np.zeros((m_size, n, n), dtype=a_np.dtype)
         for j in range(n):
             b[:, j, j] = diag[j]
         rem = idx
@@ -127,44 +96,36 @@ def _count_numpy(a_np, n, diag, prune, chunk):
                 b[:, i, j] = rem % radix
                 rem = rem // radix
         w = b @ a_np
-        mvals = np.zeros((b.shape[0], n, n), dtype=np.int64)
-        ok = np.ones(b.shape[0], dtype=bool)
+        mvals = np.zeros((m_size, n, n), dtype=a_np.dtype)
+        ok = np.ones(m_size, dtype=bool)
         for j in range(n):
             acc = w[:, :, j].copy()
             for k in range(j):
                 acc -= mvals[:, :, k] * b[:, k, j][:, None]
             dj = diag[j]
-            col_ok = (acc % dj == 0).all(axis=1)
+            ok &= (acc % dj == 0).all(axis=1)
             mvals[:, :, j] = acc // dj
-            if prune:
-                b = b[col_ok]
-                w = w[col_ok]
-                mvals = mvals[col_ok]
-            else:
-                ok &= col_ok
-        count += int(b.shape[0] if prune else ok.sum())
+        count += int(ok.sum())
+        visits += b.shape[0]
         start += m_size
-    return count, total
+    return count, visits
 
 
-def count_at_exponent(a: IntMatrix, p: int, e: int, prune: bool = False,
-                      force_python: bool = False) -> tuple[int, int]:
+def count_at_exponent(a: IntMatrix, p: int, e: int) -> tuple[int, int]:
     """(invariant count, candidates visited) for sublattices of index exactly p^e."""
     assert a.is_square
     n = a.n_rows
     abs_max = max((abs(x) for row in a.entries for x in row), default=0)
-    use_numpy = not force_python and _int64_bound(n, p, e, abs_max) < _INT64_SAFE
-    if use_numpy:
+    if _int64_bound(n, p, e, abs_max) < _INT64_SAFE:
         a_np = np.array(a.entries, dtype=np.int64)
         chunk = max(1024, (1 << 21) // (n * n))
+    else:
+        a_np = np.array(a.entries, dtype=object)
+        chunk = max(1024, (1 << 16) // (n * n))
     count = 0
     visits = 0
     for comp in compositions(e, n):
-        diag = tuple(p ** ej for ej in comp)
-        if use_numpy:
-            c, v = _count_numpy(a_np, n, diag, prune, chunk)
-        else:
-            c, v = _count_python(a.entries, n, diag, prune)
+        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), chunk)
         count += c
         visits += v
     return count, visits
@@ -172,9 +133,7 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, prune: bool = False,
 
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_n: int = DEFAULT_MAX_N,
-                                max_candidates: int = DEFAULT_MAX_CANDIDATES,
-                                prune: bool = False,
-                                force_python: bool = False) -> DirichletCoefficients:
+                                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> DirichletCoefficients:
     """Exact counts a_{p^0}..a_{p^max_exp} of A-invariant sublattices of Z^n.
 
     Refuses upfront (BudgetError) when n exceeds the cap or the candidate
@@ -198,8 +157,12 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
         )
     values = []
     for e in range(max_exp + 1):
-        c, v = count_at_exponent(a, p, e, prune=prune, force_python=force_python)
-        assert v == candidate_total(n, p, e)
+        c, v = count_at_exponent(a, p, e)
+        if v != candidate_total(n, p, e):
+            raise RuntimeError(
+                f"oracle visited {v} candidates at p = {p}, e = {e}; "
+                f"expected {candidate_total(n, p, e)}"
+            )
         values.append(c)
     return DirichletCoefficients(p, tuple(values))
 
@@ -244,12 +207,14 @@ class ComparisonReport:
 def compare(a: IntMatrix, p: int, max_exp: int,
             max_n: int = DEFAULT_MAX_N,
             max_candidates: int = DEFAULT_MAX_CANDIDATES,
-            prune: bool = False,
-            force_python: bool = False,
-            degree_cap: int | None = None) -> ComparisonReport:
-    """Expand the formula-side factor at p and test it against the brute count."""
-    kwargs = {} if degree_cap is None else {"degree_cap": degree_cap}
-    ctx = edv_context(a, **kwargs)
+            ctx: EdvContext | None = None) -> ComparisonReport:
+    """Expand the formula-side factor at p and test it against the brute count.
+
+    ctx is the EDV context of a; callers comparing at several primes pass
+    it in so it is computed once.
+    """
+    if ctx is None:
+        ctx = edv_context(a)
     good = is_good_prime(p, ctx.edv, ctx.denominator_lcm)
     try:
         factor = generic_local_factor(ctx.edv, p)
@@ -257,8 +222,7 @@ def compare(a: IntMatrix, p: int, max_exp: int,
     except RamifiedPrimeError:
         formula = None
     counts = count_invariant_sublattices(
-        a, p, max_exp, max_n=max_n, max_candidates=max_candidates,
-        prune=prune, force_python=force_python,
+        a, p, max_exp, max_n=max_n, max_candidates=max_candidates
     )
     mismatch = None
     if formula is not None:

@@ -4,10 +4,11 @@ Two jobs.  factor_over_z splits a monic polynomial into monic irreducible
 integer factors (squarefree decomposition, factorization mod a good small
 prime, Hensel lifting, subset recombination -- delegated to sympy, which
 implements exactly that pipeline).  splitting_profile reads off the degrees
-of the irreducible factors of f mod p by distinct-degree factorization;
-those degrees are the residue degrees of the primes above p in the number
-field cut out by f.  Only the degrees and their count are ever needed, so
-no equal-degree splitting happens and everything stays deterministic.
+of the irreducible factors of f mod p by sympy's distinct-degree
+factorization over GF(p); those degrees are the residue degrees of the
+primes above p in the number field cut out by f.  Only the degrees and
+their count are ever needed, so no equal-degree splitting happens and
+everything stays deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_ddf_zassenhaus,
+    gf_degree,
+    gf_diff,
+    gf_from_int_poly,
+    gf_gcd,
+)
 
 from .linalg import IntPoly
 
@@ -67,7 +76,8 @@ def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tupl
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ")
     constant, parts = poly.factor_list()
-    assert constant == 1, "monic input must factor with unit content"
+    if constant != 1:
+        raise RuntimeError(f"monic input {f!r} factored with content {constant}")
     factors = []
     for part, mult in parts:
         coeffs = [int(c) for c in reversed(part.all_coeffs())]
@@ -76,82 +86,9 @@ def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tupl
     product = IntPoly([1])
     for g, m in factors:
         product = product * g ** m
-    assert product == f, "factor product must reconstruct the input"
+    if product != f:
+        raise RuntimeError(f"factor product {product!r} does not reconstruct {f!r}")
     return factors
-
-
-# ---------------------------------------------------------------------------
-# dense arithmetic in GF(p)[x]; coefficients lowest degree first, in [0, p)
-
-
-def _gf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_from_intpoly(f: IntPoly, p: int):
-    return _gf_trim([c % p for c in f.coeffs])
-
-
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
-
-
-def _gf_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % p
-        if c:
-            q[i - db] = c
-            for k in range(len(b)):
-                rem[i - db + k] = (rem[i - db + k] - c * b[k]) % p
-    return _gf_trim(q), _gf_trim(rem)
-
-
-def _gf_mod(a, b, p):
-    return _gf_divmod(a, b, p)[1]
-
-
-def _gf_monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_mod(a, b, p)
-    return _gf_monic(a, p)
-
-
-def _gf_pow_mod(base, exp, mod, p):
-    result = [1]
-    base = _gf_mod(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _gf_mod(_gf_mul(result, base, p), mod, p)
-        base = _gf_mod(_gf_mul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _gf_derivative(a, p):
-    return _gf_trim([i * c % p for i, c in enumerate(a)][1:])
 
 
 def splitting_profile(f: IntPoly, p: int) -> SplittingProfile:
@@ -165,26 +102,10 @@ def splitting_profile(f: IntPoly, p: int) -> SplittingProfile:
         raise ValueError(f"{p} is not prime")
     if not f.is_monic or f.degree < 1:
         raise ValueError("splitting_profile wants a monic polynomial of degree >= 1")
-    fbar = _gf_from_intpoly(f, p)
-    if _gf_gcd(fbar, _gf_derivative(fbar, p), p) != [1]:
+    fbar = gf_from_int_poly(list(reversed(f.coeffs)), p)
+    if gf_gcd(fbar, gf_diff(fbar, p, ZZ), p, ZZ) != [1]:
         return SplittingProfile(p, (), True)
     degrees = []
-    g = fbar
-    w = _gf_mod([0, 1], g, p)  # x mod g
-    d = 0
-    while len(g) - 1 >= 2 * (d + 1):
-        d += 1
-        w = _gf_pow_mod(w, p, g, p)  # x^(p^d) mod g
-        diff = list(w)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        h = _gf_gcd(g, _gf_trim(diff), p)
-        if len(h) - 1 > 0:
-            degrees.extend([d] * ((len(h) - 1) // d))
-            g, r = _gf_divmod(g, h, p)
-            assert not r
-            w = _gf_mod(w, g, p)
-    if len(g) - 1 > 0:
-        degrees.append(len(g) - 1)
+    for g, d in gf_ddf_zassenhaus(fbar, p, ZZ):
+        degrees.extend([d] * (gf_degree(g) // d))
     return SplittingProfile(p, tuple(sorted(degrees)), False)

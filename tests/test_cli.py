@@ -138,6 +138,24 @@ def test_verify_budget_exit_code(capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_verify_computes_edv_context_once(capsys, monkeypatch):
+    import submodzeta.cli
+    import submodzeta.oracle
+    from submodzeta.canonical import edv_context
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return edv_context(*args, **kwargs)
+
+    for module in (submodzeta.cli, submodzeta.oracle):
+        monkeypatch.setattr(module, "edv_context", counted)
+    rc = main(["verify", NILP_2, "--primes", "3,5,7", "--max-index-exp", "2"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # special
 

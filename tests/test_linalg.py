@@ -14,8 +14,6 @@ from submodzeta.linalg import (
     hnf,
     kernel_basis,
     kernel_dim,
-    matmul,
-    matpow,
     minpoly,
     n_of,
     permutation_conjugator,
@@ -227,13 +225,13 @@ def test_poly_at_matrix():
 
 def test_matmul_matpow():
     a = IntMatrix([[1, 1], [0, 1]])
-    assert matpow(a, 0) == IntMatrix.identity(2)
-    assert matpow(a, 5) == IntMatrix([[1, 5], [0, 1]])
-    assert matmul(a, a) == a * a
+    assert a ** 0 == IntMatrix.identity(2)
+    assert a ** 5 == IntMatrix([[1, 5], [0, 1]])
+    assert a * a == IntMatrix([[1, 2], [0, 1]])
     with pytest.raises(ValueError):
-        matmul(a, IntMatrix.zeros(3))
+        a * IntMatrix.zeros(3)
     with pytest.raises(ValueError):
-        matpow(a, -1)
+        a ** -1
 
 
 def test_ratmatrix():

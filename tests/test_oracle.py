@@ -1,14 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from submodzeta.canonical import elementary_divisor_vector
-from submodzeta.linalg import IntMatrix, companion, matmul, n_of
+from submodzeta.linalg import IntMatrix, companion, n_of
 from submodzeta.oracle import (
+    _INT64_SAFE,
     BudgetError,
     ComparisonReport,
     candidate_total,
     compare,
+    _count_numpy,
+    _int64_bound,
     compositions,
     count_at_exponent,
     count_invariant_sublattices,
@@ -132,11 +136,18 @@ def test_counts_invariant_under_unimodular_conjugation():
     base = n_of(Partition([2, 1]))
     for _ in range(4):
         u = _random_unimodular(rng, 3)
-        conj = matmul(matmul(u, base), _int_inverse(u))
+        conj = u * base * _int_inverse(u)
         assert (
             count_invariant_sublattices(conj, 2, 3).values
             == count_invariant_sublattices(base, 2, 3).values
         )
+    # entries near 10^30 fail the int64 bound, so the object dtype counts
+    u = IntMatrix(((1, 10 ** 15), (0, 1)))
+    huge = u * companion(IntPoly((1, 0, 1))) * _int_inverse(u)
+    abs_max = max(abs(x) for row in huge.entries for x in row)
+    assert _int64_bound(2, 3, 0, abs_max) >= _INT64_SAFE
+    assert count_invariant_sublattices(huge, 5, 4).values == (1, 2, 3, 4, 5)
+    assert count_invariant_sublattices(huge, 3, 4).values == (1, 0, 1, 0, 1)
 
 
 def test_block_diagonal_counts_are_convolutions():
@@ -160,25 +171,23 @@ def test_block_diagonal_counts_are_convolutions():
     assert got == conv
 
 
-def test_prune_and_python_paths_agree():
+def test_int64_and_object_dtypes_agree():
     cases = [
         (n_of(Partition([2, 1])), 2, 3),
         (companion(IntPoly((1, 0, 1))), 3, 3),
         (diag(0, 2), 2, 4),
     ]
     for a, p, top in cases:
-        baseline = count_invariant_sublattices(a, p, top).values
-        assert count_invariant_sublattices(a, p, top, prune=True).values == baseline
-        assert (
-            count_invariant_sublattices(a, p, top, force_python=True).values
-            == baseline
-        )
-        assert (
-            count_invariant_sublattices(
-                a, p, top, prune=True, force_python=True
-            ).values
-            == baseline
-        )
+        n = a.n_rows
+        fast = np.array(a.entries, dtype=np.int64)
+        exact = np.array(a.entries, dtype=object)
+        for e in range(top + 1):
+            for comp in compositions(e, n):
+                d = tuple(p ** ej for ej in comp)
+                # a small chunk makes every composition span several chunks
+                got = _count_numpy(exact, n, d, 5)
+                assert got == _count_numpy(fast, n, d, 5), (a.entries, d)
+                assert got == _count_numpy(fast, n, d, 1 << 16), (a.entries, d)
 
 
 def test_unit_coefficient_always_one():
