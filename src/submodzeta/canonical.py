@@ -182,7 +182,8 @@ def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContex
     pairs = []
     for f, m, basis, restricted in blocks:
         lam = primary_type(restricted, f)
-        assert lam.parts[0] == m, "largest part must equal the minimal-polynomial exponent"
+        if lam.parts[0] != m:
+            raise RuntimeError("largest part must equal the minimal-polynomial exponent")
         pairs.append((f, lam))
         for row in basis.entries:
             for x in row:

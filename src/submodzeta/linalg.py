@@ -747,7 +747,8 @@ def charpoly(a: IntMatrix) -> IntPoly:
     for k in range(2, n + 1):
         m = a * (m + IntMatrix.scalar(n, c))
         t = m.trace()
-        assert t % k == 0, "trace recursion must divide exactly"
+        if t % k:
+            raise RuntimeError("trace recursion must divide exactly")
         c = -t // k
         coeffs.append(c)
     return IntPoly(list(reversed(coeffs)))
@@ -811,7 +812,8 @@ def _frac_lcm(f, g):
         return _frac_monic(f)
     d = _frac_gcd(f, g)
     q, r = _frac_divmod(_frac_mul(f, g), d)
-    assert not r
+    if r:
+        raise RuntimeError("f*g must be divisible by gcd(f, g)")
     return _frac_monic(q)
 
 

@@ -1,25 +1,43 @@
-"""Brute-force ground truth: count invariant sublattices by HNF enumeration.
+"""Brute-force ground truth: count invariant sublattices, level by level.
 
 A finite-index sublattice of Z^n has a unique basis in row Hermite normal
 form: upper triangular, positive diagonal d_0..d_{n-1}, and the entries
 above each pivot reduced into [0, d_j).  The sublattice is invariant under
 the row action of A exactly when B*A = M*B for an integer matrix M, which
 forward substitution against the triangular B decides in pure integer
-arithmetic.  Enumerating all HNF bases of determinant p^e and counting the
-invariant ones gives the exact Dirichlet coefficient a_{p^e}, the number
-the symbolic formulas must reproduce.
+arithmetic.  The number of invariant sublattices of index p^e (level e) is
+the Dirichlet coefficient a_{p^e} the symbolic formulas must reproduce.
 
-One vectorized enumerator serves every matrix; the dtype of the numpy
-array it is handed decides the arithmetic.  int64 is used whenever a
-rigorous worst-case bound keeps every intermediate below 2^62, and Python
-integers (dtype object) otherwise.  Candidates are visited in one fixed
-order (compositions of e in ascending lexicographic order, then mixed-radix
-over the off-diagonal residues), and the rows each chunk decodes are counted
-as visits, which are checked against the closed-form candidate total.
+Each level comes from whichever of two producers is cheaper:
+
+* HNF enumeration (`count_at_exponent`) visits every HNF basis of
+  determinant p^e, in one fixed order (compositions of e in ascending
+  lexicographic order, then mixed-radix over the off-diagonal residues),
+  and checks its visit count against the closed-form candidate total.
+* The tree of invariant lattices descends from Z^n.  Every invariant N of
+  level e >= 1 has the invariant parent L = (p^-1 N) & Z^n with
+  pL <= N < L, so level e is the set of invariant N with pL <= N < L over
+  the invariant L of levels e-n..e-1.  In the basis C of L, with action
+  M = C*A*C^-1, these N are the subspaces of F_p^n invariant under M mod p.
+  Written in reduced row echelon form, a subspace gives the basis R*C of N
+  with R upper triangular, diagonal entries in {1, p}.  Every subspace is
+  tested, in one batch per (level, diagonal pattern), and the number tested
+  is checked against the Gaussian-binomial total.  Each child basis R*C is
+  reduced to HNF, the level is deduplicated, and each child's action comes
+  from exact forward substitution.
+
+The tree costs about _TREE_GAMMA per subspace tested plus _TREE_OVERHEAD per
+level, in units of one HNF candidate.  It produces a level when that is
+below the level's candidate total, which never holds at level 1: the root
+alone has at least as many subspaces as there are level-1 candidates.
+Nodes are kept only while the tree can still pay off.  Actions are int64
+arrays whenever a rigorous worst-case bound keeps every intermediate below
+2^62, and Python integers (dtype object) otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +58,14 @@ DEFAULT_MAX_CANDIDATES = 120_000_000
 
 _INT64_SAFE = 1 << 62
 
+# The tree's cost in units of one HNF candidate: per subspace tested, and
+# per level it produces.  Measured once on the int64 path, n = 2..4, one CPU:
+# 2-4.5 per subspace where every subspace is invariant, less where few are,
+# and 1000-2000 per level.  Totals moved by under 5 % for gamma in [0.5, 3]
+# and an overhead of 1000 or 2000.
+_TREE_GAMMA = 2
+_TREE_OVERHEAD = 1000
+
 
 class BudgetError(RuntimeError):
     """The requested enumeration exceeds the configured work budget."""
@@ -47,7 +73,8 @@ class BudgetError(RuntimeError):
 
 def compositions(total: int, parts: int):
     """All tuples of `parts` non-negative integers summing to `total`, ascending lex."""
-    assert parts >= 1
+    if parts < 1:
+        raise ValueError("compositions need at least one part")
     if parts == 1:
         yield (total,)
         return
@@ -71,64 +98,264 @@ def _composition_size(diag) -> int:
     return size
 
 
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """Number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
 def _int64_bound(n: int, p: int, e: int, abs_max: int) -> int:
     """Worst-case magnitude through decode, B*A, and forward substitution."""
     return 4 * (2 ** n) * n * max(1, abs_max) * (p ** e) ** n
 
 
-def _count_numpy(a_np, n, diag, chunk):
-    """Vectorized enumeration for one diagonal composition, in a_np's dtype."""
+def _action_dtype(n: int, p: int, e: int, abs_max: int):
+    """int64 when every intermediate at level e provably fits, else object."""
+    return np.int64 if _int64_bound(n, p, e, abs_max) < _INT64_SAFE else object
+
+
+def _chunk(n: int, dtype) -> int:
+    """Rows per batch: about 16 MB per int64 array, less for Python integers."""
+    return max(1024, (1 << (21 if dtype == np.int64 else 16)) // (n * n))
+
+
+def _decode(n, diag, free, start, stop, dtype):
+    """Upper-triangular bases number start..stop-1 with diagonal diag.
+
+    The entries at the positions `free` run over [0, diag[j]) in mixed
+    radix, the last position fastest; every other off-diagonal entry is 0.
+    """
+    b = np.zeros((stop - start, n, n), dtype=dtype)
+    for j in range(n):
+        b[:, j, j] = diag[j]
+    rem = np.arange(start, stop, dtype=np.int64)
+    for i, j in reversed(free):
+        radix = diag[j]
+        if radix > 1:
+            b[:, i, j] = rem % radix
+            rem = rem // radix
+    return b
+
+
+def _solve_action(b, w, divisors):
+    """(ok, m) with m*b = w, by forward substitution against upper-triangular b.
+
+    b and w are batches (..., n, n) that broadcast together; divisors[j] is
+    the diagonal entry b[..., j, j], as an int or as an array of shape
+    (..., 1).  ok says that every division of that batch entry was exact,
+    and then m is the integer matrix with m*b = w.
+    """
+    n = w.shape[-1]
+    mvals = np.zeros(w.shape, dtype=w.dtype)
+    ok = np.ones(w.shape[:-2], dtype=bool)
+    for j in range(n):
+        acc = w[..., :, j].copy()
+        for k in range(j):
+            acc -= mvals[..., :, k] * b[..., k, j][..., None]
+        dj = divisors[j]
+        ok &= (acc % dj == 0).all(axis=-1)
+        mvals[..., :, j] = acc // dj
+    return ok, mvals
+
+
+def _count_numpy(a_np, n, diag, chunk, nodes=None):
+    """Vectorized enumeration for one diagonal composition, in a_np's dtype.
+
+    Returns (invariant count, candidates visited).  When nodes is a list,
+    the invariant bases and their actions are appended to it as pairs.
+    """
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = _composition_size(diag)
     count = 0
     visits = 0
-    start = 0
-    while start < total:
-        m_size = min(chunk, total - start)
-        idx = np.arange(start, start + m_size, dtype=np.int64)
-        b = np.zeros((m_size, n, n), dtype=a_np.dtype)
-        for j in range(n):
-            b[:, j, j] = diag[j]
-        rem = idx
-        for i, j in reversed(positions):
-            radix = diag[j]
-            if radix > 1:
-                b[:, i, j] = rem % radix
-                rem = rem // radix
-        w = b @ a_np
-        mvals = np.zeros((m_size, n, n), dtype=a_np.dtype)
-        ok = np.ones(m_size, dtype=bool)
-        for j in range(n):
-            acc = w[:, :, j].copy()
-            for k in range(j):
-                acc -= mvals[:, :, k] * b[:, k, j][:, None]
-            dj = diag[j]
-            ok &= (acc % dj == 0).all(axis=1)
-            mvals[:, :, j] = acc // dj
+    for start in range(0, total, chunk):
+        b = _decode(n, diag, positions, start, min(start + chunk, total), a_np.dtype)
+        ok, mvals = _solve_action(b, b @ a_np, diag)
         count += int(ok.sum())
         visits += b.shape[0]
-        start += m_size
+        if nodes is not None and ok.any():
+            nodes.append((b[ok], mvals[ok]))
     return count, visits
 
 
-def count_at_exponent(a: IntMatrix, p: int, e: int) -> tuple[int, int]:
-    """(invariant count, candidates visited) for sublattices of index exactly p^e."""
-    assert a.is_square
+def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, int]:
+    """(invariant count, candidates visited) for sublattices of index exactly p^e.
+
+    When nodes is a list, (bases, actions) array pairs of the invariant
+    sublattices are appended to it.
+    """
+    if not a.is_square:
+        raise ValueError("matrix must be square")
     n = a.n_rows
     abs_max = max((abs(x) for row in a.entries for x in row), default=0)
-    if _int64_bound(n, p, e, abs_max) < _INT64_SAFE:
-        a_np = np.array(a.entries, dtype=np.int64)
-        chunk = max(1024, (1 << 21) // (n * n))
-    else:
-        a_np = np.array(a.entries, dtype=object)
-        chunk = max(1024, (1 << 16) // (n * n))
+    dtype = _action_dtype(n, p, e, abs_max)
+    a_np = np.array(a.entries, dtype=dtype)
+    chunk = _chunk(n, dtype)
     count = 0
     visits = 0
     for comp in compositions(e, n):
-        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), chunk)
+        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), chunk, nodes)
         count += c
         visits += v
     return count, visits
+
+
+def _reduce_upper_hnf(b, modulus):
+    """Row HNF, in place, of a batch of upper-triangular integer bases.
+
+    Every diagonal entry must be positive and every lattice must contain
+    modulus*Z^n, so that entries right of the column being reduced can be
+    kept in [0, modulus) without changing the lattice.
+    """
+    n = b.shape[-1]
+    for j in range(1, n):
+        dj = b[:, j, j]
+        for i in range(j):
+            q = b[:, i, j] // dj
+            b[:, i, j:] -= q[:, None] * b[:, j, j:]
+            b[:, i, j + 1:] %= modulus
+    return b
+
+
+class _LatticeTree:
+    """The invariant lattices of the levels the tree has yet to expand.
+
+    levels[l] = (C, M): int64 HNF bases of level l and their actions
+    C*A*C^-1, or None until they are needed.  pending[l] holds the distinct
+    child bases found so far at a level not yet produced.  totals[e] is
+    candidate_total(n, p, e), the HNF cost of level e.
+    """
+
+    def __init__(self, a: IntMatrix, p: int, totals: list[int]):
+        self.n = n = a.n_rows
+        self.p = p
+        self.top = top = len(totals) - 1
+        self.totals = totals
+        self.entries = a.entries
+        self.abs_max = max((abs(x) for row in a.entries for x in row), default=0)
+        self.gauss = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
+        # bases stay int64: every intermediate of their reduction is below (n*p^e)^2
+        self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE
+        self.levels = {0: (np.eye(n, dtype=np.int64)[None], None)}
+        self.pending = {}
+        self.ratio = {1: self.work(1) / totals[1]} if top else {}
+
+    def _span(self, level: int, e: int) -> int:
+        """Subspaces tested per node of `level` when it is expanded for level e."""
+        return sum(self.gauss[max(1, e - level):min(self.n, self.top - level) + 1])
+
+    def work(self, e: int) -> int:
+        """Subspaces the tree must test to produce level e."""
+        return sum(len(c) * self._span(l, e) for l, (c, _) in self.levels.items() if l < e)
+
+    def cheaper(self, e: int) -> bool:
+        """Would the tree produce level e for less than HNF enumeration?"""
+        return (self.keeping
+                and _TREE_GAMMA * self.work(e) + _TREE_OVERHEAD < self.totals[e])
+
+    def record(self, e: int, nodes) -> None:
+        """Keep level e as found by count_at_exponent: (bases, actions) pairs."""
+        n = self.n
+        dtype = _action_dtype(n, self.p, e, self.abs_max)
+        empty = np.zeros((0, n, n), dtype=np.int64)
+        self.levels[e] = (np.concatenate([b for b, _ in nodes] or [empty]).astype(np.int64),
+                          np.concatenate([m for _, m in nodes] or [empty]).astype(dtype))
+
+    def produce(self, e: int) -> int:
+        """Count level e: expand every level kept so far, keep the children."""
+        for l in sorted(self.levels):
+            self._expand(l, e)
+        empty = np.zeros((0, self.n, self.n), dtype=np.int64)
+        self.levels[e] = (self.pending.pop(e, empty), None)
+        return len(self.levels[e][0])
+
+    def prune(self, e: int) -> None:
+        """After level e, drop the levels whose children all land at or below e.
+
+        Once the kept nodes cannot pay off any more, drop them all and stop
+        keeping: HNF enumeration then produces every remaining level.
+        """
+        n, top = self.n, self.top
+        rest = sum(self.totals[e + 1:])
+        if e < top:
+            self.ratio[e + 1] = self.work(e + 1) / self.totals[e + 1]
+        # Give up when the tree would test at least one subspace per HNF
+        # candidate at level e+1 with no fall from any of the last n levels,
+        # or when expanding level e alone costs more than all HNF work left.
+        if (e == top
+                or _TREE_GAMMA * len(self.levels[e][0]) * self._span(e, e + 1) >= rest
+                or self.ratio[e + 1] >= max(1, min(self.ratio[f] for f in
+                                                   range(max(1, e + 1 - n), e + 1)))):
+            self.keeping = False
+            self.levels.clear()
+            self.pending.clear()
+            return
+        for l in [l for l in self.levels if l <= e - n]:
+            del self.levels[l]
+
+    def _expand(self, l: int, e: int) -> None:
+        """Test every subspace of every node of level l whose child lands at >= e."""
+        n, p = self.n, self.p
+        c, m = self.levels.pop(l)
+        if m is None:
+            m = self._actions(l, c)
+        # the test is the level-1 HNF test of the action M against bases R
+        if _action_dtype(n, p, 1, int(np.abs(m).max(initial=0))) is object:
+            m = m.astype(object)
+        chunk = _chunk(n, m.dtype)
+        tested = 0
+        for k in range(max(1, e - l), min(n, self.top - l) + 1):
+            found = [self.pending.pop(l + k)] if l + k in self.pending else []
+            for d in itertools.product((1, p), repeat=n):
+                if d.count(p) != k:
+                    continue
+                free = [(i, j) for j in range(n) for i in range(j)
+                        if d[i] == 1 and d[j] == p]
+                size = p ** len(free)
+                for start in range(0, size, chunk):
+                    r = _decode(n, d, free, start, min(start + chunk, size), np.int64)
+                    step = max(1, chunk // len(r))
+                    for s in range(0, len(m), step):
+                        ok, _ = _solve_action(r[None], r[None] @ m[s:s + step, None], d)
+                        tested += ok.size
+                        node, sub = np.nonzero(ok)
+                        if node.size:
+                            found.append(_reduce_upper_hnf(r[sub] @ c[s + node], p ** (l + k)))
+            if found:
+                self.pending[l + k] = _distinct(np.concatenate(found))
+        expected = len(c) * self._span(l, e)
+        if tested != expected:
+            raise RuntimeError(
+                f"tree tested {tested} subspaces below level {l}; expected {expected}")
+
+    def _actions(self, e: int, bases):
+        """C*A*C^-1 for each basis C of level e, by exact forward substitution."""
+        n = self.n
+        dtype = _action_dtype(n, self.p, e, self.abs_max)
+        a_np = np.array(self.entries, dtype=dtype)
+        out = [np.zeros((0, n, n), dtype=dtype)]
+        chunk = _chunk(n, dtype)
+        for s in range(0, len(bases), chunk):
+            b = bases[s:s + chunk].astype(dtype)
+            ok, m = _solve_action(b, b @ a_np, [b[:, j, j, None] for j in range(n)])
+            if not ok.all():
+                raise RuntimeError(f"a child basis at level {e} is not invariant")
+            out.append(m)
+        return np.concatenate(out)
+
+
+def _distinct(b):
+    """The distinct upper-triangular bases of a batch, each once."""
+    rows, cols = np.triu_indices(b.shape[-1])
+    keys = b[:, rows, cols]
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.ones(len(b), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return b[order[first]]
 
 
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
@@ -136,9 +363,11 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> DirichletCoefficients:
     """Exact counts a_{p^0}..a_{p^max_exp} of A-invariant sublattices of Z^n.
 
-    Refuses upfront (BudgetError) when n exceeds the cap or the candidate
-    total exceeds the budget; the enumeration itself is deterministic and
-    self-checks its visit count against the closed-form total.
+    Refuses upfront (BudgetError) when n exceeds the cap or the HNF
+    candidate total exceeds the budget.  Each level e >= 1 comes from HNF
+    enumeration or from the tree of invariant lattices, whichever is
+    cheaper; both are deterministic and self-check their work against
+    closed-form totals.
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -149,21 +378,30 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     n = a.n_rows
     if n > max_n:
         raise BudgetError(f"n = {n} exceeds the oracle cap {max_n}")
-    work = sum(candidate_total(n, p, e) for e in range(max_exp + 1))
-    if work > max_candidates:
+    totals = [candidate_total(n, p, e) for e in range(max_exp + 1)]
+    if sum(totals) > max_candidates:
         raise BudgetError(
-            f"{work} HNF candidates for p = {p}, E = {max_exp} "
+            f"{sum(totals)} HNF candidates for p = {p}, E = {max_exp} "
             f"exceed the budget {max_candidates}"
         )
-    values = []
-    for e in range(max_exp + 1):
-        c, v = count_at_exponent(a, p, e)
-        if v != candidate_total(n, p, e):
-            raise RuntimeError(
-                f"oracle visited {v} candidates at p = {p}, e = {e}; "
-                f"expected {candidate_total(n, p, e)}"
-            )
-        values.append(c)
+    tree = _LatticeTree(a, p, totals)
+    values = [1]
+    for e in range(1, max_exp + 1):
+        if tree.cheaper(e):
+            values.append(tree.produce(e))
+        else:
+            nodes = [] if tree.keeping else None
+            c, v = count_at_exponent(a, p, e, nodes)
+            if v != totals[e]:
+                raise RuntimeError(
+                    f"oracle visited {v} candidates at p = {p}, e = {e}; "
+                    f"expected {totals[e]}"
+                )
+            values.append(c)
+            if nodes is not None:
+                tree.record(e, nodes)
+        if tree.keeping:
+            tree.prune(e)
     return DirichletCoefficients(p, tuple(values))
 
 

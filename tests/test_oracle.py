@@ -2,17 +2,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from submodzeta import oracle
 from submodzeta.canonical import elementary_divisor_vector
-from submodzeta.linalg import IntMatrix, companion, n_of
+from submodzeta.linalg import IntMatrix, companion, hnf, n_of
 from submodzeta.oracle import (
     _INT64_SAFE,
     BudgetError,
     ComparisonReport,
+    _LatticeTree,
     candidate_total,
     compare,
     _count_numpy,
+    _distinct,
+    _gaussian_binomial,
     _int64_bound,
+    _reduce_upper_hnf,
     compositions,
     count_at_exponent,
     count_invariant_sublattices,
@@ -281,3 +288,116 @@ def test_report_json_round_trip_fields():
     assert data["formula_values"] == [1, 1, 6]
     assert data["demoted"] is False
     assert isinstance(rep, ComparisonReport)
+
+
+# ---------------------------------------------------------------------------
+# the tree of invariant lattices against HNF enumeration
+
+
+def _tree_counts(a, p, top):
+    """Levels 2..top produced by the tree alone, from the level-1 HNF nodes."""
+    tree = _LatticeTree(a, p, [candidate_total(a.n_rows, p, e) for e in range(top + 1)])
+    nodes = []
+    count_at_exponent(a, p, 1, nodes)
+    tree.record(1, nodes)
+    return [tree.produce(e) for e in range(2, top + 1)]
+
+
+def _hnf_counts(a, p, top):
+    return [count_at_exponent(a, p, e)[0] for e in range(2, top + 1)]
+
+
+def _huge_x2_plus_1():
+    u = IntMatrix(((1, 10 ** 15), (0, 1)))
+    return u * companion(IntPoly((1, 0, 1))) * _int_inverse(u)
+
+
+@pytest.mark.parametrize("name, a, p, top", [
+    ("x^2+1 split", companion(IntPoly((1, 0, 1))), 5, 5),
+    ("x^2+1 inert", companion(IntPoly((1, 0, 1))), 3, 6),
+    ("N_(2,1)", n_of(Partition([2, 1])), 2, 5),
+    ("zero", diag(0, 0), 2, 6),
+    ("zero 3x3", diag(0, 0, 0), 3, 3),
+    ("exceptional", IntMatrix(((0, 9), (0, 0))), 3, 5),
+    ("scaled nilpotent", IntMatrix(((0, 2), (0, 0))), 2, 6),
+    ("10^30 entries, object dtype", _huge_x2_plus_1(), 5, 4),
+])
+def test_tree_matches_hnf_per_level(name, a, p, top):
+    assert _tree_counts(a, p, top) == _hnf_counts(a, p, top), name
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-4, 4), st.integers(-10 ** 20, 10 ** 20)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_tree_matches_hnf_on_random_matrices(rows, p):
+    a = IntMatrix(tuple(tuple(r) for r in rows))
+    top = {1: 5, 2: 3, 3: 2}[a.n_rows]
+    assert _tree_counts(a, p, top) == _hnf_counts(a, p, top)
+    assert count_invariant_sublattices(a, p, top).values[2:] == tuple(_hnf_counts(a, p, top))
+
+
+def _recorded_hnf_levels(monkeypatch, a, p, top):
+    """(e, whether the level's nodes were kept) for every HNF-enumerated level."""
+    seen = []
+    hnf_level = oracle.count_at_exponent
+
+    def recording(a, p, e, nodes=None):
+        seen.append((e, nodes is not None))
+        return hnf_level(a, p, e, nodes)
+
+    monkeypatch.setattr(oracle, "count_at_exponent", recording)
+    count_invariant_sublattices(a, p, top)
+    return seen
+
+
+def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
+    a = companion(IntPoly((1, 0, 1)))
+    assert _recorded_hnf_levels(monkeypatch, a, 89, 4) == [(1, True)]
+
+
+def test_cost_rule_keeps_dense_levels_on_hnf(monkeypatch):
+    # every sublattice is invariant: the nodes stop being kept after level 1
+    got = _recorded_hnf_levels(monkeypatch, diag(0, 0), 2, 10)
+    assert got == [(1, True)] + [(e, False) for e in range(2, 11)]
+
+
+def test_upper_hnf_reduction_matches_linalg_hnf():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        p = rng.choice([2, 3, 5])
+        factors = []
+        for _ in range(2):
+            d = [p ** rng.randint(0, 2) for _ in range(n)]
+            factors.append(IntMatrix(tuple(
+                tuple(d[i] if i == j else rng.randint(0, 3 * p) if j > i else 0
+                      for j in range(n))
+                for i in range(n))))
+        prod = factors[0] * factors[1]
+        det = 1
+        for i in range(n):
+            det *= prod.entries[i][i]
+        got = _reduce_upper_hnf(np.array([prod.entries], dtype=np.int64), det)[0]
+        assert IntMatrix(tuple(tuple(int(x) for x in row) for row in got)) == hnf(prod)
+
+
+def test_distinct_keeps_one_of_each_basis():
+    b = np.array([[[2, 1], [0, 1]], [[1, 0], [0, 4]], [[2, 1], [0, 1]], [[2, 0], [0, 1]]])
+    assert sorted(_distinct(b).tolist()) == [[[1, 0], [0, 4]], [[2, 0], [0, 1]], [[2, 1], [0, 1]]]
+
+
+def test_gaussian_binomials_count_subspaces():
+    assert [_gaussian_binomial(3, k, 2) for k in range(4)] == [1, 7, 7, 1]
+    assert _gaussian_binomial(4, 2, 3) == 130
+
+
+def test_compositions_and_count_at_exponent_reject_bad_input():
+    with pytest.raises(ValueError):
+        list(compositions(2, 0))
+    with pytest.raises(ValueError):
+        count_at_exponent(IntMatrix(((0, 1, 0), (0, 0, 1))), 2, 1)
