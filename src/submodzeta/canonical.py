@@ -1,10 +1,13 @@
 """Elementary divisor vectors: which irreducibles act, with which partition.
 
 The pipeline is minimal polynomial -> irreducible factorization -> primary
-decomposition over Q (kernels of f_i(A)^{m_i}) -> one type partition per
-block from the kernel-dimension jumps of powers of f_i.  Only the pairs
-(f_i, partition) travel onward; the rational bases themselves are local,
-except that their denominators feed the bad-prime heuristic.
+decomposition (kernels of f_i(A)^{m_i}) -> one type partition per block
+from the kernel-dimension jumps of powers of f_i.  It runs in integers
+throughout: each kernel basis is an integer matrix over one denominator,
+the restricted block is an integer matrix over the same denominator, and
+the type comes from the denominator-cleared block.  Only the pairs
+(f_i, partition) travel onward; the bases themselves are local, except
+that their denominators feed the bad-prime heuristic.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     kernel_dim,
     minpoly,
     poly_at_matrix,
-    solve_row_combination,
 )
 from .partitions import Partition
 from .polyfactor import DEFAULT_DEGREE_CAP, factor_over_z
@@ -107,29 +109,32 @@ def nilpotent_type(a: IntMatrix) -> Partition:
 
 
 def _primary_blocks(a: IntMatrix, factored_minpoly):
-    """Kernel bases and restricted matrices, one per irreducible factor.
+    """Integer data of each primary component, one per irreducible factor.
 
-    The caller guarantees that factored_minpoly multiplies to minpoly(a).
+    For f^m in factored_minpoly, the kernel basis of f(a)^m is k/den with k
+    an integer matrix (kernel_basis).  Its vectors are 1 at their own free
+    coordinate and 0 at the other free coordinates, so a vector of the
+    component is the combination of the basis whose coefficients are its
+    free coordinates: the restriction of a is c/den, with c the free
+    columns of w = k*a.  Returns a list of (f, m, den, c).  The caller
+    guarantees that factored_minpoly multiplies to minpoly(a).
     """
     n = a.n_rows
-    a_rat = RatMatrix.from_int(a)
     blocks = []
     total = 0
     for f, m in factored_minpoly:
-        big = poly_at_matrix(f ** m, a)
-        basis = kernel_basis(big)
-        if not basis:
+        rows, den = kernel_basis(poly_at_matrix(f, a) ** m)
+        if not rows:
             raise ValueError(f"factor {f!r} has trivial kernel; not a minimal-polynomial factor")
-        b = RatMatrix(basis)
-        image = b * a_rat
-        restricted = []
-        for row in image.entries:
-            combo = solve_row_combination(basis, row)
-            if combo is None:
-                raise AssertionError("invariant subspace escaped its own basis")
-            restricted.append(combo)
-        blocks.append((f, m, b, RatMatrix(restricted)))
-        total += len(basis)
+        free = [max(j for j, x in enumerate(row) if x) for row in rows]
+        k = IntMatrix(rows)
+        w = k * a
+        c = IntMatrix([[row[j] for j in free] for row in w.entries])
+        # each row of w lies in the span of the basis: w * den == c * k
+        if c * k != IntMatrix([[x * den for x in row] for row in w.entries]):
+            raise RuntimeError("invariant subspace escaped its own basis")
+        blocks.append((f, m, den, c))
+        total += k.n_rows
     if total != n:
         raise ValueError("primary blocks do not fill the space; bad factorization")
     return blocks
@@ -144,18 +149,26 @@ def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly,
         product = product * f ** m
     if product != minpoly(a):
         raise ValueError("factorization does not multiply to the minimal polynomial")
-    return [(f, block) for f, _, _, block in _primary_blocks(a, factored_minpoly)]
+    return [
+        (f, RatMatrix([[Fraction(x, den) for x in row] for row in c.entries]))
+        for f, _, den, c in _primary_blocks(a, factored_minpoly)
+    ]
 
 
-def primary_type(block: RatMatrix, f: IntPoly) -> Partition:
-    """Type partition of a block whose minimal polynomial is a power of f."""
-    if not block.is_square or block.n_rows == 0:
+def _scaled_type(c: IntMatrix, den: int, f: IntPoly) -> Partition:
+    """Type partition of the block c/den, from integer kernel dimensions.
+
+    The powers of f(c/den) have the kernels of the powers of the integer
+    matrix g(c), where g(x) = den^d * f(x / den) and d = deg f.
+    """
+    if not c.is_square or c.n_rows == 0:
         raise ValueError("primary_type wants a square matrix of size >= 1")
-    n = block.n_rows
+    n = c.n_rows
     d = f.degree
-    m = poly_at_matrix(f, block)
+    g = IntPoly([x * den ** (d - j) for j, x in enumerate(f.coeffs)])
+    m = poly_at_matrix(g, c)
     jumps = []
-    power = RatMatrix.identity(n)
+    power = IntMatrix.identity(n)
     prev = 0
     while prev < n:
         power = power * m
@@ -170,29 +183,36 @@ def primary_type(block: RatMatrix, f: IntPoly) -> Partition:
     return Partition(jumps).dual()
 
 
+def primary_type(block: RatMatrix, f: IntPoly) -> Partition:
+    """Type partition of a block whose minimal polynomial is a power of f."""
+    den = block.denominator_lcm()
+    c = IntMatrix([[int(x * den) for x in row] for row in block.entries])
+    return _scaled_type(c, den, f)
+
+
 def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContext:
-    """Elementary divisor vector of a, plus the lcm of denominators seen on the way."""
+    """Elementary divisor vector of a, plus the lcm of denominators seen on the way.
+
+    The denominators are those of the primary kernel bases; the restricted
+    blocks c/den add none, because c is integral.
+    """
     if not a.is_square:
         raise ValueError("edv_context wants a square matrix")
     if a.n_rows == 0:
         raise ValueError("n = 0 is rejected everywhere")
     factored = factor_over_z(minpoly(a), degree_cap)
-    blocks = _primary_blocks(a, factored)
-    den = 1
+    lcm = 1
     pairs = []
-    for f, m, basis, restricted in blocks:
-        lam = primary_type(restricted, f)
+    for f, m, den, c in _primary_blocks(a, factored):
+        lam = _scaled_type(c, den, f)
         if lam.parts[0] != m:
             raise RuntimeError("largest part must equal the minimal-polynomial exponent")
         pairs.append((f, lam))
-        for row in basis.entries:
-            for x in row:
-                den = math.lcm(den, Fraction(x).denominator)
-        den = math.lcm(den, restricted.denominator_lcm())
+        lcm = math.lcm(lcm, den)
     edv = ElementaryDivisorVector.from_pairs(pairs)
     if edv.n != a.n_rows:
-        raise AssertionError("degree-weighted sizes must sum to n")
-    return EdvContext(edv, den)
+        raise RuntimeError("degree-weighted sizes must sum to n")
+    return EdvContext(edv, lcm)
 
 
 def elementary_divisor_vector(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> ElementaryDivisorVector:

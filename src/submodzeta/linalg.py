@@ -1,11 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Dense matrices over Z (arbitrary-precision ints) and over Q (Fraction),
-integer polynomials, Hermite normal form, fraction-free rank, determinant,
-characteristic and minimal polynomials, and the nilpotent normal forms the
-rest of the package is phrased in: the companion matrix of a monic
-polynomial, the block form n_of (one shift block per part) and its
-recursive sibling a_of, conjugate to each other by a permutation.
+Dense matrices over Z (arbitrary-precision ints), a matrix type over Q
+(Fraction) that holds results, integer polynomials, Hermite normal form,
+fraction-free rank, determinant and left kernels, characteristic and
+minimal polynomials, and the nilpotent normal forms the rest of the
+package is phrased in: the companion matrix of a monic polynomial, the
+block form n_of (one shift block per part) and its recursive sibling a_of,
+conjugate to each other by a permutation.  Kernels and minimal
+polynomials are computed in integers, without Fraction arithmetic.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -14,7 +16,13 @@ right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import zip_longest
 from fractions import Fraction
+
+from sympy import ZZ
+from sympy.polys.euclidtools import dup_lcm
+from sympy.polys.matrices import DomainMatrix
 
 from .partitions import Partition
 
@@ -205,7 +213,10 @@ class IntMatrix:
     __slots__ = ("_rows", "_n_rows", "_n_cols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        # from a list, so the tuple is allocated at its final size: one built
+        # from a generator is resized, and the resized tuples pile up on
+        # the interpreter's free lists until a full garbage collection
+        rows = tuple([tuple(r) for r in rows])
         width = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != width:
@@ -316,7 +327,7 @@ class IntMatrix:
             raise ValueError("shape mismatch in matrix product")
         bt = list(zip(*other._rows)) if other._rows else []
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows]
+            [[sum(map(operator.mul, row, col)) for col in bt] for row in self._rows]
         )
 
     def __pow__(self, k):
@@ -380,14 +391,6 @@ class RatMatrix:
     def from_int(cls, m: IntMatrix) -> RatMatrix:
         return cls(m.entries)
 
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, n: int, c) -> RatMatrix:
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
-
     def denominator_lcm(self) -> int:
         """lcm of all entry denominators; 1 for an integral matrix."""
         out = 1
@@ -395,42 +398,6 @@ class RatMatrix:
             for x in r:
                 out = math.lcm(out, x.denominator)
         return out
-
-    def __add__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if (self._n_rows, self._n_cols) != (other._n_rows, other._n_cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self._n_cols != other._n_rows:
-            raise ValueError("shape mismatch in matrix product")
-        bt = list(zip(*other._rows)) if other._rows else []
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows]
-        )
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("matrix power wants a non-negative integer")
-        if not self.is_square:
-            raise ValueError("matrix power of a non-square matrix")
-        result = RatMatrix.identity(self._n_rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, RatMatrix):
@@ -444,16 +411,19 @@ class RatMatrix:
         return f"RatMatrix({[list(map(str, r)) for r in self._rows]!r})"
 
 
-def poly_at_matrix(f: IntPoly, a):
-    """Evaluate f at a square matrix (IntMatrix or RatMatrix) by Horner."""
+def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
+    """Evaluate f at a square integer matrix by Horner."""
     if not a.is_square:
         raise ValueError("poly_at_matrix wants a square matrix")
     n = a.n_rows
-    cls = a.__class__
-    result = cls.scalar(n, 0)
-    for c in reversed(f.coeffs):
-        result = result * a + cls.scalar(n, c)
-    return result
+    cols = list(zip(*a.entries))
+    result = [[0] * n for _ in range(n)]
+    for k, c in enumerate(reversed(f.coeffs)):
+        if k:
+            result = [[sum(map(operator.mul, row, col)) for col in cols] for row in result]
+        for i in range(n):
+            result[i][i] += c
+    return IntMatrix(result)
 
 
 # ---------------------------------------------------------------------------
@@ -530,79 +500,43 @@ def det(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# incremental echelon over Q with combination tracking
+# left kernels
 
 
-class _Echelon:
-    """Incremental Gaussian elimination over Q that remembers combinations.
+def kernel_basis(m) -> tuple[list[list[int]], int]:
+    """Basis of the left kernel {x : x*m = 0}, as integer rows over one denominator.
 
-    insert(row) returns None when the row opens a new direction, and the
-    coefficients c with row = sum(c[t] * original_t) over the previously
-    inserted rows when it is dependent.
+    Returns (rows, den) with den >= 1 the least common denominator of the
+    basis, which is rows / den.  The pivot rows of m are its rows that are
+    independent of the rows above them; the basis has one vector per other
+    (free) row i, equal to 1 at i, 0 at every other free row, and supported
+    on the pivot rows above i.  So row r of the result is den at its own free
+    coordinate, which is its last nonzero entry.  Computed from the
+    fraction-free reduced row echelon form of the transpose over ZZ
+    (sympy's DomainMatrix.rref_den).
     """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.count = 0
-        self.pivots = []  # (pivot column, normalized vector, combination)
-
-    def _reduce(self, vec, combo):
-        for col, pvec, pcombo in self.pivots:
-            c = vec[col]
-            if c:
-                for k in range(self.width):
-                    vec[k] -= c * pvec[k]
-                for k in range(len(pcombo)):
-                    combo[k] -= c * pcombo[k]
-        return vec, combo
-
-    def insert(self, row):
-        vec = [Fraction(x) for x in row]
-        combo = [Fraction(0)] * self.count + [Fraction(1)]
-        vec, combo = self._reduce(vec, combo)
-        self.count += 1
-        col = next((k for k in range(self.width) if vec[k]), None)
-        if col is None:
-            # 0 = sum(combo[t] * orig_t) with combo[-1] == 1
-            return [-c for c in combo[:-1]]
-        inv = Fraction(1) / vec[col]
-        vec = [x * inv for x in vec]
-        combo = [x * inv for x in combo]
-        self.pivots.append((col, vec, combo))
-        return None
-
-    def express(self, row):
-        """Coefficients of row over the inserted originals, or None if outside."""
-        vec = [Fraction(x) for x in row]
-        combo = [Fraction(0)] * self.count + [Fraction(1)]
-        vec, combo = self._reduce(vec, combo)
-        if any(vec):
-            return None
-        return [-c for c in combo[:-1]]
-
-
-def kernel_basis(m) -> list[tuple[Fraction, ...]]:
-    """Basis of the left kernel {x : x*m = 0}, as Fraction rows."""
-    ech = _Echelon(m.n_cols)
-    basis = []
-    for i, row in enumerate(m.entries):
-        combo = ech.insert(row)
-        if combo is not None:
-            vec = [-c for c in combo] + [Fraction(1)] + [Fraction(0)] * (m.n_rows - i - 1)
-            # combo gave row_i = sum(c_t row_t), so (-c_0,...,-c_{i-1},1,0,...) kills m
-            basis.append(tuple(vec))
-    return basis
-
-
-def solve_row_combination(rows, target):
-    """Coefficients c with sum(c[i]*rows[i]) = target, or None if unsolvable."""
-    rows = list(rows)
-    if not rows:
-        return None
-    ech = _Echelon(len(rows[0]))
-    for r in rows:
-        ech.insert(r)
-    return ech.express(target)
+    n_rows = m.n_rows
+    transposed = DomainMatrix([list(col) for col in zip(*m.entries)], (m.n_cols, n_rows), ZZ)
+    echelon, den, pivots = transposed.rref_den(method="FF")
+    # int(): with gmpy2 installed, sympy's ZZ elements are mpz
+    rref = [[int(x) for x in row] for row in echelon.to_list()]
+    den = int(den)
+    free = sorted(set(range(n_rows)) - set(pivots))
+    # the basis vector of free row i is -rref[r][i] / den at pivot row pivots[r]
+    common = den
+    for row in rref:
+        for i in free:
+            common = math.gcd(common, row[i])
+    lcd = abs(den // common)
+    step = den // lcd
+    rows = []
+    for i in free:
+        vec = [0] * n_rows
+        vec[i] = lcd
+        for r, p in enumerate(pivots):
+            vec[p] = -rref[r][i] // step
+        rows.append(vec)
+    return rows, lcd
 
 
 # ---------------------------------------------------------------------------
@@ -754,98 +688,77 @@ def charpoly(a: IntMatrix) -> IntPoly:
     return IntPoly(list(reversed(coeffs)))
 
 
-def _frac_divmod(f: list[Fraction], g: list[Fraction]):
-    rem = list(f)
-    dg = len(g) - 1
-    lead = g[-1]
-    q = [Fraction(0)] * max(0, len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i] / lead
-        if c:
-            q[i - dg] = c
-            for k in range(len(g)):
-                rem[i - dg + k] -= c * g[k]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem
+def _times_matrix(v: list[int], cols) -> list[int]:
+    """The row vector v*A, given the columns of A."""
+    return [sum(map(operator.mul, v, col)) for col in cols]
 
 
-def _frac_trim(f):
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return f
+def _annihilates(f: IntPoly, i: int, cols) -> bool:
+    """Whether e_i * f(A) = 0 for a monic f, by Horner on the row vector."""
+    v = [0] * len(cols)
+    v[i] = 1
+    for c in reversed(f.coeffs[:-1]):
+        v = _times_matrix(v, cols)
+        v[i] += c
+    return not any(v)
 
 
-def _frac_monic(f):
-    f = _frac_trim(f)
-    if not f:
-        return f
-    lead = f[-1]
-    return [c / lead for c in f]
+def _vector_minpoly(i: int, cols) -> IntPoly:
+    """Monic generator of {g : e_i * g(A) = 0}, from the Krylov chain of e_i.
 
-
-def _frac_mul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_gcd(f, g):
-    f, g = _frac_trim(f), _frac_trim(g)
-    while g:
-        _, r = _frac_divmod(f, g)
-        f, g = g, r
-    return _frac_monic(f)
-
-
-def _frac_lcm(f, g):
-    f, g = _frac_trim(f), _frac_trim(g)
-    if not f:
-        return _frac_monic(g)
-    if not g:
-        return _frac_monic(f)
-    d = _frac_gcd(f, g)
-    q, r = _frac_divmod(_frac_mul(f, g), d)
-    if r:
-        raise RuntimeError("f*g must be divisible by gcd(f, g)")
-    return _frac_monic(q)
+    Each new vector e_i A^k is reduced against the earlier ones by
+    fraction-free (Bareiss) elimination that also carries the combination
+    of chain vectors it stands for; every division is exact.  The first
+    vector that reduces to zero gives the relation.
+    """
+    n = len(cols)
+    pivots = []  # (pivot column, reduced vector, combination)
+    v = [0] * n
+    v[i] = 1
+    while True:
+        vec = v
+        combo = [0] * len(pivots) + [1]
+        prev = 1
+        for col, pvec, pcombo in pivots:
+            p, c = pvec[col], vec[col]
+            vec = [(p * x - c * y) // prev for x, y in zip(vec, pvec)]
+            combo = [(p * x - c * y) // prev for x, y in zip_longest(combo, pcombo, fillvalue=0)]
+            prev = p
+        col = next((k for k, x in enumerate(vec) if x), None)
+        if col is None:
+            # 0 = sum(combo[j] * e_i A^j) with combo[-1] the last pivot, nonzero
+            lead = combo[-1]
+            if any(x % lead for x in combo):
+                raise RuntimeError("minimal polynomial came out non-integral")
+            return IntPoly([x // lead for x in combo])
+        pivots.append((col, vec, combo))
+        v = _times_matrix(v, cols)
 
 
 def minpoly(a: IntMatrix) -> IntPoly:
-    """Minimal polynomial via Krylov chains from the standard basis vectors.
+    """Minimal polynomial: the lcm of the minimal polynomials of the e_i.
 
-    Exact rational solves; the result is monic with integer coefficients
-    because it divides the monic integer characteristic polynomial.
+    A chain is run only for the e_i with e_i * best(A) != 0, best being the
+    lcm so far; any other e_i already has its polynomial dividing best.
+    Every polynomial met is monic with integer coefficients, because it
+    divides the monic integer characteristic polynomial (Gauss's lemma).
     """
     if not a.is_square:
         raise ValueError("minpoly wants a square matrix")
     n = a.n_rows
     if n == 0:
         raise ValueError("minpoly of a 0x0 matrix")
-    best = [Fraction(1)]
-    rows = a.entries
+    cols = list(zip(*a.entries))
+    best = IntPoly([1])
     for i in range(n):
-        ech = _Echelon(n)
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        while True:
-            combo = ech.insert(v)
-            if combo is not None:
-                local = [-c for c in combo] + [Fraction(1)]
-                best = _frac_lcm(best, local)
-                break
-            v = [sum(v[k] * rows[k][j] for k in range(n)) for j in range(n)]
-        if len(best) - 1 == n:
+        if _annihilates(best, i, cols):
+            continue
+        local = _vector_minpoly(i, cols)
+        lcm = dup_lcm(list(reversed(best.coeffs)), list(reversed(local.coeffs)), ZZ)
+        lcm = IntPoly([int(c) for c in reversed(lcm)])
+        if not (lcm.divmod_monic(best)[1].is_zero and lcm.divmod_monic(local)[1].is_zero):
+            raise RuntimeError("lcm must be divisible by both polynomials")
+        best = lcm
+        if best.degree == n:
             break
-    out = []
-    for c in best:
-        if c.denominator != 1:
-            raise AssertionError("minimal polynomial came out non-integral")
-        out.append(int(c))
-    return IntPoly(out)
+    return best

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodzeta.canonical import (
     ElementaryDivisorVector,
@@ -10,7 +12,7 @@ from submodzeta.canonical import (
     primary_decomposition,
     primary_type,
 )
-from submodzeta.linalg import IntMatrix, IntPoly, a_of, companion, n_of
+from submodzeta.linalg import IntMatrix, IntPoly, a_of, companion, minpoly, n_of
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
 
@@ -173,6 +175,99 @@ def test_edv_context_denominators():
     ctx = edv_context(n_of(Partition([2, 1])))
     assert ctx.denominator_lcm >= 1
     assert ctx.edv == elementary_divisor_vector(n_of(Partition([2, 1])))
+
+
+# Found by a seeded search over small matrices with entries in {0, +-1, 2, 3};
+# edv and denominator_lcm as computed before the integer pipeline.
+PINNED_DENOMINATORS = [
+    ([[3, 2], [0, 0]],
+     [{"poly": [-3, 1], "partition": [1]}, {"poly": [0, 1], "partition": [1]}], 2),
+    ([[0, 1, 2], [0, 0, 0], [2, 0, 3]],
+     [{"poly": [-4, 1], "partition": [1]}, {"poly": [0, 1], "partition": [1]},
+      {"poly": [1, 1], "partition": [1]}], 8),
+    ([[-1, 3, 0], [3, 3, 0], [-1, 3, 1]],
+     [{"poly": [-1, 1], "partition": [1]}, {"poly": [-12, -2, 1], "partition": [1]}], 13),
+    ([[0, 0, 0, 0, 0], [-1, 1, 0, 2, 0], [0, 0, 0, 0, 0], [2, 0, 1, 3, 0],
+      [-1, 0, 2, -1, -1]],
+     [{"poly": [-3, 1], "partition": [1]}, {"poly": [-1, 1], "partition": [1]},
+      {"poly": [0, 1], "partition": [1, 1]}, {"poly": [1, 1], "partition": [1]}], 12),
+    ([[2, 0, 1, 3, 0], [0, 2, 0, 0, 0], [0, -1, 1, 0, -1], [3, 3, -1, 3, 0],
+      [0, 3, 0, 0, 1]],
+     [{"poly": [-2, 1], "partition": [1]}, {"poly": [-1, 1], "partition": [2]},
+      {"poly": [-3, -5, 1], "partition": [1]}], 198),
+    ([[0, 2, -1, 2, 2], [0, 0, 0, 0, 3], [1, 3, 0, 0, 0], [3, 0, 2, 0, -1],
+      [0, 3, 0, 0, 0]],
+     [{"poly": [-3, 1], "partition": [1]}, {"poly": [1, 1], "partition": [1]},
+      {"poly": [3, 1], "partition": [1]}, {"poly": [-4, -1, 1], "partition": [1]}], 3055),
+    ([[0, -1, 0, 0, 1, 0], [0, 3, 3, 1, 1, 0], [1, 0, 2, 0, 3, 0], [0, 0, 0, -1, 1, 0],
+      [0, 0, 0, 0, 0, 0], [0, 1, 3, 2, 0, 0]],
+     [{"poly": [0, 1], "partition": [2]}, {"poly": [1, 1], "partition": [1]},
+      {"poly": [3, 6, -5, 1], "partition": [1]}], 6),
+]
+
+
+@pytest.mark.parametrize("rows,edv,den", PINNED_DENOMINATORS)
+def test_edv_context_denominators_pinned(rows, edv, den):
+    ctx = edv_context(IntMatrix(rows))
+    assert ctx.edv.to_json() == edv
+    assert ctx.denominator_lcm == den
+
+
+def test_primary_type_of_blocks_with_denominators():
+    denominators = 1
+    for rows, edv, _ in PINNED_DENOMINATORS:
+        a = IntMatrix(rows)
+        blocks = primary_decomposition(a, factor_over_z(minpoly(a)))
+        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(b, f).to_json())
+                       for f, b in blocks)
+        assert [{"poly": f, "partition": lam} for _, f, lam in types] == edv
+        for _, b in blocks:
+            denominators = max(denominators, b.denominator_lcm())
+    assert denominators > 1
+
+
+_BLOCK_POLYS = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
+                IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 1))]
+
+
+@st.composite
+def _matrix_and_unimodular(draw):
+    """A dense or block-companion matrix of size <= 8, and shears building U and U^-1."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        a = IntMatrix([[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)])
+    else:
+        blocks = []
+        size = 0
+        while not blocks or (size < 8 and draw(st.booleans())):
+            f = draw(st.sampled_from(_BLOCK_POLYS))
+            k = draw(st.integers(1, 3))
+            if size + f.degree * k > 8:
+                break
+            blocks.append(companion(f ** k))
+            size += f.degree * k
+        if not blocks:
+            blocks = [companion(X)]
+        a = IntMatrix.block_diag(*blocks)
+    n = a.n_rows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+    return a, IntMatrix(u), IntMatrix(inv)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_matrix_and_unimodular())
+def test_edv_invariant_under_unimodular_conjugation(case):
+    a, u, inv = case
+    assert u * inv == IntMatrix.identity(a.n_rows)
+    assert elementary_divisor_vector(u * a * inv) == elementary_divisor_vector(a)
 
 
 def test_edv_json_round_trip():

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from submodzeta import linalg
 from submodzeta.linalg import (
     IntMatrix,
     IntPoly,
@@ -23,6 +26,7 @@ from submodzeta.linalg import (
     resultant,
 )
 from submodzeta.partitions import Partition, partitions_of
+from submodzeta.polyfactor import factor_over_z
 
 
 X = IntPoly((0, 1))
@@ -211,10 +215,106 @@ def test_rank_and_kernel():
     assert kernel_dim(IntMatrix.identity(5)) == 0
     m = IntMatrix([[1, 2], [2, 4]])
     assert rank_over_q(m) == 1
-    basis = kernel_basis(m)
-    assert len(basis) == 1
+    basis, den = kernel_basis(m)
+    assert len(basis) == 1 and den == 1
     v = basis[0]
     assert v[0] * 1 + v[1] * 2 == 0 and v[0] * 2 + v[1] * 4 == 0
+
+
+def _pivot_rows(m: IntMatrix) -> list[int]:
+    """Rows of m independent of the rows above them, by rank alone."""
+    pivots = []
+    for i in range(m.n_rows):
+        if rank_over_q(IntMatrix([m.entries[j] for j in pivots + [i]])) == len(pivots) + 1:
+            pivots.append(i)
+    return pivots
+
+
+def _rank_deficient(rng) -> IntMatrix:
+    """A seeded integer matrix L*R of rank below its row count."""
+    n_rows, n_cols = rng.randint(2, 7), rng.randint(1, 7)
+    r = rng.randint(0, min(n_rows - 1, n_cols))
+    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n_rows)]
+    right = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(r)]
+    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                      if r else [0] * n_cols for row in left])
+
+
+def test_kernel_basis_properties_on_rank_deficient_matrices():
+    rng = random.Random(19)
+    for _ in range(80):
+        m = _rank_deficient(rng)
+        rows, den = kernel_basis(m)
+        pivots = _pivot_rows(m)
+        free = [i for i in range(m.n_rows) if i not in pivots]
+        assert den >= 1 and len(rows) == len(free) == m.n_rows - rank_over_q(m)
+        for x in rows:
+            assert all(sum(x[i] * m.entries[i][j] for i in range(m.n_rows)) == 0
+                       for j in range(m.n_cols))
+        assert rank_over_q(IntMatrix(rows)) == len(rows)
+        for s, x in enumerate(rows):
+            assert [x[i] for i in free] == [den if t == s else 0 for t in range(len(free))]
+            assert all(x[i] == 0 for i in pivots if i > free[s])
+        # den is the least common denominator of the basis rows / den
+        assert math.gcd(den, *(v for x in rows for v in x)) == 1
+        # the same basis as sympy's nullspace of the transpose
+        reference = sympy.Matrix(m.transpose().entries).nullspace()
+        assert [[Fraction(v, den) for v in x] for x in rows] == [
+            [Fraction(int(v.p), int(v.q)) for v in vec] for vec in reference]
+
+
+def _derogatory(rng) -> tuple[IntMatrix, IntPoly]:
+    """A conjugated block sum with a repeated factor, and its minimal polynomial."""
+    polys = [X, IntPoly.x_minus(1), IntPoly.x_minus(-2), IntPoly((1, 0, 1)),
+             IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 1))]
+    while True:
+        f = rng.choice(polys)
+        blocks = [(f, rng.randint(1, 2)), (f, rng.randint(1, 2))]
+        blocks += [(rng.choice(polys), rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        if sum(g.degree * k for g, k in blocks) <= 10:
+            break
+    top = {}
+    for g, k in blocks:
+        top[g] = max(top.get(g, 0), k)
+    expected = IntPoly([1])
+    for g, k in top.items():
+        expected = expected * g ** k
+    a = IntMatrix.block_diag(*(companion(g ** k) for g, k in blocks))
+    n = a.n_rows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return IntMatrix(u) * a * IntMatrix(inv), expected
+
+
+def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
+    chains = []
+    chain = linalg._vector_minpoly
+
+    def counted(i, cols):
+        chains.append(i)
+        return chain(i, cols)
+
+    monkeypatch.setattr(linalg, "_vector_minpoly", counted)
+    rng = random.Random(29)
+    for _ in range(25):
+        a, expected = _derogatory(rng)
+        n = a.n_rows
+        chains.clear()
+        mp = minpoly(a)
+        assert mp == expected and mp.degree < n
+        # each chain grows the lcm, so the annihilation test skipped the other e_i
+        assert 1 <= len(chains) <= mp.degree
+        assert poly_at_matrix(mp, a) == IntMatrix.zeros(n)
+        for f, _ in factor_over_z(mp):
+            q, r = mp.divmod_monic(f)
+            assert r.is_zero
+            assert poly_at_matrix(q, a) != IntMatrix.zeros(n)
 
 
 def test_poly_at_matrix():
@@ -237,10 +337,7 @@ def test_matmul_matpow():
 def test_ratmatrix():
     r = RatMatrix.from_int(IntMatrix([[1, 2], [3, 4]]))
     half = RatMatrix([[Fraction(1, 2), 0], [0, 1]])
-    assert (half * half).entries[0][0] == Fraction(1, 4)
     assert half.denominator_lcm() == 2
-    assert (half + half).entries[0][0] == 1
-    assert RatMatrix.identity(2) ** 3 == RatMatrix.identity(2)
     assert r.denominator_lcm() == 1
 
 
