@@ -20,7 +20,6 @@ from .canonical import (
 from .linalg import (
     IntMatrix,
     IntPoly,
-    RatMatrix,
     a_of,
     companion,
     hnf,
@@ -90,7 +89,6 @@ __all__ = [
     "IntPoly",
     "Partition",
     "RamifiedPrimeError",
-    "RatMatrix",
     "SplittingProfile",
     "XYRational",
     "a_of",

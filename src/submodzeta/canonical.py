@@ -4,22 +4,22 @@ The pipeline is minimal polynomial -> irreducible factorization -> primary
 decomposition (kernels of f_i(A)^{m_i}) -> one type partition per block
 from the kernel-dimension jumps of powers of f_i.  It runs in integers
 throughout: each kernel basis is an integer matrix over one denominator,
-the restricted block is an integer matrix over the same denominator, and
-the type comes from the denominator-cleared block.  Only the pairs
-(f_i, partition) travel onward; the bases themselves are local, except
-that their denominators feed the bad-prime heuristic.
+and the restriction of A to its component is c/den with c an integer
+matrix over the same denominator, so a block travels as the pair (c, den).
+A minimal polynomial with one irreducible factor needs no split: the block
+is A itself over den = 1.  Only the pairs (f_i, partition) travel onward;
+the bases themselves are local, except that their denominators feed the
+bad-prime heuristic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (
     IntMatrix,
     IntPoly,
-    RatMatrix,
     kernel_basis,
     kernel_dim,
     minpoly,
@@ -90,24 +90,6 @@ class EdvContext:
     denominator_lcm: int
 
 
-def nilpotent_type(a: IntMatrix) -> Partition:
-    """Partition of block sizes of a nilpotent matrix, from kernel dimensions."""
-    if not a.is_square or a.n_rows == 0:
-        raise ValueError("nilpotent_type wants a square matrix of size >= 1")
-    n = a.n_rows
-    if a ** n != IntMatrix.zeros(n):
-        raise ValueError("matrix is not nilpotent")
-    jumps = []
-    power = IntMatrix.identity(n)
-    prev = 0
-    while prev < n:
-        power = power * a
-        k = kernel_dim(power)
-        jumps.append(k - prev)
-        prev = k
-    return Partition(jumps).dual()
-
-
 def _primary_blocks(a: IntMatrix, factored_minpoly):
     """Integer data of each primary component, one per irreducible factor.
 
@@ -117,8 +99,12 @@ def _primary_blocks(a: IntMatrix, factored_minpoly):
     component is the combination of the basis whose coefficients are its
     free coordinates: the restriction of a is c/den, with c the free
     columns of w = k*a.  Returns a list of (f, m, den, c).  The caller
-    guarantees that factored_minpoly multiplies to minpoly(a).
+    guarantees that factored_minpoly multiplies to minpoly(a); so with one
+    factor the component is all of Z^n, and the block is a itself.
     """
+    if len(factored_minpoly) == 1:
+        [(f, m)] = factored_minpoly
+        return [(f, m, 1, a)]
     n = a.n_rows
     blocks = []
     total = 0
@@ -140,8 +126,8 @@ def _primary_blocks(a: IntMatrix, factored_minpoly):
     return blocks
 
 
-def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly, RatMatrix]]:
-    """Restriction of a to each primary component, as a rational matrix."""
+def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly, IntMatrix, int]]:
+    """Restriction of a to each primary component, as (f, c, den): the block is c/den."""
     if not a.is_square or a.n_rows == 0:
         raise ValueError("primary_decomposition wants a square matrix of size >= 1")
     product = IntPoly([1])
@@ -149,17 +135,15 @@ def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly,
         product = product * f ** m
     if product != minpoly(a):
         raise ValueError("factorization does not multiply to the minimal polynomial")
-    return [
-        (f, RatMatrix([[Fraction(x, den) for x in row] for row in c.entries]))
-        for f, _, den, c in _primary_blocks(a, factored_minpoly)
-    ]
+    return [(f, c, den) for f, _, den, c in _primary_blocks(a, factored_minpoly)]
 
 
-def _scaled_type(c: IntMatrix, den: int, f: IntPoly) -> Partition:
-    """Type partition of the block c/den, from integer kernel dimensions.
+def primary_type(c: IntMatrix, den: int, f: IntPoly) -> Partition:
+    """Type partition of the block c/den, whose minimal polynomial is a power of f.
 
     The powers of f(c/den) have the kernels of the powers of the integer
-    matrix g(c), where g(x) = den^d * f(x / den) and d = deg f.
+    matrix g(c), where g(x) = den^d * f(x / den) and d = deg f.  Any other
+    block is rejected: its kernel dimensions stall below its size.
     """
     if not c.is_square or c.n_rows == 0:
         raise ValueError("primary_type wants a square matrix of size >= 1")
@@ -183,11 +167,9 @@ def _scaled_type(c: IntMatrix, den: int, f: IntPoly) -> Partition:
     return Partition(jumps).dual()
 
 
-def primary_type(block: RatMatrix, f: IntPoly) -> Partition:
-    """Type partition of a block whose minimal polynomial is a power of f."""
-    den = block.denominator_lcm()
-    c = IntMatrix([[int(x * den) for x in row] for row in block.entries])
-    return _scaled_type(c, den, f)
+def nilpotent_type(a: IntMatrix) -> Partition:
+    """Partition of block sizes of a nilpotent matrix, from kernel dimensions."""
+    return primary_type(a, 1, IntPoly.x_power(1))
 
 
 def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContext:
@@ -204,7 +186,7 @@ def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContex
     lcm = 1
     pairs = []
     for f, m, den, c in _primary_blocks(a, factored):
-        lam = _scaled_type(c, den, f)
+        lam = primary_type(c, den, f)
         if lam.parts[0] != m:
             raise RuntimeError("largest part must equal the minimal-polynomial exponent")
         pairs.append((f, lam))

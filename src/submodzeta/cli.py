@@ -23,6 +23,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -446,7 +447,9 @@ def cmd_special(args) -> int:
 # argument plumbing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main call."""
     parser = _Parser(
         prog="submodzeta",
         description="Submodule zeta functions of integer matrices, exactly.",

@@ -1,13 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Dense matrices over Z (arbitrary-precision ints), a matrix type over Q
-(Fraction) that holds results, integer polynomials, Hermite normal form,
-fraction-free rank, determinant and left kernels, characteristic and
-minimal polynomials, and the nilpotent normal forms the rest of the
-package is phrased in: the companion matrix of a monic polynomial, the
-block form n_of (one shift block per part) and its recursive sibling a_of,
-conjugate to each other by a permutation.  Kernels and minimal
-polynomials are computed in integers, without Fraction arithmetic.
+Dense matrices over Z (arbitrary-precision ints), integer polynomials,
+Hermite normal form, fraction-free rank, determinant and left kernels,
+characteristic and minimal polynomials, and the nilpotent normal forms the
+rest of the package is phrased in: the companion matrix of a monic
+polynomial, the block form n_of (one shift block per part) and its
+recursive sibling a_of, conjugate to each other by a permutation.  Rational
+results are integer matrices over one denominator: a left kernel basis is
+(rows, den), standing for rows / den.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import operator
 from itertools import zip_longest
-from fractions import Fraction
 
 from sympy import ZZ
 from sympy.polys.euclidtools import dup_lcm
@@ -356,61 +355,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._rows]!r})"
 
 
-class RatMatrix:
-    """Dense matrix over Q; entries are Fractions in lowest terms."""
-
-    __slots__ = ("_rows", "_n_rows", "_n_cols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        width = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-        self._rows = rows
-        self._n_rows = len(rows)
-        self._n_cols = width
-
-    @property
-    def entries(self):
-        return self._rows
-
-    @property
-    def n_rows(self) -> int:
-        return self._n_rows
-
-    @property
-    def n_cols(self) -> int:
-        return self._n_cols
-
-    @property
-    def is_square(self) -> bool:
-        return self._n_rows == self._n_cols
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> RatMatrix:
-        return cls(m.entries)
-
-    def denominator_lcm(self) -> int:
-        """lcm of all entry denominators; 1 for an integral matrix."""
-        out = 1
-        for r in self._rows:
-            for x in r:
-                out = math.lcm(out, x.denominator)
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, RatMatrix):
-            return self._rows == other._rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._rows)
-
-    def __repr__(self):
-        return f"RatMatrix({[list(map(str, r)) for r in self._rows]!r})"
-
-
 def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
     """Evaluate f at a square integer matrix by Horner."""
     if not a.is_square:
@@ -430,32 +374,26 @@ def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
 # fraction-free elimination: rank, determinant
 
 
-def _integer_rows(m) -> list[list[int]]:
-    """Rows of m scaled to integers (per-row lcm); rank/kernel-dim safe."""
-    rows = []
-    for r in m.entries:
-        if all(isinstance(x, int) for x in r):
-            rows.append(list(r))
-            continue
-        scale = 1
-        for x in r:
-            scale = math.lcm(scale, Fraction(x).denominator)
-        rows.append([int(Fraction(x) * scale) for x in r])
-    return rows
+def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination on the rows of m.
 
-
-def rank_over_q(m) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    rows = _integer_rows(m)
+    Returns (rank, sign, pivot): the rank over Q, the sign of the row swaps
+    made, and the last pivot (1 if there is none).  For a square m of full
+    rank, sign * pivot is det(m).
+    """
+    rows = [list(r) for r in m.entries]
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+    n_cols = m.n_cols
     rank = 0
+    sign = 1
     prev = 1
     for col in range(n_cols):
         piv = next((i for i in range(rank, n_rows) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
         pivot = rows[rank][col]
         for i in range(rank + 1, n_rows):
             factor = rows[i][col]
@@ -464,10 +402,15 @@ def rank_over_q(m) -> int:
             rows[i][col] = 0
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign, prev
 
 
-def kernel_dim(m) -> int:
+def rank_over_q(m: IntMatrix) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    return _bareiss(m)[0]
+
+
+def kernel_dim(m: IntMatrix) -> int:
     """Dimension of the left kernel {x : x*m = 0}."""
     return m.n_rows - rank_over_q(m)
 
@@ -476,34 +419,15 @@ def det(m: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.n_rows
-    if n == 0:
-        return 1
-    rows = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        for i in range(col + 1, n):
-            factor = rows[i][col]
-            for k in range(col + 1, n):
-                rows[i][k] = (pivot * rows[i][k] - factor * rows[col][k]) // prev
-            rows[i][col] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
+    rank, sign, pivot = _bareiss(m)
+    return sign * pivot if rank == m.n_rows else 0
 
 
 # ---------------------------------------------------------------------------
 # left kernels
 
 
-def kernel_basis(m) -> tuple[list[list[int]], int]:
+def kernel_basis(m: IntMatrix) -> tuple[list[list[int]], int]:
     """Basis of the left kernel {x : x*m = 0}, as integer rows over one denominator.
 
     Returns (rows, den) with den >= 1 the least common denominator of the

@@ -181,12 +181,13 @@ def bad_prime_reasons(edv: ElementaryDivisorVector, denominator_lcm: int = 1) ->
 
     for p in sympy.primerange(2, edv.n + 1):
         add(int(p), f"p <= n = {edv.n}")
+    # abs: factorint lists -1 as a factor of a negative number
     for f, _ in edv.entries:
         d = _discriminant_like(f)
-        for p in sympy.factorint(d):
+        for p in sympy.factorint(abs(d)):
             add(int(p), f"{f} not squarefree mod p")
     for f, g, r in _pairwise_resultants(edv):
-        for p in sympy.factorint(r):
+        for p in sympy.factorint(abs(r)):
             add(int(p), f"divides resultant of {f} and {g}")
     if denominator_lcm > 1:
         for p in sympy.factorint(denominator_lcm):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submodzeta import canonical
 from submodzeta.canonical import (
+    EdvContext,
     ElementaryDivisorVector,
     edv_context,
     elementary_divisor_vector,
@@ -12,7 +14,7 @@ from submodzeta.canonical import (
     primary_decomposition,
     primary_type,
 )
-from submodzeta.linalg import IntMatrix, IntPoly, a_of, companion, minpoly, n_of
+from submodzeta.linalg import IntMatrix, IntPoly, a_of, companion, minpoly, n_of, poly_at_matrix
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
 
@@ -25,6 +27,11 @@ def test_nilpotent_type_examples():
     assert nilpotent_type(a_of(Partition([2, 1]))) == Partition([2, 1])
     with pytest.raises(ValueError):
         nilpotent_type(IntMatrix.identity(2))
+    # not nilpotent, but with a nonzero kernel: the kernel dimensions stall
+    shifted = IntMatrix.block_diag(n_of(Partition([2])), companion(IntPoly.x_minus(3)))
+    for a in (IntMatrix([[0, 0], [0, 1]]), shifted):
+        with pytest.raises(ValueError, match="stalled"):
+            nilpotent_type(a)
 
 
 def test_nilpotent_type_round_trip():
@@ -37,22 +44,22 @@ def test_nilpotent_type_round_trip():
 def test_primary_decomposition_block_diagonal():
     m = IntMatrix.block_diag(companion(X ** 2), companion(IntPoly((1, -2, 1))))
     blocks = primary_decomposition(m, [(X, 2), (IntPoly((-1, 1)), 2)])
-    assert [f for f, _ in blocks] == [X, IntPoly((-1, 1))]
-    assert all(b.n_rows == 2 for _, b in blocks)
+    assert [f for f, _, _ in blocks] == [X, IntPoly((-1, 1))]
+    assert all(c.n_rows == 2 and den == 1 for _, c, den in blocks)
 
 
 def test_primary_decomposition_nilpotent_single_block():
     m = n_of(Partition([2, 1]))
     blocks = primary_decomposition(m, [(X, 2)])
     assert len(blocks) == 1
-    f, b = blocks[0]
-    assert f == X and b.n_rows == 3
+    f, c, den = blocks[0]
+    assert f == X and c == m and den == 1
 
 
 def test_primary_decomposition_diag_0_1_1():
     m = IntMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
     blocks = primary_decomposition(m, [(X, 1), (IntPoly((-1, 1)), 1)])
-    sizes = {str(f): b.n_rows for f, b in blocks}
+    sizes = {str(f): c.n_rows for f, c, _ in blocks}
     assert sizes == {"x": 1, "x - 1": 2}
 
 
@@ -64,15 +71,46 @@ def test_primary_decomposition_rejects_wrong_factorization():
 def test_primary_type_examples():
     m = n_of(Partition([2, 1]))
     blocks = primary_decomposition(m, [(X, 2)])
-    assert primary_type(blocks[0][1], X) == Partition([2, 1])
+    assert primary_type(*blocks[0][1:], X) == Partition([2, 1])
 
     c = companion(IntPoly((1, 0, 1)))
     blocks = primary_decomposition(c, [(IntPoly((1, 0, 1)), 1)])
-    assert primary_type(blocks[0][1], IntPoly((1, 0, 1))) == Partition([1])
+    assert primary_type(*blocks[0][1:], IntPoly((1, 0, 1))) == Partition([1])
 
     two = IntMatrix.block_diag(c, c)
     blocks = primary_decomposition(two, [(IntPoly((1, 0, 1)), 1)])
-    assert primary_type(blocks[0][1], IntPoly((1, 0, 1))) == Partition([1, 1])
+    assert primary_type(*blocks[0][1:], IntPoly((1, 0, 1))) == Partition([1, 1])
+
+    # c/den = I + N_(2): the denominator enters the kernels of g(c) = c - 2I
+    c = IntMatrix([[2, 2], [0, 2]])
+    assert primary_type(c, 2, IntPoly.x_minus(1)) == Partition([2])
+    with pytest.raises(ValueError, match="stalled"):
+        primary_type(c, 1, IntPoly.x_minus(1))
+
+
+def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
+    """With one irreducible factor the block is a itself: f(a) is not formed to split it."""
+    calls = []
+
+    def counting(f, a):
+        calls.append(f)
+        return poly_at_matrix(f, a)
+
+    monkeypatch.setattr(canonical, "poly_at_matrix", counting)
+    rng = random.Random(1)
+    u = _random_unimodular(rng, 6)
+    cases = [
+        (companion(IntPoly((-1, -1, 0, 1)) ** 2), IntPoly((-1, -1, 0, 1)), Partition([2])),
+        (u * IntMatrix.block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * _int_inverse(u),
+         IntPoly((1, 0, 1)), Partition([1, 1, 1])),
+        (IntMatrix.identity(4), IntPoly.x_minus(1), Partition([1, 1, 1, 1])),
+    ]
+    for a, f, lam in cases:
+        calls.clear()
+        assert edv_context(a) == EdvContext(ElementaryDivisorVector(((f, lam),)), 1)
+        assert len(calls) == 1
+    blocks = primary_decomposition(cases[1][0], [(IntPoly((1, 0, 1)), 1)])
+    assert blocks == [(IntPoly((1, 0, 1)), cases[1][0], 1)]
 
 
 def test_edv_examples():
@@ -218,11 +256,11 @@ def test_primary_type_of_blocks_with_denominators():
     for rows, edv, _ in PINNED_DENOMINATORS:
         a = IntMatrix(rows)
         blocks = primary_decomposition(a, factor_over_z(minpoly(a)))
-        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(b, f).to_json())
-                       for f, b in blocks)
+        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(c, den, f).to_json())
+                       for f, c, den in blocks)
         assert [{"poly": f, "partition": lam} for _, f, lam in types] == edv
-        for _, b in blocks:
-            denominators = max(denominators, b.denominator_lcm())
+        for _, _, den in blocks:
+            denominators = max(denominators, den)
     assert denominators > 1
 
 

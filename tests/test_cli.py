@@ -60,6 +60,35 @@ def test_analyze_latex(capsys):
     assert "x^{2} + 1" in out
 
 
+def test_analyze_lists_no_negative_bad_prime(capsys):
+    sqrt2 = "[[0,2],[1,0]]"  # companion of x^2 - 2; Res(f, f') = -8
+    assert main(["analyze", sqrt2]) == 0
+    out = capsys.readouterr().out
+    assert "bad prime -1" not in out
+    assert "bad prime 2: p <= n = 2; x^2 - 2 not squarefree mod p" in out
+    assert main(["analyze", sqrt2, "--format", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["bad_primes"]) == ["2"]
+    assert main(["analyze", sqrt2, "--format", "latex"]) == 0
+    assert "% bad primes: 2\n" in capsys.readouterr().out
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    import argparse
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["analyze", ZERO_2]) == 0
+    assert main(["special", "zpxn", "2"]) == 0
+    capsys.readouterr()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_analyze_reads_stdin_and_files(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(NILP_2))
     assert main(["analyze", "-"]) == 0

@@ -9,7 +9,6 @@ from submodzeta import linalg
 from submodzeta.linalg import (
     IntMatrix,
     IntPoly,
-    RatMatrix,
     a_of,
     charpoly,
     companion,
@@ -70,6 +69,16 @@ def test_resultant():
     assert resultant(g * h, k) == resultant(g, k) * resultant(h, k)
     with pytest.raises(ValueError):
         resultant(IntPoly(()), g)
+    # deg f < deg g: Res(x - a, g) = g(a).  sympy 1.14's resultant and
+    # dup_resultant both give -5 for this pair, so they are not used here.
+    cubic = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
+    assert resultant(IntPoly.x_minus(2), cubic) == cubic.evaluate(2) == 5
+    # Res(g, f) = (-1)^(deg f * deg g) Res(f, g)
+    assert resultant(cubic, IntPoly.x_minus(2)) == -5
+    quad = IntPoly((2, 0, 1))  # x^2 + 2
+    assert resultant(quad, cubic) == resultant(cubic, quad) == 19  # |g(i*sqrt 2)|^2
+    for a, b in ((IntPoly.x_minus(2), cubic), (quad, cubic), (f, k), (g * h, cubic)):
+        assert resultant(b, a) == (-1) ** (a.degree * b.degree) * resultant(a, b)
 
 
 def test_companion_examples():
@@ -186,6 +195,29 @@ def test_charpoly_and_det():
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
         # det(xI - A) at x = 0 is (-1)^3 det(A)
         assert charpoly(m).evaluate(0) == -det(m)
+
+
+def test_det_and_rank_agree_with_sympy():
+    """det and rank_over_q come from one elimination; singular and swapped inputs included."""
+    assert det(IntMatrix(())) == 1
+    assert det(permutation_matrix((1, 2, 0))) == 1
+    assert det(permutation_matrix((1, 0, 2))) == -1
+    assert det(IntMatrix([[0, 0], [0, 5]])) == 0 and rank_over_q(IntMatrix([[0, 0], [0, 5]])) == 1
+    with pytest.raises(ValueError):
+        det(IntMatrix([[1, 2]]))
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        r = rng.randint(0, n)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        m = IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
+                       for row in left])
+        ref = sympy.Matrix(m.entries)
+        assert det(m) == ref.det()
+        assert rank_over_q(m) == ref.rank()
+        wide = IntMatrix([list(row) + [rng.randint(-2, 2)] for row in m.entries])
+        assert rank_over_q(wide) == sympy.Matrix(wide.entries).rank()
 
 
 def test_minpoly_examples():
@@ -332,13 +364,6 @@ def test_matmul_matpow():
         a * IntMatrix.zeros(3)
     with pytest.raises(ValueError):
         a ** -1
-
-
-def test_ratmatrix():
-    r = RatMatrix.from_int(IntMatrix([[1, 2], [3, 4]]))
-    half = RatMatrix([[Fraction(1, 2), 0], [0, 1]])
-    assert half.denominator_lcm() == 2
-    assert r.denominator_lcm() == 1
 
 
 def test_matrix_json():

@@ -134,6 +134,18 @@ def test_good_prime_heuristic():
     assert [next(gen) for _ in range(4)] == [3, 5, 7, 11]
 
 
+def test_bad_prime_reasons_lists_only_primes_for_negative_resultants():
+    # Res(x^2 - 2, 2x) = -8
+    e = edv((IntPoly((-2, 0, 1)), (1,)))
+    assert bad_prime_reasons(e) == {2: ("p <= n = 2", "x^2 - 2 not squarefree mod p")}
+    # Res(x - 4, x - 1) = 3, Res(x - 1, x^3 - 3) = -2, Res(x - 4, x^3 - 3) = 61
+    e2 = edv((X_MINUS_1, (1,)), (IntPoly((-4, 1)), (1,)), (IntPoly((-3, 0, 0, 1)), (1,)))
+    reasons = bad_prime_reasons(e2)
+    assert list(reasons) == [2, 3, 5, 61]
+    assert reasons[3] == ("p <= n = 5", "x^3 - 3 not squarefree mod p",
+                          "divides resultant of x - 4 and x - 1")
+
+
 # ---------------------------------------------------------------------------
 # local factors
 
