@@ -14,19 +14,15 @@ from .canonical import (
     edv_context,
     elementary_divisor_vector,
     nilpotent_type,
-    primary_decomposition,
     primary_type,
 )
 from .linalg import (
     IntMatrix,
     IntPoly,
-    a_of,
     companion,
-    hnf,
     kernel_dim,
     minpoly,
     n_of,
-    permutation_conjugator,
     poly_at_matrix,
     rank_over_q,
     resultant,
@@ -91,7 +87,6 @@ __all__ = [
     "RamifiedPrimeError",
     "SplittingProfile",
     "XYRational",
-    "a_of",
     "abscissa",
     "abscissa_from_factors",
     "bad_prime_reasons",
@@ -108,7 +103,6 @@ __all__ = [
     "global_formula",
     "good_primes",
     "has_simple_pole_at_zero",
-    "hnf",
     "is_good_prime",
     "kernel_dim",
     "local_euler_factor",
@@ -116,10 +110,8 @@ __all__ = [
     "n_of",
     "nilpotent_type",
     "partitions_of",
-    "permutation_conjugator",
     "poly_at_matrix",
     "powerseries_ring_coeffs",
-    "primary_decomposition",
     "primary_type",
     "rank_over_q",
     "resultant",

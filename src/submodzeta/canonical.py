@@ -1,15 +1,12 @@
 """Elementary divisor vectors: which irreducibles act, with which partition.
 
-The pipeline is minimal polynomial -> irreducible factorization -> primary
-decomposition (kernels of f_i(A)^{m_i}) -> one type partition per block
-from the kernel-dimension jumps of powers of f_i.  It runs in integers
-throughout: each kernel basis is an integer matrix over one denominator,
-and the restriction of A to its component is c/den with c an integer
-matrix over the same denominator, so a block travels as the pair (c, den).
-A minimal polynomial with one irreducible factor needs no split: the block
-is A itself over den = 1.  Only the pairs (f_i, partition) travel onward;
-the bases themselves are local, except that their denominators feed the
-bad-prime heuristic.
+The pipeline is minimal polynomial -> irreducible factorization -> one type
+partition per factor f^m, read off the kernel-dimension jumps of f(A),
+f(A)^2, ..., f(A)^m on the whole matrix: f(A) is invertible on every other
+primary component, so these kernels are those of the f-component.  It runs
+in integers throughout.  Only the pairs (f, partition) travel onward, plus
+the denominator of each kernel basis of f(A)^m, which feeds the bad-prime
+heuristic.
 """
 
 from __future__ import annotations
@@ -90,105 +87,80 @@ class EdvContext:
     denominator_lcm: int
 
 
-def _primary_blocks(a: IntMatrix, factored_minpoly):
-    """Integer data of each primary component, one per irreducible factor.
+def _type(fa: IntMatrix, d: int, m: int | None) -> tuple[Partition, int]:
+    """Type of f from the kernel dimensions of fa, fa^2, ..., where fa = f(a), d = deg f.
 
-    For f^m in factored_minpoly, the kernel basis of f(a)^m is k/den with k
-    an integer matrix (kernel_basis).  Its vectors are 1 at their own free
-    coordinate and 0 at the other free coordinates, so a vector of the
-    component is the combination of the basis whose coefficients are its
-    free coordinates: the restriction of a is c/den, with c the free
-    columns of w = k*a.  Returns a list of (f, m, den, c).  The caller
-    guarantees that factored_minpoly multiplies to minpoly(a); so with one
-    factor the component is all of Z^n, and the block is a itself.
+    f(a) is invertible on every primary component but the f-component, so
+    the kernels of its powers on the whole space are those on the
+    f-component, and the j-th jump of their dimensions is d times the
+    number of parts >= j.  Without m the powers go on until the kernel stops
+    growing.  With m, the exponent of f in the minimal polynomial, each of
+    fa, ..., fa^m must enlarge the kernel, and fa^(m+1) is never formed; the
+    kernel of fa^m is then taken by kernel_basis for its denominator, which
+    is returned (1 when fa^m = 0, the kernel being everything).
     """
-    if len(factored_minpoly) == 1:
-        [(f, m)] = factored_minpoly
-        return [(f, m, 1, a)]
-    n = a.n_rows
-    blocks = []
-    total = 0
-    for f, m in factored_minpoly:
-        rows, den = kernel_basis(poly_at_matrix(f, a) ** m)
-        if not rows:
-            raise ValueError(f"factor {f!r} has trivial kernel; not a minimal-polynomial factor")
-        free = [max(j for j, x in enumerate(row) if x) for row in rows]
-        k = IntMatrix(rows)
-        w = k * a
-        c = IntMatrix([[row[j] for j in free] for row in w.entries])
-        # each row of w lies in the span of the basis: w * den == c * k
-        if c * k != IntMatrix([[x * den for x in row] for row in w.entries]):
-            raise RuntimeError("invariant subspace escaped its own basis")
-        blocks.append((f, m, den, c))
-        total += k.n_rows
-    if total != n:
-        raise ValueError("primary blocks do not fill the space; bad factorization")
-    return blocks
-
-
-def primary_decomposition(a: IntMatrix, factored_minpoly) -> list[tuple[IntPoly, IntMatrix, int]]:
-    """Restriction of a to each primary component, as (f, c, den): the block is c/den."""
-    if not a.is_square or a.n_rows == 0:
-        raise ValueError("primary_decomposition wants a square matrix of size >= 1")
-    product = IntPoly([1])
-    for f, m in factored_minpoly:
-        product = product * f ** m
-    if product != minpoly(a):
-        raise ValueError("factorization does not multiply to the minimal polynomial")
-    return [(f, c, den) for f, _, den, c in _primary_blocks(a, factored_minpoly)]
-
-
-def primary_type(c: IntMatrix, den: int, f: IntPoly) -> Partition:
-    """Type partition of the block c/den, whose minimal polynomial is a power of f.
-
-    The powers of f(c/den) have the kernels of the powers of the integer
-    matrix g(c), where g(x) = den^d * f(x / den) and d = deg f.  Any other
-    block is rejected: its kernel dimensions stall below its size.
-    """
-    if not c.is_square or c.n_rows == 0:
-        raise ValueError("primary_type wants a square matrix of size >= 1")
-    n = c.n_rows
-    d = f.degree
-    g = IntPoly([x * den ** (d - j) for j, x in enumerate(f.coeffs)])
-    m = poly_at_matrix(g, c)
+    n = fa.n_rows
     jumps = []
-    power = IntMatrix.identity(n)
+    power = fa
     prev = 0
-    while prev < n:
-        power = power * m
-        k = kernel_dim(power)
-        jump = k - prev
-        if jump == 0:
-            raise ValueError("kernel dimensions stalled; minimal polynomial is not a power of f")
-        if jump % d:
-            raise ValueError("kernel jumps not divisible by deg f; wrong f for this block")
-        jumps.append(jump // d)
+    den = 1
+    while True:
+        if len(jumps) + 1 != m:
+            k = kernel_dim(power)
+        elif any(map(any, power.entries)):
+            rows, den = kernel_basis(power)
+            k = len(rows)
+        else:
+            k = n
+        if k == prev:
+            if not jumps:
+                raise ValueError("f(a) is invertible; f does not divide the minimal polynomial")
+            if m is not None:
+                raise RuntimeError("kernel dimensions stalled below the minimal-polynomial exponent")
+            break
+        if (k - prev) % d:
+            raise ValueError("kernel jumps not divisible by deg f; wrong f for this matrix")
+        jumps.append((k - prev) // d)
         prev = k
-    return Partition(jumps).dual()
+        if len(jumps) == m or (m is None and k == n):
+            break
+        power = power * fa
+    return Partition(jumps).dual(), den
+
+
+def primary_type(a: IntMatrix, f: IntPoly) -> Partition:
+    """Type partition of the irreducible f in the elementary divisor vector of a.
+
+    Raises ValueError when f(a) is invertible, or when a kernel jump is not
+    divisible by deg f, which a reducible f can cause.
+    """
+    if not a.is_square or a.n_rows == 0:
+        raise ValueError("primary_type wants a square matrix of size >= 1")
+    return _type(poly_at_matrix(f, a), f.degree, None)[0]
 
 
 def nilpotent_type(a: IntMatrix) -> Partition:
     """Partition of block sizes of a nilpotent matrix, from kernel dimensions."""
-    return primary_type(a, 1, IntPoly.x_power(1))
+    lam = primary_type(a, IntPoly.x_power(1))
+    if lam.size != a.n_rows:
+        raise ValueError("kernel dimensions stalled below n; the matrix is not nilpotent")
+    return lam
 
 
 def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContext:
     """Elementary divisor vector of a, plus the lcm of denominators seen on the way.
 
-    The denominators are those of the primary kernel bases; the restricted
-    blocks c/den add none, because c is integral.
+    The denominators are those of the kernel bases of f(a)^m, one for each
+    factor f^m of the minimal polynomial.
     """
     if not a.is_square:
         raise ValueError("edv_context wants a square matrix")
     if a.n_rows == 0:
         raise ValueError("n = 0 is rejected everywhere")
-    factored = factor_over_z(minpoly(a), degree_cap)
     lcm = 1
     pairs = []
-    for f, m, den, c in _primary_blocks(a, factored):
-        lam = primary_type(c, den, f)
-        if lam.parts[0] != m:
-            raise RuntimeError("largest part must equal the minimal-polynomial exponent")
+    for f, m in factor_over_z(minpoly(a), degree_cap):
+        lam, den = _type(poly_at_matrix(f, a), f.degree, m)
         pairs.append((f, lam))
         lcm = math.lcm(lcm, den)
     edv = ElementaryDivisorVector.from_pairs(pairs)

@@ -43,6 +43,7 @@ from .polyfactor import DegreeCapError, splitting_profile
 from .zetacore import (
     BinomialProduct,
     abscissa,
+    bad_prime_reasons,
     functional_equation_data,
     generic_local_factor,
     global_formula,
@@ -165,14 +166,13 @@ class AnalysisDocument:
 
     @property
     def global_expr(self):
-        from .zetacore import bad_prime_reasons
-
         return global_formula(
             self.edv, bad_prime_reasons(self.edv, self.denominator_lcm)
         )
 
     def to_json(self) -> dict:
         expr = self.global_expr
+        factors = expr.to_json()
         return {
             "matrix": self.matrix.to_json() if self.matrix is not None else None,
             "edv": self.edv.to_json(),
@@ -180,9 +180,9 @@ class AnalysisDocument:
             "global_formula": {
                 "text": expr.text(),
                 "latex": expr.latex(),
-                "dedekind_factors": expr.to_json()["dedekind_factors"],
+                "dedekind_factors": factors["dedekind_factors"],
             },
-            "bad_primes": expr.to_json()["bad_primes"],
+            "bad_primes": factors["bad_primes"],
             "alpha": self.alpha,
             "beta": self.beta,
             "functional_equation": {

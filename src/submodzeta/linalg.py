@@ -1,13 +1,11 @@
 """Exact integer linear algebra.
 
 Dense matrices over Z (arbitrary-precision ints), integer polynomials,
-Hermite normal form, fraction-free rank, determinant and left kernels,
-characteristic and minimal polynomials, and the nilpotent normal forms the
-rest of the package is phrased in: the companion matrix of a monic
-polynomial, the block form n_of (one shift block per part) and its
-recursive sibling a_of, conjugate to each other by a permutation.  Rational
-results are integer matrices over one denominator: a left kernel basis is
-(rows, den), standing for rows / den.
+resultants, fraction-free rank, determinant and left kernels, minimal
+polynomials, and the matrices the rest of the package is phrased in: the
+companion matrix of a monic polynomial and the nilpotent normal form n_of
+(one shift block per part).  A rational left kernel basis is returned as
+(rows, den): integer rows over one denominator, standing for rows / den.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -489,127 +487,8 @@ def n_of(lam: Partition) -> IntMatrix:
     return IntMatrix.block_diag(*(companion(IntPoly.x_power(p)) for p in lam))
 
 
-def a_of(lam: Partition) -> IntMatrix:
-    """The recursive dual normal form.
-
-    With parts (p1, p2, ...): zeros on the top-left p1 x p1 block, an
-    identity block of size p2 sitting in the first p2 of the top p1 rows
-    just right of the diagonal block, and the same construction recursively
-    on the remaining parts.  A single part (or none) gives the zero matrix.
-    """
-    parts = lam.parts
-    n = lam.size
-    if len(parts) <= 1:
-        return IntMatrix.zeros(n)
-    p1, p2 = parts[0], parts[1]
-    sub = a_of(Partition(parts[1:]))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(p2):
-        rows[i][p1 + i] = 1
-    for i in range(n - p1):
-        for j in range(n - p1):
-            rows[p1 + i][p1 + j] = sub.entries[i][j]
-    return IntMatrix(rows)
-
-
-def permutation_conjugator(lam: Partition) -> tuple[int, ...]:
-    """The permutation relating the two nilpotent normal forms of dual shape.
-
-    Returns sigma (0-based) such that with P = permutation_matrix(sigma),
-    P^{-1} * a_of(dual(lam)) * P == n_of(lam).  sigma maps the position of a
-    diagram cell in the column-by-column traversal to its position in the
-    row-by-row traversal.
-    """
-    if lam.size == 0:
-        raise ValueError("empty partition")
-    horizontal = {}
-    counter = 0
-    for i, part in enumerate(lam.parts):
-        for j in range(part):
-            horizontal[(i, j)] = counter
-            counter += 1
-    sigma = []
-    for j in range(lam.parts[0]):
-        for i, part in enumerate(lam.parts):
-            if part > j:
-                sigma.append(horizontal[(i, j)])
-    return tuple(sigma)
-
-
-def permutation_matrix(sigma) -> IntMatrix:
-    n = len(sigma)
-    rows = [[0] * n for _ in range(n)]
-    for k, s in enumerate(sigma):
-        rows[k][s] = 1
-    return IntMatrix(rows)
-
-
 # ---------------------------------------------------------------------------
-# Hermite normal form
-
-
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Row Hermite normal form of a non-singular square integer matrix.
-
-    Upper triangular, positive diagonal, and every entry above a diagonal
-    d reduced into [0, d).  Rows span the same lattice as the input.
-    """
-    if not m.is_square:
-        raise ValueError("hnf wants a square matrix")
-    n = m.n_rows
-    rows = [list(r) for r in m.entries]
-    for col in range(n):
-        # euclidean elimination below the diagonal
-        while True:
-            nz = [i for i in range(col, n) if rows[i][col]]
-            if not nz:
-                raise ValueError("singular matrix has no Hermite normal form here")
-            piv = min(nz, key=lambda i: abs(rows[i][col]))
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-            done = True
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    q = rows[i][col] // rows[col][col]
-                    for k in range(col, n):
-                        rows[i][k] -= q * rows[col][k]
-                    if rows[i][col]:
-                        done = False
-            if done:
-                break
-        if rows[col][col] < 0:
-            rows[col] = [-x for x in rows[col]]
-        for i in range(col):
-            q = rows[i][col] // rows[col][col]
-            if q:
-                for k in range(col, n):
-                    rows[i][k] -= q * rows[col][k]
-    return IntMatrix(rows)
-
-
-# ---------------------------------------------------------------------------
-# characteristic and minimal polynomials
-
-
-def charpoly(a: IntMatrix) -> IntPoly:
-    """Characteristic polynomial (monic) by the trace recursion; exact integers."""
-    if not a.is_square:
-        raise ValueError("charpoly wants a square matrix")
-    n = a.n_rows
-    if n == 0:
-        return IntPoly([1])
-    coeffs = [1]  # X^n downwards
-    m = a
-    c = -m.trace()
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        m = a * (m + IntMatrix.scalar(n, c))
-        t = m.trace()
-        if t % k:
-            raise RuntimeError("trace recursion must divide exactly")
-        c = -t // k
-        coeffs.append(c)
-    return IntPoly(list(reversed(coeffs)))
+# minimal polynomials
 
 
 def _times_matrix(v: list[int], cols) -> list[int]:

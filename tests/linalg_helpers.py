@@ -1,0 +1,131 @@
+"""Reference linear algebra for the tests; the package pipeline does not use it.
+
+The recursive normal form a_of and the permutation conjugating it to
+linalg.n_of, a plain Hermite normal form (the reference for the oracle's
+vectorized reduction), and the characteristic polynomial by the trace
+recursion.
+"""
+
+from __future__ import annotations
+
+from submodzeta.linalg import IntMatrix, IntPoly
+from submodzeta.partitions import Partition
+
+
+def a_of(lam: Partition) -> IntMatrix:
+    """The recursive dual normal form.
+
+    With parts (p1, p2, ...): zeros on the top-left p1 x p1 block, an
+    identity block of size p2 sitting in the first p2 of the top p1 rows
+    just right of the diagonal block, and the same construction recursively
+    on the remaining parts.  A single part (or none) gives the zero matrix.
+    """
+    parts = lam.parts
+    n = lam.size
+    if len(parts) <= 1:
+        return IntMatrix.zeros(n)
+    p1, p2 = parts[0], parts[1]
+    sub = a_of(Partition(parts[1:]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(p2):
+        rows[i][p1 + i] = 1
+    for i in range(n - p1):
+        for j in range(n - p1):
+            rows[p1 + i][p1 + j] = sub.entries[i][j]
+    return IntMatrix(rows)
+
+
+def permutation_conjugator(lam: Partition) -> tuple[int, ...]:
+    """The permutation relating the two nilpotent normal forms of dual shape.
+
+    Returns sigma (0-based) such that with P = permutation_matrix(sigma),
+    P^{-1} * a_of(dual(lam)) * P == n_of(lam).  sigma maps the position of a
+    diagram cell in the column-by-column traversal to its position in the
+    row-by-row traversal.
+    """
+    if lam.size == 0:
+        raise ValueError("empty partition")
+    horizontal = {}
+    counter = 0
+    for i, part in enumerate(lam.parts):
+        for j in range(part):
+            horizontal[(i, j)] = counter
+            counter += 1
+    sigma = []
+    for j in range(lam.parts[0]):
+        for i, part in enumerate(lam.parts):
+            if part > j:
+                sigma.append(horizontal[(i, j)])
+    return tuple(sigma)
+
+
+def permutation_matrix(sigma) -> IntMatrix:
+    n = len(sigma)
+    rows = [[0] * n for _ in range(n)]
+    for k, s in enumerate(sigma):
+        rows[k][s] = 1
+    return IntMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form
+
+
+def hnf(m: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form of a non-singular square integer matrix.
+
+    Upper triangular, positive diagonal, and every entry above a diagonal
+    d reduced into [0, d).  Rows span the same lattice as the input.
+    """
+    if not m.is_square:
+        raise ValueError("hnf wants a square matrix")
+    n = m.n_rows
+    rows = [list(r) for r in m.entries]
+    for col in range(n):
+        # euclidean elimination below the diagonal
+        while True:
+            nz = [i for i in range(col, n) if rows[i][col]]
+            if not nz:
+                raise ValueError("singular matrix has no Hermite normal form here")
+            piv = min(nz, key=lambda i: abs(rows[i][col]))
+            if piv != col:
+                rows[col], rows[piv] = rows[piv], rows[col]
+            done = True
+            for i in range(col + 1, n):
+                if rows[i][col]:
+                    q = rows[i][col] // rows[col][col]
+                    for k in range(col, n):
+                        rows[i][k] -= q * rows[col][k]
+                    if rows[i][col]:
+                        done = False
+            if done:
+                break
+        if rows[col][col] < 0:
+            rows[col] = [-x for x in rows[col]]
+        for i in range(col):
+            q = rows[i][col] // rows[col][col]
+            if q:
+                for k in range(col, n):
+                    rows[i][k] -= q * rows[col][k]
+    return IntMatrix(rows)
+
+
+def charpoly(a: IntMatrix) -> IntPoly:
+    """Characteristic polynomial (monic) by the trace recursion; exact integers."""
+    if not a.is_square:
+        raise ValueError("charpoly wants a square matrix")
+    n = a.n_rows
+    if n == 0:
+        return IntPoly([1])
+    coeffs = [1]  # X^n downwards
+    m = a
+    c = -m.trace()
+    coeffs.append(c)
+    for k in range(2, n + 1):
+        m = a * (m + IntMatrix.scalar(n, c))
+        t = m.trace()
+        if t % k:
+            raise RuntimeError("trace recursion must divide exactly")
+        c = -t // k
+        coeffs.append(c)
+    return IntPoly(list(reversed(coeffs)))

@@ -11,12 +11,13 @@ from submodzeta.canonical import (
     edv_context,
     elementary_divisor_vector,
     nilpotent_type,
-    primary_decomposition,
     primary_type,
 )
-from submodzeta.linalg import IntMatrix, IntPoly, a_of, companion, minpoly, n_of, poly_at_matrix
+from submodzeta.linalg import IntMatrix, IntPoly, companion, minpoly, n_of, poly_at_matrix
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
+
+from linalg_helpers import a_of
 
 X = IntPoly((0, 1))
 
@@ -41,51 +42,50 @@ def test_nilpotent_type_round_trip():
             assert nilpotent_type(a_of(lam)) == lam.dual()
 
 
-def test_primary_decomposition_block_diagonal():
-    m = IntMatrix.block_diag(companion(X ** 2), companion(IntPoly((1, -2, 1))))
-    blocks = primary_decomposition(m, [(X, 2), (IntPoly((-1, 1)), 2)])
-    assert [f for f, _, _ in blocks] == [X, IntPoly((-1, 1))]
-    assert all(c.n_rows == 2 and den == 1 for _, c, den in blocks)
-
-
-def test_primary_decomposition_nilpotent_single_block():
-    m = n_of(Partition([2, 1]))
-    blocks = primary_decomposition(m, [(X, 2)])
-    assert len(blocks) == 1
-    f, c, den = blocks[0]
-    assert f == X and c == m and den == 1
-
-
-def test_primary_decomposition_diag_0_1_1():
-    m = IntMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    blocks = primary_decomposition(m, [(X, 1), (IntPoly((-1, 1)), 1)])
-    sizes = {str(f): c.n_rows for f, c, _ in blocks}
-    assert sizes == {"x": 1, "x - 1": 2}
-
-
-def test_primary_decomposition_rejects_wrong_factorization():
-    with pytest.raises(ValueError):
-        primary_decomposition(IntMatrix.zeros(2), [(IntPoly((-1, 1)), 1)])
-
-
 def test_primary_type_examples():
-    m = n_of(Partition([2, 1]))
-    blocks = primary_decomposition(m, [(X, 2)])
-    assert primary_type(*blocks[0][1:], X) == Partition([2, 1])
+    assert primary_type(n_of(Partition([2, 1])), X) == Partition([2, 1])
+    x2p1 = IntPoly((1, 0, 1))
+    c = companion(x2p1)
+    assert primary_type(c, x2p1) == Partition([1])
+    assert primary_type(IntMatrix.block_diag(c, c), x2p1) == Partition([1, 1])
+    # not nilpotent: the kernels are those of f(a) = a - I
+    assert primary_type(IntMatrix([[1, 1], [0, 1]]), IntPoly.x_minus(1)) == Partition([2])
+    diag_011 = IntMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert primary_type(diag_011, X) == Partition([1])
+    assert primary_type(diag_011, IntPoly.x_minus(1)) == Partition([1, 1])
+    with pytest.raises(ValueError, match="invertible"):
+        primary_type(IntMatrix.zeros(2), IntPoly.x_minus(1))
+    # x^2 - 1 is not irreducible: its kernel on diag(1, 1, -1) has odd dimension
+    with pytest.raises(ValueError, match="divisible"):
+        primary_type(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), IntPoly((-1, 0, 1)))
+    with pytest.raises(ValueError):
+        primary_type(IntMatrix([[1, 2]]), X)
 
-    c = companion(IntPoly((1, 0, 1)))
-    blocks = primary_decomposition(c, [(IntPoly((1, 0, 1)), 1)])
-    assert primary_type(*blocks[0][1:], IntPoly((1, 0, 1))) == Partition([1])
 
-    two = IntMatrix.block_diag(c, c)
-    blocks = primary_decomposition(two, [(IntPoly((1, 0, 1)), 1)])
-    assert primary_type(*blocks[0][1:], IntPoly((1, 0, 1))) == Partition([1, 1])
+_COPRIME_FACTORS = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
+                    IntPoly((-2, 0, 1)), IntPoly((1, 1, 1)), IntPoly((-1, -1, 0, 1)),
+                    IntPoly((-2, 0, 0, 1))]
 
-    # c/den = I + N_(2): the denominator enters the kernels of g(c) = c - 2I
-    c = IntMatrix([[2, 2], [0, 2]])
-    assert primary_type(c, 2, IntPoly.x_minus(1)) == Partition([2])
-    with pytest.raises(ValueError, match="stalled"):
-        primary_type(c, 1, IntPoly.x_minus(1))
+
+def test_primary_type_on_conjugated_block_sums():
+    """On a sum of primary blocks, the type of each f is that of its block alone."""
+    rng = random.Random(29)
+    for _ in range(30):
+        fs = rng.sample(_COPRIME_FACTORS, rng.randint(2, 3))
+        blocks = {}
+        for f in fs:
+            # parts from {1, 2}, so repeated parts are common
+            lam = Partition([rng.randint(1, 2) for _ in range(rng.randint(1, 3 - f.degree // 2))])
+            blocks[f] = (lam, IntMatrix.block_diag(*(companion(f ** k) for k in lam)))
+        a = IntMatrix.block_diag(*(block for _, block in blocks.values()))
+        u = _random_unimodular(rng, a.n_rows)
+        conj = u * a * _int_inverse(u)
+        for f, (lam, block) in blocks.items():
+            assert primary_type(block, f) == lam
+            assert primary_type(conj, f) == lam
+        others = [g for g in _COPRIME_FACTORS if g not in blocks]
+        with pytest.raises(ValueError, match="invertible"):
+            primary_type(conj, rng.choice(others))
 
 
 def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
@@ -109,8 +109,17 @@ def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
         calls.clear()
         assert edv_context(a) == EdvContext(ElementaryDivisorVector(((f, lam),)), 1)
         assert len(calls) == 1
-    blocks = primary_decomposition(cases[1][0], [(IntPoly((1, 0, 1)), 1)])
-    assert blocks == [(IntPoly((1, 0, 1)), cases[1][0], 1)]
+
+
+def test_edv_context_rejects_a_wrong_exponent(monkeypatch):
+    """Each of f(a), ..., f(a)^m must grow the kernel, and the kernels at m must fill Q^n."""
+    a = n_of(Partition([2, 1]))
+    monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(X, 3)])
+    with pytest.raises(RuntimeError, match="stalled"):
+        edv_context(a)
+    monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(X, 1)])
+    with pytest.raises(RuntimeError, match="sum to n"):
+        edv_context(a)
 
 
 def test_edv_examples():
@@ -252,16 +261,12 @@ def test_edv_context_denominators_pinned(rows, edv, den):
 
 
 def test_primary_type_of_blocks_with_denominators():
-    denominators = 1
+    """primary_type on the whole matrix, where the primary kernel bases need denominators."""
     for rows, edv, _ in PINNED_DENOMINATORS:
         a = IntMatrix(rows)
-        blocks = primary_decomposition(a, factor_over_z(minpoly(a)))
-        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(c, den, f).to_json())
-                       for f, c, den in blocks)
+        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(a, f).to_json())
+                       for f, _ in factor_over_z(minpoly(a)))
         assert [{"poly": f, "partition": lam} for _, f, lam in types] == edv
-        for _, _, den in blocks:
-            denominators = max(denominators, den)
-    assert denominators > 1
 
 
 _BLOCK_POLYS = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),

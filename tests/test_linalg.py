@@ -9,23 +9,20 @@ from submodzeta import linalg
 from submodzeta.linalg import (
     IntMatrix,
     IntPoly,
-    a_of,
-    charpoly,
     companion,
     det,
-    hnf,
     kernel_basis,
     kernel_dim,
     minpoly,
     n_of,
-    permutation_conjugator,
-    permutation_matrix,
     poly_at_matrix,
     rank_over_q,
     resultant,
 )
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
+
+from linalg_helpers import a_of, charpoly, hnf, permutation_conjugator, permutation_matrix
 
 
 X = IntPoly((0, 1))

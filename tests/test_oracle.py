@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from submodzeta import oracle
 from submodzeta.canonical import elementary_divisor_vector
-from submodzeta.linalg import IntMatrix, companion, hnf, n_of
+from submodzeta.linalg import IntMatrix, companion, n_of
 from submodzeta.oracle import (
     _INT64_SAFE,
     BudgetError,
@@ -27,6 +27,8 @@ from submodzeta.oracle import (
 from submodzeta.partitions import Partition
 from submodzeta.polyfactor import IntPoly
 from submodzeta.zetacore import dirichlet_coefficients, generic_local_factor
+
+from linalg_helpers import hnf
 
 
 def diag(*entries):
