@@ -251,10 +251,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scalar(cls, n: int, c: int) -> IntMatrix:
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def block_diag(cls, *blocks) -> IntMatrix:
         n = sum(b.n_rows for b in blocks)
         rows = [[0] * n for _ in range(n)]
@@ -287,11 +283,6 @@ class IntMatrix:
 
     def transpose(self) -> IntMatrix:
         return IntMatrix(list(zip(*self._rows))) if self._rows else IntMatrix(())
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self._rows[i][i] for i in range(self._n_rows))
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):

@@ -3,17 +3,27 @@
 A finite-index sublattice of Z^n has a unique basis in row Hermite normal
 form: upper triangular, positive diagonal d_0..d_{n-1}, and the entries
 above each pivot reduced into [0, d_j).  The sublattice is invariant under
-the row action of A exactly when B*A = M*B for an integer matrix M, which
-forward substitution against the triangular B decides in pure integer
-arithmetic.  The number of invariant sublattices of index p^e (level e) is
-the Dirichlet coefficient a_{p^e} the symbolic formulas must reproduce.
+the row action of A exactly when B*A = M*B for an integer matrix M.  The
+number of invariant sublattices of index p^e (level e) is the Dirichlet
+coefficient a_{p^e} the symbolic formulas must reproduce.
+
+One kernel (`_invariance`) decides B*A = M*B for a batch of bases at once,
+entry by entry: each entry of B, A, w = B*A and M is a Python int where the
+whole batch agrees and a contiguous 1-D array over the batch otherwise.
+Row i of M comes from row i of w by forward substitution against B, and
+column j needs the division test q = acc // d_j, q*d_j == acc, only when
+its pivot d_j is not 1.  Int entries fold into ints, and a term with an int
+factor 0 is never formed, so a basis row without free entries gives a
+constant row of w and the zero and scalar parts of A cost next to nothing.
 
 Each level comes from whichever of two producers is cheaper:
 
 * HNF enumeration (`count_at_exponent`) visits every HNF basis of
   determinant p^e, in one fixed order (compositions of e in ascending
   lexicographic order, then mixed-radix over the off-diagonal residues),
-  and checks its visit count against the closed-form candidate total.
+  _BATCH bases at a time, and checks its visit count against the
+  closed-form candidate total.  Within a batch the earliest residues are
+  ints, so only the last positions of the mixed radix are arrays.
 * The tree of invariant lattices descends from Z^n.  Every invariant N of
   level e >= 1 has the invariant parent L = (p^-1 N) & Z^n with
   pL <= N < L, so level e is the set of invariant N with pL <= N < L over
@@ -21,10 +31,12 @@ Each level comes from whichever of two producers is cheaper:
   M = C*A*C^-1, these N are the subspaces of F_p^n invariant under M mod p.
   Written in reduced row echelon form, a subspace gives the basis R*C of N
   with R upper triangular, diagonal entries in {1, p}.  Every subspace is
-  tested, in one batch per (level, diagonal pattern), and the number tested
-  is checked against the Gaussian-binomial total.  Each child basis R*C is
-  reduced to HNF, the level is deduplicated, and each child's action comes
-  from exact forward substitution.
+  tested by the kernel, against the actions of many nodes at once (node
+  actions as columns, subspace entries as rows), in batches per (level,
+  diagonal pattern), and the number tested is checked against the
+  Gaussian-binomial total.  Each child basis R*C is reduced to HNF, the
+  level is deduplicated, and the children's actions come from the kernel
+  with a pivot per basis.
 
 The tree costs about _TREE_GAMMA per subspace tested plus _TREE_OVERHEAD per
 level, in units of one HNF candidate.  It produces a level when that is
@@ -57,12 +69,18 @@ DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
 
 _INT64_SAFE = 1 << 62
+_BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
 
 # The tree's cost in units of one HNF candidate: per subspace tested, and
-# per level it produces.  Measured once on the int64 path, n = 2..4, one CPU:
-# 2-4.5 per subspace where every subspace is invariant, less where few are,
-# and 1000-2000 per level.  Totals moved by under 5 % for gamma in [0.5, 3]
-# and an overhead of 1000 or 2000.
+# per level it produces.  Measured on the entrywise kernel, int64 path,
+# n = 2..4, one CPU: 0.3-0.4 us per subspace and 0.3-2 ms per level.  An
+# HNF candidate costs 150-600 ns at the largest dense levels measured (so
+# 0.5-2.5 per subspace), 30-150 ns at large sparse ones, and 1-10 us at
+# levels of under 200 candidates, where per-call work dominates: the
+# per-level overhead is 30-500 units on small levels and up to 16000 on
+# large sparse ones.  Totals of the benchmark's verify inputs moved by
+# under 3 % for gamma in [0.5, 3]; an overhead of 2000 made the sparse ones
+# 9 % slower, and 5000 made them 47 % slower.
 _TREE_GAMMA = 2
 _TREE_OVERHEAD = 1000
 
@@ -108,7 +126,7 @@ def _gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def _int64_bound(n: int, p: int, e: int, abs_max: int) -> int:
-    """Worst-case magnitude through decode, B*A, and forward substitution."""
+    """Worst-case magnitude through the bases, B*A, and forward substitution."""
     return 4 * (2 ** n) * n * max(1, abs_max) * (p ** e) ** n
 
 
@@ -117,67 +135,149 @@ def _action_dtype(n: int, p: int, e: int, abs_max: int):
     return np.int64 if _int64_bound(n, p, e, abs_max) < _INT64_SAFE else object
 
 
-def _chunk(n: int, dtype) -> int:
-    """Rows per batch: about 16 MB per int64 array, less for Python integers."""
-    return max(1024, (1 << (21 if dtype == np.int64 else 16)) // (n * n))
+def _nonzero(row):
+    """(column, entry) for each entry of a row that is not the int 0."""
+    return [(j, x) for j, x in enumerate(row) if type(x) is not int or x]
 
 
-def _decode(n, diag, free, start, stop, dtype):
-    """Upper-triangular bases number start..stop-1 with diagonal diag.
+def _muladd(s, x, y, sub=False):
+    """s + x*y, or s - x*y when sub, for entries that are ints or arrays.
+
+    x and y are never the int 0.  Two ints stay an int, an int factor 1 is
+    not multiplied, and an int s = 0 is not added.
+    """
+    if type(x) is int:
+        x, y = y, x
+    if type(y) is not int:
+        x = x * y
+    elif type(x) is int or y != 1:
+        x = x * y
+    if type(s) is int and s == 0:
+        return -x if sub else x
+    return s - x if sub else s + x
+
+
+def _invariance(b, a):
+    """(ok, m) with m*b = b*a, solved entrywise against upper-triangular b.
+
+    b and a are n x n nested lists.  Each entry is a Python int, the same
+    for the whole batch, or an array over the batch; arrays broadcast
+    together, and only the entries that are not the int 0 are visited.
+    b[j][j] is the pivot of column j.  ok is a bool or a boolean array:
+    every division by a pivot was exact, and then m (a nested list of the
+    same kind) is the integer action.  Row i of m needs only row i of b*a,
+    so once no batch member is left, m is None.
+    """
+    n = len(b)
+    b_rows = [_nonzero(row) for row in b]
+    a_rows = [_nonzero(row) for row in a]
+    ok = True
+    m = []
+    for i in range(n):
+        acc = [0] * n
+        for k, x in b_rows[i]:
+            for j, y in a_rows[k]:
+                acc[j] = _muladd(acc[j], x, y)
+        row = []
+        for j in range(n):
+            q = v = acc[j]
+            d = b[j][j]
+            if type(v) is int and v == 0:
+                row.append(0)
+                continue
+            if type(d) is not int or d != 1:
+                q = v // d
+                exact = q * d == v
+                if exact is False:
+                    return False, None
+                if exact is not True:
+                    ok = exact if ok is True else ok & exact
+            row.append(q)
+            for l, x in b_rows[j]:
+                if l > j:
+                    acc[l] = _muladd(acc[l], q, x, sub=True)
+        if ok is not True and not ok.any():
+            return ok, None
+        m.append(row)
+    return ok, m
+
+
+def _entries(batch, dtype):
+    """A non-empty (k, n, n) batch entrywise: an int where all k agree, else a 1-D array."""
+    first = batch[0].tolist()
+    if len(batch) == 1:
+        return first
+    same = (batch == batch[:1]).all(axis=0).tolist()
+    cols = np.ascontiguousarray(batch.transpose(1, 2, 0), dtype=dtype)
+    return [[x if s else col for x, s, col in zip(*rows)] for rows in zip(first, same, cols)]
+
+
+def _stack(entries, idx, dtype):
+    """The (len(idx), n, n) array of the members idx of a batch held entrywise."""
+    n = len(entries)
+    out = np.empty((len(idx), n, n), dtype=dtype)
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            out[:, i, j] = x if isinstance(x, int) else x[idx]
+    return out
+
+
+def _batches(n, diag, free, chunk, dtype):
+    """The upper-triangular bases with diagonal diag, entrywise, at most chunk at a time.
 
     The entries at the positions `free` run over [0, diag[j]) in mixed
-    radix, the last position fastest; every other off-diagonal entry is 0.
+    radix, the last position fastest; every other entry is 0.  Yields
+    (b, size): b[i][j] is an int where the whole batch agrees, else a 1-D
+    array of the batch's size.  The last positions whose combinations fit
+    in one batch run fully inside each batch, the position before them in
+    runs of as many values as fit, and all earlier ones are ints.
     """
-    b = np.zeros((stop - start, n, n), dtype=dtype)
-    for j in range(n):
-        b[:, j, j] = diag[j]
-    rem = np.arange(start, stop, dtype=np.int64)
-    for i, j in reversed(free):
-        radix = diag[j]
-        if radix > 1:
-            b[:, i, j] = rem % radix
-            rem = rem // radix
-    return b
-
-
-def _solve_action(b, w, divisors):
-    """(ok, m) with m*b = w, by forward substitution against upper-triangular b.
-
-    b and w are batches (..., n, n) that broadcast together; divisors[j] is
-    the diagonal entry b[..., j, j], as an int or as an array of shape
-    (..., 1).  ok says that every division of that batch entry was exact,
-    and then m is the integer matrix with m*b = w.
-    """
-    n = w.shape[-1]
-    mvals = np.zeros(w.shape, dtype=w.dtype)
-    ok = np.ones(w.shape[:-2], dtype=bool)
-    for j in range(n):
-        acc = w[..., :, j].copy()
-        for k in range(j):
-            acc -= mvals[..., :, k] * b[..., k, j][..., None]
-        dj = divisors[j]
-        ok &= (acc % dj == 0).all(axis=-1)
-        mvals[..., :, j] = acc // dj
-    return ok, mvals
+    free = [(i, j) for i, j in free if diag[j] > 1]
+    radix = [diag[j] for _, j in free]
+    low = len(free)
+    size = 1
+    while low and size * radix[low - 1] <= chunk:
+        low -= 1
+        size *= radix[low]
+    pattern = np.indices(radix[low:], dtype=dtype).reshape(len(free) - low, size)
+    b = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if not low:
+        for (i, j), d in zip(free, pattern):
+            b[i][j] = d
+        yield [row[:] for row in b], size
+        return
+    run = chunk // size
+    for prefix in itertools.product(*map(range, radix[:low - 1])):
+        for (i, j), d in zip(free, prefix):
+            b[i][j] = d
+        for h in range(0, radix[low - 1], run):
+            k = min(run, radix[low - 1] - h)
+            i, j = free[low - 1]
+            b[i][j] = np.repeat(np.arange(h, h + k).astype(dtype), size)
+            for (i, j), d in zip(free[low:], pattern):
+                b[i][j] = np.tile(d, k)
+            yield [row[:] for row in b], k * size
 
 
 def _count_numpy(a_np, n, diag, chunk, nodes=None):
     """Vectorized enumeration for one diagonal composition, in a_np's dtype.
 
-    Returns (invariant count, candidates visited).  When nodes is a list,
-    the invariant bases and their actions are appended to it as pairs.
+    Tests at most `chunk` candidates at a time.  Returns (invariant count,
+    candidates visited).  When nodes is a list, the invariant bases and
+    their actions are appended to it as pairs.
     """
+    a = a_np.tolist()
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = _composition_size(diag)
     count = 0
     visits = 0
-    for start in range(0, total, chunk):
-        b = _decode(n, diag, positions, start, min(start + chunk, total), a_np.dtype)
-        ok, mvals = _solve_action(b, b @ a_np, diag)
-        count += int(ok.sum())
-        visits += b.shape[0]
-        if nodes is not None and ok.any():
-            nodes.append((b[ok], mvals[ok]))
+    for b, size in _batches(n, diag, positions, chunk, a_np.dtype):
+        ok, m = _invariance(b, a)
+        found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
+        count += found
+        visits += size
+        if nodes is not None and found:
+            idx = np.arange(size) if ok is True else np.flatnonzero(ok)
+            nodes.append((_stack(b, idx, a_np.dtype), _stack(m, idx, a_np.dtype)))
     return count, visits
 
 
@@ -193,11 +293,10 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, in
     abs_max = max((abs(x) for row in a.entries for x in row), default=0)
     dtype = _action_dtype(n, p, e, abs_max)
     a_np = np.array(a.entries, dtype=dtype)
-    chunk = _chunk(n, dtype)
     count = 0
     visits = 0
     for comp in compositions(e, n):
-        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), chunk, nodes)
+        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), _BATCH, nodes)
         count += c
         visits += v
     return count, visits
@@ -300,12 +399,15 @@ class _LatticeTree:
         """Test every subspace of every node of level l whose child lands at >= e."""
         n, p = self.n, self.p
         c, m = self.levels.pop(l)
+        if not len(c):
+            return
         if m is None:
             m = self._actions(l, c)
-        # the test is the level-1 HNF test of the action M against bases R
-        if _action_dtype(n, p, 1, int(np.abs(m).max(initial=0))) is object:
-            m = m.astype(object)
-        chunk = _chunk(n, m.dtype)
+        # the test is the level-1 HNF test of the action M against bases R:
+        # node actions are columns over the nodes, subspace digits rows
+        dtype = _action_dtype(n, p, 1, int(np.abs(m).max()))
+        act = [[x if isinstance(x, int) else x[:, None] for x in row]
+               for row in _entries(m, dtype)]
         tested = 0
         for k in range(max(1, e - l), min(n, self.top - l) + 1):
             found = [self.pending.pop(l + k)] if l + k in self.pending else []
@@ -314,16 +416,23 @@ class _LatticeTree:
                     continue
                 free = [(i, j) for j in range(n) for i in range(j)
                         if d[i] == 1 and d[j] == p]
-                size = p ** len(free)
-                for start in range(0, size, chunk):
-                    r = _decode(n, d, free, start, min(start + chunk, size), np.int64)
-                    step = max(1, chunk // len(r))
-                    for s in range(0, len(m), step):
-                        ok, _ = _solve_action(r[None], r[None] @ m[s:s + step, None], d)
-                        tested += ok.size
+                for r, size in _batches(n, d, free, _BATCH, dtype):
+                    rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
+                    step = max(1, _BATCH // size)
+                    for s in range(0, len(c), step):
+                        part = [[x if isinstance(x, int) else x[s:s + step] for x in row]
+                                for row in act]
+                        ok, _ = _invariance(rows, part)
+                        shape = (min(step, len(c) - s), size)
+                        tested += shape[0] * shape[1]
+                        if ok is False:
+                            continue
+                        if ok is True or ok.shape != shape:
+                            ok = np.broadcast_to(ok, shape)
                         node, sub = np.nonzero(ok)
                         if node.size:
-                            found.append(_reduce_upper_hnf(r[sub] @ c[s + node], p ** (l + k)))
+                            found.append(_reduce_upper_hnf(_stack(r, sub, np.int64) @ c[s + node],
+                                                           p ** (l + k)))
             if found:
                 self.pending[l + k] = _distinct(np.concatenate(found))
         expected = len(c) * self._span(l, e)
@@ -332,25 +441,22 @@ class _LatticeTree:
                 f"tree tested {tested} subspaces below level {l}; expected {expected}")
 
     def _actions(self, e: int, bases):
-        """C*A*C^-1 for each basis C of level e, by exact forward substitution."""
+        """C*A*C^-1 for each basis C of level e, solved entrywise with a pivot per basis."""
         n = self.n
         dtype = _action_dtype(n, self.p, e, self.abs_max)
-        a_np = np.array(self.entries, dtype=dtype)
         out = [np.zeros((0, n, n), dtype=dtype)]
-        chunk = _chunk(n, dtype)
-        for s in range(0, len(bases), chunk):
-            b = bases[s:s + chunk].astype(dtype)
-            ok, m = _solve_action(b, b @ a_np, [b[:, j, j, None] for j in range(n)])
-            if not ok.all():
+        for s in range(0, len(bases), _BATCH):
+            c = bases[s:s + _BATCH]
+            ok, m = _invariance(_entries(c, dtype), self.entries)
+            if not np.all(ok):
                 raise RuntimeError(f"a child basis at level {e} is not invariant")
-            out.append(m)
+            out.append(_stack(m, np.arange(len(c)), dtype))
         return np.concatenate(out)
 
 
 def _distinct(b):
-    """The distinct upper-triangular bases of a batch, each once."""
-    rows, cols = np.triu_indices(b.shape[-1])
-    keys = b[:, rows, cols]
+    """The distinct bases of a batch, each once."""
+    keys = b.reshape(len(b), -1)
     order = np.lexsort(keys.T)
     keys = keys[order]
     first = np.ones(len(b), dtype=bool)

@@ -2,8 +2,9 @@
 
 The recursive normal form a_of and the permutation conjugating it to
 linalg.n_of, a plain Hermite normal form (the reference for the oracle's
-vectorized reduction), and the characteristic polynomial by the trace
-recursion.
+vectorized reduction), the invariance test built on it (the reference for
+the oracle's entrywise test), and the characteristic polynomial by the
+trace recursion.
 """
 
 from __future__ import annotations
@@ -72,26 +73,29 @@ def permutation_matrix(sigma) -> IntMatrix:
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
-    """Row Hermite normal form of a non-singular square integer matrix.
+    """Row Hermite normal form of an integer matrix of full column rank.
 
-    Upper triangular, positive diagonal, and every entry above a diagonal
-    d reduced into [0, d).  Rows span the same lattice as the input.
+    n x n for n columns: upper triangular, positive diagonal, and every
+    entry above a diagonal d reduced into [0, d).  Its rows span the same
+    lattice as the rows of m; with more rows than columns, the extra rows
+    reduce to zero and are dropped.
     """
-    if not m.is_square:
-        raise ValueError("hnf wants a square matrix")
-    n = m.n_rows
+    n = m.n_cols
+    if m.n_rows < n:
+        raise ValueError("hnf wants at least as many rows as columns")
     rows = [list(r) for r in m.entries]
+    height = len(rows)
     for col in range(n):
         # euclidean elimination below the diagonal
         while True:
-            nz = [i for i in range(col, n) if rows[i][col]]
+            nz = [i for i in range(col, height) if rows[i][col]]
             if not nz:
                 raise ValueError("singular matrix has no Hermite normal form here")
             piv = min(nz, key=lambda i: abs(rows[i][col]))
             if piv != col:
                 rows[col], rows[piv] = rows[piv], rows[col]
             done = True
-            for i in range(col + 1, n):
+            for i in range(col + 1, height):
                 if rows[i][col]:
                     q = rows[i][col] // rows[col][col]
                     for k in range(col, n):
@@ -107,7 +111,16 @@ def hnf(m: IntMatrix) -> IntMatrix:
             if q:
                 for k in range(col, n):
                     rows[i][k] -= q * rows[col][k]
-    return IntMatrix(rows)
+    return IntMatrix(rows[:n])
+
+
+def is_invariant(b: IntMatrix, a: IntMatrix) -> bool:
+    """Is the lattice L spanned by the rows of the HNF basis b invariant under x -> x*a?
+
+    L*a lies in L exactly when the rows of b and of b*a together span L
+    again, that is when their Hermite normal form is b.
+    """
+    return hnf(IntMatrix(list(b.entries) + list((b * a).entries))) == b
 
 
 def charpoly(a: IntMatrix) -> IntPoly:
@@ -117,13 +130,17 @@ def charpoly(a: IntMatrix) -> IntPoly:
     n = a.n_rows
     if n == 0:
         return IntPoly([1])
+
+    def trace(m):
+        return sum(m.entries[i][i] for i in range(n))
+
     coeffs = [1]  # X^n downwards
     m = a
-    c = -m.trace()
+    c = -trace(m)
     coeffs.append(c)
     for k in range(2, n + 1):
-        m = a * (m + IntMatrix.scalar(n, c))
-        t = m.trace()
+        m = a * (m + IntMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)]))
+        t = trace(m)
         if t % k:
             raise RuntimeError("trace recursion must divide exactly")
         c = -t // k

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -28,7 +29,7 @@ from submodzeta.partitions import Partition
 from submodzeta.polyfactor import IntPoly
 from submodzeta.zetacore import dirichlet_coefficients, generic_local_factor
 
-from linalg_helpers import hnf
+from linalg_helpers import hnf, is_invariant
 
 
 def diag(*entries):
@@ -341,6 +342,82 @@ def test_tree_matches_hnf_on_random_matrices(rows, p):
     top = {1: 5, 2: 3, 3: 2}[a.n_rows]
     assert _tree_counts(a, p, top) == _hnf_counts(a, p, top)
     assert count_invariant_sublattices(a, p, top).values[2:] == tuple(_hnf_counts(a, p, top))
+
+
+def _hnf_bases(n, p, e):
+    """Every HNF basis of determinant p^e, by a pure-Python loop."""
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for exps in itertools.product(range(e + 1), repeat=n):
+        if sum(exps) != e:
+            continue
+        d = [p ** x for x in exps]
+        for values in itertools.product(*(range(d[j]) for _, j in positions)):
+            rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(positions, values):
+                rows[i][j] = v
+            yield IntMatrix(rows)
+
+
+def _as_matrices(batch):
+    return [IntMatrix([[int(x) for x in row] for row in b]) for b in batch]
+
+
+def _reference_cases():
+    """Seeded matrices, n <= 3, each with a prime in {2, 3} and a top level."""
+    rng = random.Random(2016)
+    cases = [(diag(0, 0), 2, 3), (diag(0, 0, 0), 3, 2)]
+    for n, top in ((2, 3), (3, 2)):
+        c = rng.randint(-9, 9)
+        cases.append((diag(*[c] * n), rng.choice([2, 3]), top))
+    for lam, top in (([2], 3), ([2, 1], 2), ([3], 2)):
+        u = _random_unimodular(rng, sum(lam))
+        cases.append((u * n_of(Partition(lam)) * _int_inverse(u), rng.choice([2, 3]), top))
+    cases += [(companion(IntPoly((1, 0, 1))), p, 3) for p in (2, 3)]
+    for n in (1, 2, 2, 3, 3):
+        a = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        cases.append((a, rng.choice([2, 3]), {1: 3, 2: 3, 3: 2}[n]))
+    u = IntMatrix(((1, 10 ** 10), (0, 1)))
+    cases.append((u * companion(IntPoly((1, 0, 1))) * _int_inverse(u), 2, 3))
+    return cases
+
+
+@pytest.mark.parametrize("a, p, top", _reference_cases())
+def test_invariant_bases_match_a_pure_python_reference(a, p, top):
+    n = a.n_rows
+    tree = _LatticeTree(a, p, [candidate_total(n, p, e) for e in range(top + 1)])
+    for e in range(1, top + 1):
+        want = {b for b in _hnf_bases(n, p, e) if is_invariant(b, a)}
+        nodes = []
+        count, _ = count_at_exponent(a, p, e, nodes)
+        pairs = [(b, m) for bs, ms in nodes for b, m in zip(_as_matrices(bs), _as_matrices(ms))]
+        assert count == len(pairs) == len(want)
+        assert {b for b, _ in pairs} == want
+        for b, m in pairs:
+            assert m * b == b * a
+        # the tree's levels and its actions C*A*C^-1 from the same reference
+        if e == 1:
+            tree.record(1, nodes)
+        else:
+            assert tree.produce(e) == len(want)
+            assert set(_as_matrices(tree.levels[e][0])) == want
+        if want:
+            bases = np.array([b.entries for b in sorted(want, key=lambda b: b.entries)])
+            actions = _as_matrices(tree._actions(e, bases))
+            assert all(m * b == b * a for b, m in zip(_as_matrices(bases), actions))
+
+
+def test_reference_cases_reach_the_object_path():
+    a, p, top = _reference_cases()[-1]
+    abs_max = max(abs(x) for row in a.entries for x in row)
+    assert 10 ** 19 < abs_max < 10 ** 21
+    assert _int64_bound(a.n_rows, p, 1, abs_max) >= _INT64_SAFE
+
+
+def test_actions_reject_a_basis_that_is_not_invariant():
+    a = companion(IntPoly((1, 0, 1)))
+    tree = _LatticeTree(a, 3, [candidate_total(2, 3, e) for e in range(3)])
+    with pytest.raises(RuntimeError, match="not invariant"):
+        tree._actions(1, np.array([[[3, 0], [0, 1]]]))
 
 
 def _recorded_hnf_levels(monkeypatch, a, p, top):

@@ -46,3 +46,26 @@ def test_every_export_is_defined_in_the_package():
         if getattr(module, name) is not getattr(submodzeta, name):
             stale.append(name)
     assert stale == []
+
+
+def test_every_private_helper_has_a_caller():
+    """Each top-level private function or class is used outside its own definition."""
+    helpers = {}
+    used = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                helpers[node.name] = f"{path.name}:{node.lineno}"
+                names.discard(node.name)
+            used |= names
+    assert len(helpers) > 20
+    assert sorted(loc for name, loc in helpers.items() if name not in used) == []
