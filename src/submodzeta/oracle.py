@@ -16,14 +16,20 @@ its pivot d_j is not 1.  Int entries fold into ints, and a term with an int
 factor 0 is never formed, so a basis row without free entries gives a
 constant row of w and the zero and scalar parts of A cost next to nothing.
 
+Each producer batches a whole level, not one diagonal at a time
+(`_batches`): a diagonal of more than _BATCH bases is split on its own, its
+earliest mixed-radix positions ints and only the last ones arrays, and
+consecutive smaller diagonals are packed, in order, into batches of at most
+_PACK bases, where an entry is an array only where the packed diagonals
+differ.
+
 Each level comes from whichever of two producers is cheaper:
 
 * HNF enumeration (`count_at_exponent`) visits every HNF basis of
   determinant p^e, in one fixed order (compositions of e in ascending
   lexicographic order, then mixed-radix over the off-diagonal residues),
-  _BATCH bases at a time, and checks its visit count against the
-  closed-form candidate total.  Within a batch the earliest residues are
-  ints, so only the last positions of the mixed radix are arrays.
+  and checks its visit count against the closed-form candidate total, the
+  coefficient of t^e in prod_{j<n} 1/(1 - p^j t).
 * The tree of invariant lattices descends from Z^n.  Every invariant N of
   level e >= 1 has the invariant parent L = (p^-1 N) & Z^n with
   pL <= N < L, so level e is the set of invariant N with pL <= N < L over
@@ -33,10 +39,11 @@ Each level comes from whichever of two producers is cheaper:
   with R upper triangular, diagonal entries in {1, p}.  Every subspace is
   tested by the kernel, against the actions of many nodes at once (node
   actions as columns, subspace entries as rows), in batches per (level,
-  diagonal pattern), and the number tested is checked against the
-  Gaussian-binomial total.  Each child basis R*C is reduced to HNF, the
-  level is deduplicated, and the children's actions come from the kernel
-  with a pivot per basis.
+  codimension) that pack its diagonal patterns, and the number tested is
+  checked against the Gaussian-binomial total.  Each child basis R*C is
+  reduced to HNF, the children of one codimension are deduplicated with
+  those already found at their level, and the children's actions come from
+  the kernel with a pivot per basis.
 
 The tree costs about _TREE_GAMMA per subspace tested plus _TREE_OVERHEAD per
 level, in units of one HNF candidate.  It produces a level when that is
@@ -70,17 +77,27 @@ DEFAULT_MAX_CANDIDATES = 120_000_000
 
 _INT64_SAFE = 1 << 62
 _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
+# Bases per batch of packed diagonals, and (node, subspace) pairs per tree
+# kernel call.  Where packed diagonals differ, their pivots are arrays, and
+# dividing by an array costs more than by an int: on the verify-dense
+# inputs, packing up to 4096 bases took 6-10 % less oracle time than packing
+# up to _BATCH.  Tree calls of up to _BATCH pairs, with the patterns of a
+# codimension packed, raised the traced peak memory of a 4x4 nilpotent
+# count at p = 2, E = 5 from 5.6 to 7.2 MiB.
+_PACK = 1 << 12
 
 # The tree's cost in units of one HNF candidate: per subspace tested, and
-# per level it produces.  Measured on the entrywise kernel, int64 path,
-# n = 2..4, one CPU: 0.3-0.4 us per subspace and 0.3-2 ms per level.  An
-# HNF candidate costs 150-600 ns at the largest dense levels measured (so
-# 0.5-2.5 per subspace), 30-150 ns at large sparse ones, and 1-10 us at
-# levels of under 200 candidates, where per-call work dominates: the
-# per-level overhead is 30-500 units on small levels and up to 16000 on
-# large sparse ones.  Totals of the benchmark's verify inputs moved by
-# under 3 % for gamma in [0.5, 3]; an overhead of 2000 made the sparse ones
-# 9 % slower, and 5000 made them 47 % slower.
+# per level it produces.  Measured with whole levels batched, int64 path,
+# one CPU: a tree level costs 0.2-0.5 ms at n = 2 (21-183 subspaces),
+# 0.35-1 ms at n = 3 (172-762) and 1.2-2.1 ms at n = 4 (800).  An HNF
+# candidate costs 5-180 ns at the top levels of the verify-dense inputs,
+# 10-30 ns at large sparse levels and 0.3-7 us at levels of under 200
+# candidates, so the per-level overhead is 30-1600 units on small levels
+# and up to 20000 on large sparse ones.  Over the benchmark's verify
+# inputs, gamma in [0.5, 3] gave every sparse level the same producer and
+# moved the dense total by under 4.5 %, within its run-to-run spread; an
+# overhead of 2000 made the sparse total 8-12 % slower and 5000 about 85 %
+# slower.
 _TREE_GAMMA = 2
 _TREE_OVERHEAD = 1000
 
@@ -102,18 +119,24 @@ def compositions(total: int, parts: int):
 
 
 def candidate_total(n: int, p: int, e: int) -> int:
-    """Number of HNF candidates of determinant p^e: sum over compositions of prod p^(j*e_j)."""
-    return sum(
-        _composition_size(tuple(p ** ej for ej in comp))
-        for comp in compositions(e, n)
-    )
+    """Number of HNF candidates of determinant p^e: the sublattices of index p^e in Z^n."""
+    return next(itertools.islice(_level_totals(n, p), e, None))
 
 
-def _composition_size(diag) -> int:
-    size = 1
-    for j, dj in enumerate(diag):
-        size *= dj ** j
-    return size
+def _level_totals(n: int, p: int):
+    """candidate_total(n, p, e) for e = 0, 1, 2, ...
+
+    These are the coefficients of prod_{j<n} 1/(1 - p^j t), the local factor
+    of the zeta function of Z^n (Grunewald-Segal-Smith): h[j] is the
+    coefficient of t^e in the product of the first j+1 factors.
+    """
+    if n < 1:
+        raise ValueError("a lattice needs at least one dimension")
+    h = [1] * n
+    while True:
+        yield h[-1]
+        for j in range(1, n):
+            h[j] = h[j - 1] + p ** j * h[j]
 
 
 def _gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -222,30 +245,76 @@ def _stack(entries, idx, dtype):
     return out
 
 
-def _batches(n, diag, free, chunk, dtype):
-    """The upper-triangular bases with diagonal diag, entrywise, at most chunk at a time.
+def _batches(n, level, chunk, dtype):
+    """The upper-triangular bases of one level, entrywise, at most chunk at a time.
 
-    The entries at the positions `free` run over [0, diag[j]) in mixed
-    radix, the last position fastest; every other entry is 0.  Yields
+    level is a list of (diag, free) pairs in visiting order.  For each
+    diagonal, the entries at the positions `free` run over [0, diag[j]) in
+    mixed radix, the last position fastest; every other entry is 0.  Yields
     (b, size): b[i][j] is an int where the whole batch agrees, else a 1-D
-    array of the batch's size.  The last positions whose combinations fit
-    in one batch run fully inside each batch, the position before them in
-    runs of as many values as fit, and all earlier ones are ints.
+    array of the batch's size.  A diagonal of more than chunk bases is split
+    on its own: the last positions whose combinations fit in one batch run
+    fully inside each batch, the position before them in runs of as many
+    values as fit, and all earlier ones are ints.  Consecutive smaller
+    diagonals are packed, in order, into batches of at most min(chunk,
+    _PACK) bases, or of one diagonal alone when it has more.
     """
-    free = [(i, j) for i, j in free if diag[j] > 1]
-    radix = [diag[j] for _, j in free]
+    cap = min(chunk, _PACK)
+    group = []
+    filled = 0
+    for diag, free in level:
+        free = [(i, j) for i, j in free if diag[j] > 1]
+        radix = [diag[j] for _, j in free]
+        size = 1
+        for r in radix:
+            size *= r
+        if group and filled + size > cap:
+            yield _packed(n, group, filled, dtype), filled
+            group, filled = [], 0
+        if size > chunk:
+            yield from _split(n, diag, free, radix, chunk, dtype)
+        else:
+            group.append((diag, free, radix, size))
+            filled += size
+    if group:
+        yield _packed(n, group, filled, dtype), filled
+
+
+def _packed(n, group, total, dtype):
+    """The bases of whole diagonals (diag, free, radix, size), one after another."""
+    sizes = [size for *_, size in group]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        d = [diag[i] for diag, *_ in group]
+        b[i][i] = d[0] if d.count(d[0]) == len(d) else np.repeat(np.array(d, dtype=dtype), sizes)
+    slot = {}
+    for _, free, _, _ in group:
+        for pos in free:
+            slot.setdefault(pos, len(slot))
+    digits = np.zeros((len(slot), total), dtype=dtype)
+    start = 0
+    for _, free, radix, size in group:
+        # the mixed radix of one diagonal, written through views of its slice
+        stride = size
+        for pos, r in zip(free, radix):
+            stride //= r
+            digits[slot[pos], start:start + size].reshape(-1, r, stride)[...] = \
+                np.arange(r)[:, None]
+        start += size
+    for (i, j), k in slot.items():
+        b[i][j] = digits[k]
+    return b
+
+
+def _split(n, diag, free, radix, chunk, dtype):
+    """The bases of one diagonal of more than chunk bases, at most chunk at a time."""
     low = len(free)
     size = 1
-    while low and size * radix[low - 1] <= chunk:
+    while size * radix[low - 1] <= chunk:
         low -= 1
         size *= radix[low]
     pattern = np.indices(radix[low:], dtype=dtype).reshape(len(free) - low, size)
     b = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    if not low:
-        for (i, j), d in zip(free, pattern):
-            b[i][j] = d
-        yield [row[:] for row in b], size
-        return
     run = chunk // size
     for prefix in itertools.product(*map(range, radix[:low - 1])):
         for (i, j), d in zip(free, prefix):
@@ -259,8 +328,8 @@ def _batches(n, diag, free, chunk, dtype):
             yield [row[:] for row in b], k * size
 
 
-def _count_numpy(a_np, n, diag, chunk, nodes=None):
-    """Vectorized enumeration for one diagonal composition, in a_np's dtype.
+def _count_numpy(a_np, n, diags, chunk, nodes=None):
+    """Vectorized enumeration of one level, the diagonals diags in order, in a_np's dtype.
 
     Tests at most `chunk` candidates at a time.  Returns (invariant count,
     candidates visited).  When nodes is a list, the invariant bases and
@@ -270,7 +339,7 @@ def _count_numpy(a_np, n, diag, chunk, nodes=None):
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     count = 0
     visits = 0
-    for b, size in _batches(n, diag, positions, chunk, a_np.dtype):
+    for b, size in _batches(n, [(d, positions) for d in diags], chunk, a_np.dtype):
         ok, m = _invariance(b, a)
         found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
         count += found
@@ -293,13 +362,8 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, in
     abs_max = max((abs(x) for row in a.entries for x in row), default=0)
     dtype = _action_dtype(n, p, e, abs_max)
     a_np = np.array(a.entries, dtype=dtype)
-    count = 0
-    visits = 0
-    for comp in compositions(e, n):
-        c, v = _count_numpy(a_np, n, tuple(p ** ej for ej in comp), _BATCH, nodes)
-        count += c
-        visits += v
-    return count, visits
+    diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
+    return _count_numpy(a_np, n, diags, _BATCH, nodes)
 
 
 def _reduce_upper_hnf(b, modulus):
@@ -411,28 +475,26 @@ class _LatticeTree:
         tested = 0
         for k in range(max(1, e - l), min(n, self.top - l) + 1):
             found = [self.pending.pop(l + k)] if l + k in self.pending else []
-            for d in itertools.product((1, p), repeat=n):
-                if d.count(p) != k:
-                    continue
-                free = [(i, j) for j in range(n) for i in range(j)
-                        if d[i] == 1 and d[j] == p]
-                for r, size in _batches(n, d, free, _BATCH, dtype):
-                    rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
-                    step = max(1, _BATCH // size)
-                    for s in range(0, len(c), step):
-                        part = [[x if isinstance(x, int) else x[s:s + step] for x in row]
-                                for row in act]
-                        ok, _ = _invariance(rows, part)
-                        shape = (min(step, len(c) - s), size)
-                        tested += shape[0] * shape[1]
-                        if ok is False:
-                            continue
-                        if ok is True or ok.shape != shape:
-                            ok = np.broadcast_to(ok, shape)
-                        node, sub = np.nonzero(ok)
-                        if node.size:
-                            found.append(_reduce_upper_hnf(_stack(r, sub, np.int64) @ c[s + node],
-                                                           p ** (l + k)))
+            patterns = [(d, [(i, j) for j in range(n) for i in range(j)
+                             if d[i] == 1 and d[j] == p])
+                        for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
+            for r, size in _batches(n, patterns, _BATCH, dtype):
+                rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
+                step = max(1, _PACK // size)
+                for s in range(0, len(c), step):
+                    part = [[x if isinstance(x, int) else x[s:s + step] for x in row]
+                            for row in act]
+                    ok, _ = _invariance(rows, part)
+                    shape = (min(step, len(c) - s), size)
+                    tested += shape[0] * shape[1]
+                    if ok is False:
+                        continue
+                    if ok is True or ok.shape != shape:
+                        ok = np.broadcast_to(ok, shape)
+                    node, sub = np.nonzero(ok)
+                    if node.size:
+                        found.append(_reduce_upper_hnf(_stack(r, sub, np.int64) @ c[s + node],
+                                                       p ** (l + k)))
             if found:
                 self.pending[l + k] = _distinct(np.concatenate(found))
         expected = len(c) * self._span(l, e)
@@ -470,10 +532,10 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     """Exact counts a_{p^0}..a_{p^max_exp} of A-invariant sublattices of Z^n.
 
     Refuses upfront (BudgetError) when n exceeds the cap or the HNF
-    candidate total exceeds the budget.  Each level e >= 1 comes from HNF
-    enumeration or from the tree of invariant lattices, whichever is
-    cheaper; both are deterministic and self-check their work against
-    closed-form totals.
+    candidate total exceeds the budget, at the first level where the
+    running total passes it.  Each level e >= 1 comes from HNF enumeration
+    or from the tree of invariant lattices, whichever is cheaper; both are
+    deterministic and self-check their work against closed-form totals.
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -484,12 +546,16 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     n = a.n_rows
     if n > max_n:
         raise BudgetError(f"n = {n} exceeds the oracle cap {max_n}")
-    totals = [candidate_total(n, p, e) for e in range(max_exp + 1)]
-    if sum(totals) > max_candidates:
-        raise BudgetError(
-            f"{sum(totals)} HNF candidates for p = {p}, E = {max_exp} "
-            f"exceed the budget {max_candidates}"
-        )
+    totals = []
+    running = 0
+    for e, total in enumerate(itertools.islice(_level_totals(n, p), max_exp + 1)):
+        totals.append(total)
+        running += total
+        if running > max_candidates:
+            raise BudgetError(
+                f"{running} HNF candidates up to level {e} for p = {p}, E = {max_exp} "
+                f"exceed the budget {max_candidates}"
+            )
     tree = _LatticeTree(a, p, totals)
     values = [1]
     for e in range(1, max_exp + 1):

@@ -1,5 +1,8 @@
 import io
 import json
+import time
+
+import pytest
 
 from submodzeta.cli import main
 
@@ -7,6 +10,7 @@ ZERO_2 = "[[0,0],[0,0]]"
 NILP_2 = "[[0,1],[0,0]]"
 NILP_21 = "[[0,1,0],[0,0,0],[0,0,0]]"
 ROT_2 = "[[0,-1],[1,0]]"  # companion of x^2 + 1
+ZERO_4 = "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,17 @@ def test_verify_budget_exit_code(capsys):
         ["verify", ZERO_2, "--primes", "2", "--max-index-exp", "6", "--budget", "10"]
     )
     assert rc == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix, top", [(ZERO_4, 150), (ZERO_2, 6000)])
+def test_verify_refuses_deep_levels_quickly(capsys, matrix, top):
+    # both pass the budget by level 25; summing the HNF totals of all 151
+    # levels over their compositions took 73-81 s for the 4x4 case
+    start = time.perf_counter()
+    rc = main(["verify", matrix, "--primes", "2", "--max-index-exp", str(top)])
+    assert rc == 3
+    assert time.perf_counter() - start < 2.0
     assert "budget exceeded" in capsys.readouterr().err
 
 

@@ -11,16 +11,19 @@ from submodzeta.canonical import elementary_divisor_vector
 from submodzeta.linalg import IntMatrix, companion, n_of
 from submodzeta.oracle import (
     _INT64_SAFE,
+    _PACK,
     BudgetError,
     ComparisonReport,
     _LatticeTree,
     candidate_total,
     compare,
+    _batches,
     _count_numpy,
     _distinct,
     _gaussian_binomial,
     _int64_bound,
     _reduce_upper_hnf,
+    _stack,
     compositions,
     count_at_exponent,
     count_invariant_sublattices,
@@ -186,18 +189,88 @@ def test_int64_and_object_dtypes_agree():
         (n_of(Partition([2, 1])), 2, 3),
         (companion(IntPoly((1, 0, 1))), 3, 3),
         (diag(0, 2), 2, 4),
+        (n_of(Partition([2, 2])), 2, 2),
     ]
     for a, p, top in cases:
         n = a.n_rows
         fast = np.array(a.entries, dtype=np.int64)
         exact = np.array(a.entries, dtype=object)
         for e in range(top + 1):
-            for comp in compositions(e, n):
-                d = tuple(p ** ej for ej in comp)
-                # a small chunk makes every composition span several chunks
-                got = _count_numpy(exact, n, d, 5)
-                assert got == _count_numpy(fast, n, d, 5), (a.entries, d)
-                assert got == _count_numpy(fast, n, d, 1 << 16), (a.entries, d)
+            diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
+            seen = set()
+            # small chunks split the larger diagonals and make packed groups
+            # open and close at different diagonals; large ones pack the level
+            for chunk in (5, 7, 1 << 14, 1 << 16):
+                for a_np in (fast, exact):
+                    alone = [_count_numpy(a_np, n, [d], chunk) for d in diags]
+                    got = _count_numpy(a_np, n, diags, chunk)
+                    assert got == tuple(map(sum, zip(*alone))), (a.entries, e, chunk)
+                    seen.add(got)
+            assert len(seen) == 1, (a.entries, e)
+            assert seen.pop()[1] == candidate_total(n, p, e)
+
+
+def _composition_total(n, p, e):
+    """candidate_total by definition: each diagonal d has prod_j d_j^j bases."""
+    total = 0
+    for comp in compositions(e, n):
+        size = 1
+        for j, ej in enumerate(comp):
+            size *= p ** (j * ej)
+        total += size
+    return total
+
+
+def test_candidate_total_matches_the_composition_sum():
+    for n in range(1, 6):
+        for p in (2, 3, 5, 7):
+            for e in range(9):
+                assert candidate_total(n, p, e) == _composition_total(n, p, e), (n, p, e)
+
+
+def _pattern_levels(n, p):
+    """The tree's diagonal patterns of each codimension k, with their free positions."""
+    return [[(d, [(i, j) for j in range(n) for i in range(j) if d[i] == 1 and d[j] == p])
+             for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
+            for k in range(1, n + 1)]
+
+
+def _stacked(batches, dtype):
+    return [_stack(b, np.arange(size), dtype) for b, size in batches]
+
+
+@pytest.mark.parametrize("n, p, e", [(2, 2, 4), (2, 5, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)])
+def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    hnf_level = [(tuple(p ** x for x in comp), positions) for comp in compositions(e, n)]
+    reference = np.array([b.entries for b in _hnf_bases(n, p, e)])
+    for dtype in (np.int64, object):
+        for level in [hnf_level] + _pattern_levels(n, p):
+            for chunk in (1, 5, 7, 1 << 14):
+                batches = list(_batches(n, level, chunk, dtype))
+                packed = _stacked(batches, dtype)
+                assert all(len(b) <= chunk for b in packed)
+                alone = [b for pair in level
+                         for b in _stacked(_batches(n, [pair], chunk, dtype), dtype)]
+                assert np.concatenate(packed).tolist() == np.concatenate(alone).tolist()
+            if level is hnf_level:
+                assert np.concatenate(packed).tolist() == reference.tolist()
+            # no diagonal is split at the last chunk: an entry is an array
+            # exactly where the bases of its batch differ
+            for (b, _), bases in zip(batches, packed):
+                for i in range(n):
+                    for j in range(n):
+                        constant = bool((bases[:, i, j] == bases[0, i, j]).all())
+                        assert isinstance(b[i][j], int) == constant, (level, i, j)
+
+
+def test_packed_batches_hold_at_most_the_pack_size():
+    # diagonals of 2*_PACK, _PACK, _PACK/2, ..., 1 bases: the first alone,
+    # the second filling a packed batch, and all the rest together
+    top = _PACK.bit_length()
+    level = [((2 ** x, 2 ** (top - x)), [(0, 1)]) for x in range(top + 1)]
+    sizes = [size for _, size in _batches(2, level, 1 << 14, np.int64)]
+    assert sizes == [2 * _PACK, _PACK, _PACK - 1]
 
 
 def test_unit_coefficient_always_one():
@@ -217,6 +290,13 @@ def test_budget_errors():
     # raising the dimension cap unblocks (tiny case)
     vals = count_invariant_sublattices(diag(*([0] * 5)), 2, 1, max_n=5).values
     assert vals[0] == 1
+
+
+def test_budget_error_comes_at_the_first_level_past_the_budget():
+    # levels 0..25 of the 2x2 zero matrix at p = 2 hold 2^27 - 28 > 1.2 * 10^8
+    # candidates; the total of the last of 10^6 levels alone has 10^6 bits
+    with pytest.raises(BudgetError, match="134217700 HNF candidates up to level 25"):
+        count_invariant_sublattices(diag(0, 0), 2, 10 ** 6)
 
 
 def test_input_validation():
