@@ -14,7 +14,19 @@ Row i of M comes from row i of w by forward substitution against B, and
 column j needs the division test q = acc // d_j, q*d_j == acc, only when
 its pivot d_j is not 1.  Int entries fold into ints, and a term with an int
 factor 0 is never formed, so a basis row without free entries gives a
-constant row of w and the zero and scalar parts of A cost next to nothing.
+constant row of w and a zero entry of A costs nothing.  A nonzero diagonal
+does cost: the kernel takes 2-3 times as long on cI as on the zero matrix,
+which has the same invariant lattices.
+
+A sublattice of index p^e contains p^e*Z^n, so for e <= E it is invariant
+under A exactly when it is invariant under A - cI + p^E*X, for any integer c
+and integer matrix X.  `count_invariant_sublattices` therefore reduces A
+once (`_reduced`): c is the most common diagonal residue mod p^E, and every
+entry of A - cI becomes its centred residue mod p^E.  Both producers count
+that matrix, so a scalar matrix is counted as the zero matrix, and entries
+far past the int64 bound shrink below p^E/2.  The modulus is p^E for every
+level, not p^e: the actions that HNF levels record feed the tree's children
+up to level E.
 
 Each producer batches a whole level, not one diagonal at a time
 (`_batches`): a diagonal of more than _BATCH bases is split on its own, its
@@ -526,6 +538,28 @@ def _distinct(b):
     return b[order[first]]
 
 
+def _reduced(a: IntMatrix, modulus: int) -> IntMatrix:
+    """A - cI with every entry a centred residue mod modulus, in (-modulus/2, modulus/2].
+
+    c is the most common diagonal residue, ties going to 0, and 0 when
+    subtracting it would raise the largest |entry|.  The reduced matrix has
+    no fewer zero entries than A and no larger entry; every sublattice
+    containing modulus*Z^n is invariant under it exactly when under A.
+    """
+    def centred(x):
+        r = x % modulus
+        return r - modulus if 2 * r > modulus else r
+
+    residues = [row[i] % modulus for i, row in enumerate(a.entries)]
+    c = max(dict.fromkeys(residues), key=lambda r: (residues.count(r), r == 0))
+    plain = [[centred(x) for x in row] for row in a.entries]
+    shifted = [[centred(x - c) if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(plain)]
+    if max(map(abs, itertools.chain(*shifted))) > max(map(abs, itertools.chain(*plain))):
+        shifted = plain
+    return IntMatrix(shifted)
+
+
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_n: int = DEFAULT_MAX_N,
                                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> DirichletCoefficients:
@@ -533,9 +567,12 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
 
     Refuses upfront (BudgetError) when n exceeds the cap or the HNF
     candidate total exceeds the budget, at the first level where the
-    running total passes it.  Each level e >= 1 comes from HNF enumeration
-    or from the tree of invariant lattices, whichever is cheaper; both are
-    deterministic and self-check their work against closed-form totals.
+    running total passes it.  Both producers count A - cI with its entries
+    centred mod p^max_exp (`_reduced`), which has the same invariant
+    lattices up to index p^max_exp.  Each level e >= 1 comes from HNF
+    enumeration or from the tree of invariant lattices, whichever is
+    cheaper; both are deterministic and self-check their work against
+    closed-form totals.
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -556,6 +593,7 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                 f"{running} HNF candidates up to level {e} for p = {p}, E = {max_exp} "
                 f"exceed the budget {max_candidates}"
             )
+    a = _reduced(a, p ** max_exp)
     tree = _LatticeTree(a, p, totals)
     values = [1]
     for e in range(1, max_exp + 1):

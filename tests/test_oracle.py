@@ -23,6 +23,7 @@ from submodzeta.oracle import (
     _gaussian_binomial,
     _int64_bound,
     _reduce_upper_hnf,
+    _reduced,
     _stack,
     compositions,
     count_at_exponent,
@@ -154,13 +155,32 @@ def test_counts_invariant_under_unimodular_conjugation():
             count_invariant_sublattices(conj, 2, 3).values
             == count_invariant_sublattices(base, 2, 3).values
         )
-    # entries near 10^30 fail the int64 bound, so the object dtype counts
+    # entries near 10^30 fail the int64 bound; reduced mod p^E they pass it
     u = IntMatrix(((1, 10 ** 15), (0, 1)))
     huge = u * companion(IntPoly((1, 0, 1))) * _int_inverse(u)
     abs_max = max(abs(x) for row in huge.entries for x in row)
     assert _int64_bound(2, 3, 0, abs_max) >= _INT64_SAFE
     assert count_invariant_sublattices(huge, 5, 4).values == (1, 2, 3, 4, 5)
     assert count_invariant_sublattices(huge, 3, 4).values == (1, 0, 1, 0, 1)
+
+
+def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch):
+    # at p^E = 13^6 the reduced entries of the 10^30 conjugate of x^2+1 still
+    # fail the bound, so the higher levels run in dtype object
+    p, top = 13, 6
+    huge = _huge_x2_plus_1()
+    assert _int64_bound(2, p, top, _abs_max(_reduced(huge, p ** top))) >= _INT64_SAFE
+    dtypes = []
+    chosen = oracle._action_dtype
+
+    def recording(*args):
+        dtypes.append(chosen(*args))
+        return dtypes[-1]
+
+    monkeypatch.setattr(oracle, "_action_dtype", recording)
+    # p = 1 mod 4 splits in Z[i]: e + 1 ideals of norm p^e
+    assert count_invariant_sublattices(huge, p, top).values == tuple(range(1, top + 2))
+    assert object in dtypes and np.int64 in dtypes
 
 
 def test_block_diagonal_counts_are_convolutions():
@@ -512,6 +532,77 @@ def _recorded_hnf_levels(monkeypatch, a, p, top):
     monkeypatch.setattr(oracle, "count_at_exponent", recording)
     count_invariant_sublattices(a, p, top)
     return seen
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        _square(n, st.integers(-4, 4)), _square(n, st.integers(-10 ** 20, 10 ** 20)))),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.sampled_from([2, 3, 5]),
+)
+def test_shifting_by_cI_and_p_to_the_E_changes_no_count_or_producer(rows_x, c, p):
+    rows, x = rows_x
+    a = IntMatrix(rows)
+    n = a.n_rows
+    top = {1: 6, 2: 4, 3: 3}[n]
+    q = p ** top
+    shifted = IntMatrix([[v + (c if i == j else 0) + q * w for j, (v, w) in enumerate(zip(*r))]
+                         for i, r in enumerate(zip(rows, x))])
+    want = (1,) + tuple(count_at_exponent(a, p, e)[0] for e in range(1, top + 1))
+    assert count_invariant_sublattices(a, p, top).values == want
+    assert count_invariant_sublattices(shifted, p, top).values == want
+    levels = []
+    for m in (a, shifted):
+        with pytest.MonkeyPatch.context() as mp:
+            levels.append(_recorded_hnf_levels(mp, m, p, top))
+    assert levels[0] == levels[1]
+
+
+def _zeros(a):
+    return sum(x == 0 for row in a.entries for x in row)
+
+
+def _abs_max(a):
+    return max(abs(x) for row in a.entries for x in row)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: _square(
+        n, st.one_of(st.integers(-4, 4), st.integers(-10 ** 20, 10 ** 20)))),
+    st.one_of(st.integers(-9, 9), st.integers(-10 ** 20, 10 ** 20)),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 8),
+)
+def test_reduced_matrix_is_centred_sparser_and_no_larger(rows, c, p, max_exp):
+    n = len(rows)
+    a = IntMatrix([[x + (c if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)])
+    q = p ** max_exp
+    r = _reduced(a, q)
+    assert all(-q < 2 * x <= q for row in r.entries for x in row)
+    # A - R is a scalar matrix mod q
+    diff = [[(x - y) % q for x, y in zip(*pair)] for pair in zip(a.entries, r.entries)]
+    assert all(diff[i][j] == (diff[0][0] if i == j else 0) for i in range(n) for j in range(n))
+    assert _zeros(r) >= _zeros(a)
+    assert _abs_max(r) <= _abs_max(a)
+    assert _int64_bound(n, p, max_exp, _abs_max(r)) <= _int64_bound(n, p, max_exp, _abs_max(a))
+
+
+def test_reduced_matrix_examples():
+    for c in (1, -1, 74149, 10 ** 18 + 7):
+        assert _reduced(diag(c, c, c), 2 ** 8) == diag(0, 0, 0)
+    assert _reduced(IntMatrix(((3, 10 ** 20), (-7, 5))), 1) == diag(0, 0)
+    # the most common diagonal residue goes, ties going to 0
+    assert _reduced(diag(7, 7, 1), 3 ** 4) == diag(0, 0, -6)
+    assert _reduced(diag(7, 0, 1), 3 ** 4) == diag(7, 0, 1)
+    # subtracting 5 would make -10 of -5, so nothing is subtracted
+    assert _reduced(diag(5, 5, -5), 3 ** 4) == diag(5, 5, -5)
 
 
 def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
