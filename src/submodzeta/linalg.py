@@ -1,11 +1,16 @@
 """Exact integer linear algebra.
 
-Dense matrices over Z (arbitrary-precision ints), integer polynomials,
-resultants, fraction-free rank, determinant and left kernels, minimal
-polynomials, and the matrices the rest of the package is phrased in: the
-companion matrix of a monic polynomial and the nilpotent normal form n_of
-(one shift block per part).  A rational left kernel basis is returned as
-(rows, den): integer rows over one denominator, standing for rows / den.
+Dense matrices over Z, integer polynomials, resultants, fraction-free
+rank, determinant and left kernels, minimal polynomials, and the matrices
+the rest of the package is phrased in: the companion matrix of a monic
+polynomial and the nilpotent normal form n_of (one shift block per part).
+A rational left kernel basis is returned as (rows, den): integer rows over
+one denominator, standing for rows / den.
+
+Entries are arbitrary-precision ints, and every answer is exact.  Matrix
+products run in numpy int64 where a bound proves that no sum can overflow,
+and in Python ints otherwise; minpoly tests annihilation modulo word primes
+whose product exceeds twice a bound on the entries tested.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -13,10 +18,13 @@ right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
+import numpy as np
+import sympy
 from sympy import ZZ
 from sympy.polys.euclidtools import dup_lcm
 from sympy.polys.matrices import DomainMatrix
@@ -203,6 +211,29 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 # matrices
 
+# int64 arithmetic runs only where a bound on every intermediate stays below
+# this: for products here, and for the oracle's actions (oracle._action_dtype).
+_INT64_SAFE = 1 << 62
+
+
+def _abs_max(rows) -> int:
+    return max(map(abs, chain.from_iterable(rows)), default=0)
+
+
+def _product(x, y) -> list[list[int]]:
+    """The exact product of two integer matrices given as sequences of rows.
+
+    Every entry of x*y, and every partial sum of it, is at most
+    n * max|x| * max|y| in absolute value, n the inner dimension.  When that
+    is below 2^62, with a zero factor counted as 1 so that the other one
+    still fits, numpy's int64 matmul cannot overflow; Python ints are used
+    otherwise.
+    """
+    if x and y and len(y) * max(1, _abs_max(x)) * max(1, _abs_max(y)) < _INT64_SAFE:
+        return np.matmul(np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)).tolist()
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
+
 
 class IntMatrix:
     """Dense matrix over Z; immutable, rows are tuples."""
@@ -313,10 +344,7 @@ class IntMatrix:
             return NotImplemented
         if self._n_cols != other._n_rows:
             raise ValueError("shape mismatch in matrix product")
-        bt = list(zip(*other._rows)) if other._rows else []
-        return IntMatrix(
-            [[sum(map(operator.mul, row, col)) for col in bt] for row in self._rows]
-        )
+        return IntMatrix(_product(self._rows, other._rows))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -349,11 +377,14 @@ def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
     if not a.is_square:
         raise ValueError("poly_at_matrix wants a square matrix")
     n = a.n_rows
-    cols = list(zip(*a.entries))
+    coeffs = f.coeffs
     result = [[0] * n for _ in range(n)]
-    for k, c in enumerate(reversed(f.coeffs)):
-        if k:
-            result = [[sum(map(operator.mul, row, col)) for col in cols] for row in result]
+    for k, c in enumerate(reversed(coeffs)):
+        if k == 1:
+            # the first step multiplies a scalar matrix: no product needed
+            result = [[coeffs[-1] * x for x in row] for row in a.entries]
+        elif k:
+            result = _product(result, a.entries)
         for i in range(n):
             result[i][i] += c
     return IntMatrix(result)
@@ -487,16 +518,6 @@ def _times_matrix(v: list[int], cols) -> list[int]:
     return [sum(map(operator.mul, v, col)) for col in cols]
 
 
-def _annihilates(f: IntPoly, i: int, cols) -> bool:
-    """Whether e_i * f(A) = 0 for a monic f, by Horner on the row vector."""
-    v = [0] * len(cols)
-    v[i] = 1
-    for c in reversed(f.coeffs[:-1]):
-        v = _times_matrix(v, cols)
-        v[i] += c
-    return not any(v)
-
-
 def _vector_minpoly(i: int, cols) -> IntPoly:
     """Monic generator of {g : e_i * g(A) = 0}, from the Krylov chain of e_i.
 
@@ -529,13 +550,72 @@ def _vector_minpoly(i: int, cols) -> IntPoly:
         v = _times_matrix(v, cols)
 
 
+@functools.cache
+def _word_primes(bits: int, count: int) -> tuple[int, ...]:
+    """The count largest primes below 2^bits, largest first."""
+    primes = [sympy.prevprime(1 << bits)]
+    while len(primes) < count:
+        primes.append(sympy.prevprime(primes[-1]))
+    return tuple(primes)
+
+
+def _moduli(n: int, bound: int) -> tuple[int, ...]:
+    """The fewest word primes, largest first, whose product exceeds 2*bound.
+
+    Each prime q has n*q^2 < 2^63.  They come from lists of 1, 2, 4, ...
+    primes, each found once per process.
+    """
+    bits = (63 - n.bit_length()) // 2  # n < 2^n.bit_length(), q < 2^bits
+    count = 1
+    while True:
+        product = 1
+        for k, q in enumerate(_word_primes(bits, count), 1):
+            product *= q
+            if product > 2 * bound:
+                return _word_primes(bits, count)[:k]
+        count *= 2
+
+
+def _zero_rows(f: IntPoly, a: IntMatrix, abs_max: int) -> list[bool]:
+    """For each i, whether e_i * f(A) = 0, for a monic f of degree >= 1.
+
+    f(A) is evaluated once by Horner modulo word primes q, batched over the
+    primes; n*q^2 < 2^63, so no int64 sum can overflow.  An entry of f(A) is
+    at most B = |c_0| + sum_{k>=1} |c_k| n^(k-1) max|A|^k in absolute value,
+    as an entry of A^k is at most n^(k-1) max|A|^k, and the primes multiply
+    to more than 2B, so an entry that vanishes modulo every prime is zero.
+    """
+    n = a.n_rows
+    coeffs = f.coeffs
+    bound = abs(coeffs[0]) + sum(abs(c) * n ** (k - 1) * abs_max ** k
+                                 for k, c in enumerate(coeffs) if k)
+    primes = _moduli(n, bound)
+    dtype = np.int64 if abs_max < _INT64_SAFE else object
+    moduli = np.array(primes, dtype=dtype)[:, None, None]
+    a_mod = (np.array(a.entries, dtype=dtype) % moduli).astype(np.int64)
+    moduli = moduli.astype(np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    # c_0, ..., c_(d-1) modulo each prime, shaped to scale the identity
+    residues = np.array([[c % q for q in primes] for c in coeffs[:-1]], dtype=np.int64)
+    residues = residues[:, :, None, None]
+    value = a_mod
+    for step, r in enumerate(residues[::-1]):
+        # entries stay below n*(q-1)^2 + q - 1 < n*q^2
+        value = (value @ a_mod if step else value) + r * eye
+        value %= moduli
+    return (~value.any(axis=(0, 2))).tolist()
+
+
 def minpoly(a: IntMatrix) -> IntPoly:
     """Minimal polynomial: the lcm of the minimal polynomials of the e_i.
 
     A chain is run only for the e_i with e_i * best(A) != 0, best being the
     lcm so far; any other e_i already has its polynomial dividing best.
-    Every polynomial met is monic with integer coefficients, because it
-    divides the monic integer characteristic polynomial (Gauss's lemma).
+    After each update of best, best(A) is evaluated once, modulo enough word
+    primes to tell its zero rows exactly (_zero_rows), so the same chains run
+    as with an exact evaluation.  Every polynomial met is monic with integer
+    coefficients, because it divides the monic integer characteristic
+    polynomial (Gauss's lemma).
     """
     if not a.is_square:
         raise ValueError("minpoly wants a square matrix")
@@ -543,9 +623,11 @@ def minpoly(a: IntMatrix) -> IntPoly:
     if n == 0:
         raise ValueError("minpoly of a 0x0 matrix")
     cols = list(zip(*a.entries))
+    abs_max = _abs_max(a.entries)
     best = IntPoly([1])
+    zero = [False] * n  # best(A) is the identity
     for i in range(n):
-        if _annihilates(best, i, cols):
+        if zero[i]:
             continue
         local = _vector_minpoly(i, cols)
         lcm = dup_lcm(list(reversed(best.coeffs)), list(reversed(local.coeffs)), ZZ)
@@ -555,4 +637,5 @@ def minpoly(a: IntMatrix) -> IntPoly:
         best = lcm
         if best.degree == n:
             break
+        zero = _zero_rows(best, a, abs_max)
     return best

@@ -75,7 +75,7 @@ import numpy as np
 import sympy
 
 from .canonical import EdvContext, edv_context
-from .linalg import IntMatrix
+from .linalg import _INT64_SAFE, IntMatrix, _abs_max
 from .zetacore import (
     DirichletCoefficients,
     RamifiedPrimeError,
@@ -87,7 +87,6 @@ from .zetacore import (
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
 
-_INT64_SAFE = 1 << 62
 _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
 # Bases per batch of packed diagonals, and (node, subspace) pairs per tree
 # kernel call.  Where packed diagonals differ, their pivots are arrays, and
@@ -371,7 +370,7 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, in
     if not a.is_square:
         raise ValueError("matrix must be square")
     n = a.n_rows
-    abs_max = max((abs(x) for row in a.entries for x in row), default=0)
+    abs_max = _abs_max(a.entries)
     dtype = _action_dtype(n, p, e, abs_max)
     a_np = np.array(a.entries, dtype=dtype)
     diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
@@ -410,7 +409,7 @@ class _LatticeTree:
         self.top = top = len(totals) - 1
         self.totals = totals
         self.entries = a.entries
-        self.abs_max = max((abs(x) for row in a.entries for x in row), default=0)
+        self.abs_max = _abs_max(a.entries)
         self.gauss = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
         # bases stay int64: every intermediate of their reduction is below (n*p^e)^2
         self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE

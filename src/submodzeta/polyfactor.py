@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import sympy
 from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import (
     gf_ddf_zassenhaus,
     gf_degree,
@@ -73,15 +74,13 @@ def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tupl
             f"degree {f.degree} exceeds the factorization cap {degree_cap}; "
             "supply the factorization directly to bypass"
         )
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ")
-    constant, parts = poly.factor_list()
+    constant, parts = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
     if constant != 1:
         raise RuntimeError(f"monic input {f!r} factored with content {constant}")
     factors = []
     for part, mult in parts:
-        coeffs = [int(c) for c in reversed(part.all_coeffs())]
-        factors.append((IntPoly(coeffs), int(mult)))
+        # int(): with gmpy2 installed, sympy's ZZ elements are mpz
+        factors.append((IntPoly([int(c) for c in reversed(part)]), int(mult)))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     product = IntPoly([1])
     for g, m in factors:

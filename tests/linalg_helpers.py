@@ -3,11 +3,15 @@
 The recursive normal form a_of and the permutation conjugating it to
 linalg.n_of, a plain Hermite normal form (the reference for the oracle's
 vectorized reduction), the invariance test built on it (the reference for
-the oracle's entrywise test), and the characteristic polynomial by the
-trace recursion.
+the oracle's entrywise test), the characteristic polynomial by the trace
+recursion, and Python-int references for the matrix product, polynomial
+evaluation and the minimal polynomial (linalg computes these in int64 or
+modulo word primes where it can).
 """
 
 from __future__ import annotations
+
+import sympy
 
 from submodzeta.linalg import IntMatrix, IntPoly
 from submodzeta.partitions import Partition
@@ -146,3 +150,68 @@ def charpoly(a: IntMatrix) -> IntPoly:
         c = -t // k
         coeffs.append(c)
     return IntPoly(list(reversed(coeffs)))
+
+
+# ---------------------------------------------------------------------------
+# products, polynomials at matrices, minimal polynomials
+
+
+def matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The product x*y by the schoolbook sum, in Python ints."""
+    if x.n_cols != y.n_rows:
+        raise ValueError("shape mismatch in matrix product")
+    cols = list(zip(*y.entries))
+    return IntMatrix([[sum(u * v for u, v in zip(row, col)) for col in cols] for row in x.entries])
+
+
+def poly_at(f: IntPoly, a: IntMatrix) -> IntMatrix:
+    """f(a) by Horner, every step through matmul."""
+    n = a.n_rows
+    result = IntMatrix.zeros(n)
+    for c in reversed(f.coeffs):
+        result = matmul(result, a) + IntMatrix([[c * (i == j) for j in range(n)] for i in range(n)])
+    return result
+
+
+def _row_times(v: list[int], a: IntMatrix) -> list[int]:
+    return [sum(x * y for x, y in zip(v, col)) for col in zip(*a.entries)]
+
+
+def _annihilates(f: IntPoly, i: int, a: IntMatrix) -> bool:
+    """Whether e_i * f(a) = 0, by Horner on the row vector."""
+    v = [0] * a.n_rows
+    for c in reversed(f.coeffs):
+        v = _row_times(v, a)
+        v[i] += c
+    return not any(v)
+
+
+def _vector_minpoly(i: int, a: IntMatrix) -> IntPoly:
+    """Monic generator of {g : e_i * g(a) = 0}: the first linear relation among e_i a^k."""
+    chain = [[int(j == i) for j in range(a.n_rows)]]
+    while True:
+        chain.append(_row_times(chain[-1], a))
+        relations = sympy.Matrix(chain).T.nullspace()
+        if relations:
+            (relation,) = relations
+            relation = relation / relation[-1]
+            if any(not c.is_integer for c in relation):
+                raise RuntimeError("minimal polynomial came out non-integral")
+            return IntPoly([int(c) for c in relation])
+
+
+def minpoly(a: IntMatrix) -> IntPoly:
+    """The lcm of the minimal polynomials of the e_i, skipping each e_i that best(a) annihilates.
+
+    The per-row algorithm of linalg.minpoly, with every annihilation test an
+    exact row-vector Horner in Python ints.
+    """
+    x = sympy.Symbol("x")
+    best = IntPoly([1])
+    for i in range(a.n_rows):
+        if _annihilates(best, i, a):
+            continue
+        lcm = sympy.lcm(sympy.Poly(list(reversed(best.coeffs)), x),
+                        sympy.Poly(list(reversed(_vector_minpoly(i, a).coeffs)), x))
+        best = IntPoly([int(c) for c in reversed(lcm.all_coeffs())])
+    return best

@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submodzeta import linalg
+from submodzeta import canonical, linalg
 from submodzeta.linalg import (
     IntMatrix,
     IntPoly,
@@ -22,7 +25,16 @@ from submodzeta.linalg import (
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
 
-from linalg_helpers import a_of, charpoly, hnf, permutation_conjugator, permutation_matrix
+import linalg_helpers
+from linalg_helpers import (
+    a_of,
+    charpoly,
+    hnf,
+    matmul,
+    permutation_conjugator,
+    permutation_matrix,
+    poly_at,
+)
 
 
 X = IntPoly((0, 1))
@@ -234,7 +246,10 @@ def test_minpoly_divides_charpoly_and_annihilates():
         assert mp.is_monic
         q, r = cp.divmod_monic(mp)
         assert r.is_zero
-        assert poly_at_matrix(mp, m) == IntMatrix.zeros(n)
+        assert poly_at(mp, m) == IntMatrix.zeros(n)
+        for f, _ in factor_over_z(mp):
+            assert poly_at(mp.divmod_monic(f)[0], m) != IntMatrix.zeros(n)
+        assert mp == linalg_helpers.minpoly(m)
 
 
 def test_rank_and_kernel():
@@ -339,11 +354,81 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
         assert mp == expected and mp.degree < n
         # each chain grows the lcm, so the annihilation test skipped the other e_i
         assert 1 <= len(chains) <= mp.degree
-        assert poly_at_matrix(mp, a) == IntMatrix.zeros(n)
+        assert poly_at(mp, a) == IntMatrix.zeros(n)
         for f, _ in factor_over_z(mp):
             q, r = mp.divmod_monic(f)
             assert r.is_zero
-            assert poly_at_matrix(q, a) != IntMatrix.zeros(n)
+            assert poly_at(q, a) != IntMatrix.zeros(n)
+
+
+def test_minpoly_sees_rows_that_are_multiples_of_the_word_primes():
+    """Rows of f(A) divisible by the first word prime, or the first two, are not zero."""
+    q1, q2 = linalg._moduli(2, 2 ** 62)[:2]
+    for c in (q1, -q1, q1 * q2, 3 * q1 * q2):
+        a = IntMatrix([[0, 0], [c, 0]])
+        assert linalg._zero_rows(X, a, abs(c)) == [True, False]
+        assert minpoly(a) == X ** 2 == linalg_helpers.minpoly(a)
+
+
+def test_minpoly_bound_counts_the_growth_of_powers():
+    """A row of A^2 equal to the first word prime q while 2 max|A|^2 < q.
+
+    An entry of A^2 is at most n max|A|^2, and only that factor n calls for a
+    second prime: modulo q alone, e_2 would pass as annihilated by x^2, and
+    the chain of e_2, whose polynomial is x^4, would never run.
+    """
+    n = 7
+    (q,) = linalg._moduli(n, 1)
+    top = math.isqrt((q - 1) // 2)
+    assert 2 * top ** 2 < q < n * top ** 2
+    rest = q - 2 * top ** 2
+    rows = [[0] * n for _ in range(n)]
+    rows[0][1] = 1  # e_0 -> e_1 -> 0: the first chain gives x^2
+    rows[2][3:] = [top, top, rest // top, rest % top]
+    for i, s in zip(range(3, 7), (top, top, top, 1)):
+        rows[i][0] = s
+    a = IntMatrix(rows)
+    assert matmul(a, a).entries[2] == (q,) + (0,) * (n - 1)
+    assert linalg._zero_rows(X ** 2, a, top)[:3] == [True, True, False]
+    assert minpoly(a) == X ** 4 == linalg_helpers.minpoly(a)
+
+
+def test_minpoly_and_edv_on_entries_past_2_62():
+    """Huge entries take the Python-int products and the object-dtype reduction mod q."""
+    x2p1 = IntPoly((1, 0, 1))
+    base = IntMatrix.block_diag(companion(x2p1), companion(x2p1), companion(IntPoly.x_minus(5)))
+    shift = [[0] * 5 for _ in range(5)]
+    shift[0][4], shift[2][1] = 2 ** 70, 3 * 2 ** 65  # shift^2 = 0, so (I + shift)^-1 = I - shift
+    u = IntMatrix.identity(5) + IntMatrix(shift)
+    inv = IntMatrix.identity(5) - IntMatrix(shift)
+    assert matmul(u, inv) == IntMatrix.identity(5)
+    a = matmul(matmul(u, base), inv)
+    assert max(abs(x) for row in a.entries for x in row) > 2 ** 62
+    mp = minpoly(a)
+    assert mp == x2p1 * IntPoly.x_minus(5) == linalg_helpers.minpoly(a)
+    edv = canonical.edv_context(a).edv
+    assert edv == canonical.edv_context(base).edv
+    assert edv.to_json() == [{"poly": [-5, 1], "partition": [1]},
+                             {"poly": [1, 0, 1], "partition": [1, 1]}]
+
+
+def _square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(IntMatrix)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(
+    # dense, mostly cyclic
+    st.integers(1, 10).flatmap(lambda n: _square(n, st.one_of(
+        st.integers(-9, 9), st.integers(-10 ** 20, 10 ** 20)))),
+    # conjugated block sums with a repeated factor
+    st.integers(0, 2 ** 32).map(lambda seed: _derogatory(random.Random(seed))[0]),
+    # block diagonal, the first block repeated
+    st.lists(st.integers(1, 3).flatmap(lambda n: _square(n, st.integers(-3, 3))),
+             min_size=1, max_size=2).map(lambda blocks: IntMatrix.block_diag(*blocks, blocks[0])),
+))
+def test_minpoly_matches_the_per_row_reference(a):
+    assert minpoly(a) == linalg_helpers.minpoly(a)
 
 
 def test_poly_at_matrix():
@@ -361,6 +446,69 @@ def test_matmul_matpow():
         a * IntMatrix.zeros(3)
     with pytest.raises(ValueError):
         a ** -1
+
+
+_MAGNITUDES = (2 ** 20, 2 ** 31, 2 ** 40, 10 ** 20)
+
+
+def _matrix(rng, n_rows, n_cols, top):
+    """Entries up to top, with its extremes and small values mixed in."""
+    pick = (lambda: rng.randint(-top, top), lambda: rng.choice([-top, top]),
+            lambda: rng.randint(-2, 2))
+    return IntMatrix([[rng.choice(pick)() for _ in range(n_cols)] for _ in range(n_rows)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=3, max_size=3),
+       st.lists(st.sampled_from(_MAGNITUDES), min_size=3, max_size=3),
+       st.randoms(use_true_random=False),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5), st.integers(0, 3))
+def test_products_match_the_python_reference(dims, tops, rng, coeffs, k):
+    (rows, inner, cols), (tx, ty, ta) = dims, tops
+    x, y = _matrix(rng, rows, inner, tx), _matrix(rng, inner, cols, ty)
+    a = _matrix(rng, inner, inner, ta)
+    assert x * y == matmul(x, y)
+    f = IntPoly(coeffs)
+    assert poly_at_matrix(f, a) == poly_at(f, a)
+    power = IntMatrix.identity(inner)
+    for _ in range(k):
+        power = matmul(power, a)
+    assert a ** k == power
+
+
+def test_product_takes_int64_only_below_2_62(monkeypatch):
+    """n * max|x| * max|y| < 2^62 takes numpy's int64 matmul; equality does not."""
+    dtypes = []
+    numpy_matmul = np.matmul
+
+    def spy(x, y):
+        dtypes.append(x.dtype)
+        return numpy_matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    half = 2 ** 30
+    for top, int64 in ((half - 1, True), (-half, False), (half, False)):
+        x = IntMatrix([[top, 1, 7, -3], [1, 2, 3, 4]])
+        y = IntMatrix([[half, -1], [2, half], [-half, 0], [5, 6]])
+        dtypes.clear()
+        assert x * y == matmul(x, y)
+        assert dtypes == ([np.int64] if int64 else [])
+    # a zero factor counts as 1, so the other one must fit on its own
+    dtypes.clear()
+    assert IntMatrix([[0, 0]]) * IntMatrix([[10 ** 20], [1]]) == IntMatrix([[0]])
+    assert IntMatrix([[0, 0]]) * IntMatrix([[half], [1]]) == IntMatrix([[0]])
+    assert dtypes == [np.int64]
+
+
+def test_product_exact_past_2_63():
+    """Entries of 2^63 and beyond, which int64 would wrap, come out exact."""
+    big = 2 ** 31
+    x = IntMatrix([[big, big], [big, -big]])
+    assert x * x == IntMatrix([[2 ** 63, 0], [0, 2 ** 63]])
+    assert IntMatrix([[big, big]]) * IntMatrix([[big], [big]]) == IntMatrix([[2 ** 63]])
+    assert x ** 3 == matmul(matmul(x, x), x)
+    square_plus_one = IntMatrix([[2 ** 63 + 1, 0], [0, 2 ** 63 + 1]])
+    assert poly_at_matrix(X ** 2 + IntPoly((1,)), x) == square_plus_one
 
 
 def test_matrix_json():
