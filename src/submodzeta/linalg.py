@@ -256,6 +256,19 @@ class IntMatrix:
         self._n_rows = len(rows)
         self._n_cols = width
 
+    @classmethod
+    def _trusted(cls, rows) -> IntMatrix:
+        """The matrix of rectangular rows of ints, built without checking them.
+
+        For products the package computed itself, whose entries are ints by
+        construction; everything else goes through the checking constructor.
+        """
+        m = object.__new__(cls)
+        m._rows = rows = tuple([tuple(r) for r in rows])
+        m._n_rows = len(rows)
+        m._n_cols = len(rows[0]) if rows else 0
+        return m
+
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
@@ -344,7 +357,7 @@ class IntMatrix:
             return NotImplemented
         if self._n_cols != other._n_rows:
             raise ValueError("shape mismatch in matrix product")
-        return IntMatrix(_product(self._rows, other._rows))
+        return IntMatrix._trusted(_product(self._rows, other._rows))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -387,7 +400,7 @@ def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
             result = _product(result, a.entries)
         for i in range(n):
             result[i][i] += c
-    return IntMatrix(result)
+    return IntMatrix._trusted(result)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,15 @@ Each level comes from whichever of two producers is cheaper:
   those already found at their level, and the children's actions come from
   the kernel with a pivot per basis.
 
-The tree costs about _TREE_GAMMA per subspace tested plus _TREE_OVERHEAD per
-level, in units of one HNF candidate.  It produces a level when that is
-below the level's candidate total, which never holds at level 1: the root
-alone has at least as many subspaces as there are level-1 candidates.
-Nodes are kept only while the tree can still pay off.  Actions are int64
+The tree's cost of a level, in units of one HNF candidate, charges each
+subspace it tests, each child it is expected to build, and each node level
+it expands that is not empty.  The children are estimated from the counts
+already found, as the last count times its growth over the one before, so
+every decision reads counts and never clocks.  The tree produces a level
+when its cost is below the level's candidate total, which never holds at
+level 1: the root alone has at least as many subspaces as there are level-1
+candidates.  Nodes are kept only while the tree can still pay off, and
+never for the top level, which no later level expands.  Actions are int64
 arrays whenever a rigorous worst-case bound keeps every intermediate below
 2^62, and Python integers (dtype object) otherwise.
 """
@@ -97,20 +101,27 @@ _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
 # count at p = 2, E = 5 from 5.6 to 7.2 MiB.
 _PACK = 1 << 12
 
-# The tree's cost in units of one HNF candidate: per subspace tested, and
-# per level it produces.  Measured with whole levels batched, int64 path,
-# one CPU: a tree level costs 0.2-0.5 ms at n = 2 (21-183 subspaces),
-# 0.35-1 ms at n = 3 (172-762) and 1.2-2.1 ms at n = 4 (800).  An HNF
-# candidate costs 5-180 ns at the top levels of the verify-dense inputs,
-# 10-30 ns at large sparse levels and 0.3-7 us at levels of under 200
-# candidates, so the per-level overhead is 30-1600 units on small levels
-# and up to 20000 on large sparse ones.  Over the benchmark's verify
-# inputs, gamma in [0.5, 3] gave every sparse level the same producer and
-# moved the dense total by under 4.5 %, within its run-to-run spread; an
-# overhead of 2000 made the sparse total 8-12 % slower and 5000 about 85 %
-# slower.
-_TREE_GAMMA = 2
-_TREE_OVERHEAD = 1000
+# The tree's cost in units of one HNF candidate: per subspace tested, per
+# child it is expected to build, and per node level it expands.  Timed per
+# level on the verify workloads' inputs (int64 path, one CPU, each level
+# produced both ways from the same state), a tree level costs 0.2, 0.4 and
+# 0.7 ms per node level at n = 2, 3 and 4, plus 0.2-0.4 us per subspace and,
+# at n = 3 and 4, 0.3-0.5 us per child built; an HNF level costs 0.09-0.2 ms
+# plus 5-18 ns per candidate and 30-190 ns per lattice it keeps for the
+# tree.  The tree builds 1-7 times as many children as the estimate: it finds
+# a lattice once from each of its parents.  Over whole counts of those
+# inputs, the dense total stayed within 1 % of its best for a subspace cost
+# of 2-6, a child cost of 20-45 and a level cost of 1000-8000; the level
+# cost decides the sparse levels.  At 1000, one node level weighs what a
+# sparse HNF level of about 1000 candidates does at n = 2 (0.13-0.2 ms
+# each).  At 1200, x^2+1 at p = 3, E = 7 moved level 6 (1093 candidates,
+# one node level) to HNF and ran 6 % slower; at 250 the large-entry x^2+1
+# at p = 5 moved to the tree and ran 20 % slower.  Without the subspace
+# term the dense p95 rose 5-10 %, without the child term the dense total
+# 11-12 %, and without the level term the sparse total 7-11 %.
+_TREE_SUBSPACE = 3
+_TREE_CHILD = 30
+_TREE_LEVEL = 1000
 
 
 class BudgetError(RuntimeError):
@@ -324,19 +335,24 @@ def _split(n, diag, free, radix, chunk, dtype):
     while size * radix[low - 1] <= chunk:
         low -= 1
         size *= radix[low]
-    pattern = np.indices(radix[low:], dtype=dtype).reshape(len(free) - low, size)
+    r = radix[low - 1]
+    run = min(chunk // size, r)
+    # built once and sliced to each batch's length: the digits of a full run;
+    # a batch starting at value h of position low-1 adds h to its digits.
+    # The batches share these arrays, which nothing writes to.
+    step = np.repeat(np.arange(run).astype(dtype), size)
+    tails = np.tile(np.indices(radix[low:], dtype=dtype).reshape(len(free) - low, size), run)
     b = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    run = chunk // size
     for prefix in itertools.product(*map(range, radix[:low - 1])):
         for (i, j), d in zip(free, prefix):
             b[i][j] = d
-        for h in range(0, radix[low - 1], run):
-            k = min(run, radix[low - 1] - h)
+        for h in range(0, r, run):
+            k = min(run, r - h) * size
             i, j = free[low - 1]
-            b[i][j] = np.repeat(np.arange(h, h + k).astype(dtype), size)
-            for (i, j), d in zip(free[low:], pattern):
-                b[i][j] = np.tile(d, k)
-            yield [row[:] for row in b], k * size
+            b[i][j] = step[:k] + h if h else step[:k]
+            for (i, j), d in zip(free[low:], tails):
+                b[i][j] = d[:k]
+            yield [row[:] for row in b], k
 
 
 def _count_numpy(a_np, n, diags, chunk, nodes=None):
@@ -400,7 +416,8 @@ class _LatticeTree:
     levels[l] = (C, M): int64 HNF bases of level l and their actions
     C*A*C^-1, or None until they are needed.  pending[l] holds the distinct
     child bases found so far at a level not yet produced.  totals[e] is
-    candidate_total(n, p, e), the HNF cost of level e.
+    candidate_total(n, p, e), the HNF cost of level e, and counts[e] the
+    number of invariant lattices of level e, for the levels found so far.
     """
 
     def __init__(self, a: IntMatrix, p: int, totals: list[int]):
@@ -415,6 +432,7 @@ class _LatticeTree:
         self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE
         self.levels = {0: (np.eye(n, dtype=np.int64)[None], None)}
         self.pending = {}
+        self.counts = [1]
         self.ratio = {1: self.work(1) / totals[1]} if top else {}
 
     def _span(self, level: int, e: int) -> int:
@@ -425,10 +443,26 @@ class _LatticeTree:
         """Subspaces the tree must test to produce level e."""
         return sum(len(c) * self._span(l, e) for l, (c, _) in self.levels.items() if l < e)
 
+    def _cost(self, e: int, levels) -> int:
+        """The cost, in HNF candidates, of expanding the kept `levels` for level e.
+
+        It charges each subspace tested, each node level that is not empty,
+        and the children expected: the last count times its growth over the
+        one before.
+        """
+        subspaces = expanded = 0
+        for l in levels:
+            size = len(self.levels[l][0])
+            if size:
+                subspaces += size * self._span(l, e)
+                expanded += 1
+        last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
+        return (_TREE_SUBSPACE * subspaces + _TREE_CHILD * (last * last // max(1, before))
+                + _TREE_LEVEL * expanded)
+
     def cheaper(self, e: int) -> bool:
         """Would the tree produce level e for less than HNF enumeration?"""
-        return (self.keeping
-                and _TREE_GAMMA * self.work(e) + _TREE_OVERHEAD < self.totals[e])
+        return self.keeping and self._cost(e, self.levels) < self.totals[e]
 
     def record(self, e: int, nodes) -> None:
         """Keep level e as found by count_at_exponent: (bases, actions) pairs."""
@@ -437,6 +471,7 @@ class _LatticeTree:
         empty = np.zeros((0, n, n), dtype=np.int64)
         self.levels[e] = (np.concatenate([b for b, _ in nodes] or [empty]).astype(np.int64),
                           np.concatenate([m for _, m in nodes] or [empty]).astype(dtype))
+        self.counts.append(len(self.levels[e][0]))
 
     def produce(self, e: int) -> int:
         """Count level e: expand every level kept so far, keep the children."""
@@ -444,7 +479,8 @@ class _LatticeTree:
             self._expand(l, e)
         empty = np.zeros((0, self.n, self.n), dtype=np.int64)
         self.levels[e] = (self.pending.pop(e, empty), None)
-        return len(self.levels[e][0])
+        self.counts.append(len(self.levels[e][0]))
+        return self.counts[-1]
 
     def prune(self, e: int) -> None:
         """After level e, drop the levels whose children all land at or below e.
@@ -460,7 +496,7 @@ class _LatticeTree:
         # candidate at level e+1 with no fall from any of the last n levels,
         # or when expanding level e alone costs more than all HNF work left.
         if (e == top
-                or _TREE_GAMMA * len(self.levels[e][0]) * self._span(e, e + 1) >= rest
+                or self._cost(e + 1, [e]) >= rest
                 or self.ratio[e + 1] >= max(1, min(self.ratio[f] for f in
                                                    range(max(1, e + 1 - n), e + 1)))):
             self.keeping = False
@@ -599,7 +635,7 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
         if tree.cheaper(e):
             values.append(tree.produce(e))
         else:
-            nodes = [] if tree.keeping else None
+            nodes = [] if tree.keeping and e < max_exp else None
             c, v = count_at_exponent(a, p, e, nodes)
             if v != totals[e]:
                 raise RuntimeError(

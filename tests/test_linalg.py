@@ -511,6 +511,24 @@ def test_product_exact_past_2_63():
     assert poly_at_matrix(X ** 2 + IntPoly((1,)), x) == square_plus_one
 
 
+def test_checking_constructor_rejects_what_is_not_an_int_matrix():
+    for bad in ([[1, True], [0, 1]], [[1, 0.0], [0, 1]], [[1, 2.5]], [[np.int64(1)]],
+                [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            IntMatrix(bad)
+
+
+def test_products_built_unchecked_hold_python_ints():
+    """Products skip the constructor's check; their entries are ints all the same."""
+    for top in (3, 2 ** 40):  # the int64 path, then the Python one
+        a = IntMatrix([[top, -1, 0], [2, 0, top], [1, 1, 1]])
+        for m in (a * a, a ** 3, poly_at_matrix(X ** 2 + IntPoly((5, 1)), a)):
+            assert (m.n_rows, m.n_cols) == (3, 3)
+            assert all(type(x) is int for row in m.entries for x in row)
+            assert m == IntMatrix(m.entries)
+    assert (IntMatrix([[1, 2]]) * IntMatrix([[3], [4]])).entries == ((11,),)
+
+
 def test_matrix_json():
     m = IntMatrix([[0, 1], [2, 3]])
     assert m.to_json() == {"n": 2, "entries": [[0, 1], [2, 3]]}

@@ -259,7 +259,22 @@ def _stacked(batches, dtype):
     return [_stack(b, np.arange(size), dtype) for b, size in batches]
 
 
-@pytest.mark.parametrize("n, p, e", [(2, 2, 4), (2, 5, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)])
+def _mixed_radix_bases(n, level):
+    """The bases of a level by a pure-Python loop: per diagonal, its free
+    positions over [0, diag[j]) in mixed radix, the last position fastest."""
+    out = []
+    for diag, free in level:
+        free = [(i, j) for i, j in free if diag[j] > 1]
+        for values in itertools.product(*(range(diag[j]) for _, j in free)):
+            rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("n, p, e", [(2, 2, 4), (2, 5, 2), (2, 3, 3), (3, 2, 3), (3, 3, 2),
+                                     (4, 2, 2)])
 def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     hnf_level = [(tuple(p ** x for x in comp), positions) for comp in compositions(e, n)]
@@ -273,6 +288,7 @@ def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
                 alone = [b for pair in level
                          for b in _stacked(_batches(n, [pair], chunk, dtype), dtype)]
                 assert np.concatenate(packed).tolist() == np.concatenate(alone).tolist()
+                assert np.concatenate(packed).tolist() == _mixed_radix_bases(n, level)
             if level is hnf_level:
                 assert np.concatenate(packed).tolist() == reference.tolist()
             # no diagonal is split at the last chunk: an entry is an array
@@ -282,6 +298,41 @@ def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
                     for j in range(n):
                         constant = bool((bases[:, i, j] == bases[0, i, j]).all())
                         assert isinstance(b[i][j], int) == constant, (level, i, j)
+
+
+@pytest.mark.parametrize("diag, chunk", [
+    ((1, 27), 5),           # one position, runs of 5 values from 0, 5, ..., 25
+    ((1, 1, 8), 5),         # the last position in runs of 5, 3 under each prefix
+    ((1, 1, 8), 16),        # the last position whole, the one before in runs of 2
+    ((1, 2, 4), 3),
+    ((1, 3, 9), 20),        # runs of 2 values of 9: the last run is short
+    ((1, 1, 2, 8), 50),     # the last position whole, the one before in runs of 6
+    ((2, 4, 8), 7),
+])
+def test_split_diagonals_yield_the_mixed_radix_bases_in_order(diag, chunk, monkeypatch):
+    n = len(diag)
+    level = [(diag, [(i, j) for i in range(n) for j in range(i + 1, n)])]
+    starts = []
+    split = oracle._split
+
+    def spy(*args):
+        for b, size in split(*args):
+            starts.extend(int(x[0]) for row in b for x in row if not isinstance(x, int))
+            yield b, size
+
+    monkeypatch.setattr(oracle, "_split", spy)
+    want = _mixed_radix_bases(n, level)
+    assert len(want) > chunk
+    for dtype in (np.int64, object):
+        starts.clear()
+        batches = list(_batches(n, level, chunk, dtype))
+        assert len(batches) > 1 and all(size <= chunk for _, size in batches)
+        # some run of the head position starts past 0
+        assert any(starts)
+        got = np.concatenate(_stacked(batches, dtype))
+        assert got.tolist() == want
+        if dtype is object:
+            assert all(type(x) is int for x in got.ravel())
 
 
 def test_packed_batches_hold_at_most_the_pack_size():
@@ -614,6 +665,81 @@ def test_cost_rule_keeps_dense_levels_on_hnf(monkeypatch):
     # every sublattice is invariant: the nodes stop being kept after level 1
     got = _recorded_hnf_levels(monkeypatch, diag(0, 0), 2, 10)
     assert got == [(1, True)] + [(e, False) for e in range(2, 11)]
+
+
+def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
+    # a conjugate of the nilpotent of type (2, 1, 1), as the verify-dense
+    # workload draws it: at p = 2 its level 5 holds 4355 of 97155 candidates,
+    # and the tree would build about three children for each of them
+    a = IntMatrix([[1, 0, 0, 1], [3, 0, 0, 3], [1, 0, 0, 1], [-1, 0, 0, -1]])
+    got = _recorded_hnf_levels(monkeypatch, a, 2, 5)
+    assert [e for e, _ in got] == [1, 2, 3, 4, 5]
+    assert got[-1] == (5, False)
+    assert count_invariant_sublattices(a, 2, 5).values == (1, 7, 43, 211, 995, 4355)
+
+
+def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
+    # the tree still keeps the nodes of levels 1-4, but no later level
+    # would expand those of level 5
+    got = _recorded_hnf_levels(monkeypatch, n_of(Partition([3])), 2, 5)
+    assert got == [(1, True), (2, True), (3, True), (4, True), (5, False)]
+
+
+def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
+    for a, p, counts in ((n_of(Partition([2, 1])), 2, [1, 3, 11]),
+                         (companion(IntPoly((1, 0, 1))), 3, [1, 0, 1])):
+        n = a.n_rows
+        tree = _LatticeTree(a, p, [candidate_total(n, p, e) for e in range(6)])
+        for e in (1, 2):
+            nodes = []
+            count_at_exponent(a, p, e, nodes)
+            tree.record(e, nodes)
+        assert tree.counts == counts
+        # the children expected are the last count times its growth; the
+        # empty level 1 of x^2+1 at 3 is not charged
+        levels = sum(1 for c, _ in tree.levels.values() if len(c))
+        assert levels == (3 if counts[1] else 2)
+        assert tree._cost(3, tree.levels) == (
+            oracle._TREE_SUBSPACE * tree.work(3)
+            + oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
+            + oracle._TREE_LEVEL * levels)
+
+
+def _forced(monkeypatch, tree):
+    """Make every level come from the tree (kept to the end), or every one from HNF."""
+    produced = []
+    produce = _LatticeTree.produce
+
+    def producing(self, e):
+        produced.append(e)
+        return produce(self, e)
+
+    def keep_to_the_end(self, e):
+        for l in [l for l in self.levels if l <= e - self.n]:
+            del self.levels[l]
+
+    monkeypatch.setattr(_LatticeTree, "cheaper", lambda self, e: tree)
+    monkeypatch.setattr(_LatticeTree, "produce", producing)
+    if tree:
+        monkeypatch.setattr(_LatticeTree, "prune", keep_to_the_end)
+    return produced
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: _square(
+        n, st.one_of(st.integers(-4, 4), st.integers(-10 ** 20, 10 ** 20)))),
+    st.sampled_from([2, 3, 5]),
+)
+def test_either_producer_at_every_level_gives_the_default_counts(rows, p):
+    a = IntMatrix(rows)
+    top = {1: 6, 2: 4, 3: 3}[a.n_rows]
+    want = count_invariant_sublattices(a, p, top).values
+    for tree in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            produced = _forced(mp, tree)
+            assert count_invariant_sublattices(a, p, top).values == want
+        assert produced == (list(range(1, top + 1)) if tree else [])
 
 
 def test_upper_hnf_reduction_matches_linalg_hnf():
