@@ -4,15 +4,18 @@ The pipeline is minimal polynomial -> irreducible factorization -> one type
 partition per factor f^m, read off the kernel-dimension jumps of f(A),
 f(A)^2, ..., f(A)^m on the whole matrix: f(A) is invertible on every other
 primary component, so these kernels are those of the f-component.  It runs
-in integers throughout.  Only the pairs (f, partition) travel onward, plus
-the denominator of each kernel basis of f(A)^m, which feeds the bad-prime
-heuristic.
+in integers throughout.  Only the pairs (f, partition) travel onward, in an
+EdvContext that also carries the denominator of the kernel bases of the
+f(A)^m and, computed once, every integer a bad prime divides: the
+resultants of each f with f' and with every other factor, and that
+denominator.  The bad-prime heuristic in zetacore only reads them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import (
     IntMatrix,
@@ -21,6 +24,7 @@ from .linalg import (
     kernel_dim,
     minpoly,
     poly_at_matrix,
+    resultant,
 )
 from .partitions import Partition
 from .polyfactor import DEFAULT_DEGREE_CAP, factor_over_z
@@ -81,10 +85,34 @@ class ElementaryDivisorVector:
 
 @dataclass(frozen=True)
 class EdvContext:
-    """An elementary divisor vector plus the denominators its computation leaked."""
+    """An elementary divisor vector, the denominators its computation leaked,
+    and the integers that make a prime bad.
+
+    divisors pairs each such integer with the reason a prime dividing it is
+    bad, in this order: Res(f, f') for each f of degree >= 2 (f mod p is
+    not squarefree), Res(f, g) for each pair of distinct factors, and
+    denominator_lcm when it is above 1.  A prime p > n dividing none of them
+    is heuristically good.  They are derived from the other two fields, so
+    they take no part in equality.  A zero resultant, which only an EDV
+    not read off a matrix can have, raises ValueError.
+    """
 
     edv: ElementaryDivisorVector
     denominator_lcm: int
+    divisors: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        polys = [f for f, _ in self.edv.entries]
+        divisors = [(resultant(f, f.derivative()), f"{f} not squarefree mod p")
+                    for f in polys if f.degree >= 2]
+        divisors += [(resultant(f, g), f"divides resultant of {f} and {g}")
+                     for f, g in itertools.combinations(polys, 2)]
+        if any(d == 0 for d, _ in divisors):
+            # every prime would divide it, so good_primes would never yield
+            raise ValueError("the polynomials of an EDV must be squarefree and pairwise coprime")
+        if self.denominator_lcm > 1:
+            divisors.append((self.denominator_lcm, "divides a primary-decomposition denominator"))
+        object.__setattr__(self, "divisors", tuple(divisors))
 
 
 def _type(fa: IntMatrix, d: int, m: int | None) -> tuple[Partition, int]:

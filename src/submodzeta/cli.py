@@ -42,6 +42,7 @@ from .partitions import Partition
 from .polyfactor import DegreeCapError, splitting_profile
 from .zetacore import (
     BinomialProduct,
+    FunctionalEquationData,
     abscissa,
     bad_prime_reasons,
     functional_equation_data,
@@ -153,30 +154,25 @@ class AnalysisDocument:
     """Everything `analyze` reports, renderable as text, JSON, or LaTeX."""
 
     matrix: IntMatrix | None
-    edv: ElementaryDivisorVector
-    denominator_lcm: int
+    ctx: EdvContext
     alpha: int
     beta: int
     fe_prime: int
-    fe_sign: int
-    fe_q: int
-    fe_s: int
+    fe: FunctionalEquationData
     fe_verified: bool
     simple_pole_at_zero: bool
 
     @property
     def global_expr(self):
-        return global_formula(
-            self.edv, bad_prime_reasons(self.edv, self.denominator_lcm)
-        )
+        return global_formula(self.ctx.edv, bad_prime_reasons(self.ctx))
 
     def to_json(self) -> dict:
         expr = self.global_expr
         factors = expr.to_json()
         return {
             "matrix": self.matrix.to_json() if self.matrix is not None else None,
-            "edv": self.edv.to_json(),
-            "denominator_lcm": self.denominator_lcm,
+            "edv": self.ctx.edv.to_json(),
+            "denominator_lcm": self.ctx.denominator_lcm,
             "global_formula": {
                 "text": expr.text(),
                 "latex": expr.latex(),
@@ -186,23 +182,20 @@ class AnalysisDocument:
             "alpha": self.alpha,
             "beta": self.beta,
             "functional_equation": {
-                "prime": self.fe_prime,
-                "sign_exponent": self.fe_sign,
-                "q_exponent": self.fe_q,
-                "s_exponent": self.fe_s,
-                "verified": self.fe_verified,
+                "prime": self.fe_prime, **self.fe.to_json(), "verified": self.fe_verified
             },
             "simple_pole_at_zero": self.simple_pole_at_zero,
         }
 
     def text(self) -> str:
         expr = self.global_expr
+        edv = self.ctx.edv
         lines = []
         if self.matrix is not None:
             lines.append(f"matrix: {json.dumps([list(r) for r in self.matrix.entries])}")
-        lines.append(f"n: {self.edv.n}")
+        lines.append(f"n: {edv.n}")
         lines.append("elementary divisor vector:")
-        for f, lam in self.edv.entries:
+        for f, lam in edv.entries:
             lines.append(f"  {f} : {_partition_text(lam)}")
         lines.append(f"global zeta: {expr.text()}")
         if expr.bad_primes:
@@ -215,8 +208,8 @@ class AnalysisDocument:
         verdict = "verified" if self.fe_verified else "FAILED"
         lines.append(
             f"functional equation at p={self.fe_prime}: "
-            f"sign {self.fe_sign}, q-exponent {self.fe_q}, "
-            f"s-exponent {self.fe_s} ({verdict})"
+            f"sign {self.fe.sign_exponent}, q-exponent {self.fe.q_exponent}, "
+            f"s-exponent {self.fe.s_exponent} ({verdict})"
         )
         lines.append(
             "simple pole at zero: " + ("yes" if self.simple_pole_at_zero else "no")
@@ -236,25 +229,27 @@ class AnalysisDocument:
         return "\n".join(lines)
 
 
-def build_analysis(matrix: IntMatrix | None, ctx: EdvContext) -> AnalysisDocument:
+def _fe_check(ctx: EdvContext) -> tuple[int, FunctionalEquationData, bool]:
+    """The first good prime, the functional-equation exponents there, and
+    whether the generic local factor at that prime obeys them."""
     edv = ctx.edv
-    alpha, beta = abscissa(edv)
-    p = next(good_primes(edv, ctx.denominator_lcm))
-    profiles = [splitting_profile(f, p) for f, _ in edv.entries]
-    data = functional_equation_data(edv, profiles)
-    verified = verify_functional_equation(generic_local_factor(edv, p), data)
+    p = next(good_primes(ctx))
+    data = functional_equation_data(edv, [splitting_profile(f, p) for f, _ in edv.entries])
+    return p, data, verify_functional_equation(generic_local_factor(edv, p), data)
+
+
+def build_analysis(matrix: IntMatrix | None, ctx: EdvContext) -> AnalysisDocument:
+    alpha, beta = abscissa(ctx.edv)
+    p, data, verified = _fe_check(ctx)
     return AnalysisDocument(
         matrix=matrix,
-        edv=edv,
-        denominator_lcm=ctx.denominator_lcm,
+        ctx=ctx,
         alpha=alpha,
         beta=beta,
         fe_prime=p,
-        fe_sign=data.sign_exponent,
-        fe_q=data.q_exponent,
-        fe_s=data.s_exponent,
+        fe=data,
         fe_verified=verified,
-        simple_pole_at_zero=has_simple_pole_at_zero(edv),
+        simple_pole_at_zero=has_simple_pole_at_zero(ctx.edv),
     )
 
 
@@ -289,7 +284,7 @@ def cmd_verify(args) -> int:
     if args.primes:
         primes = args.primes
     else:
-        primes = list(itertools.islice(good_primes(ctx.edv, ctx.denominator_lcm), 3))
+        primes = list(itertools.islice(good_primes(ctx), 3))
     reports = [
         compare(
             matrix,
@@ -396,19 +391,8 @@ def cmd_special(args) -> int:
         tokens = ([args.n] if args.n is not None else []) + list(args.parts)
         lam = _parse_partition(tokens)
         edv = ElementaryDivisorVector.from_pairs([(IntPoly((0, 1)), lam)])
-        p = next(good_primes(edv))
-        data = functional_equation_data(
-            edv, [splitting_profile(f, p) for f, _ in edv.entries]
-        )
-        verified = verify_functional_equation(generic_local_factor(edv, p), data)
-        payload = {
-            "partition": list(lam.parts),
-            "prime": p,
-            "sign_exponent": data.sign_exponent,
-            "q_exponent": data.q_exponent,
-            "s_exponent": data.s_exponent,
-            "verified": verified,
-        }
+        p, data, verified = _fe_check(EdvContext(edv, 1))
+        payload = {"partition": list(lam.parts), "prime": p, **data.to_json(), "verified": verified}
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         else:

@@ -698,7 +698,7 @@ def compare(a: IntMatrix, p: int, max_exp: int,
     """
     if ctx is None:
         ctx = edv_context(a)
-    good = is_good_prime(p, ctx.edv, ctx.denominator_lcm)
+    good = is_good_prime(p, ctx)
     try:
         factor = generic_local_factor(ctx.edv, p)
         formula = tuple(dirichlet_coefficients(factor, p, max_exp).values)

@@ -5,7 +5,9 @@ residue size and Y = X^(-s); such products are represented canonically by
 their sorted factor lists, which determines them uniquely as rational
 functions (the binomials are multiplicatively independent).  On top of
 that sit: the w_lambda factor of a nilpotent block, the good-prime Euler
-factor of a general elementary divisor vector, the global product of
+factor of a general elementary divisor vector, the good/bad-prime
+heuristic (which only reads the integers an EdvContext computed: p <= n
+or p divides one of them), the global product of
 shifted Dedekind zeta factors, the abscissa of convergence with its pole
 multiplicity, functional-equation exponents and their verification, the
 pole-at-zero criterion, two closed forms (ideals of Z_p[x]/(x^n) and
@@ -22,8 +24,8 @@ from fractions import Fraction
 
 import sympy
 
-from .canonical import ElementaryDivisorVector
-from .linalg import IntPoly, resultant
+from .canonical import EdvContext, ElementaryDivisorVector
+from .linalg import IntPoly
 from .partitions import Partition
 from .polyfactor import SplittingProfile, splitting_profile
 
@@ -126,72 +128,38 @@ def w_lambda(lam: Partition) -> BinomialProduct:
 # good primes and the local Euler factor
 
 
-def _pairwise_resultants(edv: ElementaryDivisorVector) -> list[tuple[IntPoly, IntPoly, int]]:
-    out = []
-    entries = edv.entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            f, g = entries[i][0], entries[j][0]
-            out.append((f, g, resultant(f, g)))
-    return out
-
-
-def _discriminant_like(f: IntPoly) -> int:
-    """Resultant of f and f'; vanishes mod p exactly when f mod p is not squarefree."""
-    if f.degree == 1:
-        return 1
-    return resultant(f, f.derivative())
-
-
-def is_good_prime(p: int, edv: ElementaryDivisorVector, denominator_lcm: int = 1) -> bool:
+def is_good_prime(p: int, ctx: EdvContext) -> bool:
     """Heuristic goodness: the generic local formula is expected at good p.
 
-    Bad when p <= n, p divides a leaked denominator, any f_i fails to stay
-    squarefree mod p, or p divides a pairwise resultant.  Over-approximates;
-    the oracle comparison catches (and demotes) anything that slips through.
+    Bad when p <= n or p divides one of the context's integers: a leaked
+    denominator, Res(f_i, f_i') (f_i fails to stay squarefree mod p) or a
+    pairwise resultant.  Over-approximates; the oracle comparison catches
+    (and demotes) anything that slips through.
     """
-    if p <= edv.n:
-        return False
-    if denominator_lcm % p == 0:
-        return False
-    for f, _ in edv.entries:
-        if _discriminant_like(f) % p == 0:
-            return False
-    for _, _, r in _pairwise_resultants(edv):
-        if r % p == 0:
-            return False
-    return True
+    return p > ctx.edv.n and all(d % p for d, _ in ctx.divisors)
 
 
-def good_primes(edv: ElementaryDivisorVector, denominator_lcm: int = 1):
+def good_primes(ctx: EdvContext):
     """Ascending heuristically-good primes; an infinite generator."""
     p = 1
     while True:
         p = int(sympy.nextprime(p))
-        if is_good_prime(p, edv, denominator_lcm):
+        if is_good_prime(p, ctx):
             yield p
 
 
-def bad_prime_reasons(edv: ElementaryDivisorVector, denominator_lcm: int = 1) -> dict[int, tuple[str, ...]]:
-    """Every heuristically-bad prime, each with its list of reasons."""
-    reasons: dict[int, list[str]] = {}
+def bad_prime_reasons(ctx: EdvContext) -> dict[int, tuple[str, ...]]:
+    """Every heuristically-bad prime, each with its list of reasons.
 
-    def add(p, why):
-        reasons.setdefault(p, []).append(why)
-
-    for p in sympy.primerange(2, edv.n + 1):
-        add(int(p), f"p <= n = {edv.n}")
-    # abs: factorint lists -1 as a factor of a negative number
-    for f, _ in edv.entries:
-        d = _discriminant_like(f)
+    The primes are those p <= n and the prime factors of the context's
+    integers, so is_good_prime(p, ctx) is false exactly for these p.
+    """
+    n = ctx.edv.n
+    reasons = {int(p): [f"p <= n = {n}"] for p in sympy.primerange(2, n + 1)}
+    for d, why in ctx.divisors:
+        # abs: factorint lists -1 as a factor of a negative number
         for p in sympy.factorint(abs(d)):
-            add(int(p), f"{f} not squarefree mod p")
-    for f, g, r in _pairwise_resultants(edv):
-        for p in sympy.factorint(abs(r)):
-            add(int(p), f"divides resultant of {f} and {g}")
-    if denominator_lcm > 1:
-        for p in sympy.factorint(denominator_lcm):
-            add(int(p), "divides a primary-decomposition denominator")
+            reasons.setdefault(int(p), []).append(why)
     return {p: tuple(dict.fromkeys(rs)) for p, rs in sorted(reasons.items())}
 
 
@@ -214,13 +182,13 @@ def generic_local_factor(edv: ElementaryDivisorVector, p: int) -> BinomialProduc
     return BinomialProduct.from_factors(factors)
 
 
-def local_euler_factor(edv: ElementaryDivisorVector, p: int, denominator_lcm: int = 1) -> BinomialProduct:
+def local_euler_factor(ctx: EdvContext, p: int) -> BinomialProduct:
     """Local Euler factor at a heuristically-good prime; raises BadPrimeError else."""
-    if not is_good_prime(p, edv, denominator_lcm):
+    if not is_good_prime(p, ctx):
         raise BadPrimeError(
             f"p = {p} fails the good-prime heuristic; use the oracle's truncated factor"
         )
-    return generic_local_factor(edv, p)
+    return generic_local_factor(ctx.edv, p)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +264,14 @@ def _poly_latex(f: IntPoly) -> str:
     return out
 
 
-def global_formula(edv: ElementaryDivisorVector, bad_primes=None) -> GlobalZetaExpression:
+def global_formula(edv: ElementaryDivisorVector, bad_primes) -> GlobalZetaExpression:
     """The global zeta expression: one Dedekind factor per entry and cell.
 
     Cell j of entry (f, lam) contributes the factor for Q[x]/(f) at
     ind(j)*s - (j-1), the index function taken on the dual partition.
-    Bad primes (mapping p -> reasons) are carried through as flags.
+    Bad primes (mapping p -> reasons, as from bad_prime_reasons) are
+    carried through as flags.
     """
-    if bad_primes is None:
-        bad_primes = bad_prime_reasons(edv)
     factors = []
     for f, lam in edv.entries:
         mu = lam.dual()

@@ -9,6 +9,7 @@ import random
 import time
 
 from submodzeta.canonical import (
+    EdvContext,
     ElementaryDivisorVector,
     edv_context,
     elementary_divisor_vector,
@@ -88,13 +89,13 @@ def test_functional_equation_exhaustive_and_mixed():
     for n in range(1, 9):
         for lam in partitions_of(n):
             e = _edv((X, lam.parts))
-            p = next(good_primes(e))
+            p = next(good_primes(EdvContext(e, 1)))
             data = functional_equation_data(e, [splitting_profile(X, p)])
             assert verify_functional_equation(generic_local_factor(e, p), data), lam
 
     mixed = _edv((X, (2, 1)), (IntPoly((-1, 1)), (3,)))
     checked = 0
-    for p in itertools.islice(good_primes(mixed), 5):
+    for p in itertools.islice(good_primes(EdvContext(mixed, 1)), 5):
         profiles = [splitting_profile(f, p) for f, _ in mixed.entries]
         data = functional_equation_data(mixed, profiles)
         assert verify_functional_equation(generic_local_factor(mixed, p), data), p
@@ -108,8 +109,8 @@ def test_functional_equation_data_collides_where_factors_differ():
     lam_b = Partition([2, 2, 2, 1])
     e_a = _edv((X, lam_a.parts))
     e_b = _edv((X, lam_b.parts))
-    p = next(good_primes(e_a))
-    assert p == next(good_primes(e_b))
+    p = next(good_primes(EdvContext(e_a, 1)))
+    assert p == next(good_primes(EdvContext(e_b, 1)))
     prof = [splitting_profile(X, p)]
     assert functional_equation_data(e_a, prof) == functional_equation_data(e_b, prof)
     assert w_lambda(lam_a.dual()) != w_lambda(lam_b.dual())
@@ -175,7 +176,7 @@ def test_randomized_campaign_no_mismatch_at_good_primes():
 
     for m in accepted:
         ctx = edv_context(m)
-        primes = itertools.islice(good_primes(ctx.edv, ctx.denominator_lcm), 3)
+        primes = itertools.islice(good_primes(ctx), 3)
         for p in primes:
             rep = compare(m, p, 3)
             assert rep.heuristically_good, (m.entries, p)

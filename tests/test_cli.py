@@ -1,10 +1,15 @@
 import io
 import json
+import sys
 import time
 
 import pytest
 
+from submodzeta import linalg
+from submodzeta.canonical import edv_context
 from submodzeta.cli import main
+from submodzeta.linalg import IntMatrix
+from submodzeta.zetacore import bad_prime_reasons, global_formula
 
 ZERO_2 = "[[0,0],[0,0]]"
 NILP_2 = "[[0,1],[0,0]]"
@@ -55,6 +60,68 @@ def test_analyze_json_round_trips_through_edv_file(capsys, tmp_path):
     assert redone["global_formula"] == doc["global_formula"]
     assert redone["matrix"] is None
     assert (redone["alpha"], redone["beta"]) == (doc["alpha"], doc["beta"])
+
+
+def test_analyze_bad_primes_include_the_kernel_denominator(capsys):
+    """A conjugate of diag(1, 3, 3) whose kernel basis has denominator 15.
+
+    analyze flags 5 only through that denominator; the global formula built
+    from the context's reasons publishes the same set.
+    """
+    rows = [[13, 0, -30], [0, 3, 0], [4, 0, -9]]
+    assert main(["analyze", json.dumps(rows), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["denominator_lcm"] == 15
+    assert doc["bad_primes"] == {
+        "2": ["p <= n = 3", "divides resultant of x - 3 and x - 1"],
+        "3": ["p <= n = 3", "divides a primary-decomposition denominator"],
+        "5": ["divides a primary-decomposition denominator"],
+    }
+    ctx = edv_context(IntMatrix(rows))
+    expr = global_formula(ctx.edv, bad_prime_reasons(ctx))
+    assert expr.to_json()["bad_primes"] == doc["bad_primes"]
+
+
+def test_analyze_computes_each_resultant_once(capsys, monkeypatch):
+    """k = 4 distinct factors, j = 2 of them nonlinear: j + k(k-1)/2 resultants."""
+    rows = [
+        [1, 0, 0, 0, 0, 0, 0, 0],    # x - 1
+        [0, -1, 1, 0, 0, 0, 0, 0],   # x + 1, type (2)
+        [0, 0, -1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, -1, 0, 0, 0],   # x^2 + 1
+        [0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 2],    # x^3 - 2
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0],
+    ]
+    original = linalg.resultant
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "submodzeta" and getattr(module, "resultant", None) is original:
+            monkeypatch.setattr(module, "resultant", counted)
+    assert main(["analyze", json.dumps(rows), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["edv"]) == 4
+    assert len(calls) == 2 + 4 * 3 // 2
+
+
+def test_analyze_edv_with_a_repeated_factor_exits_1(capsys, tmp_path):
+    """Res(x^2, 2x) = 0 would make every prime bad; the EDV is refused, not searched."""
+    for poly in ([0, 0, 1], [1, -2, 1]):
+        edv_file = tmp_path / "edv.json"
+        edv_file.write_text(json.dumps({"edv": [{"poly": poly, "partition": [1]}]}))
+        start = time.monotonic()
+        assert main(["analyze", "--edv", str(edv_file)]) == 1
+        assert time.monotonic() - start < 5.0
+        assert "squarefree and pairwise coprime" in capsys.readouterr().err
+    edv_file.write_text(json.dumps({"edv": [{"poly": [-1, 1], "partition": [1]},
+                                            {"poly": [-1, 0, 1], "partition": [1]}]}))
+    assert main(["analyze", "--edv", str(edv_file)]) == 1
 
 
 def test_analyze_latex(capsys):

@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from submodzeta.canonical import ElementaryDivisorVector, elementary_divisor_vector
+from submodzeta.canonical import EdvContext, ElementaryDivisorVector, elementary_divisor_vector
 from submodzeta.linalg import IntMatrix, IntPoly, n_of
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import splitting_profile
@@ -41,6 +43,16 @@ def edv(*pairs):
     return ElementaryDivisorVector.from_pairs(
         [(f, Partition(parts)) for f, parts in pairs]
     )
+
+
+def ctx(*pairs, den=1):
+    return EdvContext(edv(*pairs), den)
+
+
+def formula(*pairs):
+    """The global formula with the bad primes of the EDV's context."""
+    c = ctx(*pairs)
+    return global_formula(c.edv, bad_prime_reasons(c))
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +125,20 @@ def test_w_identity_coincidence():
 
 
 def test_good_prime_heuristic():
-    e = edv((X, (1, 1)))
+    e = ctx((X, (1, 1)))
     assert not is_good_prime(2, e)  # p <= n
     assert is_good_prime(3, e)
-    assert not is_good_prime(3, e, denominator_lcm=6)
+    assert not is_good_prime(3, ctx((X, (1, 1)), den=6))
 
     # resultant channel: eigenvalues 1 and 4 collide mod 3
-    e2 = edv((X_MINUS_1, (1,)), (IntPoly((-4, 1)), (1,)))
+    e2 = ctx((X_MINUS_1, (1,)), (IntPoly((-4, 1)), (1,)))
     assert not is_good_prime(3, e2)
     reasons = bad_prime_reasons(e2)
     assert 2 in reasons and 3 in reasons
     assert any("resultant" in r for r in reasons[3])
 
     # ramification channel: x^2+1 mod 2
-    e3 = edv((X2_PLUS_1, (1,)))
+    e3 = ctx((X2_PLUS_1, (1,)))
     assert not is_good_prime(2, e3)
     assert any("squarefree" in r for r in bad_prime_reasons(e3)[2])
 
@@ -136,14 +148,40 @@ def test_good_prime_heuristic():
 
 def test_bad_prime_reasons_lists_only_primes_for_negative_resultants():
     # Res(x^2 - 2, 2x) = -8
-    e = edv((IntPoly((-2, 0, 1)), (1,)))
+    e = ctx((IntPoly((-2, 0, 1)), (1,)))
     assert bad_prime_reasons(e) == {2: ("p <= n = 2", "x^2 - 2 not squarefree mod p")}
     # Res(x - 4, x - 1) = 3, Res(x - 1, x^3 - 3) = -2, Res(x - 4, x^3 - 3) = 61
-    e2 = edv((X_MINUS_1, (1,)), (IntPoly((-4, 1)), (1,)), (IntPoly((-3, 0, 0, 1)), (1,)))
+    e2 = ctx((X_MINUS_1, (1,)), (IntPoly((-4, 1)), (1,)), (IntPoly((-3, 0, 0, 1)), (1,)))
     reasons = bad_prime_reasons(e2)
     assert list(reasons) == [2, 3, 5, 61]
     assert reasons[3] == ("p <= n = 5", "x^3 - 3 not squarefree mod p",
                           "divides resultant of x - 4 and x - 1")
+
+
+# Monic irreducibles with discriminant-like integers and resultants of both
+# signs: Res(x^2 - 2, 2x) = -8, Res(x - c, x - d) = d - c.
+POOL = [IntPoly.x_minus(c) for c in range(-4, 5)] + [
+    IntPoly((-2, 0, 1)), X2_PLUS_1, IntPoly((1, 1, 1)), IntPoly((-3, 0, 1)),
+    IntPoly((-2, 0, 0, 1)), IntPoly((-1, -1, 0, 1)),
+]
+PRIMES_BELOW_300 = [p for p in range(2, 300) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def contexts(draw):
+    polys = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4, unique=True))
+    pairs = [(f, sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+                        reverse=True)) for f in polys]
+    return ctx(*pairs, den=draw(st.sampled_from([1, 6, 35])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(contexts())
+def test_is_good_prime_agrees_with_bad_prime_reasons(c):
+    bad = bad_prime_reasons(c)
+    assert [p for p in PRIMES_BELOW_300 if not is_good_prime(p, c)] == [
+        p for p in PRIMES_BELOW_300 if p in bad
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +200,17 @@ def test_generic_local_factor_is_dual_w():
     for parts in ([3], [2, 1], [1, 1, 1], [4, 2]):
         lam = Partition(parts)
         e = edv((X, parts))
-        for p in itertools.islice(good_primes(e), 3):
+        for p in itertools.islice(good_primes(EdvContext(e, 1)), 3):
             assert generic_local_factor(e, p) == w_lambda(lam.dual())
 
 
 def test_local_euler_factor_guards():
-    e = edv((X, (2,)))
+    e = ctx((X, (2,)))
     with pytest.raises(BadPrimeError):
         local_euler_factor(e, 2)  # p <= n
-    assert local_euler_factor(e, 3) == generic_local_factor(e, 3)
+    assert local_euler_factor(e, 3) == generic_local_factor(e.edv, 3)
     with pytest.raises(BadPrimeError):
-        local_euler_factor(e, 3, denominator_lcm=3)
+        local_euler_factor(ctx((X, (2,)), den=3), 3)
 
 
 def test_local_factor_inert_scaling():
@@ -188,14 +226,14 @@ def test_local_factor_inert_scaling():
 
 
 def test_global_formula_texts():
-    assert global_formula(edv((X, (1, 1)))).text() == "zeta(s)*zeta(s-1)"
-    assert global_formula(edv((X, (2, 1)))).text() == "zeta(s)*zeta(s-1)*zeta(2s-2)"
-    assert global_formula(edv((X2_PLUS_1, (1,)))).text() == "zeta_[x^2 + 1](s)"
-    assert global_formula(edv((X, (3,)))).text() == "zeta(s)*zeta(2s-1)*zeta(3s-2)"
+    assert formula((X, (1, 1))).text() == "zeta(s)*zeta(s-1)"
+    assert formula((X, (2, 1))).text() == "zeta(s)*zeta(s-1)*zeta(2s-2)"
+    assert formula((X2_PLUS_1, (1,))).text() == "zeta_[x^2 + 1](s)"
+    assert formula((X, (3,))).text() == "zeta(s)*zeta(2s-1)*zeta(3s-2)"
 
 
 def test_global_formula_latex_and_json():
-    expr = global_formula(edv((X2_PLUS_1, (1,)), (X, (2,))))
+    expr = formula((X2_PLUS_1, (1,)), (X, (2,)))
     latex = expr.latex()
     assert r"\zeta" in latex and "x^{2} + 1" in latex
     data = expr.to_json()
@@ -204,15 +242,22 @@ def test_global_formula_latex_and_json():
 
 
 def test_global_formula_bad_primes_flow_through():
-    expr = global_formula(edv((X, (1, 1))))
+    expr = formula((X, (1, 1)))
     assert expr.bad_prime_set == {2}
     custom = global_formula(edv((X, (1, 1))), bad_primes={5: ("because",)})
     assert custom.bad_prime_set == {5}
+    # the kernel denominator is a source of bad primes too, so the caller
+    # must pass the context's reasons: there is no default that drops it
+    with_den = ctx((X, (1, 1)), den=35)
+    expr = global_formula(with_den.edv, bad_prime_reasons(with_den))
+    assert expr.bad_prime_set == {2, 5, 7}
+    with pytest.raises(TypeError):
+        global_formula(with_den.edv)
 
 
 def test_global_formula_scales_are_dual_indices():
     lam = Partition([3, 1])
-    expr = global_formula(edv((X, (3, 1))))
+    expr = formula((X, (3, 1)))
     mu = lam.dual()
     expected = tuple((X, mu.ind(j), j - 1) for j in range(1, 5))
     assert expr.dedekind_factors == expected
@@ -248,7 +293,7 @@ def test_abscissa_matches_local_factor_poles():
         for lam in partitions_of(n):
             e = edv((X, lam.parts))
             alpha, _ = abscissa(e)
-            p = next(good_primes(e))
+            p = next(good_primes(EdvContext(e, 1)))
             assert abscissa_from_factors(generic_local_factor(e, p)) == alpha
 
 
@@ -292,7 +337,7 @@ def test_verify_functional_equation():
     for n in range(1, 9):
         for lam in partitions_of(n):
             e = edv((X, lam.parts))
-            p = next(good_primes(e))
+            p = next(good_primes(EdvContext(e, 1)))
             data = functional_equation_data(e, [splitting_profile(X, p)])
             assert verify_functional_equation(generic_local_factor(e, p), data)
     # hand-broken: product (1-Y)^-1 (1-XY^2)^-1 with wrong s-exponent
@@ -451,4 +496,4 @@ def test_edv_pipeline_factors():
     m = n_of(Partition([2, 1]))
     e = elementary_divisor_vector(m)
     assert e == edv((X, (2, 1)))
-    assert local_euler_factor(e, 5) == w_lambda(Partition([2, 1]))
+    assert local_euler_factor(EdvContext(e, 1), 5) == w_lambda(Partition([2, 1]))
