@@ -13,7 +13,16 @@ a path to a file holding the same, or "-" for standard input.
 
 Flags may also be supplied through SUBMODZETA_-prefixed environment
 variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
-explicit flags win.
+explicit flags win.  An empty variable counts as unset; a SUBMODZETA_FORMAT
+other than text, json or latex is a usage error, as --format is.
+
+Output: each cmd_* function composes its document once, as a JSON dict, a
+text view and (for analyze and zpxn) a LaTeX view, and prints it through
+_emit, the one place that chooses a format and writes to stdout; commands
+without a LaTeX view print their text view for --format latex.  How a
+polynomial, a binomial product or a global formula reads is decided by its
+own class (IntPoly, BinomialProduct, GlobalZetaExpression), one layout for
+both text and LaTeX.  Errors go to stderr from main.
 
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
@@ -28,7 +37,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .canonical import ElementaryDivisorVector, EdvContext, edv_context
 from .linalg import IntMatrix, IntPoly
@@ -41,7 +49,6 @@ from .oracle import (
 from .partitions import Partition
 from .polyfactor import DegreeCapError, splitting_profile
 from .zetacore import (
-    BinomialProduct,
     FunctionalEquationData,
     abscissa,
     bad_prime_reasons,
@@ -57,6 +64,7 @@ from .zetacore import (
 )
 
 ENV_PREFIX = "SUBMODZETA_"
+FORMATS = ("text", "json", "latex")
 
 
 class UsageError(Exception):
@@ -76,16 +84,6 @@ def _partition_text(lam: Partition) -> str:
     return "(" + ", ".join(str(x) for x in lam.parts) + ")"
 
 
-def _binomial_latex(product: BinomialProduct) -> str:
-    if not product.factors:
-        return "1"
-    pieces = []
-    for a, b, e in product.factors:
-        qpart = f"q^{{{a}}} " if a else ""
-        pieces.append(rf"\left(1 - {qpart}t^{{{b}}}\right)^{{{e}}}")
-    return "".join(pieces)
-
-
 def _series_text(values, p) -> str:
     """Truncated Dirichlet series over one prime, as readable text."""
     terms = []
@@ -99,6 +97,17 @@ def _series_text(values, p) -> str:
             terms.append(f"{coeff}{p ** e}^-s")
     body = " + ".join(terms) if terms else "0"
     return f"{body} + O({p ** (len(values))}^-s)"
+
+
+def _emit(fmt: str, doc: dict, text: str, latex: str | None = None) -> None:
+    """Print one command's document: the JSON dict, its LaTeX view where the
+    command has one, or its text view (also LaTeX's stand-in)."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "latex" and latex is not None:
+        print(latex)
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -149,86 +158,6 @@ def load_edv(path: str) -> ElementaryDivisorVector:
 # analyze
 
 
-@dataclass(frozen=True)
-class AnalysisDocument:
-    """Everything `analyze` reports, renderable as text, JSON, or LaTeX."""
-
-    matrix: IntMatrix | None
-    ctx: EdvContext
-    alpha: int
-    beta: int
-    fe_prime: int
-    fe: FunctionalEquationData
-    fe_verified: bool
-    simple_pole_at_zero: bool
-
-    @property
-    def global_expr(self):
-        return global_formula(self.ctx.edv, bad_prime_reasons(self.ctx))
-
-    def to_json(self) -> dict:
-        expr = self.global_expr
-        factors = expr.to_json()
-        return {
-            "matrix": self.matrix.to_json() if self.matrix is not None else None,
-            "edv": self.ctx.edv.to_json(),
-            "denominator_lcm": self.ctx.denominator_lcm,
-            "global_formula": {
-                "text": expr.text(),
-                "latex": expr.latex(),
-                "dedekind_factors": factors["dedekind_factors"],
-            },
-            "bad_primes": factors["bad_primes"],
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "functional_equation": {
-                "prime": self.fe_prime, **self.fe.to_json(), "verified": self.fe_verified
-            },
-            "simple_pole_at_zero": self.simple_pole_at_zero,
-        }
-
-    def text(self) -> str:
-        expr = self.global_expr
-        edv = self.ctx.edv
-        lines = []
-        if self.matrix is not None:
-            lines.append(f"matrix: {json.dumps([list(r) for r in self.matrix.entries])}")
-        lines.append(f"n: {edv.n}")
-        lines.append("elementary divisor vector:")
-        for f, lam in edv.entries:
-            lines.append(f"  {f} : {_partition_text(lam)}")
-        lines.append(f"global zeta: {expr.text()}")
-        if expr.bad_primes:
-            for p, reasons in expr.bad_primes:
-                lines.append(f"bad prime {p}: {'; '.join(reasons)}")
-        else:
-            lines.append("bad primes: none")
-        lines.append(f"abscissa of convergence: {self.alpha}")
-        lines.append(f"pole order at the abscissa: {self.beta}")
-        verdict = "verified" if self.fe_verified else "FAILED"
-        lines.append(
-            f"functional equation at p={self.fe_prime}: "
-            f"sign {self.fe.sign_exponent}, q-exponent {self.fe.q_exponent}, "
-            f"s-exponent {self.fe.s_exponent} ({verdict})"
-        )
-        lines.append(
-            "simple pole at zero: " + ("yes" if self.simple_pole_at_zero else "no")
-        )
-        return "\n".join(lines)
-
-    def latex(self) -> str:
-        expr = self.global_expr
-        lines = [rf"\[ \zeta_A(s) = {expr.latex()} \]"]
-        lines.append(
-            rf"% alpha = {self.alpha}, beta = {self.beta}, "
-            rf"simple pole at zero: {'yes' if self.simple_pole_at_zero else 'no'}"
-        )
-        if expr.bad_prime_set:
-            bad = ", ".join(str(p) for p in sorted(expr.bad_prime_set))
-            lines.append(rf"% bad primes: {bad}")
-        return "\n".join(lines)
-
-
 def _fe_check(ctx: EdvContext) -> tuple[int, FunctionalEquationData, bool]:
     """The first good prime, the functional-equation exponents there, and
     whether the generic local factor at that prime obeys them."""
@@ -236,21 +165,6 @@ def _fe_check(ctx: EdvContext) -> tuple[int, FunctionalEquationData, bool]:
     p = next(good_primes(ctx))
     data = functional_equation_data(edv, [splitting_profile(f, p) for f, _ in edv.entries])
     return p, data, verify_functional_equation(generic_local_factor(edv, p), data)
-
-
-def build_analysis(matrix: IntMatrix | None, ctx: EdvContext) -> AnalysisDocument:
-    alpha, beta = abscissa(ctx.edv)
-    p, data, verified = _fe_check(ctx)
-    return AnalysisDocument(
-        matrix=matrix,
-        ctx=ctx,
-        alpha=alpha,
-        beta=beta,
-        fe_prime=p,
-        fe=data,
-        fe_verified=verified,
-        simple_pole_at_zero=has_simple_pole_at_zero(ctx.edv),
-    )
 
 
 def cmd_analyze(args) -> int:
@@ -262,13 +176,59 @@ def cmd_analyze(args) -> int:
             raise UsageError("analyze needs a matrix argument or --edv")
         matrix = load_matrix(args.matrix)
         ctx = edv_context(matrix)
-    doc = build_analysis(matrix, ctx)
-    if args.format == "json":
-        print(json.dumps(doc.to_json(), indent=2))
-    elif args.format == "latex":
-        print(doc.latex())
+    edv = ctx.edv
+    expr = global_formula(edv, bad_prime_reasons(ctx))
+    alpha, beta = abscissa(edv)
+    p, fe, verified = _fe_check(ctx)
+    simple_pole = has_simple_pole_at_zero(edv)
+    pole = "yes" if simple_pole else "no"
+    formula_text, formula_latex = expr.text(), expr.latex()
+    factors = expr.to_json()
+    doc = {
+        "matrix": matrix.to_json() if matrix is not None else None,
+        "edv": edv.to_json(),
+        "denominator_lcm": ctx.denominator_lcm,
+        "global_formula": {
+            "text": formula_text,
+            "latex": formula_latex,
+            "dedekind_factors": factors["dedekind_factors"],
+        },
+        "bad_primes": factors["bad_primes"],
+        "alpha": alpha,
+        "beta": beta,
+        "functional_equation": {"prime": p, **fe.to_json(), "verified": verified},
+        "simple_pole_at_zero": simple_pole,
+    }
+
+    lines = []
+    if matrix is not None:
+        lines.append(f"matrix: {json.dumps([list(r) for r in matrix.entries])}")
+    lines.append(f"n: {edv.n}")
+    lines.append("elementary divisor vector:")
+    for f, lam in edv.entries:
+        lines.append(f"  {f} : {_partition_text(lam)}")
+    lines.append(f"global zeta: {formula_text}")
+    if expr.bad_primes:
+        for q, reasons in expr.bad_primes:
+            lines.append(f"bad prime {q}: {'; '.join(reasons)}")
     else:
-        print(doc.text())
+        lines.append("bad primes: none")
+    lines.append(f"abscissa of convergence: {alpha}")
+    lines.append(f"pole order at the abscissa: {beta}")
+    lines.append(
+        f"functional equation at p={p}: "
+        f"sign {fe.sign_exponent}, q-exponent {fe.q_exponent}, "
+        f"s-exponent {fe.s_exponent} ({'verified' if verified else 'FAILED'})"
+    )
+    lines.append(f"simple pole at zero: {pole}")
+
+    latex = [
+        rf"\[ \zeta_A(s) = {formula_latex} \]",
+        f"% alpha = {alpha}, beta = {beta}, simple pole at zero: {pole}",
+    ]
+    if expr.bad_primes:
+        latex.append(rf"% bad primes: {', '.join(str(q) for q, _ in expr.bad_primes)}")
+    _emit(args.format, doc, "\n".join(lines), "\n".join(latex))
     return 0
 
 
@@ -297,42 +257,31 @@ def cmd_verify(args) -> int:
         for p in primes
     ]
     failed = [r for r in reports if r.demoted]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "reports": [r.to_json() for r in reports],
-                    "all_good_primes_match": not failed,
-                },
-                indent=2,
+    lines = []
+    for r in reports:
+        status = "good" if r.heuristically_good else "bad"
+        lines.append(f"p = {r.prime} ({status} prime, E = {r.max_exp})")
+        if r.formula_values is None:
+            lines.append("  formula: none (ramified)")
+        else:
+            lines.append(f"  formula: {list(r.formula_values)}")
+        lines.append(f"  oracle:  {list(r.oracle_values)}")
+        if r.formula_values is None or r.mismatch_index is not None:
+            lines.append(
+                f"  truncated local factor: {_series_text(r.oracle_values, r.prime)}"
             )
-        )
-    else:
-        for r in reports:
-            status = "good" if r.heuristically_good else "bad"
-            lines = [f"p = {r.prime} ({status} prime, E = {r.max_exp})"]
-            if r.formula_values is None:
-                lines.append("  formula: none (ramified)")
-            else:
-                lines.append(f"  formula: {list(r.formula_values)}")
-            lines.append(f"  oracle:  {list(r.oracle_values)}")
-            if r.formula_values is None or r.mismatch_index is not None:
-                lines.append(
-                    f"  truncated local factor: {_series_text(r.oracle_values, r.prime)}"
-                )
-            if r.demoted:
-                lines.append(
-                    f"  MISMATCH at exponent {r.mismatch_index}: "
-                    f"p = {r.prime} demoted to bad"
-                )
-            elif r.matches:
-                lines.append("  match")
-            print("\n".join(lines))
-        print(
-            "all good primes match"
-            if not failed
-            else f"{len(failed)} good prime(s) mismatched"
-        )
+        if r.demoted:
+            lines.append(
+                f"  MISMATCH at exponent {r.mismatch_index}: "
+                f"p = {r.prime} demoted to bad"
+            )
+        elif r.matches:
+            lines.append("  match")
+    lines.append(
+        "all good primes match" if not failed else f"{len(failed)} good prime(s) mismatched"
+    )
+    doc = {"reports": [r.to_json() for r in reports], "all_good_primes_match": not failed}
+    _emit(args.format, doc, "\n".join(lines))
     return 2 if failed else 0
 
 
@@ -366,13 +315,12 @@ def cmd_special(args) -> int:
         if n < 1:
             raise UsageError("zpxn needs a positive block size")
         product = zpxn_zeta(n)
-        if args.format == "json":
-            print(json.dumps({"n": n, "factors": product.to_json()}, indent=2))
-        elif args.format == "latex":
-            print(_binomial_latex(product))
-        else:
-            print(f"local zeta factor of the truncated polynomial ring, n = {n}:")
-            print(f"  {product.text()}")
+        _emit(
+            args.format,
+            {"n": n, "factors": product.to_json()},
+            f"local zeta factor of the truncated polynomial ring, n = {n}:\n  {product.text()}",
+            product.latex(),
+        )
         return 0
 
     if args.what == "powerseries":
@@ -380,11 +328,11 @@ def cmd_special(args) -> int:
         if n < 1:
             raise UsageError("powerseries needs a positive coefficient count")
         coeffs = powerseries_ring_coeffs(n)
-        if args.format == "json":
-            print(json.dumps({"coefficients": coeffs}, indent=2))
-        else:
-            for m, a in enumerate(coeffs, start=1):
-                print(f"{m}\t{a}")
+        _emit(
+            args.format,
+            {"coefficients": coeffs},
+            "\n".join(f"{m}\t{a}" for m, a in enumerate(coeffs, start=1)),
+        )
         return 0
 
     if args.what == "fe-check":
@@ -392,36 +340,26 @@ def cmd_special(args) -> int:
         lam = _parse_partition(tokens)
         edv = ElementaryDivisorVector.from_pairs([(IntPoly((0, 1)), lam)])
         p, data, verified = _fe_check(EdvContext(edv, 1))
-        payload = {"partition": list(lam.parts), "prime": p, **data.to_json(), "verified": verified}
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"partition {_partition_text(lam)}: sign {data.sign_exponent}, "
-                f"q-exponent {data.q_exponent}, s-exponent {data.s_exponent} "
-                f"({'verified' if verified else 'FAILED'} at p={p})"
-            )
+        _emit(
+            args.format,
+            {"partition": list(lam.parts), "prime": p, **data.to_json(), "verified": verified},
+            f"partition {_partition_text(lam)}: sign {data.sign_exponent}, "
+            f"q-exponent {data.q_exponent}, s-exponent {data.s_exponent} "
+            f"({'verified' if verified else 'FAILED'} at p={p})",
+        )
         return 0 if verified else 2
 
     if args.what == "w-identity":
         left = w_lambda(Partition([2, 2, 1])) * w_lambda(Partition([3, 1]))
         right = w_lambda(Partition([2, 2])) * w_lambda(Partition([3, 1, 1]))
         equal = left == right
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "left": left.to_json(),
-                        "right": right.to_json(),
-                        "equal": equal,
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(f"w(2,2,1) * w(3,1)   = {left.text()}")
-            print(f"w(2,2)   * w(3,1,1) = {right.text()}")
-            print(f"equal: {'yes' if equal else 'no'}")
+        _emit(
+            args.format,
+            {"left": left.to_json(), "right": right.to_json(), "equal": equal},
+            f"w(2,2,1) * w(3,1)   = {left.text()}\n"
+            f"w(2,2)   * w(3,1,1) = {right.text()}\n"
+            f"equal: {'yes' if equal else 'no'}",
+        )
         return 0 if equal else 2
 
     raise UsageError(f"unknown special form {args.what!r}")
@@ -443,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument(
             "--format",
-            choices=["text", "json", "latex"],
+            choices=FORMATS,
             default=None,
             help="output rendering (default text; env SUBMODZETA_FORMAT)",
         )
@@ -481,8 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_env(args) -> None:
     if args.format is None:
-        env = _env("FORMAT")
-        args.format = env if env in ("text", "json", "latex") else "text"
+        args.format = _env("FORMAT") or "text"
+        if args.format not in FORMATS:
+            raise UsageError(
+                f"{ENV_PREFIX}FORMAT: invalid choice: {args.format!r} "
+                f"(choose from {', '.join(map(repr, FORMATS))})"
+            )
     if getattr(args, "edv", None) is None and args.command == "analyze":
         args.edv = _env("EDV")
     if args.command == "verify":

@@ -166,25 +166,31 @@ class IntPoly:
         return f"IntPoly({list(self._coeffs)!r})"
 
     def __str__(self):
+        return self._layout("x^{}", "*")
+
+    def latex(self) -> str:
+        return self._layout("x^{{{}}}", "")
+
+    def _layout(self, power: str, times: str) -> str:
+        """Terms from the top degree down; x^k through the `power` template,
+        and `times` between a coefficient and its power of x."""
         if not self._coeffs:
             return "0"
-        terms = []
+        out = ""
         for k in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[k]
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if k == 0:
                 body = str(mag)
             else:
-                xpart = "x" if k == 1 else f"x^{k}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
+                xpart = "x" if k == 1 else power.format(k)
+                body = xpart if mag == 1 else f"{mag}{times}{xpart}"
+            if not out:
+                out = body if c > 0 else f"-{body}"
+            else:
+                out += f" {'-' if c < 0 else '+'} {body}"
         return out
 
 

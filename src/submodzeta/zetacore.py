@@ -97,13 +97,20 @@ class BinomialProduct:
         return all(e < 0 for _, _, e in self.factors)
 
     def text(self) -> str:
+        return self._layout("(1 - {q}t^{b})^{e}", "q^{a} ", " ")
+
+    def latex(self) -> str:
+        return self._layout(r"\left(1 - {q}t^{{{b}}}\right)^{{{e}}}", "q^{{{a}}} ", "")
+
+    def _layout(self, factor: str, qpart: str, sep: str) -> str:
+        """Each (a, b, e) through the `factor` template, q^a (when a > 0)
+        through `qpart`, the factors joined by `sep`."""
         if not self.factors:
             return "1"
-        pieces = []
-        for a, b, e in self.factors:
-            qpart = f"q^{a} " if a else ""
-            pieces.append(f"(1 - {qpart}t^{b})^{e}")
-        return " ".join(pieces)
+        return sep.join(
+            factor.format(q=qpart.format(a=a) if a else "", b=b, e=e)
+            for a, b, e in self.factors
+        )
 
     def to_json(self) -> list[dict]:
         return [{"a": a, "b": b, "e": e} for a, b, e in self.factors]
@@ -211,27 +218,22 @@ class GlobalZetaExpression:
     def bad_prime_set(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.bad_primes)
 
-    @staticmethod
-    def _argument(scale: int, shift: int) -> str:
-        s = "s" if scale == 1 else f"{scale}s"
-        return s if shift == 0 else f"{s}-{shift}"
-
     def text(self) -> str:
-        pieces = []
-        for f, scale, shift in self.dedekind_factors:
-            name = "zeta" if f.degree == 1 else f"zeta_[{f}]"
-            pieces.append(f"{name}({self._argument(scale, shift)})")
-        return "*".join(pieces) if pieces else "1"
+        return self._layout("zeta", "zeta_[{}]", str, "*")
 
     def latex(self) -> str:
+        return self._layout(r"\zeta", r"\zeta_{{\mathbf{{Q}}[x]/({})}}", IntPoly.latex, "")
+
+    def _layout(self, zeta: str, dedekind: str, poly, sep: str) -> str:
+        """One zeta(scale*s-shift) per factor, named `zeta` over Q and by the
+        `dedekind` template, filled with poly(f), otherwise; joined by `sep`."""
         pieces = []
         for f, scale, shift in self.dedekind_factors:
-            if f.degree == 1:
-                name = r"\zeta"
-            else:
-                name = r"\zeta_{\mathbf{Q}[x]/(" + _poly_latex(f) + r")}"
-            pieces.append(f"{name}({self._argument(scale, shift)})")
-        return "".join(pieces) if pieces else "1"
+            name = zeta if f.degree == 1 else dedekind.format(poly(f))
+            s = "s" if scale == 1 else f"{scale}s"
+            arg = s if shift == 0 else f"{s}-{shift}"
+            pieces.append(f"{name}({arg})")
+        return sep.join(pieces) if pieces else "1"
 
     def to_json(self) -> dict:
         return {
@@ -241,27 +243,6 @@ class GlobalZetaExpression:
             ],
             "bad_primes": {str(p): list(rs) for p, rs in self.bad_primes},
         }
-
-
-def _poly_latex(f: IntPoly) -> str:
-    terms = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            xpart = "x" if k == 1 else f"x^{{{k}}}"
-            body = xpart if mag == 1 else f"{mag}{xpart}"
-        terms.append((sign, body))
-    first_sign, first_body = terms[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 def global_formula(edv: ElementaryDivisorVector, bad_primes) -> GlobalZetaExpression:

@@ -82,6 +82,24 @@ def test_analyze_bad_primes_include_the_kernel_denominator(capsys):
     assert expr.to_json()["bad_primes"] == doc["bad_primes"]
 
 
+def test_a_prime_flagged_only_by_the_kernel_denominator_can_be_bad(capsys):
+    """EDV x : (1), x + 2 : (2); the context's integers are 2 and 15.
+
+    5 divides only the kernel denominator 15, and the formula fails there,
+    so whatever criterion replaces the denominator must keep 5 bad.
+    """
+    rows = "[[-7,10,15],[1,-10,-9],[-5,10,13]]"
+    assert main(["analyze", rows, "--format", "json"]) == 0
+    assert "5" in json.loads(capsys.readouterr().out)["bad_primes"]
+    argv = ["verify", rows, "--primes", "5", "--max-index-exp", "3", "--format", "json"]
+    assert main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["prime"] == 5
+    assert report["heuristically_good"] is False and report["demoted"] is False
+    assert report["formula_values"] == [1, 2, 8, 14]
+    assert report["oracle_values"] == [1, 7, 13, 44]
+
+
 def test_analyze_computes_each_resultant_once(capsys, monkeypatch):
     """k = 4 distinct factors, j = 2 of them nonlinear: j + k(k-1)/2 resultants."""
     rows = [
@@ -297,6 +315,14 @@ def test_special_zpxn_json(capsys):
     assert doc["factors"] == [{"a": 0, "b": 1, "e": -1}, {"a": 1, "b": 2, "e": -1}]
 
 
+def test_special_zpxn_latex(capsys):
+    assert main(["special", "zpxn", "3", "--format", "latex"]) == 0
+    assert capsys.readouterr().out == (
+        r"\left(1 - t^{1}\right)^{-1}\left(1 - q^{1} t^{2}\right)^{-1}"
+        r"\left(1 - q^{2} t^{3}\right)^{-1}" "\n"
+    )
+
+
 def test_special_powerseries(capsys):
     assert main(["special", "powerseries", "8"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -368,6 +394,20 @@ def test_env_format_and_flag_precedence(capsys, monkeypatch):
     assert main(["analyze", ZERO_2, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("matrix:")
+
+
+def test_env_format_must_name_a_format(capsys, monkeypatch):
+    assert main(["analyze", ZERO_2, "--format", "bogus"]) == 1
+    flag_err = capsys.readouterr().err
+    monkeypatch.setenv("SUBMODZETA_FORMAT", "bogus")
+    assert main(["analyze", ZERO_2]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: SUBMODZETA_FORMAT: ")
+    assert err.split(": ", 2)[2] == flag_err.split(": ", 2)[2]
+
+    monkeypatch.setenv("SUBMODZETA_FORMAT", "")  # empty counts as unset
+    assert main(["analyze", ZERO_2]) == 0
+    assert capsys.readouterr().out.startswith("matrix:")
 
 
 def test_env_primes(capsys, monkeypatch):

@@ -57,6 +57,15 @@ def test_intpoly_basics():
     assert IntPoly.from_json([2, -3, 1]) == f
 
 
+def test_intpoly_text_and_latex_layouts():
+    f = IntPoly((3, -2, 0, -5, 1))  # top power, coefficient, bare x and constant terms
+    assert str(f) == "x^4 - 5*x^3 - 2*x + 3"
+    assert f.latex() == "x^{4} - 5x^{3} - 2x + 3"
+    g = IntPoly((1, 0, -1))  # a leading minus
+    assert str(g) == "-x^2 + 1"
+    assert g.latex() == "-x^{2} + 1"
+
+
 def test_intpoly_errors():
     with pytest.raises(ValueError):
         IntPoly((1, 2.5))

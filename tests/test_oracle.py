@@ -3,12 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from submodzeta import oracle
 from submodzeta.canonical import elementary_divisor_vector
-from submodzeta.linalg import IntMatrix, companion, n_of
+from submodzeta.linalg import IntMatrix, companion, n_of, resultant
 from submodzeta.oracle import (
     _INT64_SAFE,
     _PACK,
@@ -33,7 +33,7 @@ from submodzeta.partitions import Partition
 from submodzeta.polyfactor import IntPoly
 from submodzeta.zetacore import dirichlet_coefficients, generic_local_factor
 
-from linalg_helpers import hnf, is_invariant
+from linalg_helpers import charpoly, hnf, is_invariant
 
 
 def diag(*entries):
@@ -587,6 +587,23 @@ def _recorded_hnf_levels(monkeypatch, a, p, top):
 
 def _square(n, entries):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _block():
+    return st.integers(1, 2).flatmap(lambda n: _square(n, st.integers(-4, 4)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_block(), _block(), st.sampled_from([2, 3, 5]))
+def test_counts_of_a_block_sum_coprime_mod_p_convolve(a_rows, b_rows, p):
+    """With charpolys coprime mod p, every invariant lattice of A + B splits
+    along the two blocks, so its counts are the convolution of theirs."""
+    a, b = IntMatrix(a_rows), IntMatrix(b_rows)
+    assume(resultant(charpoly(a), charpoly(b)) % p)
+    ca = count_invariant_sublattices(a, p, 3).values
+    cb = count_invariant_sublattices(b, p, 3).values
+    convolved = tuple(sum(ca[i] * cb[e - i] for i in range(e + 1)) for e in range(4))
+    assert count_invariant_sublattices(IntMatrix.block_diag(a, b), p, 3).values == convolved
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
