@@ -28,6 +28,27 @@ far past the int64 bound shrink below p^E/2.  The modulus is p^E for every
 level, not p^e: the actions that HNF levels record feed the tree's children
 up to level E.
 
+Before that reduction, a matrix with one eigenvalue is replaced by a
+strictly upper-triangular conjugate (`_triangular`): when c = tr(A)/n is an
+integer and N = A - cI has N^n = 0, the producers count T + cI with
+T = U*N*U^-1 strictly upper triangular and U unimodular.  Three facts make
+this exact and always possible:
+
+* x -> x*U^-1 permutes the sublattices of Z^n and keeps their index, and L
+  is invariant under A exactly when L*U^-1 is invariant under U*A*U^-1, so
+  the counts agree level by level.
+* Left kernels are pure: if k*x lies in the left kernel of N for an integer
+  k != 0, so does x.  So a primitive vector v of it is the last row of a
+  unimodular W, and W*N*W^-1 has a zero last row; its leading block is
+  nilpotent again, and the same step on it, one size smaller, ends in T.
+* If N^j = 0 and N^(j-1) != 0, each row of N^(j-1) lies in the left kernel
+  of N, so such a v is a nonzero row of N^(j-1) divided by its content.
+
+The kernel's cost depends on where the nonzero entries of the matrix sit,
+not only on how many there are, and T has a zero first column and a zero
+last row.  U*A = (T + cI)*U and U*U^-1 = I are checked exactly.  Every
+other matrix is counted as given.
+
 Each producer batches a whole level, not one diagonal at a time
 (`_batches`): a diagonal of more than _BATCH bases is split on its own, its
 earliest mixed-radix positions ints and only the last ones arrays, and
@@ -79,7 +100,7 @@ import numpy as np
 import sympy
 
 from .canonical import EdvContext, edv_context
-from .linalg import _INT64_SAFE, IntMatrix, _abs_max
+from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
 from .zetacore import (
     DirichletCoefficients,
     RamifiedPrimeError,
@@ -595,6 +616,100 @@ def _reduced(a: IntMatrix, modulus: int) -> IntMatrix:
     return IntMatrix(shifted)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _last_power(m, k: int):
+    """N^(j-1) for the leading k x k block N of m, j its nilpotency index; None when N = 0."""
+    block = [row[:k] for row in m[:k]]
+    power, step = None, block
+    while any(map(any, step)):
+        power, step = step, _product(step, block)
+    return power
+
+
+def _flag(m):
+    """(T, U, U^-1): T = U*N*U^-1 strictly upper triangular, U unimodular, for nilpotent N = m.
+
+    The last row of U spans a pure line of the left kernel of N, so T has a
+    zero last row; the leading block is treated the same way, one size
+    smaller.  The line is a row of N^(j-1), j the nilpotency index, divided by
+    its content.  Extended-gcd column operations E (det 1) on the leading k
+    columns carry that row v to (0, ..., 0, 1), and the conjugation
+    N -> E^-1*N*E then clears the last row of the leading k x k block.
+    """
+    n = len(m)
+    m = [list(row) for row in m]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for k in range(n, 1, -1):
+        power = _last_power(m, k)
+        if power is None:
+            break
+        v = next(row for row in power if any(row))
+        g = 0
+        for x in v:
+            g = _xgcd(g, x)[0]
+        if v[-1] < 0:
+            g = -g
+        v = [x // g for x in v]
+        l = k - 1
+        for i in range(l):
+            a, b = v[i], v[l]
+            if not a:
+                continue
+            g, s, t = _xgcd(a, b)
+            a, b = a // g, b // g
+            # E on columns (i, l): [[b, s], [-a, t]]; E^-1 on rows: [[t, -s], [a, b]]
+            v[i], v[l] = 0, g
+            for rows in (m, u):
+                rows[i], rows[l] = ([t * x - s * y for x, y in zip(rows[i], rows[l])],
+                                    [a * x + b * y for x, y in zip(rows[i], rows[l])])
+            for rows in (m, u_inv):
+                for row in rows:
+                    row[i], row[l] = b * row[i] - a * row[l], s * row[i] + t * row[l]
+    return m, u, u_inv
+
+
+def _triangular(a: IntMatrix) -> IntMatrix:
+    """T + cI with T = U*(A - cI)*U^-1 strictly upper triangular, U unimodular.
+
+    Only for a matrix with one eigenvalue c, an integer: c = tr(A)/n and
+    (A - cI)^n = 0.  Every other matrix, and every scalar one, comes back
+    as it is.  Raises RuntimeError unless U*A = (T + cI)*U and U*U^-1 = I
+    hold exactly.
+    """
+    n = a.n_rows
+    c, r = divmod(sum(a.entries[i][i] for i in range(n)), n)
+    if r:
+        return a
+    nil = [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.entries)]
+    # tr(N^2) = 0 is necessary for N^n = 0, and costs no product
+    if not any(map(any, nil)) or sum(x * nil[j][i] for i, row in enumerate(nil)
+                                     for j, x in enumerate(row)):
+        return a
+    power = nil
+    for _ in range(n - 1):
+        power = _product(power, nil)
+    if any(map(any, power)):
+        return a
+    t, u, u_inv = _flag(nil)
+    out = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
+    if (_product(u, a.entries) != _product(out, u)
+            or _product(u, u_inv) != [[int(i == j) for j in range(n)] for i in range(n)]
+            or any(x for i, row in enumerate(t) for x in row[:i + 1])):
+        raise RuntimeError("the unimodular triangular conjugate failed its exact check")
+    return IntMatrix(out)
+
+
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_n: int = DEFAULT_MAX_N,
                                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> DirichletCoefficients:
@@ -628,7 +743,7 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                 f"{running} HNF candidates up to level {e} for p = {p}, E = {max_exp} "
                 f"exceed the budget {max_candidates}"
             )
-    a = _reduced(a, p ** max_exp)
+    a = _reduced(_triangular(a), p ** max_exp)
     tree = _LatticeTree(a, p, totals)
     values = [1]
     for e in range(1, max_exp + 1):

@@ -4,12 +4,15 @@ The recursive normal form a_of and the permutation conjugating it to
 linalg.n_of, a plain Hermite normal form (the reference for the oracle's
 vectorized reduction), the invariance test built on it (the reference for
 the oracle's entrywise test), the characteristic polynomial by the trace
-recursion, and Python-int references for the matrix product, polynomial
+recursion, Python-int references for the matrix product, polynomial
 evaluation and the minimal polynomial (linalg computes these in int64 or
-modulo word primes where it can).
+modulo word primes where it can), and seeded unimodular matrices with their
+inverses for the tests of invariance under change of basis.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import sympy
 
@@ -215,3 +218,41 @@ def minpoly(a: IntMatrix) -> IntPoly:
                         sympy.Poly(list(reversed(_vector_minpoly(i, a).coeffs)), x))
         best = IntPoly([int(c) for c in reversed(lcm.all_coeffs())])
     return best
+
+
+# ---------------------------------------------------------------------------
+# changes of basis
+
+
+def random_unimodular(rng, n: int) -> IntMatrix:
+    """A product of three shears I + c*e_ij, i != j, c in [-3, 3], drawn from rng.
+
+    For n = 1 there is no shear, and the identity comes back.
+    """
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    return IntMatrix(m)
+
+
+def int_inverse(u: IntMatrix) -> IntMatrix:
+    """The inverse of a unimodular integer matrix, by Gauss-Jordan over Fraction."""
+    n = u.n_rows
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(u.entries)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    out = [row[n:] for row in aug]
+    if any(v.denominator != 1 for row in out for v in row):
+        raise ValueError("the matrix is not unimodular")
+    return IntMatrix([[int(v) for v in row] for row in out])

@@ -17,7 +17,7 @@ from submodzeta.linalg import IntMatrix, IntPoly, companion, minpoly, n_of, poly
 from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import factor_over_z
 
-from linalg_helpers import a_of
+from linalg_helpers import a_of, int_inverse, random_unimodular
 
 X = IntPoly((0, 1))
 
@@ -78,8 +78,8 @@ def test_primary_type_on_conjugated_block_sums():
             lam = Partition([rng.randint(1, 2) for _ in range(rng.randint(1, 3 - f.degree // 2))])
             blocks[f] = (lam, IntMatrix.block_diag(*(companion(f ** k) for k in lam)))
         a = IntMatrix.block_diag(*(block for _, block in blocks.values()))
-        u = _random_unimodular(rng, a.n_rows)
-        conj = u * a * _int_inverse(u)
+        u = random_unimodular(rng, a.n_rows)
+        conj = u * a * int_inverse(u)
         for f, (lam, block) in blocks.items():
             assert primary_type(block, f) == lam
             assert primary_type(conj, f) == lam
@@ -98,10 +98,10 @@ def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
 
     monkeypatch.setattr(canonical, "poly_at_matrix", counting)
     rng = random.Random(1)
-    u = _random_unimodular(rng, 6)
+    u = random_unimodular(rng, 6)
     cases = [
         (companion(IntPoly((-1, -1, 0, 1)) ** 2), IntPoly((-1, -1, 0, 1)), Partition([2])),
-        (u * IntMatrix.block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * _int_inverse(u),
+        (u * IntMatrix.block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * int_inverse(u),
          IntPoly((1, 0, 1)), Partition([1, 1, 1])),
         (IntMatrix.identity(4), IntPoly.x_minus(1), Partition([1, 1, 1, 1])),
     ]
@@ -172,50 +172,10 @@ def test_similar_matrices_same_edv():
         n = m.n_rows
         edv = elementary_divisor_vector(m)
         for _ in range(5):
-            p = _random_unimodular(rng, n)
-            pinv = _int_inverse(p)
+            p = random_unimodular(rng, n)
+            pinv = int_inverse(p)
             conj = p * m * pinv
             assert elementary_divisor_vector(conj) == edv
-
-
-def _random_unimodular(rng, n):
-    """Product of a few unit shears; entries stay small."""
-    while True:
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(3):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            c = rng.choice([-1, 1])
-            for k in range(n):
-                m[i][k] += c * m[j][k]
-        cand = IntMatrix(m)
-        if max(abs(x) for row in cand.entries for x in row) <= 3:
-            return cand
-
-
-def _int_inverse(p: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, by adjugate-style solves."""
-    from fractions import Fraction
-
-    n = p.n_rows
-    a = [[Fraction(x) for x in row] for row in p.entries]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    rows = [[x for x in row] for row in inv]
-    assert all(x.denominator == 1 for row in rows for x in row)
-    return IntMatrix([[int(x) for x in row] for row in rows])
 
 
 def test_edv_context_denominators():

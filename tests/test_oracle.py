@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from submodzeta import oracle
@@ -29,11 +29,11 @@ from submodzeta.oracle import (
     count_at_exponent,
     count_invariant_sublattices,
 )
-from submodzeta.partitions import Partition
+from submodzeta.partitions import Partition, partitions_of
 from submodzeta.polyfactor import IntPoly
 from submodzeta.zetacore import dirichlet_coefficients, generic_local_factor
 
-from linalg_helpers import charpoly, hnf, is_invariant
+from linalg_helpers import charpoly, hnf, int_inverse, is_invariant, random_unimodular
 
 
 def diag(*entries):
@@ -112,52 +112,19 @@ def test_counts_match_formula_at_good_primes():
 # invariance properties
 
 
-def _random_unimodular(rng, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(3):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-3, 3)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return IntMatrix(tuple(tuple(row) for row in m))
-
-
-def _int_inverse(p):
-    from fractions import Fraction
-
-    n = p.n_rows
-    aug = [
-        [Fraction(p.entries[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(v.denominator == 1 for row in out for v in row)
-    return IntMatrix(tuple(tuple(int(v) for v in row) for row in out))
-
-
 def test_counts_invariant_under_unimodular_conjugation():
     rng = random.Random(7)
     base = n_of(Partition([2, 1]))
     for _ in range(4):
-        u = _random_unimodular(rng, 3)
-        conj = u * base * _int_inverse(u)
+        u = random_unimodular(rng, 3)
+        conj = u * base * int_inverse(u)
         assert (
             count_invariant_sublattices(conj, 2, 3).values
             == count_invariant_sublattices(base, 2, 3).values
         )
     # entries near 10^30 fail the int64 bound; reduced mod p^E they pass it
     u = IntMatrix(((1, 10 ** 15), (0, 1)))
-    huge = u * companion(IntPoly((1, 0, 1))) * _int_inverse(u)
+    huge = u * companion(IntPoly((1, 0, 1))) * int_inverse(u)
     abs_max = max(abs(x) for row in huge.entries for x in row)
     assert _int64_bound(2, 3, 0, abs_max) >= _INT64_SAFE
     assert count_invariant_sublattices(huge, 5, 4).values == (1, 2, 3, 4, 5)
@@ -463,7 +430,7 @@ def _hnf_counts(a, p, top):
 
 def _huge_x2_plus_1():
     u = IntMatrix(((1, 10 ** 15), (0, 1)))
-    return u * companion(IntPoly((1, 0, 1))) * _int_inverse(u)
+    return u * companion(IntPoly((1, 0, 1))) * int_inverse(u)
 
 
 @pytest.mark.parametrize("name, a, p, top", [
@@ -521,14 +488,14 @@ def _reference_cases():
         c = rng.randint(-9, 9)
         cases.append((diag(*[c] * n), rng.choice([2, 3]), top))
     for lam, top in (([2], 3), ([2, 1], 2), ([3], 2)):
-        u = _random_unimodular(rng, sum(lam))
-        cases.append((u * n_of(Partition(lam)) * _int_inverse(u), rng.choice([2, 3]), top))
+        u = random_unimodular(rng, sum(lam))
+        cases.append((u * n_of(Partition(lam)) * int_inverse(u), rng.choice([2, 3]), top))
     cases += [(companion(IntPoly((1, 0, 1))), p, 3) for p in (2, 3)]
     for n in (1, 2, 2, 3, 3):
         a = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         cases.append((a, rng.choice([2, 3]), {1: 3, 2: 3, 3: 2}[n]))
     u = IntMatrix(((1, 10 ** 10), (0, 1)))
-    cases.append((u * companion(IntPoly((1, 0, 1))) * _int_inverse(u), 2, 3))
+    cases.append((u * companion(IntPoly((1, 0, 1))) * int_inverse(u), 2, 3))
     return cases
 
 
@@ -671,6 +638,131 @@ def test_reduced_matrix_examples():
     assert _reduced(diag(7, 0, 1), 3 ** 4) == diag(7, 0, 1)
     # subtracting 5 would make -10 of -5, so nothing is subtracted
     assert _reduced(diag(5, 5, -5), 3 ** 4) == diag(5, 5, -5)
+
+
+# ---------------------------------------------------------------------------
+# the unimodular triangular conjugate of a matrix with one eigenvalue
+
+
+def _plus_scalar(a, c):
+    return IntMatrix([[x + c * (i == j) for j, x in enumerate(row)]
+                      for i, row in enumerate(a.entries)])
+
+
+def _conjugate(u, a):
+    return u * a * int_inverse(u)
+
+
+# ad(e_1) of the filiform Lie ring m_4, [e_1, e_i] = e_(i+1): row i is the image of e_i
+_AD_E1_M4 = IntMatrix(((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
+_BIG_SHEAR = IntMatrix(((1, 10 ** 15, 0), (0, 1, 0), (3, 0, 1)))
+
+
+def _is_strictly_upper_plus(t, c):
+    return all(x == c * (i == j) for i, row in enumerate(t.entries) for j, x in enumerate(row)
+               if j <= i)
+
+
+@pytest.mark.parametrize("a, c", [
+    (_conjugate(random_unimodular(random.Random(4), 4), _AD_E1_M4), 0),
+    (_plus_scalar(_conjugate(random_unimodular(random.Random(5), 3), n_of(Partition([2, 1]))), 7),
+     7),
+    (_plus_scalar(_conjugate(random_unimodular(random.Random(6), 4), n_of(Partition([4]))), -3),
+     -3),
+    (IntMatrix(((2, -4, 0), (1, -2, 0), (1, -2, 0))), 0),
+    (IntMatrix(((0, 9), (0, 0))), 0),
+    # entries of 10^15, and a shift past 2^62
+    (_conjugate(_BIG_SHEAR, n_of(Partition([2, 1]))), 0),
+    (_plus_scalar(_conjugate(_BIG_SHEAR, n_of(Partition([3]))), 2 ** 70), 2 ** 70),
+])
+def test_triangular_conjugate_is_strictly_upper_triangular_plus_cI(a, c):
+    t = oracle._triangular(a)
+    assert _is_strictly_upper_plus(t, c)
+    nil = _plus_scalar(a, -c)
+    flag, u, u_inv = (IntMatrix(m) for m in oracle._flag(nil.entries))
+    assert u * nil == flag * u
+    assert int_inverse(u) == u_inv
+    assert _plus_scalar(flag, c) == t
+
+
+@pytest.mark.parametrize("a", [
+    companion(IntPoly((1, 0, 1))),
+    diag(1, 2),
+    companion(IntPoly((-1, -1, 0, 1))),
+    IntMatrix(((1, 1), (0, 0))),  # trace 1: not a multiple of n
+    diag(0, 0, 0),
+    diag(5, 5),
+])
+def test_triangular_conjugate_leaves_other_matrices_alone(a):
+    assert oracle._triangular(a) is a
+
+
+def test_triangular_conjugate_rejects_a_corrupted_conjugator(monkeypatch):
+    a = _conjugate(random_unimodular(random.Random(3), 3), n_of(Partition([3])))
+    flag = oracle._flag
+
+    def corrupted(which):
+        def build(m):
+            parts = [[list(row) for row in x] for x in flag(m)]
+            parts[which][0][-1] += 1
+            return parts
+        return build
+
+    for which in range(3):
+        monkeypatch.setattr(oracle, "_flag", corrupted(which))
+        with pytest.raises(RuntimeError, match="exact check"):
+            oracle._triangular(a)
+
+
+def _hnf_values(a, p, top):
+    """The counts of count_at_exponent alone, level by level, on a as given."""
+    return (1,) + tuple(count_at_exponent(a, p, e)[0] for e in range(1, top + 1))
+
+
+def _cheap_top(n, p):
+    """The highest level up to 5 whose HNF candidates, over all levels, stay below 1500."""
+    top = 0
+    while top < 5 and sum(candidate_total(n, p, e) for e in range(top + 2)) < 1500:
+        top += 1
+    return top
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+    st.one_of(st.integers(-9, 9), st.integers(2 ** 62, 2 ** 70), st.integers(-2 ** 70, -2 ** 62)),
+    st.sampled_from([2, 3, 5]),
+    st.randoms(use_true_random=False),
+)
+@example(Partition([2, 1, 1]), 2 ** 64 + 1, 2, random.Random(0))
+def test_unipotent_counts_match_hnf_levels_of_the_raw_matrix(lam, c, p, rng):
+    n = lam.size
+    a = _plus_scalar(_conjugate(random_unimodular(rng, n), n_of(lam)), c)
+    assert _is_strictly_upper_plus(oracle._triangular(a), c)
+    top = _cheap_top(n, p)
+    assert count_invariant_sublattices(a, p, top).values == _hnf_values(a, p, top)
+
+
+def test_filiform_ad_e1_counts_match_hnf_levels_and_its_normal_form():
+    a = _conjugate(random_unimodular(random.Random(11), 4), _AD_E1_M4)
+    want = _hnf_values(a, 2, 4)
+    assert count_invariant_sublattices(a, 2, 4).values == want
+    assert want == _hnf_values(n_of(Partition([3, 1])), 2, 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda n: _square(n, st.integers(-4, 4))),
+    st.sampled_from([2, 3, 5]),
+    st.randoms(use_true_random=False),
+)
+def test_counts_are_invariant_under_random_unimodular_conjugation(rows, p, rng):
+    a = IntMatrix(rows)
+    assume(oracle._triangular(a) is a)
+    top = {1: 4, 2: 3, 3: 2}[a.n_rows]
+    conj = _conjugate(random_unimodular(rng, a.n_rows), a)
+    assert count_invariant_sublattices(conj, p, top).values == \
+        count_invariant_sublattices(a, p, top).values
 
 
 def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
