@@ -12,17 +12,12 @@ from .canonical import (
     EdvContext,
     ElementaryDivisorVector,
     edv_context,
-    elementary_divisor_vector,
-    nilpotent_type,
-    primary_type,
 )
 from .linalg import (
     IntMatrix,
     IntPoly,
-    companion,
     kernel_dim,
     minpoly,
-    n_of,
     poly_at_matrix,
     rank_over_q,
     resultant,
@@ -33,7 +28,7 @@ from .oracle import (
     compare,
     count_invariant_sublattices,
 )
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 from .polyfactor import (
     DEFAULT_DEGREE_CAP,
     DegreeCapError,
@@ -42,25 +37,20 @@ from .polyfactor import (
     splitting_profile,
 )
 from .zetacore import (
-    BadPrimeError,
     BinomialProduct,
     DirichletCoefficients,
     FunctionalEquationData,
     GlobalZetaExpression,
     RamifiedPrimeError,
-    XYRational,
     abscissa,
-    abscissa_from_factors,
     bad_prime_reasons,
     dirichlet_coefficients,
-    exceptional_factor_2x2,
     functional_equation_data,
     generic_local_factor,
     global_formula,
     good_primes,
     has_simple_pole_at_zero,
     is_good_prime,
-    local_euler_factor,
     powerseries_ring_coeffs,
     verify_functional_equation,
     w_lambda,
@@ -70,7 +60,6 @@ from .zetacore import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPrimeError",
     "BinomialProduct",
     "BudgetError",
     "ComparisonReport",
@@ -86,17 +75,12 @@ __all__ = [
     "Partition",
     "RamifiedPrimeError",
     "SplittingProfile",
-    "XYRational",
     "abscissa",
-    "abscissa_from_factors",
     "bad_prime_reasons",
-    "companion",
     "compare",
     "count_invariant_sublattices",
     "dirichlet_coefficients",
     "edv_context",
-    "elementary_divisor_vector",
-    "exceptional_factor_2x2",
     "factor_over_z",
     "functional_equation_data",
     "generic_local_factor",
@@ -105,14 +89,9 @@ __all__ = [
     "has_simple_pole_at_zero",
     "is_good_prime",
     "kernel_dim",
-    "local_euler_factor",
     "minpoly",
-    "n_of",
-    "nilpotent_type",
-    "partitions_of",
     "poly_at_matrix",
     "powerseries_ring_coeffs",
-    "primary_type",
     "rank_over_q",
     "resultant",
     "splitting_profile",

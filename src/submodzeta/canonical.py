@@ -1,14 +1,15 @@
 """Elementary divisor vectors: which irreducibles act, with which partition.
 
 The pipeline is minimal polynomial -> irreducible factorization -> one type
-partition per factor f^m, read off the kernel-dimension jumps of f(A),
-f(A)^2, ..., f(A)^m on the whole matrix: f(A) is invertible on every other
-primary component, so these kernels are those of the f-component.  It runs
-in integers throughout.  Only the pairs (f, partition) travel onward, in an
-EdvContext that also carries the denominator of the kernel bases of the
-f(A)^m and, computed once, every integer a bad prime divides: the
-resultants of each f with f' and with every other factor, and that
-denominator.  The bad-prime heuristic in zetacore only reads them.
+partition per factor f^m, read off (`_type`) the kernel-dimension jumps of
+f(A), f(A)^2, ..., f(A)^m, and of no further power, on the whole matrix:
+f(A) is invertible on every other primary component, so these kernels are
+those of the f-component.  It runs in integers throughout.  Only the pairs
+(f, partition) travel onward, in an EdvContext that also carries the
+denominator of the kernel bases of the f(A)^m and, computed once, every
+integer a bad prime divides: the resultants of each f with f' and with
+every other factor, and that denominator.  The bad-prime heuristic in
+zetacore only reads them.
 """
 
 from __future__ import annotations
@@ -115,25 +116,25 @@ class EdvContext:
         object.__setattr__(self, "divisors", tuple(divisors))
 
 
-def _type(fa: IntMatrix, d: int, m: int | None) -> tuple[Partition, int]:
-    """Type of f from the kernel dimensions of fa, fa^2, ..., where fa = f(a), d = deg f.
+def _type(fa: IntMatrix, d: int, m: int) -> tuple[Partition, int]:
+    """Type of f from the kernel dimensions of fa, fa^2, ..., fa^m, where
+    fa = f(a), d = deg f and m is the exponent of f in the minimal polynomial.
 
     f(a) is invertible on every primary component but the f-component, so
     the kernels of its powers on the whole space are those on the
     f-component, and the j-th jump of their dimensions is d times the
-    number of parts >= j.  Without m the powers go on until the kernel stops
-    growing.  With m, the exponent of f in the minimal polynomial, each of
-    fa, ..., fa^m must enlarge the kernel, and fa^(m+1) is never formed; the
-    kernel of fa^m is then taken by kernel_basis for its denominator, which
-    is returned (1 when fa^m = 0, the kernel being everything).
+    number of parts >= j.  Each of fa, ..., fa^m must enlarge the kernel,
+    and fa^(m+1) is never formed.  The kernel of fa^m is taken by
+    kernel_basis for its denominator, which is returned (1 when fa^m = 0,
+    the kernel being everything).
     """
     n = fa.n_rows
     jumps = []
-    power = fa
     prev = 0
     den = 1
-    while True:
-        if len(jumps) + 1 != m:
+    for j in range(1, m + 1):
+        power = fa if j == 1 else power * fa
+        if j < m:
             k = kernel_dim(power)
         elif any(map(any, power.entries)):
             rows, den = kernel_basis(power)
@@ -143,36 +144,12 @@ def _type(fa: IntMatrix, d: int, m: int | None) -> tuple[Partition, int]:
         if k == prev:
             if not jumps:
                 raise ValueError("f(a) is invertible; f does not divide the minimal polynomial")
-            if m is not None:
-                raise RuntimeError("kernel dimensions stalled below the minimal-polynomial exponent")
-            break
+            raise RuntimeError("kernel dimensions stalled below the minimal-polynomial exponent")
         if (k - prev) % d:
             raise ValueError("kernel jumps not divisible by deg f; wrong f for this matrix")
         jumps.append((k - prev) // d)
         prev = k
-        if len(jumps) == m or (m is None and k == n):
-            break
-        power = power * fa
     return Partition(jumps).dual(), den
-
-
-def primary_type(a: IntMatrix, f: IntPoly) -> Partition:
-    """Type partition of the irreducible f in the elementary divisor vector of a.
-
-    Raises ValueError when f(a) is invertible, or when a kernel jump is not
-    divisible by deg f, which a reducible f can cause.
-    """
-    if not a.is_square or a.n_rows == 0:
-        raise ValueError("primary_type wants a square matrix of size >= 1")
-    return _type(poly_at_matrix(f, a), f.degree, None)[0]
-
-
-def nilpotent_type(a: IntMatrix) -> Partition:
-    """Partition of block sizes of a nilpotent matrix, from kernel dimensions."""
-    lam = primary_type(a, IntPoly.x_power(1))
-    if lam.size != a.n_rows:
-        raise ValueError("kernel dimensions stalled below n; the matrix is not nilpotent")
-    return lam
 
 
 def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContext:
@@ -195,8 +172,3 @@ def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContex
     if edv.n != a.n_rows:
         raise RuntimeError("degree-weighted sizes must sum to n")
     return EdvContext(edv, lcm)
-
-
-def elementary_divisor_vector(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> ElementaryDivisorVector:
-    """Canonical elementary divisor vector of an integer matrix."""
-    return edv_context(a, degree_cap).edv

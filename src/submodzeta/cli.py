@@ -6,7 +6,7 @@ analyze MATRIX      elementary divisors, global zeta product, abscissa/pole
                     data, functional-equation exponents, pole-at-zero verdict
 verify MATRIX       expand the local formula at chosen primes and compare
                     against brute-force sublattice counts
-special ...         zpxn N | powerseries N | fe-check PARTS | w-identity
+special ...         zpxn N | powerseries N | fe-check PARTS
 
 MATRIX is inline JSON ("[[0,1],[0,0]]" or {"n":2,"entries":[[0,1],[0,0]]}),
 a path to a file holding the same, or "-" for standard input.
@@ -59,7 +59,6 @@ from .zetacore import (
     has_simple_pole_at_zero,
     powerseries_ring_coeffs,
     verify_functional_equation,
-    w_lambda,
     zpxn_zeta,
 )
 
@@ -349,19 +348,6 @@ def cmd_special(args) -> int:
         )
         return 0 if verified else 2
 
-    if args.what == "w-identity":
-        left = w_lambda(Partition([2, 2, 1])) * w_lambda(Partition([3, 1]))
-        right = w_lambda(Partition([2, 2])) * w_lambda(Partition([3, 1, 1]))
-        equal = left == right
-        _emit(
-            args.format,
-            {"left": left.to_json(), "right": right.to_json(), "equal": equal},
-            f"w(2,2,1) * w(3,1)   = {left.text()}\n"
-            f"w(2,2)   * w(3,1,1) = {right.text()}\n"
-            f"equal: {'yes' if equal else 'no'}",
-        )
-        return 0 if equal else 2
-
     raise UsageError(f"unknown special form {args.what!r}")
 
 
@@ -405,10 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(pv)
     pv.set_defaults(func=cmd_verify)
 
-    ps = sub.add_parser("special", help="closed forms and identity checks")
-    ps.add_argument(
-        "what", choices=["zpxn", "powerseries", "fe-check", "w-identity"]
-    )
+    ps = sub.add_parser("special", help="closed forms and the functional-equation check")
+    ps.add_argument("what", choices=["zpxn", "powerseries", "fe-check"])
     ps.add_argument("n", nargs="?", default=None, help="size argument")
     ps.add_argument("parts", nargs="*", help="partition parts for fe-check")
     add_format(ps)

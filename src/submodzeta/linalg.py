@@ -1,11 +1,9 @@
 """Exact integer linear algebra.
 
 Dense matrices over Z, integer polynomials, resultants, fraction-free
-rank, determinant and left kernels, minimal polynomials, and the matrices
-the rest of the package is phrased in: the companion matrix of a monic
-polynomial and the nilpotent normal form n_of (one shift block per part).
-A rational left kernel basis is returned as (rows, den): integer rows over
-one denominator, standing for rows / den.
+rank, determinant and left kernels, and minimal polynomials.  A rational
+left kernel basis is returned as (rows, den): integer rows over one
+denominator, standing for rows / den.
 
 Entries are arbitrary-precision ints, and every answer is exact.  Matrix
 products run in numpy int64 where a bound proves that no sum can overflow,
@@ -28,8 +26,6 @@ import sympy
 from sympy import ZZ
 from sympy.polys.euclidtools import dup_lcm
 from sympy.polys.matrices import DomainMatrix
-
-from .partitions import Partition
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +62,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self._coeffs) and self._coeffs[-1] == 1
-
-    @classmethod
-    def x_power(cls, k: int) -> IntPoly:
-        """The monomial X^k."""
-        return cls([0] * k + [1])
-
-    @classmethod
-    def x_minus(cls, a: int) -> IntPoly:
-        """The linear polynomial X - a."""
-        return cls([-a, 1])
 
     def __add__(self, other):
         if not isinstance(other, IntPoly):
@@ -134,13 +120,6 @@ class IntPoly:
                 for k, gc in enumerate(g.coeffs):
                     rem[i - dg + k] -= c * gc
         return IntPoly(q), IntPoly(rem)
-
-    def evaluate(self, x):
-        """Horner evaluation; works for any exact numeric x (int, Fraction)."""
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> IntPoly:
         return IntPoly([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -301,20 +280,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def block_diag(cls, *blocks) -> IntMatrix:
-        n = sum(b.n_rows for b in blocks)
-        rows = [[0] * n for _ in range(n)]
-        off = 0
-        for b in blocks:
-            if not b.is_square:
-                raise ValueError("block_diag wants square blocks")
-            for i in range(b.n_rows):
-                for j in range(b.n_cols):
-                    rows[off + i][off + j] = b.entries[i][j]
-            off += b.n_rows
-        return cls(rows)
-
-    @classmethod
     def from_json(cls, obj) -> IntMatrix:
         """Parse {"n": int, "entries": [[...], ...]}; must be square of size n."""
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
@@ -330,9 +295,6 @@ class IntMatrix:
 
     def to_json(self) -> dict:
         return {"n": self._n_rows, "entries": [list(r) for r in self._rows]}
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(list(zip(*self._rows))) if self._rows else IntMatrix(())
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
@@ -500,32 +462,6 @@ def kernel_basis(m: IntMatrix) -> tuple[list[list[int]], int]:
             vec[p] = -rref[r][i] // step
         rows.append(vec)
     return rows, lcd
-
-
-# ---------------------------------------------------------------------------
-# normal forms
-
-
-def companion(f: IntPoly) -> IntMatrix:
-    """Companion matrix of a monic polynomial: superdiagonal ones, last row -coeffs."""
-    if not f.is_monic:
-        raise ValueError("companion matrix wants a monic polynomial")
-    m = f.degree
-    if m < 1:
-        raise ValueError("companion matrix wants degree >= 1")
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m - 1):
-        rows[i][i + 1] = 1
-    for j in range(m):
-        rows[m - 1][j] = -f.coeffs[j]
-    return IntMatrix(rows)
-
-
-def n_of(lam: Partition) -> IntMatrix:
-    """Block-diagonal nilpotent normal form: one shift block per part."""
-    if lam.size == 0:
-        raise ValueError("empty partition")
-    return IntMatrix.block_diag(*(companion(IntPoly.x_power(p)) for p in lam))
 
 
 # ---------------------------------------------------------------------------

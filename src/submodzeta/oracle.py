@@ -161,13 +161,9 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def candidate_total(n: int, p: int, e: int) -> int:
-    """Number of HNF candidates of determinant p^e: the sublattices of index p^e in Z^n."""
-    return next(itertools.islice(_level_totals(n, p), e, None))
-
-
 def _level_totals(n: int, p: int):
-    """candidate_total(n, p, e) for e = 0, 1, 2, ...
+    """The candidate totals of levels e = 0, 1, 2, ...: the numbers of HNF
+    candidates of determinant p^e, the sublattices of index p^e in Z^n.
 
     These are the coefficients of prod_{j<n} 1/(1 - p^j t), the local factor
     of the zeta function of Z^n (Grunewald-Segal-Smith): h[j] is the
@@ -436,9 +432,10 @@ class _LatticeTree:
 
     levels[l] = (C, M): int64 HNF bases of level l and their actions
     C*A*C^-1, or None until they are needed.  pending[l] holds the distinct
-    child bases found so far at a level not yet produced.  totals[e] is
-    candidate_total(n, p, e), the HNF cost of level e, and counts[e] the
-    number of invariant lattices of level e, for the levels found so far.
+    child bases found so far at a level not yet produced.  totals[e] is the
+    candidate total of level e (from _level_totals), the HNF cost of level
+    e, and counts[e] the number of invariant lattices of level e, for the
+    levels found so far.
     """
 
     def __init__(self, a: IntMatrix, p: int, totals: list[int]):

@@ -1,10 +1,9 @@
 """Integer partitions and the cell-index combinatorics built on them.
 
-A partition is a non-increasing tuple of positive parts.  Three small
+A partition is a non-increasing tuple of positive parts.  Two small
 operations carry the rest of the package: the dual partition (column
-lengths of the Young diagram), the partial sums sigma(i), and ind(j) --
-the row in which the j-th cell lands when the diagram is filled row by
-row, left to right.
+lengths of the Young diagram) and ind(j) -- the row in which the j-th cell
+lands when the diagram is filled row by row, left to right.
 """
 
 from __future__ import annotations
@@ -57,16 +56,10 @@ class Partition:
                 cols[i] += 1
         return Partition(cols)
 
-    def sigma(self, i: int) -> int:
-        """Sum of the first i parts; sigma(0) == 0."""
-        if not 0 <= i <= len(self._parts):
-            raise ValueError(f"sigma index {i} out of range 0..{len(self._parts)}")
-        return sum(self._parts[:i])
-
     def ind(self, j: int) -> int:
         """Row index (1-based) of the j-th cell in the row-by-row filling.
 
-        Equivalently: the minimal i with j <= sigma(i).
+        Equivalently: the minimal i with j <= (sum of the first i parts).
         """
         if not 1 <= j <= self.size:
             raise ValueError(f"cell index {j} out of range 1..{self.size}")
@@ -109,23 +102,3 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({list(self._parts)!r})"
-
-
-def partitions_of(n: int, max_part: int | None = None):
-    """Yield all partitions of n, in decreasing lexicographic order.
-
-    Only meant for bounded exhaustive sweeps; callers pass small n.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    for parts in gen(n, max_part if max_part is not None else n):
-        yield Partition(parts)

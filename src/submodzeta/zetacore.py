@@ -11,16 +11,14 @@ or p divides one of them), the global product of
 shifted Dedekind zeta factors, the abscissa of convergence with its pole
 multiplicity, functional-equation exponents and their verification, the
 pole-at-zero criterion, two closed forms (ideals of Z_p[x]/(x^n) and
-submodules of the power-series ring), the one hard-coded exceptional
-bad-prime factor in size 2, and exact coefficient expansion bridging all
-formulas to the brute-force oracle.
+submodules of the power-series ring), and exact coefficient expansion
+bridging all formulas to the brute-force oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import sympy
 
@@ -30,11 +28,7 @@ from .partitions import Partition
 from .polyfactor import SplittingProfile, splitting_profile
 
 
-class BadPrimeError(ValueError):
-    """The generic local formula is not trusted (or not defined) at this prime."""
-
-
-class RamifiedPrimeError(BadPrimeError):
+class RamifiedPrimeError(ValueError):
     """f mod p is not squarefree, so the generic local formula is undefined."""
 
 
@@ -87,14 +81,6 @@ class BinomialProduct:
         return BinomialProduct.from_factors(
             (a, b, e * k) for a, b, e in self.factors
         )
-
-    def inverse(self) -> BinomialProduct:
-        return self ** -1
-
-    @property
-    def is_pure_denominator(self) -> bool:
-        """True when every exponent is negative (an honest Euler factor)."""
-        return all(e < 0 for _, _, e in self.factors)
 
     def text(self) -> str:
         return self._layout("(1 - {q}t^{b})^{e}", "q^{a} ", " ")
@@ -189,15 +175,6 @@ def generic_local_factor(edv: ElementaryDivisorVector, p: int) -> BinomialProduc
     return BinomialProduct.from_factors(factors)
 
 
-def local_euler_factor(ctx: EdvContext, p: int) -> BinomialProduct:
-    """Local Euler factor at a heuristically-good prime; raises BadPrimeError else."""
-    if not is_good_prime(p, ctx):
-        raise BadPrimeError(
-            f"p = {p} fails the good-prime heuristic; use the oracle's truncated factor"
-        )
-    return generic_local_factor(ctx.edv, p)
-
-
 # ---------------------------------------------------------------------------
 # the global expression
 
@@ -213,10 +190,6 @@ class GlobalZetaExpression:
 
     dedekind_factors: tuple[tuple[IntPoly, int, int], ...]
     bad_primes: tuple[tuple[int, tuple[str, ...]], ...]
-
-    @property
-    def bad_prime_set(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.bad_primes)
 
     def text(self) -> str:
         return self._layout("zeta", "zeta_[{}]", str, "*")
@@ -275,15 +248,6 @@ def abscissa(edv: ElementaryDivisorVector) -> tuple[int, int]:
     alpha = max(lam.length for _, lam in edv.entries)
     beta = sum(lam.last_part for _, lam in edv.entries if lam.length == alpha)
     return alpha, beta
-
-
-def abscissa_from_factors(f: BinomialProduct) -> Fraction:
-    """Rightmost real pole of a pure Euler denominator: max (a+1)/b."""
-    if not f.factors:
-        raise ValueError("empty product has no pole")
-    if not f.is_pure_denominator:
-        raise ValueError("mixed products are unsupported; need all exponents negative")
-    return max(Fraction(a + 1, b) for a, b, _ in f.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +381,6 @@ class DirichletCoefficients:
         if self.values[0] != 1:
             raise ValueError("constant coefficient must be 1")
 
-    @property
-    def max_exponent(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, e: int) -> int:
         return self.values[e]
 
@@ -453,59 +413,3 @@ def dirichlet_coefficients(f: BinomialProduct, p: int, max_exp: int) -> Dirichle
     if max_exp < 0:
         raise ValueError("max_exp must be >= 0")
     return DirichletCoefficients(p, tuple(_expand_binomials(f.factors, p, max_exp)))
-
-
-@dataclass(frozen=True)
-class XYRational:
-    """A polynomial numerator in X and Y times a canonical binomial product."""
-
-    numerator: tuple[tuple[int, int, int], ...]  # (a, b, coefficient) terms X^a Y^b
-    binomials: BinomialProduct
-
-    @classmethod
-    def one(cls) -> XYRational:
-        return cls(((0, 0, 1),), BinomialProduct.one())
-
-    @property
-    def is_one(self) -> bool:
-        return self.numerator == ((0, 0, 1),) and not self.binomials.factors
-
-    def __mul__(self, other):
-        if isinstance(other, BinomialProduct):
-            return XYRational(self.numerator, self.binomials * other)
-        return NotImplemented
-
-    def series(self, p: int, max_exp: int) -> list[int]:
-        """Exact Y-series coefficients at X = p, up to Y^max_exp."""
-        base = _expand_binomials(self.binomials.factors, p, max_exp)
-        out = [0] * (max_exp + 1)
-        for a, b, c in self.numerator:
-            if b > max_exp:
-                continue
-            scale = c * p ** a
-            for i in range(b, max_exp + 1):
-                out[i] += scale * base[i - b]
-        return out
-
-    def dirichlet_coefficients(self, p: int, max_exp: int) -> DirichletCoefficients:
-        return DirichletCoefficients(p, tuple(self.series(p, max_exp)))
-
-
-def exceptional_factor_2x2(e: int) -> XYRational:
-    """The extra factor for a 2x2 matrix [[0, a], [0, 0]] with p-valuation e > 0.
-
-    Multiplies the two inverse binomials (1-Y)^(-1) (1-XY^2)^(-1); when the
-    valuation is zero it degenerates to 1 (the numerator cancels the
-    denominator exactly).
-    """
-    if not isinstance(e, int) or e < 0:
-        raise ValueError("valuation must be a non-negative integer")
-    if e == 0:
-        return XYRational.one()
-    numerator = (
-        (0, 0, 1),
-        (1, 2, -1),
-        (e + 1, e + 1, -1),
-        (e + 1, e + 2, 1),
-    )
-    return XYRational(numerator, BinomialProduct.from_factors([(1, 1, -1)]))

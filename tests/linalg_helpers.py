@@ -1,23 +1,79 @@
-"""Reference linear algebra for the tests; the package pipeline does not use it.
+"""Reference code for the tests; the package pipeline does not use it.
 
-The recursive normal form a_of and the permutation conjugating it to
-linalg.n_of, a plain Hermite normal form (the reference for the oracle's
-vectorized reduction), the invariance test built on it (the reference for
-the oracle's entrywise test), the characteristic polynomial by the trace
-recursion, Python-int references for the matrix product, polynomial
-evaluation and the minimal polynomial (linalg computes these in int64 or
-modulo word primes where it can), and seeded unimodular matrices with their
-inverses for the tests of invariance under change of basis.
+The matrices the tests are phrased in: companion matrices, block sums, the
+nilpotent normal form n_of (one shift block per part), the recursive
+normal form a_of and the permutation conjugating it to n_of.  A plain
+Hermite normal form (the reference for the oracle's vectorized reduction),
+the invariance test built on it (the reference for the oracle's entrywise
+test), the characteristic polynomial by the trace recursion, Python-int
+references for the matrix product, polynomial evaluation and the minimal
+polynomial (linalg computes these in int64 or modulo word primes where it
+can), and seeded unimodular matrices with their inverses for the tests of
+invariance under change of basis.  All partitions of n, from sympy.  On
+the zeta side: the rightmost pole of a pure Euler denominator (the
+reference for zetacore.abscissa), and the exceptional bad-prime factor of
+the 2x2 matrices [[0, a], [0, 0]], a polynomial in X and Y over a binomial
+product.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.utilities.iterables import partitions
 
 from submodzeta.linalg import IntMatrix, IntPoly
 from submodzeta.partitions import Partition
+from submodzeta.zetacore import BinomialProduct, DirichletCoefficients, dirichlet_coefficients
+
+
+def partitions_of(n: int, max_part: int | None = None):
+    """All partitions of n with parts at most max_part, in decreasing lexicographic order."""
+    for counts in partitions(n, k=max_part):
+        yield Partition([part for part, m in counts.items() for _ in range(m)])
+
+
+# ---------------------------------------------------------------------------
+# normal forms
+
+
+def companion(f: IntPoly) -> IntMatrix:
+    """Companion matrix of a monic polynomial: superdiagonal ones, last row -coeffs."""
+    if not f.is_monic:
+        raise ValueError("companion matrix wants a monic polynomial")
+    m = f.degree
+    if m < 1:
+        raise ValueError("companion matrix wants degree >= 1")
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m - 1):
+        rows[i][i + 1] = 1
+    for j in range(m):
+        rows[m - 1][j] = -f.coeffs[j]
+    return IntMatrix(rows)
+
+
+def block_diag(*blocks) -> IntMatrix:
+    """The block sum of square matrices, in the order given."""
+    n = sum(b.n_rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        if not b.is_square:
+            raise ValueError("block_diag wants square blocks")
+        for i in range(b.n_rows):
+            for j in range(b.n_cols):
+                rows[off + i][off + j] = b.entries[i][j]
+        off += b.n_rows
+    return IntMatrix(rows)
+
+
+def n_of(lam: Partition) -> IntMatrix:
+    """Block-diagonal nilpotent normal form: one shift block per part."""
+    if lam.size == 0:
+        raise ValueError("empty partition")
+    return block_diag(*(companion(IntPoly([0] * p + [1])) for p in lam))
 
 
 def a_of(lam: Partition) -> IntMatrix:
@@ -256,3 +312,72 @@ def int_inverse(u: IntMatrix) -> IntMatrix:
     if any(v.denominator != 1 for row in out for v in row):
         raise ValueError("the matrix is not unimodular")
     return IntMatrix([[int(v) for v in row] for row in out])
+
+
+# ---------------------------------------------------------------------------
+# zeta-side references
+
+
+def abscissa_from_factors(f: BinomialProduct) -> Fraction:
+    """Rightmost real pole of a pure Euler denominator: max (a+1)/b."""
+    if not f.factors:
+        raise ValueError("empty product has no pole")
+    if any(e >= 0 for _, _, e in f.factors):
+        raise ValueError("mixed products are unsupported; need all exponents negative")
+    return max(Fraction(a + 1, b) for a, b, _ in f.factors)
+
+
+@dataclass(frozen=True)
+class XYRational:
+    """A polynomial numerator in X and Y times a canonical binomial product."""
+
+    numerator: tuple[tuple[int, int, int], ...]  # (a, b, coefficient) terms X^a Y^b
+    binomials: BinomialProduct
+
+    @classmethod
+    def one(cls) -> XYRational:
+        return cls(((0, 0, 1),), BinomialProduct.one())
+
+    @property
+    def is_one(self) -> bool:
+        return self.numerator == ((0, 0, 1),) and not self.binomials.factors
+
+    def __mul__(self, other):
+        if isinstance(other, BinomialProduct):
+            return XYRational(self.numerator, self.binomials * other)
+        return NotImplemented
+
+    def series(self, p: int, max_exp: int) -> list[int]:
+        """Exact Y-series coefficients at X = p, up to Y^max_exp."""
+        base = dirichlet_coefficients(self.binomials, p, max_exp).values
+        out = [0] * (max_exp + 1)
+        for a, b, c in self.numerator:
+            if b > max_exp:
+                continue
+            scale = c * p ** a
+            for i in range(b, max_exp + 1):
+                out[i] += scale * base[i - b]
+        return out
+
+    def dirichlet_coefficients(self, p: int, max_exp: int) -> DirichletCoefficients:
+        return DirichletCoefficients(p, tuple(self.series(p, max_exp)))
+
+
+def exceptional_factor_2x2(e: int) -> XYRational:
+    """The extra factor for a 2x2 matrix [[0, a], [0, 0]] with p-valuation e > 0.
+
+    Multiplies the two inverse binomials (1-Y)^(-1) (1-XY^2)^(-1); when the
+    valuation is zero it degenerates to 1 (the numerator cancels the
+    denominator exactly).
+    """
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("valuation must be a non-negative integer")
+    if e == 0:
+        return XYRational.one()
+    numerator = (
+        (0, 0, 1),
+        (1, 2, -1),
+        (e + 1, e + 1, -1),
+        (e + 1, e + 2, 1),
+    )
+    return XYRational(numerator, BinomialProduct.from_factors([(1, 1, -1)]))

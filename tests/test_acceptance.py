@@ -8,23 +8,16 @@ import json
 import random
 import time
 
-from submodzeta.canonical import (
-    EdvContext,
-    ElementaryDivisorVector,
-    edv_context,
-    elementary_divisor_vector,
-)
+from submodzeta.canonical import EdvContext, ElementaryDivisorVector, edv_context
 from submodzeta.cli import main
-from submodzeta.linalg import IntMatrix, IntPoly, companion, minpoly, n_of
+from submodzeta.linalg import IntMatrix, IntPoly, minpoly
 from submodzeta.oracle import compare, count_invariant_sublattices
-from submodzeta.partitions import Partition, partitions_of
+from submodzeta.partitions import Partition
 from submodzeta.polyfactor import factor_over_z, splitting_profile
 from submodzeta.zetacore import (
     BinomialProduct,
     abscissa,
-    abscissa_from_factors,
     dirichlet_coefficients,
-    exceptional_factor_2x2,
     functional_equation_data,
     generic_local_factor,
     good_primes,
@@ -32,6 +25,14 @@ from submodzeta.zetacore import (
     verify_functional_equation,
     w_lambda,
     zpxn_zeta,
+)
+
+from linalg_helpers import (
+    abscissa_from_factors,
+    companion,
+    exceptional_factor_2x2,
+    n_of,
+    partitions_of,
 )
 
 X = IntPoly((0, 1))
@@ -73,7 +74,7 @@ def test_zero_matrix_gives_shifted_zeta_product(capsys):
     # the same coefficients come out of brute force
     for n in range(1, 4):
         a = IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-        e = elementary_divisor_vector(a)
+        e = edv_context(a).edv
         want = dirichlet_coefficients(generic_local_factor(e, 2), 2, 4).values
         assert count_invariant_sublattices(a, 2, 4).values == want
 
@@ -129,7 +130,7 @@ def test_exceptional_2x2_family_matches_brute_force():
 
 def test_quadratic_irrational_splitting_dichotomy():
     a = companion(IntPoly((1, 0, 1)))  # x^2 + 1
-    e = elementary_divisor_vector(a)
+    e = edv_context(a).edv
     split = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89]
     inert = [3, 7, 11, 19, 23, 31, 43, 47, 59, 67]
     for p in split:
@@ -152,7 +153,7 @@ def test_abscissa_is_partition_length_everywhere():
     # two-step nilpotent pattern: one long block plus one trivial block
     for n in range(1, 7):
         m = n_of(Partition([n + 1, 1]))
-        alpha, _ = abscissa(elementary_divisor_vector(m))
+        alpha, _ = abscissa(edv_context(m).edv)
         assert alpha == 2
 
 

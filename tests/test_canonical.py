@@ -5,61 +5,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodzeta import canonical
-from submodzeta.canonical import (
-    EdvContext,
-    ElementaryDivisorVector,
-    edv_context,
-    elementary_divisor_vector,
-    nilpotent_type,
-    primary_type,
-)
-from submodzeta.linalg import IntMatrix, IntPoly, companion, minpoly, n_of, poly_at_matrix
-from submodzeta.partitions import Partition, partitions_of
+from submodzeta.canonical import EdvContext, ElementaryDivisorVector, edv_context
+from submodzeta.linalg import IntMatrix, IntPoly, minpoly, poly_at_matrix
+from submodzeta.partitions import Partition
 from submodzeta.polyfactor import factor_over_z
 
-from linalg_helpers import a_of, int_inverse, random_unimodular
+from linalg_helpers import (
+    a_of,
+    block_diag,
+    companion,
+    int_inverse,
+    n_of,
+    partitions_of,
+    random_unimodular,
+)
 
 X = IntPoly((0, 1))
 
 
+def types(a):
+    """The type partition of each irreducible f in the EDV of a."""
+    return dict(edv_context(a).edv.entries)
+
+
 def test_nilpotent_type_examples():
-    assert nilpotent_type(IntMatrix.zeros(3)) == Partition([1, 1, 1])
-    assert nilpotent_type(n_of(Partition([3, 1]))) == Partition([3, 1])
-    assert nilpotent_type(a_of(Partition([2, 1]))) == Partition([2, 1])
-    with pytest.raises(ValueError):
-        nilpotent_type(IntMatrix.identity(2))
-    # not nilpotent, but with a nonzero kernel: the kernel dimensions stall
-    shifted = IntMatrix.block_diag(n_of(Partition([2])), companion(IntPoly.x_minus(3)))
-    for a in (IntMatrix([[0, 0], [0, 1]]), shifted):
-        with pytest.raises(ValueError, match="stalled"):
-            nilpotent_type(a)
+    """A nilpotent matrix has x alone in its EDV; any other matrix has more."""
+    assert types(IntMatrix.zeros(3)) == {X: Partition([1, 1, 1])}
+    assert types(n_of(Partition([3, 1]))) == {X: Partition([3, 1])}
+    assert types(a_of(Partition([2, 1]))) == {X: Partition([2, 1])}
+    assert X not in types(IntMatrix.identity(2))
+    # not nilpotent, but with a nonzero kernel: x is one factor of several
+    x_minus_1, x_minus_3 = IntPoly((-1, 1)), IntPoly((-3, 1))
+    shifted = block_diag(n_of(Partition([2])), companion(x_minus_3))
+    assert types(IntMatrix([[0, 0], [0, 1]])) == {X: Partition([1]), x_minus_1: Partition([1])}
+    assert types(shifted) == {X: Partition([2]), x_minus_3: Partition([1])}
 
 
 def test_nilpotent_type_round_trip():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert nilpotent_type(n_of(lam)) == lam
-            assert nilpotent_type(a_of(lam)) == lam.dual()
+            assert types(n_of(lam)) == {X: lam}
+            assert types(a_of(lam)) == {X: lam.dual()}
 
 
 def test_primary_type_examples():
-    assert primary_type(n_of(Partition([2, 1])), X) == Partition([2, 1])
+    x_minus_1 = IntPoly((-1, 1))
+    assert types(n_of(Partition([2, 1]))) == {X: Partition([2, 1])}
     x2p1 = IntPoly((1, 0, 1))
     c = companion(x2p1)
-    assert primary_type(c, x2p1) == Partition([1])
-    assert primary_type(IntMatrix.block_diag(c, c), x2p1) == Partition([1, 1])
+    assert types(c) == {x2p1: Partition([1])}
+    assert types(block_diag(c, c)) == {x2p1: Partition([1, 1])}
     # not nilpotent: the kernels are those of f(a) = a - I
-    assert primary_type(IntMatrix([[1, 1], [0, 1]]), IntPoly.x_minus(1)) == Partition([2])
+    assert types(IntMatrix([[1, 1], [0, 1]])) == {x_minus_1: Partition([2])}
     diag_011 = IntMatrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert primary_type(diag_011, X) == Partition([1])
-    assert primary_type(diag_011, IntPoly.x_minus(1)) == Partition([1, 1])
-    with pytest.raises(ValueError, match="invertible"):
-        primary_type(IntMatrix.zeros(2), IntPoly.x_minus(1))
-    # x^2 - 1 is not irreducible: its kernel on diag(1, 1, -1) has odd dimension
-    with pytest.raises(ValueError, match="divisible"):
-        primary_type(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), IntPoly((-1, 0, 1)))
-    with pytest.raises(ValueError):
-        primary_type(IntMatrix([[1, 2]]), X)
+    assert types(diag_011) == {X: Partition([1]), x_minus_1: Partition([1, 1])}
+    with pytest.raises(ValueError, match="square"):
+        edv_context(IntMatrix([[1, 2]]))
 
 
 _COPRIME_FACTORS = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
@@ -76,16 +77,13 @@ def test_primary_type_on_conjugated_block_sums():
         for f in fs:
             # parts from {1, 2}, so repeated parts are common
             lam = Partition([rng.randint(1, 2) for _ in range(rng.randint(1, 3 - f.degree // 2))])
-            blocks[f] = (lam, IntMatrix.block_diag(*(companion(f ** k) for k in lam)))
-        a = IntMatrix.block_diag(*(block for _, block in blocks.values()))
+            blocks[f] = (lam, block_diag(*(companion(f ** k) for k in lam)))
+        a = block_diag(*(block for _, block in blocks.values()))
         u = random_unimodular(rng, a.n_rows)
         conj = u * a * int_inverse(u)
         for f, (lam, block) in blocks.items():
-            assert primary_type(block, f) == lam
-            assert primary_type(conj, f) == lam
-        others = [g for g in _COPRIME_FACTORS if g not in blocks]
-        with pytest.raises(ValueError, match="invertible"):
-            primary_type(conj, rng.choice(others))
+            assert types(block) == {f: lam}
+        assert types(conj) == {f: lam for f, (lam, _) in blocks.items()}
 
 
 def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
@@ -101,9 +99,9 @@ def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
     u = random_unimodular(rng, 6)
     cases = [
         (companion(IntPoly((-1, -1, 0, 1)) ** 2), IntPoly((-1, -1, 0, 1)), Partition([2])),
-        (u * IntMatrix.block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * int_inverse(u),
+        (u * block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * int_inverse(u),
          IntPoly((1, 0, 1)), Partition([1, 1, 1])),
-        (IntMatrix.identity(4), IntPoly.x_minus(1), Partition([1, 1, 1, 1])),
+        (IntMatrix.identity(4), IntPoly((-1, 1)), Partition([1, 1, 1, 1])),
     ]
     for a, f, lam in cases:
         calls.clear()
@@ -112,7 +110,8 @@ def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
 
 
 def test_edv_context_rejects_a_wrong_exponent(monkeypatch):
-    """Each of f(a), ..., f(a)^m must grow the kernel, and the kernels at m must fill Q^n."""
+    """Each of f(a), ..., f(a)^m must grow the kernel, by a multiple of deg f,
+    and the kernels at m must fill Q^n; a wrong factor or exponent is caught."""
     a = n_of(Partition([2, 1]))
     monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(X, 3)])
     with pytest.raises(RuntimeError, match="stalled"):
@@ -120,32 +119,39 @@ def test_edv_context_rejects_a_wrong_exponent(monkeypatch):
     monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(X, 1)])
     with pytest.raises(RuntimeError, match="sum to n"):
         edv_context(a)
+    monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(IntPoly((-1, 1)), 1)])
+    with pytest.raises(ValueError, match="invertible"):
+        edv_context(IntMatrix.zeros(2))
+    # x^2 - 1 is not irreducible: its kernel on diag(1, 1, -1) has odd dimension
+    monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(IntPoly((-1, 0, 1)), 1)])
+    with pytest.raises(ValueError, match="divisible"):
+        edv_context(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
 
 
 def test_edv_examples():
-    assert elementary_divisor_vector(IntMatrix.zeros(2)).entries == (
+    assert edv_context(IntMatrix.zeros(2)).edv.entries == (
         (X, Partition([1, 1])),
     )
-    assert elementary_divisor_vector(companion(IntPoly((1, 0, 1)))).entries == (
+    assert edv_context(companion(IntPoly((1, 0, 1)))).edv.entries == (
         (IntPoly((1, 0, 1)), Partition([1])),
     )
-    m = IntMatrix.block_diag(n_of(Partition([2, 1])), IntMatrix([[1]]))
-    assert elementary_divisor_vector(m).entries == (
+    m = block_diag(n_of(Partition([2, 1])), IntMatrix([[1]]))
+    assert edv_context(m).edv.entries == (
         (IntPoly((-1, 1)), Partition([1])),
         (X, Partition([2, 1])),
     )
 
 
 def test_edv_canonical_order():
-    m = IntMatrix.block_diag(companion(IntPoly((1, 0, 1))), IntMatrix([[5]]))
-    edv = elementary_divisor_vector(m)
+    m = block_diag(companion(IntPoly((1, 0, 1))), IntMatrix([[5]]))
+    edv = edv_context(m).edv
     keys = [(f.degree, f.coeffs) for f, _ in edv.entries]
     assert keys == sorted(keys)
 
 
 def test_edv_size_identity_split_random():
     rng = random.Random(23)
-    lin = [IntPoly.x_minus(a) for a in (-2, -1, 0, 1, 2, 3)]
+    lin = [IntPoly((-a, 1)) for a in (-2, -1, 0, 1, 2, 3)]
     for _ in range(20):
         n = rng.randint(1, 5)
         blocks = []
@@ -155,8 +161,8 @@ def test_edv_size_identity_split_random():
             k = rng.randint(1, n - total)
             blocks.append(companion(f ** k))
             total += k
-        m = IntMatrix.block_diag(*blocks)
-        edv = elementary_divisor_vector(m)
+        m = block_diag(*blocks)
+        edv = edv_context(m).edv
         assert sum(f.degree * lam.size for f, lam in edv.entries) == m.n_rows
         assert edv.n == m.n_rows
 
@@ -165,23 +171,23 @@ def test_similar_matrices_same_edv():
     rng = random.Random(5)
     targets = [
         n_of(Partition([2, 1])),
-        IntMatrix.block_diag(companion(IntPoly((1, 0, 1))), IntMatrix([[2]])),
+        block_diag(companion(IntPoly((1, 0, 1))), IntMatrix([[2]])),
         IntMatrix([[0, 0], [0, 3]]),
     ]
     for m in targets:
         n = m.n_rows
-        edv = elementary_divisor_vector(m)
+        edv = edv_context(m).edv
         for _ in range(5):
             p = random_unimodular(rng, n)
             pinv = int_inverse(p)
             conj = p * m * pinv
-            assert elementary_divisor_vector(conj) == edv
+            assert edv_context(conj).edv == edv
 
 
 def test_edv_context_denominators():
     ctx = edv_context(n_of(Partition([2, 1])))
     assert ctx.denominator_lcm >= 1
-    assert ctx.edv == elementary_divisor_vector(n_of(Partition([2, 1])))
+    assert ctx.edv == ElementaryDivisorVector(((X, Partition([2, 1])),))
 
 
 # Found by a seeded search over small matrices with entries in {0, +-1, 2, 3};
@@ -220,13 +226,27 @@ def test_edv_context_denominators_pinned(rows, edv, den):
     assert ctx.denominator_lcm == den
 
 
-def test_primary_type_of_blocks_with_denominators():
-    """primary_type on the whole matrix, where the primary kernel bases need denominators."""
+def test_primary_type_of_blocks_with_denominators(monkeypatch):
+    """Each type is read off the kernels of f(a), ..., f(a)^m on the whole
+    matrix, the last by kernel_basis, where the bases need denominators."""
+    calls = []
+
+    def recording(name):
+        original = getattr(canonical, name)
+        return lambda m: calls.append((name, m)) or original(m)
+
+    for name in ("kernel_dim", "kernel_basis"):
+        monkeypatch.setattr(canonical, name, recording(name))
     for rows, edv, _ in PINNED_DENOMINATORS:
         a = IntMatrix(rows)
-        types = sorted(((f.degree, f.coeffs), f.to_json(), primary_type(a, f).to_json())
-                       for f, _ in factor_over_z(minpoly(a)))
-        assert [{"poly": f, "partition": lam} for _, f, lam in types] == edv
+        calls.clear()
+        assert edv_context(a).edv.to_json() == edv
+        expected = []
+        for f, m in factor_over_z(minpoly(a)):
+            fa = poly_at_matrix(f, a)
+            expected += [("kernel_dim", fa ** j) for j in range(1, m)]
+            expected.append(("kernel_basis", fa ** m))
+        assert calls == expected
 
 
 _BLOCK_POLYS = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
@@ -251,7 +271,7 @@ def _matrix_and_unimodular(draw):
             size += f.degree * k
         if not blocks:
             blocks = [companion(X)]
-        a = IntMatrix.block_diag(*blocks)
+        a = block_diag(*blocks)
     n = a.n_rows
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     inv = [row[:] for row in u]
@@ -270,13 +290,11 @@ def _matrix_and_unimodular(draw):
 def test_edv_invariant_under_unimodular_conjugation(case):
     a, u, inv = case
     assert u * inv == IntMatrix.identity(a.n_rows)
-    assert elementary_divisor_vector(u * a * inv) == elementary_divisor_vector(a)
+    assert edv_context(u * a * inv).edv == edv_context(a).edv
 
 
 def test_edv_json_round_trip():
-    edv = elementary_divisor_vector(
-        IntMatrix.block_diag(n_of(Partition([2])), IntMatrix([[1]]))
-    )
+    edv = edv_context(block_diag(n_of(Partition([2])), IntMatrix([[1]]))).edv
     data = edv.to_json()
     assert data == [
         {"poly": [-1, 1], "partition": [1]},
@@ -304,6 +322,6 @@ def test_edv_degree_cap_propagates():
 
     big = companion(X ** 30)
     with pytest.raises(DegreeCapError):
-        elementary_divisor_vector(big)
-    edv = elementary_divisor_vector(big, degree_cap=40)
+        edv_context(big)
+    edv = edv_context(big, degree_cap=40).edv
     assert edv.entries == ((X, Partition([30])),)

@@ -346,12 +346,6 @@ def test_special_fe_check_spaced_parens(capsys):
     assert "partition (3, 1)" in out
 
 
-def test_special_w_identity(capsys):
-    assert main(["special", "w-identity"]) == 0
-    out = capsys.readouterr().out
-    assert "equal: yes" in out
-
-
 # ---------------------------------------------------------------------------
 # errors and environment
 

@@ -41,7 +41,6 @@ COMMANDS = (
         ["special", "zpxn", "3"],
         ["special", "powerseries", "12"],
         ["special", "fe-check", "3", "2", "1"],
-        ["special", "w-identity"],
     ]
 )
 CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")]

@@ -7,20 +7,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from submodzeta import oracle
-from submodzeta.canonical import elementary_divisor_vector
-from submodzeta.linalg import IntMatrix, companion, n_of, resultant
+from submodzeta.canonical import edv_context
+from submodzeta.linalg import IntMatrix, resultant
 from submodzeta.oracle import (
     _INT64_SAFE,
     _PACK,
     BudgetError,
     ComparisonReport,
     _LatticeTree,
-    candidate_total,
     compare,
     _batches,
     _count_numpy,
     _distinct,
     _gaussian_binomial,
+    _level_totals,
     _int64_bound,
     _reduce_upper_hnf,
     _reduced,
@@ -29,11 +29,26 @@ from submodzeta.oracle import (
     count_at_exponent,
     count_invariant_sublattices,
 )
-from submodzeta.partitions import Partition, partitions_of
+from submodzeta.partitions import Partition
 from submodzeta.polyfactor import IntPoly
 from submodzeta.zetacore import dirichlet_coefficients, generic_local_factor
 
-from linalg_helpers import charpoly, hnf, int_inverse, is_invariant, random_unimodular
+from linalg_helpers import (
+    block_diag,
+    charpoly,
+    companion,
+    hnf,
+    int_inverse,
+    is_invariant,
+    n_of,
+    partitions_of,
+    random_unimodular,
+)
+
+
+def _totals(n, p, top):
+    """The candidate totals of levels 0..top."""
+    return list(itertools.islice(_level_totals(n, p), top + 1))
 
 
 def diag(*entries):
@@ -62,7 +77,7 @@ def test_candidate_total_matches_visits():
     for n, p, e in [(1, 2, 3), (2, 2, 2), (2, 3, 2), (3, 2, 1)]:
         a = IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
         count, visits = count_at_exponent(a, p, e)
-        assert visits == candidate_total(n, p, e)
+        assert visits == _totals(n, p, e)[e]
         # zero matrix: every sublattice is invariant, count == number of
         # index-p^e sublattices of Z^n
         assert count == visits
@@ -102,7 +117,7 @@ def test_counts_match_formula_at_good_primes():
         (companion(IntPoly((1, 0, 1))), 5, 3),
     ]
     for a, p, top in cases:
-        e = elementary_divisor_vector(a)
+        e = edv_context(a).edv
         want = dirichlet_coefficients(generic_local_factor(e, p), p, top).values
         got = count_invariant_sublattices(a, p, top).values
         assert got == want, (a.entries, p)
@@ -194,11 +209,11 @@ def test_int64_and_object_dtypes_agree():
                     assert got == tuple(map(sum, zip(*alone))), (a.entries, e, chunk)
                     seen.add(got)
             assert len(seen) == 1, (a.entries, e)
-            assert seen.pop()[1] == candidate_total(n, p, e)
+            assert seen.pop()[1] == _totals(n, p, e)[e]
 
 
 def _composition_total(n, p, e):
-    """candidate_total by definition: each diagonal d has prod_j d_j^j bases."""
+    """The candidate total of level e by definition: each diagonal d has prod_j d_j^j bases."""
     total = 0
     for comp in compositions(e, n):
         size = 1
@@ -212,7 +227,7 @@ def test_candidate_total_matches_the_composition_sum():
     for n in range(1, 6):
         for p in (2, 3, 5, 7):
             for e in range(9):
-                assert candidate_total(n, p, e) == _composition_total(n, p, e), (n, p, e)
+                assert _totals(n, p, e)[e] == _composition_total(n, p, e), (n, p, e)
 
 
 def _pattern_levels(n, p):
@@ -417,7 +432,7 @@ def test_report_json_round_trip_fields():
 
 def _tree_counts(a, p, top):
     """Levels 2..top produced by the tree alone, from the level-1 HNF nodes."""
-    tree = _LatticeTree(a, p, [candidate_total(a.n_rows, p, e) for e in range(top + 1)])
+    tree = _LatticeTree(a, p, _totals(a.n_rows, p, top))
     nodes = []
     count_at_exponent(a, p, 1, nodes)
     tree.record(1, nodes)
@@ -502,7 +517,7 @@ def _reference_cases():
 @pytest.mark.parametrize("a, p, top", _reference_cases())
 def test_invariant_bases_match_a_pure_python_reference(a, p, top):
     n = a.n_rows
-    tree = _LatticeTree(a, p, [candidate_total(n, p, e) for e in range(top + 1)])
+    tree = _LatticeTree(a, p, _totals(n, p, top))
     for e in range(1, top + 1):
         want = {b for b in _hnf_bases(n, p, e) if is_invariant(b, a)}
         nodes = []
@@ -533,7 +548,7 @@ def test_reference_cases_reach_the_object_path():
 
 def test_actions_reject_a_basis_that_is_not_invariant():
     a = companion(IntPoly((1, 0, 1)))
-    tree = _LatticeTree(a, 3, [candidate_total(2, 3, e) for e in range(3)])
+    tree = _LatticeTree(a, 3, _totals(2, 3, 2))
     with pytest.raises(RuntimeError, match="not invariant"):
         tree._actions(1, np.array([[[3, 0], [0, 1]]]))
 
@@ -570,7 +585,7 @@ def test_counts_of_a_block_sum_coprime_mod_p_convolve(a_rows, b_rows, p):
     ca = count_invariant_sublattices(a, p, 3).values
     cb = count_invariant_sublattices(b, p, 3).values
     convolved = tuple(sum(ca[i] * cb[e - i] for i in range(e + 1)) for e in range(4))
-    assert count_invariant_sublattices(IntMatrix.block_diag(a, b), p, 3).values == convolved
+    assert count_invariant_sublattices(block_diag(a, b), p, 3).values == convolved
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -722,7 +737,7 @@ def _hnf_values(a, p, top):
 def _cheap_top(n, p):
     """The highest level up to 5 whose HNF candidates, over all levels, stay below 1500."""
     top = 0
-    while top < 5 and sum(candidate_total(n, p, e) for e in range(top + 2)) < 1500:
+    while top < 5 and sum(_totals(n, p, top + 1)) < 1500:
         top += 1
     return top
 
@@ -798,7 +813,7 @@ def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
     for a, p, counts in ((n_of(Partition([2, 1])), 2, [1, 3, 11]),
                          (companion(IntPoly((1, 0, 1))), 3, [1, 0, 1])):
         n = a.n_rows
-        tree = _LatticeTree(a, p, [candidate_total(n, p, e) for e in range(6)])
+        tree = _LatticeTree(a, p, _totals(n, p, 5))
         for e in (1, 2):
             nodes = []
             count_at_exponent(a, p, e, nodes)

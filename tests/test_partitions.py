@@ -1,6 +1,8 @@
 import pytest
 
-from submodzeta.partitions import Partition, partitions_of
+from submodzeta.partitions import Partition
+
+from linalg_helpers import partitions_of
 
 
 def test_constructor_sorts_and_validates():
@@ -51,16 +53,6 @@ def test_dual_preserves_size_and_swaps_shape():
             assert mu.parts[0] == lam.length
 
 
-def test_sigma():
-    assert Partition([3, 2, 2]).sigma(2) == 5
-    assert Partition([5]).sigma(0) == 0
-    assert Partition([2, 1]).sigma(2) == 3
-    with pytest.raises(ValueError):
-        Partition([2, 1]).sigma(3)
-    with pytest.raises(ValueError):
-        Partition([2, 1]).sigma(-1)
-
-
 def test_ind_examples():
     lam = Partition([2, 1])
     assert lam.ind(1) == 1
@@ -79,7 +71,8 @@ def test_ind_sigma_sandwich():
         for lam in partitions_of(n):
             for j in range(1, n + 1):
                 i = lam.ind(j)
-                assert lam.sigma(i - 1) < j <= lam.sigma(i)
+                # the first i - 1 rows end before cell j, the first i rows reach it
+                assert sum(lam.parts[:i - 1]) < j <= sum(lam.parts[:i])
 
 
 def test_index_weight_identities():

@@ -21,11 +21,11 @@ def test_factor_examples():
 
 
 def test_factor_multiplicities_and_order():
-    g = IntPoly.x_minus(1) ** 2 * IntPoly((1, 0, 1))
+    g = IntPoly((-1, 1)) ** 2 * IntPoly((1, 0, 1))
     factors = factor_over_z(g)
     assert factors == [(IntPoly((-1, 1)), 2), (IntPoly((1, 0, 1)), 1)]
     # canonical order: by (degree, coefficients)
-    h = IntPoly((1, 0, 1)) * IntPoly.x_minus(3)
+    h = IntPoly((1, 0, 1)) * IntPoly((-3, 1))
     assert [f.degree for f, _ in factor_over_z(h)] == [1, 2]
 
 
@@ -42,7 +42,7 @@ def test_factor_validation():
 
 def test_factor_reconstructs_input():
     candidates = [
-        IntPoly.x_minus(2) * IntPoly((1, 1, 1)) * IntPoly((1, 0, 1)),
+        IntPoly((-2, 1)) * IntPoly((1, 1, 1)) * IntPoly((1, 0, 1)),
         IntPoly((2, -3, 1)) ** 2,
         IntPoly((-2, 0, 1)) * IntPoly((3, 1)) ** 3,
         IntPoly((1, 1, 0, 0, 1)),
@@ -99,7 +99,8 @@ def test_profile_degrees_sum_and_roots():
                 continue
             tested += 1
             assert sum(prof.degrees) == f.degree
-            roots = sum(1 for x in range(p) if f.evaluate(x) % p == 0)
+            values = [sum(c * x ** k for k, c in enumerate(f.coeffs)) for x in range(p)]
+            roots = sum(1 for v in values if v % p == 0)
             assert sum(1 for d in prof.degrees if d == 1) == roots
 
 
