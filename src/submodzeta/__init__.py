@@ -5,7 +5,8 @@ square integer matrix, organized as a Dirichlet series.  The package
 computes the series symbolically — local Euler factors, a global product
 of shifted Dedekind zeta functions, the abscissa of convergence and pole
 data, functional-equation exponents — and cross-checks every formula
-against a brute-force Hermite-normal-form enumeration.
+against brute-force counts: Hermite-normal-form enumeration, or a tree
+of invariant lattices grown level by level where that is cheaper.
 """
 
 from .canonical import (
@@ -19,7 +20,6 @@ from .linalg import (
     kernel_dim,
     minpoly,
     poly_at_matrix,
-    rank_over_q,
     resultant,
 )
 from .oracle import (
@@ -92,7 +92,6 @@ __all__ = [
     "minpoly",
     "poly_at_matrix",
     "powerseries_ring_coeffs",
-    "rank_over_q",
     "resultant",
     "splitting_profile",
     "verify_functional_equation",

@@ -117,8 +117,11 @@ def load_matrix(text: str) -> IntMatrix:
     if text == "-":
         raw = sys.stdin.read()
     elif os.path.exists(text):
-        with open(text) as fh:
-            raw = fh.read()
+        try:
+            with open(text) as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read matrix file: {exc}") from exc
     else:
         raw = text
     try:
@@ -290,7 +293,7 @@ def cmd_verify(args) -> int:
 
 def _parse_partition(tokens) -> Partition:
     raw = " ".join(tokens).replace("(", " ").replace(")", " ").replace(",", " ")
-    parts = [int(tok) for tok in raw.split()]
+    parts = [_int_arg(tok, "fe-check") for tok in raw.split()]
     if not parts:
         raise UsageError("empty partition")
     try:

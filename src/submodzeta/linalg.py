@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
 Dense matrices over Z, integer polynomials, resultants, fraction-free
-rank, determinant and left kernels, and minimal polynomials.  A rational
-left kernel basis is returned as (rows, den): integer rows over one
-denominator, standing for rows / den.
+ranks, left kernels and minimal polynomials.  A rational left kernel
+basis is returned as (rows, den): integer rows over one denominator,
+standing for rows / den.
 
 Entries are arbitrary-precision ints, and every answer is exact.  Matrix
 products run in numpy int64 where a bound proves that no sum can overflow,
@@ -62,25 +62,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self._coeffs) and self._coeffs[-1] == 1
-
-    def __add__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self):
-        return IntPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
@@ -174,7 +155,8 @@ class IntPoly:
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of two integer polynomials via the Sylvester matrix."""
+    """Resultant of two integer polynomials: the determinant of their Sylvester
+    matrix, by fraction-free (Bareiss) elimination."""
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
@@ -190,7 +172,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         rows.append([0] * i + frow + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + grow + [0] * (size - n - 1 - i))
-    return det(IntMatrix(rows))
+    rank, sign, pivot = _bareiss(IntMatrix(rows))
+    return sign * pivot if rank == size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +254,6 @@ class IntMatrix:
         return self._n_rows == self._n_cols
 
     @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> IntMatrix:
-        m = n if m is None else m
-        return cls([[0] * m for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_json(cls, obj) -> IntMatrix:
         """Parse {"n": int, "entries": [[...], ...]}; must be square of size n."""
         if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
@@ -296,50 +270,12 @@ class IntMatrix:
     def to_json(self) -> dict:
         return {"n": self._n_rows, "entries": [list(r) for r in self._rows]}
 
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self._n_rows, self._n_cols) != (other._n_rows, other._n_cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self._n_rows, self._n_cols) != (other._n_rows, other._n_cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self._n_cols != other._n_rows:
             raise ValueError("shape mismatch in matrix product")
         return IntMatrix._trusted(_product(self._rows, other._rows))
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("matrix power wants a non-negative integer")
-        if not self.is_square:
-            raise ValueError("matrix power of a non-square matrix")
-        result = IntMatrix.identity(self._n_rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, IntMatrix):
@@ -372,7 +308,7 @@ def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination: rank, determinant
+# fraction-free elimination
 
 
 def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
@@ -406,22 +342,9 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
-def rank_over_q(m: IntMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    return _bareiss(m)[0]
-
-
 def kernel_dim(m: IntMatrix) -> int:
-    """Dimension of the left kernel {x : x*m = 0}."""
-    return m.n_rows - rank_over_q(m)
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    rank, sign, pivot = _bareiss(m)
-    return sign * pivot if rank == m.n_rows else 0
+    """Dimension of the left kernel {x : x*m = 0}: n_rows minus the rank over Q."""
+    return m.n_rows - _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -80,18 +80,6 @@ class Partition:
             raise ValueError("partition JSON must be an array of integers")
         return cls(data)
 
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self):
-        return len(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
-
-    def __bool__(self):
-        return bool(self._parts)
-
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self._parts == other._parts

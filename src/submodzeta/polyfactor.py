@@ -51,13 +51,6 @@ class SplittingProfile:
     def num_places(self) -> int:
         return len(self.degrees)
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "degrees": list(self.degrees),
-            "ramified": self.ramified,
-        }
-
 
 def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tuple[IntPoly, int]]:
     """Monic irreducible integer factors of f with multiplicities.

@@ -66,22 +66,6 @@ class BinomialProduct:
         )
         return cls(canon)
 
-    @classmethod
-    def one(cls) -> BinomialProduct:
-        return cls(())
-
-    def __mul__(self, other):
-        if not isinstance(other, BinomialProduct):
-            return NotImplemented
-        return BinomialProduct.from_factors(self.factors + other.factors)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ValueError("integer power expected")
-        return BinomialProduct.from_factors(
-            (a, b, e * k) for a, b, e in self.factors
-        )
-
     def text(self) -> str:
         return self._layout("(1 - {q}t^{b})^{e}", "q^{a} ", " ")
 
@@ -100,9 +84,6 @@ class BinomialProduct:
 
     def to_json(self) -> list[dict]:
         return [{"a": a, "b": b, "e": e} for a, b, e in self.factors]
-
-    def __str__(self):
-        return self.text()
 
 
 def w_lambda(lam: Partition) -> BinomialProduct:
@@ -380,15 +361,6 @@ class DirichletCoefficients:
             raise ValueError("need at least the constant coefficient")
         if self.values[0] != 1:
             raise ValueError("constant coefficient must be 1")
-
-    def __getitem__(self, e: int) -> int:
-        return self.values[e]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def to_json(self) -> dict:
-        return {"prime": self.prime, "values": list(self.values)}
 
 
 def _expand_binomials(factors, p: int, max_exp: int) -> list[int]:

@@ -1,19 +1,19 @@
 """Reference code for the tests; the package pipeline does not use it.
 
-The matrices the tests are phrased in: companion matrices, block sums, the
-nilpotent normal form n_of (one shift block per part), the recursive
-normal form a_of and the permutation conjugating it to n_of.  A plain
-Hermite normal form (the reference for the oracle's vectorized reduction),
-the invariance test built on it (the reference for the oracle's entrywise
-test), the characteristic polynomial by the trace recursion, Python-int
-references for the matrix product, polynomial evaluation and the minimal
-polynomial (linalg computes these in int64 or modulo word primes where it
-can), and seeded unimodular matrices with their inverses for the tests of
-invariance under change of basis.  All partitions of n, from sympy.  On
-the zeta side: the rightmost pole of a pure Euler denominator (the
-reference for zetacore.abscissa), and the exceptional bad-prime factor of
-the 2x2 matrices [[0, a], [0, 0]], a polynomial in X and Y over a binomial
-product.
+The matrices the tests are phrased in: diagonal matrices, A + cI,
+companion matrices, block sums, the nilpotent normal form n_of (one shift
+block per part), the recursive normal form a_of and the permutation
+conjugating it to n_of.  A plain Hermite normal form (the reference for
+the oracle's vectorized reduction), the invariance test built on it (the
+reference for the oracle's entrywise test), the characteristic polynomial
+by the trace recursion, Python-int references for the matrix product,
+polynomial evaluation and the minimal polynomial (linalg computes these in
+int64 or modulo word primes where it can), and seeded unimodular matrices
+with their inverses for the tests of invariance under change of basis.
+All partitions of n, from sympy.  On the zeta side: products of binomial
+products, the rightmost pole of a pure Euler denominator (the reference for
+zetacore.abscissa), and the exceptional bad-prime factor of the 2x2
+matrices [[0, a], [0, 0]], a polynomial in X and Y over a binomial product.
 """
 
 from __future__ import annotations
@@ -37,6 +37,18 @@ def partitions_of(n: int, max_part: int | None = None):
 
 # ---------------------------------------------------------------------------
 # normal forms
+
+
+def diag(*entries) -> IntMatrix:
+    """The diagonal matrix with the given entries."""
+    n = len(entries)
+    return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def plus_scalar(a: IntMatrix, c: int) -> IntMatrix:
+    """A + cI."""
+    return IntMatrix([[x + c * (i == j) for j, x in enumerate(row)]
+                      for i, row in enumerate(a.entries)])
 
 
 def companion(f: IntPoly) -> IntMatrix:
@@ -73,7 +85,7 @@ def n_of(lam: Partition) -> IntMatrix:
     """Block-diagonal nilpotent normal form: one shift block per part."""
     if lam.size == 0:
         raise ValueError("empty partition")
-    return block_diag(*(companion(IntPoly([0] * p + [1])) for p in lam))
+    return block_diag(*(companion(IntPoly([0] * p + [1])) for p in lam.parts))
 
 
 def a_of(lam: Partition) -> IntMatrix:
@@ -87,7 +99,7 @@ def a_of(lam: Partition) -> IntMatrix:
     parts = lam.parts
     n = lam.size
     if len(parts) <= 1:
-        return IntMatrix.zeros(n)
+        return diag(*[0] * n)
     p1, p2 = parts[0], parts[1]
     sub = a_of(Partition(parts[1:]))
     rows = [[0] * n for _ in range(n)]
@@ -202,7 +214,7 @@ def charpoly(a: IntMatrix) -> IntPoly:
     c = -trace(m)
     coeffs.append(c)
     for k in range(2, n + 1):
-        m = a * (m + IntMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)]))
+        m = a * plus_scalar(m, c)
         t = trace(m)
         if t % k:
             raise RuntimeError("trace recursion must divide exactly")
@@ -225,10 +237,9 @@ def matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
 
 def poly_at(f: IntPoly, a: IntMatrix) -> IntMatrix:
     """f(a) by Horner, every step through matmul."""
-    n = a.n_rows
-    result = IntMatrix.zeros(n)
+    result = diag(*[0] * a.n_rows)
     for c in reversed(f.coeffs):
-        result = matmul(result, a) + IntMatrix([[c * (i == j) for j in range(n)] for i in range(n)])
+        result = plus_scalar(matmul(result, a), c)
     return result
 
 
@@ -318,6 +329,11 @@ def int_inverse(u: IntMatrix) -> IntMatrix:
 # zeta-side references
 
 
+def multiply(*products: BinomialProduct) -> BinomialProduct:
+    """The product of binomial products: their factor lists, merged."""
+    return BinomialProduct.from_factors(t for f in products for t in f.factors)
+
+
 def abscissa_from_factors(f: BinomialProduct) -> Fraction:
     """Rightmost real pole of a pure Euler denominator: max (a+1)/b."""
     if not f.factors:
@@ -336,7 +352,7 @@ class XYRational:
 
     @classmethod
     def one(cls) -> XYRational:
-        return cls(((0, 0, 1),), BinomialProduct.one())
+        return cls(((0, 0, 1),), BinomialProduct.from_factors(()))
 
     @property
     def is_one(self) -> bool:
@@ -344,7 +360,7 @@ class XYRational:
 
     def __mul__(self, other):
         if isinstance(other, BinomialProduct):
-            return XYRational(self.numerator, self.binomials * other)
+            return XYRational(self.numerator, multiply(self.binomials, other))
         return NotImplemented
 
     def series(self, p: int, max_exp: int) -> list[int]:

@@ -31,6 +31,7 @@ from linalg_helpers import (
     abscissa_from_factors,
     companion,
     exceptional_factor_2x2,
+    multiply,
     n_of,
     partitions_of,
 )
@@ -80,8 +81,8 @@ def test_zero_matrix_gives_shifted_zeta_product(capsys):
 
 
 def test_product_coincidence_between_distinct_partition_pairs():
-    left = w_lambda(Partition([2, 2, 1])) * w_lambda(Partition([3, 1]))
-    right = w_lambda(Partition([2, 2])) * w_lambda(Partition([3, 1, 1]))
+    left = multiply(w_lambda(Partition([2, 2, 1])), w_lambda(Partition([3, 1])))
+    right = multiply(w_lambda(Partition([2, 2])), w_lambda(Partition([3, 1, 1])))
     assert left == right
 
 

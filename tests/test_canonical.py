@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from linalg_helpers import (
     a_of,
     block_diag,
     companion,
+    diag,
+    hnf,
     int_inverse,
     n_of,
     partitions_of,
@@ -30,10 +33,10 @@ def types(a):
 
 def test_nilpotent_type_examples():
     """A nilpotent matrix has x alone in its EDV; any other matrix has more."""
-    assert types(IntMatrix.zeros(3)) == {X: Partition([1, 1, 1])}
+    assert types(diag(0, 0, 0)) == {X: Partition([1, 1, 1])}
     assert types(n_of(Partition([3, 1]))) == {X: Partition([3, 1])}
     assert types(a_of(Partition([2, 1]))) == {X: Partition([2, 1])}
-    assert X not in types(IntMatrix.identity(2))
+    assert X not in types(diag(1, 1))
     # not nilpotent, but with a nonzero kernel: x is one factor of several
     x_minus_1, x_minus_3 = IntPoly((-1, 1)), IntPoly((-3, 1))
     shifted = block_diag(n_of(Partition([2])), companion(x_minus_3))
@@ -77,7 +80,7 @@ def test_primary_type_on_conjugated_block_sums():
         for f in fs:
             # parts from {1, 2}, so repeated parts are common
             lam = Partition([rng.randint(1, 2) for _ in range(rng.randint(1, 3 - f.degree // 2))])
-            blocks[f] = (lam, block_diag(*(companion(f ** k) for k in lam)))
+            blocks[f] = (lam, block_diag(*(companion(f ** k) for k in lam.parts)))
         a = block_diag(*(block for _, block in blocks.values()))
         u = random_unimodular(rng, a.n_rows)
         conj = u * a * int_inverse(u)
@@ -101,7 +104,7 @@ def test_single_factor_minpoly_evaluates_f_once(monkeypatch):
         (companion(IntPoly((-1, -1, 0, 1)) ** 2), IntPoly((-1, -1, 0, 1)), Partition([2])),
         (u * block_diag(*[companion(IntPoly((1, 0, 1)))] * 3) * int_inverse(u),
          IntPoly((1, 0, 1)), Partition([1, 1, 1])),
-        (IntMatrix.identity(4), IntPoly((-1, 1)), Partition([1, 1, 1, 1])),
+        (diag(1, 1, 1, 1), IntPoly((-1, 1)), Partition([1, 1, 1, 1])),
     ]
     for a, f, lam in cases:
         calls.clear()
@@ -121,7 +124,7 @@ def test_edv_context_rejects_a_wrong_exponent(monkeypatch):
         edv_context(a)
     monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(IntPoly((-1, 1)), 1)])
     with pytest.raises(ValueError, match="invertible"):
-        edv_context(IntMatrix.zeros(2))
+        edv_context(diag(0, 0))
     # x^2 - 1 is not irreducible: its kernel on diag(1, 1, -1) has odd dimension
     monkeypatch.setattr(canonical, "factor_over_z", lambda *_: [(IntPoly((-1, 0, 1)), 1)])
     with pytest.raises(ValueError, match="divisible"):
@@ -129,7 +132,7 @@ def test_edv_context_rejects_a_wrong_exponent(monkeypatch):
 
 
 def test_edv_examples():
-    assert edv_context(IntMatrix.zeros(2)).edv.entries == (
+    assert edv_context(diag(0, 0)).edv.entries == (
         (X, Partition([1, 1])),
     )
     assert edv_context(companion(IntPoly((1, 0, 1)))).edv.entries == (
@@ -243,9 +246,8 @@ def test_primary_type_of_blocks_with_denominators(monkeypatch):
         assert edv_context(a).edv.to_json() == edv
         expected = []
         for f, m in factor_over_z(minpoly(a)):
-            fa = poly_at_matrix(f, a)
-            expected += [("kernel_dim", fa ** j) for j in range(1, m)]
-            expected.append(("kernel_basis", fa ** m))
+            expected += [("kernel_dim", poly_at_matrix(f ** j, a)) for j in range(1, m)]
+            expected.append(("kernel_basis", poly_at_matrix(f ** m, a)))
         assert calls == expected
 
 
@@ -289,8 +291,50 @@ def _matrix_and_unimodular(draw):
 @given(_matrix_and_unimodular())
 def test_edv_invariant_under_unimodular_conjugation(case):
     a, u, inv = case
-    assert u * inv == IntMatrix.identity(a.n_rows)
+    assert u * inv == diag(*[1] * a.n_rows)
     assert edv_context(u * a * inv).edv == edv_context(a).edv
+
+
+@st.composite
+def _rationally_similar(draw):
+    """A conjugated block sum A of size <= 6 and S*A*S^-1, with S the HNF basis
+    of the sublattice Z^n g(A) + pZ^n for a factor g of the minimal polynomial.
+
+    That sublattice is A-invariant, so S*A*S^-1 is integral, and it is proper,
+    as g(A) is singular, so |det S| > 1: S is not unimodular.
+    """
+    blocks = []
+    size = 0
+    while not blocks or (size < 6 and draw(st.booleans())):
+        f = draw(st.sampled_from(_BLOCK_POLYS))
+        k = draw(st.integers(1, 3))
+        if size + f.degree * k > 6:
+            break
+        blocks.append((f, k))
+        size += f.degree * k
+    if not blocks:
+        blocks = [(X, 1)]
+    a = block_diag(*(companion(f ** k) for f, k in blocks))
+    u = random_unimodular(random.Random(draw(st.integers(0, 2 ** 32))), a.n_rows)
+    a = u * a * int_inverse(u)
+    g = draw(st.sampled_from([f for f, _ in blocks]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = a.n_rows
+    s = hnf(IntMatrix(list(poly_at_matrix(g, a).entries)
+                      + [[p * (i == j) for j in range(n)] for i in range(n)]))
+    return a, s
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_rationally_similar())
+def test_edv_invariant_under_rational_similarity(case):
+    a, s = case
+    s_q = sympy.Matrix(s.entries)
+    assert abs(s_q.det()) > 1
+    conj = s_q * sympy.Matrix(a.entries) * s_q.inv()
+    assert all(x.is_integer for x in conj)
+    conj = IntMatrix([[int(x) for x in row] for row in conj.tolist()])
+    assert edv_context(conj).edv == edv_context(a).edv
 
 
 def test_edv_json_round_trip():

@@ -370,6 +370,22 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_an_unreadable_matrix_path_is_a_usage_error(capsys, tmp_path):
+    """A matrix path that cannot be read fails as an unreadable --edv file does."""
+    assert main(["analyze", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read matrix file: ")
+    assert err.count("\n") == 1
+    assert main(["analyze", "--edv", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read EDV file: ")
+
+
+def test_special_fe_check_names_a_token_that_is_not_an_integer(capsys):
+    assert main(["special", "fe-check", "3", "x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: fe-check: 'x' is not an integer\n"
+
+
 def test_degree_cap_suggests_edv(capsys):
     n = 25
     entries = [[0] * n for _ in range(n)]

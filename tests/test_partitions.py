@@ -24,11 +24,8 @@ def test_basic_accessors():
     assert lam.size == 7
     assert lam.length == 3
     assert lam.last_part == 2
-    assert len(lam) == 3
-    assert lam[0] == 3
-    assert list(lam) == [3, 2, 2]
-    assert bool(lam)
-    assert not bool(Partition([]))
+    assert lam.parts == (3, 2, 2)
+    assert Partition([]).size == Partition([]).length == 0
 
 
 def test_dual_examples():

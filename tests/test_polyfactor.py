@@ -70,12 +70,6 @@ def test_splitting_profile_examples():
         splitting_profile(f, 6)
 
 
-def test_splitting_profile_json():
-    prof = splitting_profile(IntPoly((1, 0, 1)), 13)
-    d = prof.to_json()
-    assert d["prime"] == 13 and d["degrees"] == [1, 1] and d["ramified"] is False
-
-
 def test_profile_degrees_sum_and_roots():
     # degree sum = deg f at unramified p; degree-1 count = root count by exhaustion
     import sympy

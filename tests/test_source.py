@@ -1,10 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import functools
 import importlib
+import io
+import json
+import os
 from pathlib import Path
 
 import submodzeta
+from submodzeta.cli import ENV_PREFIX, main
 
 SOURCES = sorted(Path(submodzeta.__file__).parent.glob("*.py"))
 
@@ -70,3 +76,62 @@ def test_every_top_level_definition_has_a_caller():
             used |= names
     assert len(defined) > 50
     assert sorted(loc for name, loc in defined.items() if name not in used) == []
+
+
+# Methods that Python calls on its own terms (printing a value in a failed
+# assertion, dict and set membership) rather than on a command's behalf.
+PROTOCOL_ONLY = {"__repr__", "__eq__", "__hash__"}
+
+
+def _counted(fn, key, ran):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        ran.add(key)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_every_method_runs_under_some_command(monkeypatch):
+    """Each method and property a package class body defines runs when the
+    command line executes its recorded cases (tests/cli_golden.json), one
+    {"n": ..., "entries": ...} matrix, which x^2 + 1 at p = 13, E = 4 sends
+    through the oracle's lattice tree, and one usage error; so no method stays in the
+    package for the tests alone."""
+    wrapped = set()
+    ran = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"submodzeta.{path.stem}")
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name in PROTOCOL_ONLY:
+                    continue
+                key = f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                raw = cls.__dict__[item.name]
+                if isinstance(raw, property):
+                    new = property(_counted(raw.fget, key, ran), raw.fset, raw.fdel, raw.__doc__)
+                elif isinstance(raw, (classmethod, staticmethod)):
+                    new = type(raw)(_counted(raw.__func__, key, ran))
+                else:
+                    new = _counted(raw, key, ran)
+                monkeypatch.setattr(cls, item.name, new)
+                wrapped.add(key)
+    assert len(wrapped) > 40
+
+    for name in list(os.environ):
+        if name.startswith(ENV_PREFIX):
+            monkeypatch.delenv(name)
+    here = Path(__file__).parent
+    monkeypatch.chdir(here)
+    argvs = [case["argv"] for case in json.loads((here / "cli_golden.json").read_text())]
+    argvs += [["verify", '{"n": 2, "entries": [[0, 1], [-1, 0]]}',
+               "--primes", "13", "--max-index-exp", "4"],
+              ["analyze", "--format", "yaml"]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv) for argv in argvs]
+    assert codes[-2:] == [0, 1]
+    assert sorted(wrapped - ran) == []
