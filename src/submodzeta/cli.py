@@ -37,6 +37,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .canonical import ElementaryDivisorVector, EdvContext, edv_context
 from .linalg import IntMatrix, IntPoly
@@ -98,11 +99,54 @@ def _series_text(values, p) -> str:
     return f"{body} + O({p ** (len(values))}^-s)"
 
 
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), for a value printed at indentation pad.
+
+    json.dumps with an indent runs the pure-Python encoder; this walks the
+    same tree in the encoder's order of type tests and joins strings.
+    Strings are escaped by the encoder's own ASCII escaper, ints print by
+    int.__repr__, and a list of plain ints takes one join.  Any other leaf,
+    and a dict with a key that is not a str, goes to json.dumps itself with
+    its lines shifted by pad, so it prints, or raises, as it would inside
+    the whole document.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_escape(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(fmt: str, doc: dict, text: str, latex: str | None = None) -> None:
     """Print one command's document: the JSON dict, its LaTeX view where the
-    command has one, or its text view (also LaTeX's stand-in)."""
+    command has one, or its text view (also LaTeX's stand-in).
+
+    The JSON prints through _json_text, which gives the bytes of
+    json.dumps(doc, indent=2) without its pure-Python indenting encoder.
+    """
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     elif fmt == "latex" and latex is not None:
         print(latex)
     else:
@@ -165,8 +209,9 @@ def _fe_check(ctx: EdvContext) -> tuple[int, FunctionalEquationData, bool]:
     whether the generic local factor at that prime obeys them."""
     edv = ctx.edv
     p = next(good_primes(ctx))
-    data = functional_equation_data(edv, [splitting_profile(f, p) for f, _ in edv.entries])
-    return p, data, verify_functional_equation(generic_local_factor(edv, p), data)
+    profiles = [splitting_profile(f, p) for f, _ in edv.entries]
+    data = functional_equation_data(edv, profiles)
+    return p, data, verify_functional_equation(generic_local_factor(edv, profiles), data)
 
 
 def cmd_analyze(args) -> int:

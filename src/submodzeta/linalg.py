@@ -396,18 +396,16 @@ def _times_matrix(v: list[int], cols) -> list[int]:
     return [sum(map(operator.mul, v, col)) for col in cols]
 
 
-def _vector_minpoly(i: int, cols) -> IntPoly:
-    """Monic generator of {g : e_i * g(A) = 0}, from the Krylov chain of e_i.
+def _vector_minpoly(start: list[int], cols) -> IntPoly:
+    """Monic generator of {g : v * g(A) = 0}, from the Krylov chain of v = start.
 
-    Each new vector e_i A^k is reduced against the earlier ones by
+    Each new vector v A^k is reduced against the earlier ones by
     fraction-free (Bareiss) elimination that also carries the combination
     of chain vectors it stands for; every division is exact.  The first
     vector that reduces to zero gives the relation.
     """
-    n = len(cols)
     pivots = []  # (pivot column, reduced vector, combination)
-    v = [0] * n
-    v[i] = 1
+    v = start
     while True:
         vec = v
         combo = [0] * len(pivots) + [1]
@@ -419,7 +417,7 @@ def _vector_minpoly(i: int, cols) -> IntPoly:
             prev = p
         col = next((k for k, x in enumerate(vec) if x), None)
         if col is None:
-            # 0 = sum(combo[j] * e_i A^j) with combo[-1] the last pivot, nonzero
+            # 0 = sum(combo[j] * v A^j) with combo[-1] the last pivot, nonzero
             lead = combo[-1]
             if any(x % lead for x in combo):
                 raise RuntimeError("minimal polynomial came out non-integral")
@@ -485,15 +483,19 @@ def _zero_rows(f: IntPoly, a: IntMatrix, abs_max: int) -> list[bool]:
 
 
 def minpoly(a: IntMatrix) -> IntPoly:
-    """Minimal polynomial: the lcm of the minimal polynomials of the e_i.
+    """Minimal polynomial, from the Krylov chain of v = (1, 2, ..., n), certified.
 
-    A chain is run only for the e_i with e_i * best(A) != 0, best being the
-    lcm so far; any other e_i already has its polynomial dividing best.
-    After each update of best, best(A) is evaluated once, modulo enough word
-    primes to tell its zero rows exactly (_zero_rows), so the same chains run
-    as with an exact evaluation.  Every polynomial met is monic with integer
-    coefficients, because it divides the monic integer characteristic
-    polynomial (Gauss's lemma).
+    The polynomial mu_v of that chain divides the minimal polynomial mu, so
+    it is mu exactly when mu_v(A) = 0.  A chain of degree n is the
+    characteristic polynomial, which annihilates A (Cayley-Hamilton).
+    Otherwise best = mu_v is evaluated at A once, modulo enough word primes
+    to tell its zero rows exactly (_zero_rows).  While a row e_i * best(A) is
+    nonzero, the first such e_i runs its own chain, best becomes the lcm of
+    the two polynomials, and best(A) is evaluated again; a row that is zero
+    for best stays zero for every multiple of it, so at most deg mu chains
+    run, each raising the degree.  Every polynomial met is monic with
+    integer coefficients, because it divides the monic integer
+    characteristic polynomial (Gauss's lemma).
     """
     if not a.is_square:
         raise ValueError("minpoly wants a square matrix")
@@ -502,18 +504,16 @@ def minpoly(a: IntMatrix) -> IntPoly:
         raise ValueError("minpoly of a 0x0 matrix")
     cols = list(zip(*a.entries))
     abs_max = _abs_max(a.entries)
-    best = IntPoly([1])
-    zero = [False] * n  # best(A) is the identity
-    for i in range(n):
-        if zero[i]:
-            continue
-        local = _vector_minpoly(i, cols)
+    best = _vector_minpoly(list(range(1, n + 1)), cols)
+    while best.degree < n:
+        zero = _zero_rows(best, a, abs_max)
+        if all(zero):
+            break
+        i = zero.index(False)
+        local = _vector_minpoly([int(j == i) for j in range(n)], cols)
         lcm = dup_lcm(list(reversed(best.coeffs)), list(reversed(local.coeffs)), ZZ)
         lcm = IntPoly([int(c) for c in reversed(lcm)])
         if not (lcm.divmod_monic(best)[1].is_zero and lcm.divmod_monic(local)[1].is_zero):
             raise RuntimeError("lcm must be divisible by both polynomials")
         best = lcm
-        if best.degree == n:
-            break
-        zero = _zero_rows(best, a, abs_max)
     return best

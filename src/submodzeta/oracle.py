@@ -101,6 +101,7 @@ import sympy
 
 from .canonical import EdvContext, edv_context
 from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
+from .polyfactor import splitting_profile
 from .zetacore import (
     DirichletCoefficients,
     RamifiedPrimeError,
@@ -812,7 +813,8 @@ def compare(a: IntMatrix, p: int, max_exp: int,
         ctx = edv_context(a)
     good = is_good_prime(p, ctx)
     try:
-        factor = generic_local_factor(ctx.edv, p)
+        profiles = [splitting_profile(f, p) for f, _ in ctx.edv.entries]
+        factor = generic_local_factor(ctx.edv, profiles)
         formula = tuple(dirichlet_coefficients(factor, p, max_exp).values)
     except RamifiedPrimeError:
         formula = None

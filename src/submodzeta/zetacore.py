@@ -25,7 +25,7 @@ import sympy
 from .canonical import EdvContext, ElementaryDivisorVector
 from .linalg import IntPoly
 from .partitions import Partition
-from .polyfactor import SplittingProfile, splitting_profile
+from .polyfactor import SplittingProfile
 
 
 class RamifiedPrimeError(ValueError):
@@ -137,18 +137,19 @@ def bad_prime_reasons(ctx: EdvContext) -> dict[int, tuple[str, ...]]:
     return {p: tuple(dict.fromkeys(rs)) for p, rs in sorted(reasons.items())}
 
 
-def generic_local_factor(edv: ElementaryDivisorVector, p: int) -> BinomialProduct:
+def generic_local_factor(edv: ElementaryDivisorVector, profiles) -> BinomialProduct:
     """The generic-prime Euler factor, with no goodness check beyond ramification.
 
-    For every irreducible f, every place of residue degree d above p, and
-    every cell j of the partition: (1 - X^(d(j-1)) Y^(d ind(j)))^(-1) with
-    the index function taken on the dual partition.
+    profiles holds one splitting profile per entry (f, lam), all at one
+    prime p, as functional_equation_data takes them.  For every irreducible
+    f, every place of residue degree d above p, and every cell j of the
+    partition: (1 - X^(d(j-1)) Y^(d ind(j)))^(-1) with the index function
+    taken on the dual partition.
     """
     factors = []
-    for f, lam in edv.entries:
-        profile = splitting_profile(f, p)
+    for (f, lam), profile in zip(edv.entries, profiles, strict=True):
         if profile.ramified:
-            raise RamifiedPrimeError(f"{f} is not squarefree mod {p}")
+            raise RamifiedPrimeError(f"{f} is not squarefree mod {profile.prime}")
         mu = lam.dual()
         for d in profile.degrees:
             for j in range(1, lam.size + 1):

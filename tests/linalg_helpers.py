@@ -10,8 +10,9 @@ by the trace recursion, Python-int references for the matrix product,
 polynomial evaluation and the minimal polynomial (linalg computes these in
 int64 or modulo word primes where it can), and seeded unimodular matrices
 with their inverses for the tests of invariance under change of basis.
-All partitions of n, from sympy.  On the zeta side: products of binomial
-products, the rightmost pole of a pure Euler denominator (the reference for
+All partitions of n, from sympy.  On the zeta side: the splitting profiles
+of an EDV's entries at one prime, products of binomial products, the
+rightmost pole of a pure Euler denominator (the reference for
 zetacore.abscissa), and the exceptional bad-prime factor of the 2x2
 matrices [[0, a], [0, 0]], a polynomial in X and Y over a binomial product.
 """
@@ -26,6 +27,7 @@ from sympy.utilities.iterables import partitions
 
 from submodzeta.linalg import IntMatrix, IntPoly
 from submodzeta.partitions import Partition
+from submodzeta.polyfactor import SplittingProfile, splitting_profile
 from submodzeta.zetacore import BinomialProduct, DirichletCoefficients, dirichlet_coefficients
 
 
@@ -327,6 +329,11 @@ def int_inverse(u: IntMatrix) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # zeta-side references
+
+
+def profiles_at(edv, p: int) -> list[SplittingProfile]:
+    """One splitting profile at p per entry of edv, as generic_local_factor takes them."""
+    return [splitting_profile(f, p) for f, _ in edv.entries]
 
 
 def multiply(*products: BinomialProduct) -> BinomialProduct:

@@ -34,6 +34,7 @@ from linalg_helpers import (
     multiply,
     n_of,
     partitions_of,
+    profiles_at,
 )
 
 X = IntPoly((0, 1))
@@ -76,7 +77,7 @@ def test_zero_matrix_gives_shifted_zeta_product(capsys):
     for n in range(1, 4):
         a = IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
         e = edv_context(a).edv
-        want = dirichlet_coefficients(generic_local_factor(e, 2), 2, 4).values
+        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, 2)), 2, 4).values
         assert count_invariant_sublattices(a, 2, 4).values == want
 
 
@@ -92,15 +93,16 @@ def test_functional_equation_exhaustive_and_mixed():
         for lam in partitions_of(n):
             e = _edv((X, lam.parts))
             p = next(good_primes(EdvContext(e, 1)))
-            data = functional_equation_data(e, [splitting_profile(X, p)])
-            assert verify_functional_equation(generic_local_factor(e, p), data), lam
+            profiles = [splitting_profile(X, p)]
+            data = functional_equation_data(e, profiles)
+            assert verify_functional_equation(generic_local_factor(e, profiles), data), lam
 
     mixed = _edv((X, (2, 1)), (IntPoly((-1, 1)), (3,)))
     checked = 0
     for p in itertools.islice(good_primes(EdvContext(mixed, 1)), 5):
         profiles = [splitting_profile(f, p) for f, _ in mixed.entries]
         data = functional_equation_data(mixed, profiles)
-        assert verify_functional_equation(generic_local_factor(mixed, p), data), p
+        assert verify_functional_equation(generic_local_factor(mixed, profiles), data), p
         checked += 1
     assert checked == 5
     assert time.monotonic() - start < 30.0
@@ -135,11 +137,11 @@ def test_quadratic_irrational_splitting_dichotomy():
     split = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89]
     inert = [3, 7, 11, 19, 23, 31, 43, 47, 59, 67]
     for p in split:
-        f = generic_local_factor(e, p)
+        f = generic_local_factor(e, profiles_at(e, p))
         assert f.factors == ((0, 1, -2),)
         assert count_invariant_sublattices(a, p, 4).values == (1, 2, 3, 4, 5), p
     for p in inert:
-        f = generic_local_factor(e, p)
+        f = generic_local_factor(e, profiles_at(e, p))
         assert f.factors == ((0, 2, -1),)
         assert count_invariant_sublattices(a, p, 4).values == (1, 0, 1, 0, 1), p
 

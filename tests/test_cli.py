@@ -4,10 +4,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from submodzeta import linalg
 from submodzeta.canonical import edv_context
-from submodzeta.cli import main
+from submodzeta.cli import _json_text, main
 from submodzeta.linalg import IntMatrix
 from submodzeta.zetacore import bad_prime_reasons, global_formula
 
@@ -16,6 +18,43 @@ NILP_2 = "[[0,1],[0,0]]"
 NILP_21 = "[[0,1,0],[0,0,0],[0,0,0]]"
 ROT_2 = "[[0,-1],[1,0]]"  # companion of x^2 + 1
 ZERO_4 = "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter
+
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                             st.characters(), st.characters(max_codepoint=0x7f)))
+_INTS = st.one_of(st.integers(-9, 9), st.integers(), st.integers(2 ** 63 - 2, 2 ** 200),
+                  st.integers(-2 ** 200, -1))
+_JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _STRINGS, st.floats()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_INTS, max_size=6),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+        # keys json.dumps converts: the emitter hands such a dict to it whole
+        st.dictionaries(st.one_of(_STRINGS, _INTS, st.booleans(), st.none()), inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_JSON_DOCS)
+def test_json_emitter_prints_the_bytes_of_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("leaf", [object(), {1, 2}, b"bytes", {"key": {(1, 2): 3}}])
+def test_json_emitter_raises_what_json_dumps_raises(leaf):
+    doc = {"a": [1, {"b": leaf}]}
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(doc)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

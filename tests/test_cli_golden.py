@@ -41,6 +41,8 @@ COMMANDS = (
         ["special", "zpxn", "3"],
         ["special", "powerseries", "12"],
         ["special", "fe-check", "3", "2", "1"],
+        ["verify", "[[0,1],[-1,0]]", "--primes", "13", "--max-index-exp", "4"],  # lattice tree
+        ["analyze", "[[-2,-2],[1,1]]"],  # (1, 2) * A = 0: minpoly past its first chain
     ]
 )
 CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")]

@@ -354,13 +354,24 @@ def _derogatory(rng) -> tuple[IntMatrix, IntPoly]:
     return IntMatrix(u) * a * IntMatrix(inv), expected
 
 
+_SMALL_IRREDUCIBLES = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
+                       IntPoly((-2, 0, 1)), IntPoly((1, 1, 1)), IntPoly((-1, -1, 0, 1))]
+
+
+def _block_companion(blocks, seed) -> IntMatrix:
+    """U * diag(companion(f^k) for (f, k) in blocks) * U^-1, U seeded unimodular."""
+    base = block_diag(*(companion(f ** k) for f, k in blocks))
+    u = linalg_helpers.random_unimodular(random.Random(seed), base.n_rows)
+    return matmul(matmul(u, base), linalg_helpers.int_inverse(u))
+
+
 def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
     chains = []
     chain = linalg._vector_minpoly
 
-    def counted(i, cols):
-        chains.append(i)
-        return chain(i, cols)
+    def counted(start, cols):
+        chains.append(start)
+        return chain(start, cols)
 
     monkeypatch.setattr(linalg, "_vector_minpoly", counted)
     rng = random.Random(29)
@@ -370,13 +381,54 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
         chains.clear()
         mp = minpoly(a)
         assert mp == expected and mp.degree < n
-        # each chain grows the lcm, so the annihilation test skipped the other e_i
+        # the chain of (1, ..., n) first; each later chain, of an e_i that the
+        # polynomial so far leaves nonzero, grows the lcm
+        assert chains[0] == list(range(1, n + 1))
+        assert all(sorted(v) == [0] * (n - 1) + [1] for v in chains[1:])
         assert 1 <= len(chains) <= mp.degree
         assert poly_at(mp, a) == _zeros(n)
         for f, _ in factor_over_z(mp):
             q, r = mp.divmod_monic(f)
             assert r.is_zero
             assert poly_at(q, a) != _zeros(n)
+
+
+def _counted_minpoly(monkeypatch, a):
+    """minpoly(a), with the start vectors of its chains and its number of
+    _zero_rows evaluations."""
+    starts, evaluations = [], []
+    chain, zero_rows = linalg._vector_minpoly, linalg._zero_rows
+
+    def counted_chain(start, cols):
+        starts.append(start)
+        return chain(start, cols)
+
+    def counted_rows(f, m, abs_max):
+        evaluations.append(f)
+        return zero_rows(f, m, abs_max)
+
+    monkeypatch.setattr(linalg, "_vector_minpoly", counted_chain)
+    monkeypatch.setattr(linalg, "_zero_rows", counted_rows)
+    return minpoly(a), starts, len(evaluations)
+
+
+def test_minpoly_runs_one_certified_chain_and_falls_back_on_the_rows_left(monkeypatch):
+    # a conjugated block sum of companions of f^k, as analyze-structured builds it
+    x2p1, x3mxm1, xm1 = IntPoly((1, 0, 1)), IntPoly((-1, -1, 0, 1)), IntPoly((-1, 1))
+    a = _block_companion([(x2p1, 2), (x2p1, 1), (x3mxm1, 1), (x3mxm1, 1), (xm1, 2)], 3)
+    mp, starts, evaluations = _counted_minpoly(monkeypatch, a)
+    assert mp == x2p1 ** 2 * x3mxm1 * xm1 ** 2 == linalg_helpers.minpoly(a)
+    assert starts == [list(range(1, a.n_rows + 1))] and evaluations == 1
+
+    # (1, 2) * A = 0, so the first chain gives x; e_0 * A != 0 runs the fallback
+    a = IntMatrix([[-2, -2], [1, 1]])
+    mp, starts, evaluations = _counted_minpoly(monkeypatch, a)
+    assert mp == IntPoly((0, 1, 1)) == linalg_helpers.minpoly(a)
+    assert starts == [[1, 2], [1, 0]] and evaluations == 1
+
+    # a chain of degree n is the characteristic polynomial: nothing to evaluate
+    a = companion(x3mxm1)
+    assert _counted_minpoly(monkeypatch, a) == (x3mxm1, [[1, 2, 3]], 0)
 
 
 def test_minpoly_sees_rows_that_are_multiples_of_the_word_primes():
@@ -446,6 +498,25 @@ def _square(n, entry):
              min_size=1, max_size=2).map(lambda blocks: block_diag(*blocks, blocks[0])),
 ))
 def test_minpoly_matches_the_per_row_reference(a):
+    assert minpoly(a) == linalg_helpers.minpoly(a)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(
+    # unimodular conjugates of block companions, n <= 8
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_SMALL_IRREDUCIBLES), st.integers(1, 3)),
+                 min_size=1, max_size=4)
+        .filter(lambda blocks: sum(f.degree * k for f, k in blocks) <= 8),
+        st.integers(0, 2 ** 32),
+    ).map(lambda args: _block_companion(*args)),
+    # conjugated block sums with a repeated factor
+    st.integers(0, 2 ** 32).map(lambda seed: _derogatory(random.Random(seed))[0]),
+))
+def test_minpoly_past_the_first_chain_matches_the_reference(a):
+    """Conjugated block sums, where the chain of (1, ..., n) can fall short
+    of the minimal polynomial; the mostly cyclic inputs of the property
+    above rarely reach the fallback."""
     assert minpoly(a) == linalg_helpers.minpoly(a)
 
 

@@ -44,6 +44,7 @@ from linalg_helpers import (
     n_of,
     partitions_of,
     plus_scalar,
+    profiles_at,
     random_unimodular,
 )
 
@@ -111,7 +112,7 @@ def test_counts_match_formula_at_good_primes():
     ]
     for a, p, top in cases:
         e = edv_context(a).edv
-        want = dirichlet_coefficients(generic_local_factor(e, p), p, top).values
+        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, p)), p, top).values
         got = count_invariant_sublattices(a, p, top).values
         assert got == want, (a.entries, p)
 

@@ -36,6 +36,7 @@ from linalg_helpers import (
     multiply,
     n_of,
     partitions_of,
+    profiles_at,
 )
 
 X = IntPoly((0, 1))
@@ -198,10 +199,10 @@ def test_is_good_prime_agrees_with_bad_prime_reasons(c):
 
 def test_generic_local_factor_split_vs_inert():
     e = edv((X2_PLUS_1, (1,)))
-    assert generic_local_factor(e, 5).factors == ((0, 1, -2),)
-    assert generic_local_factor(e, 3).factors == ((0, 2, -1),)
+    assert generic_local_factor(e, profiles_at(e, 5)).factors == ((0, 1, -2),)
+    assert generic_local_factor(e, profiles_at(e, 3)).factors == ((0, 2, -1),)
     with pytest.raises(RamifiedPrimeError):
-        generic_local_factor(e, 2)
+        generic_local_factor(e, profiles_at(e, 2))
 
 
 def test_generic_local_factor_is_dual_w():
@@ -209,7 +210,7 @@ def test_generic_local_factor_is_dual_w():
         lam = Partition(parts)
         e = edv((X, parts))
         for p in itertools.islice(good_primes(EdvContext(e, 1)), 3):
-            assert generic_local_factor(e, p) == w_lambda(lam.dual())
+            assert generic_local_factor(e, profiles_at(e, p)) == w_lambda(lam.dual())
 
 
 def test_local_euler_factor_guards():
@@ -217,14 +218,14 @@ def test_local_euler_factor_guards():
     e = ctx((X, (2,)))
     assert not is_good_prime(2, e)  # p <= n
     assert is_good_prime(3, e)
-    assert generic_local_factor(e.edv, 3) == w_lambda(Partition([1, 1]))
+    assert generic_local_factor(e.edv, profiles_at(e.edv, 3)) == w_lambda(Partition([1, 1]))
     assert not is_good_prime(3, ctx((X, (2,)), den=3))
 
 
 def test_local_factor_inert_scaling():
     # one degree-2 place folds d into both exponents
     e = edv((X2_PLUS_1, (2,)))
-    f = generic_local_factor(e, 3)
+    f = generic_local_factor(e, profiles_at(e, 3))
     # lam=(2): mu=(1,1): cells j=1,2 -> (d(j-1), d*ind) = (0,2), (2,4)
     assert f.factors == ((0, 2, -1), (2, 4, -1))
 
@@ -302,7 +303,7 @@ def test_abscissa_matches_local_factor_poles():
             e = edv((X, lam.parts))
             alpha, _ = abscissa(e)
             p = next(good_primes(EdvContext(e, 1)))
-            assert abscissa_from_factors(generic_local_factor(e, p)) == alpha
+            assert abscissa_from_factors(generic_local_factor(e, profiles_at(e, p))) == alpha
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +347,9 @@ def test_verify_functional_equation():
         for lam in partitions_of(n):
             e = edv((X, lam.parts))
             p = next(good_primes(EdvContext(e, 1)))
-            data = functional_equation_data(e, [splitting_profile(X, p)])
-            assert verify_functional_equation(generic_local_factor(e, p), data)
+            profiles = [splitting_profile(X, p)]
+            data = functional_equation_data(e, profiles)
+            assert verify_functional_equation(generic_local_factor(e, profiles), data)
     # hand-broken: product (1-Y)^-1 (1-XY^2)^-1 with wrong s-exponent
     broken = FunctionalEquationData(2, 1, 2)
     f = BinomialProduct.from_factors([(0, 1, -1), (1, 2, -1)])
@@ -503,4 +505,4 @@ def test_edv_pipeline_factors():
     c = edv_context(n_of(Partition([2, 1])))
     assert c.edv == edv((X, (2, 1)))
     assert is_good_prime(5, c)
-    assert generic_local_factor(c.edv, 5) == w_lambda(Partition([2, 1]))
+    assert generic_local_factor(c.edv, profiles_at(c.edv, 5)) == w_lambda(Partition([2, 1]))
