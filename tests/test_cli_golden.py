@@ -43,6 +43,10 @@ COMMANDS = (
         ["special", "fe-check", "3", "2", "1"],
         ["verify", "[[0,1],[-1,0]]", "--primes", "13", "--max-index-exp", "4"],  # lattice tree
         ["analyze", "[[-2,-2],[1,1]]"],  # (1, 2) * A = 0: minpoly past its first chain
+        ["verify", MATRICES[1]],                                # default primes 3, 5, 7
+        ["verify", "[[0,2],[0,0]]", "--primes", "2,5"],         # a bad and a good prime
+        ["verify", "[[0,2],[0,0]]", "--primes", "4"],           # not a prime
+        ["verify", "[[0,2],[0,0]]", "--max-n", "1"],            # over the size cap
     ]
 )
 CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")]
@@ -63,7 +67,7 @@ def test_cli_outputs_match_the_recorded_bytes(monkeypatch):
     monkeypatch.chdir(HERE)
     recorded = json.loads(FIXTURE.read_text())
     assert [case["argv"] for case in recorded] == CASES
-    assert {case["rc"] for case in recorded} == {0, 2, 3}
+    assert {case["rc"] for case in recorded} == {0, 1, 2, 3}
     for case in recorded:
         assert run(case["argv"]) == case
 
