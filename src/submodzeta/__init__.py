@@ -6,7 +6,9 @@ computes the series symbolically — local Euler factors, a global product
 of shifted Dedekind zeta functions, the abscissa of convergence and pole
 data, functional-equation exponents — and cross-checks every formula
 against brute-force counts: Hermite-normal-form enumeration, or a tree
-of invariant lattices grown level by level where that is cheaper.
+of invariant lattices grown level by level where that is cheaper.  The
+counting oracle shares no code with the formulas; the `verify` command
+sets the two side by side.
 """
 
 from .canonical import (
@@ -24,8 +26,6 @@ from .linalg import (
 )
 from .oracle import (
     BudgetError,
-    ComparisonReport,
-    compare,
     count_invariant_sublattices,
 )
 from .partitions import Partition
@@ -38,7 +38,6 @@ from .polyfactor import (
 )
 from .zetacore import (
     BinomialProduct,
-    DirichletCoefficients,
     FunctionalEquationData,
     GlobalZetaExpression,
     RamifiedPrimeError,
@@ -62,10 +61,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinomialProduct",
     "BudgetError",
-    "ComparisonReport",
     "DEFAULT_DEGREE_CAP",
     "DegreeCapError",
-    "DirichletCoefficients",
     "EdvContext",
     "ElementaryDivisorVector",
     "FunctionalEquationData",
@@ -77,7 +74,6 @@ __all__ = [
     "SplittingProfile",
     "abscissa",
     "bad_prime_reasons",
-    "compare",
     "count_invariant_sublattices",
     "dirichlet_coefficients",
     "edv_context",

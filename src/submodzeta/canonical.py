@@ -28,7 +28,7 @@ from .linalg import (
     resultant,
 )
 from .partitions import Partition
-from .polyfactor import DEFAULT_DEGREE_CAP, factor_over_z
+from .polyfactor import factor_over_z
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _type(fa: IntMatrix, d: int, m: int) -> tuple[Partition, int]:
     return Partition(jumps).dual(), den
 
 
-def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContext:
+def edv_context(a: IntMatrix) -> EdvContext:
     """Elementary divisor vector of a, plus the lcm of denominators seen on the way.
 
     The denominators are those of the kernel bases of f(a)^m, one for each
@@ -164,7 +164,7 @@ def edv_context(a: IntMatrix, degree_cap: int = DEFAULT_DEGREE_CAP) -> EdvContex
         raise ValueError("n = 0 is rejected everywhere")
     lcm = 1
     pairs = []
-    for f, m in factor_over_z(minpoly(a), degree_cap):
+    for f, m in factor_over_z(minpoly(a)):
         lam, den = _type(poly_at_matrix(f, a), f.degree, m)
         pairs.append((f, lam))
         lcm = math.lcm(lcm, den)

@@ -5,7 +5,9 @@ Subcommands
 analyze MATRIX      elementary divisors, global zeta product, abscissa/pole
                     data, functional-equation exponents, pole-at-zero verdict
 verify MATRIX       expand the local formula at chosen primes and compare
-                    against brute-force sublattice counts
+                    against brute-force sublattice counts; this command is
+                    the one place where the formula side meets the oracle,
+                    which imports no formula code and returns bare counts
 special ...         zpxn N | powerseries N | fe-check PARTS
 
 MATRIX is inline JSON ("[[0,1],[0,0]]" or {"n":2,"entries":[[0,1],[0,0]]}),
@@ -13,8 +15,11 @@ a path to a file holding the same, or "-" for standard input.
 
 Flags may also be supplied through SUBMODZETA_-prefixed environment
 variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
-explicit flags win.  An empty variable counts as unset; a SUBMODZETA_FORMAT
-other than text, json or latex is a usage error, as --format is.
+explicit flags win, and SUBMODZETA_EDV applies only when analyze is given no
+matrix (a matrix together with --edv is a usage error).  An empty variable
+counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, or an
+integer variable that does not parse, is a usage error that names the
+variable, as argparse names the flag.
 
 Output: each cmd_* function composes its document once, as a JSON dict, a
 text view and (for analyze and zpxn) a LaTeX view, and prints it through
@@ -45,19 +50,22 @@ from .oracle import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_N,
     BudgetError,
-    compare,
+    count_invariant_sublattices,
 )
 from .partitions import Partition
 from .polyfactor import DegreeCapError, splitting_profile
 from .zetacore import (
     FunctionalEquationData,
+    RamifiedPrimeError,
     abscissa,
     bad_prime_reasons,
+    dirichlet_coefficients,
     functional_equation_data,
     generic_local_factor,
     global_formula,
     good_primes,
     has_simple_pole_at_zero,
+    is_good_prime,
     powerseries_ring_coeffs,
     verify_functional_equation,
     zpxn_zeta,
@@ -216,6 +224,8 @@ def _fe_check(ctx: EdvContext) -> tuple[int, FunctionalEquationData, bool]:
 
 def cmd_analyze(args) -> int:
     if args.edv:
+        if args.matrix is not None:
+            raise UsageError("analyze takes a matrix argument or --edv, not both")
         ctx = EdvContext(load_edv(args.edv), 1)
         matrix = None
     else:
@@ -284,51 +294,48 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The formula against the oracle at each prime.  The formula comes first,
+    so a p that is not prime fails in splitting_profile; it is None where a
+    factor ramifies.  A good prime whose formula is None or wrong is demoted."""
     if args.matrix is None:
         raise UsageError("verify needs a matrix argument")
     matrix = load_matrix(args.matrix)
     ctx = edv_context(matrix)
-    if args.primes:
-        primes = args.primes
-    else:
-        primes = list(itertools.islice(good_primes(ctx), 3))
-    reports = [
-        compare(
-            matrix,
-            p,
-            args.max_index_exp,
-            max_n=args.max_n,
-            max_candidates=args.budget,
-            ctx=ctx,
-        )
-        for p in primes
-    ]
-    failed = [r for r in reports if r.demoted]
-    lines = []
-    for r in reports:
-        status = "good" if r.heuristically_good else "bad"
-        lines.append(f"p = {r.prime} ({status} prime, E = {r.max_exp})")
-        if r.formula_values is None:
-            lines.append("  formula: none (ramified)")
-        else:
-            lines.append(f"  formula: {list(r.formula_values)}")
-        lines.append(f"  oracle:  {list(r.oracle_values)}")
-        if r.formula_values is None or r.mismatch_index is not None:
-            lines.append(
-                f"  truncated local factor: {_series_text(r.oracle_values, r.prime)}"
-            )
-        if r.demoted:
-            lines.append(
-                f"  MISMATCH at exponent {r.mismatch_index}: "
-                f"p = {r.prime} demoted to bad"
-            )
-        elif r.matches:
+    edv, top = ctx.edv, args.max_index_exp
+    primes = args.primes or list(itertools.islice(good_primes(ctx), 3))
+    reports, lines = [], []
+    for p in primes:
+        good = is_good_prime(p, ctx)
+        try:
+            factor = generic_local_factor(edv, [splitting_profile(f, p) for f, _ in edv.entries])
+            formula = list(dirichlet_coefficients(factor, p, top))
+        except RamifiedPrimeError:
+            formula = None
+        counts = list(count_invariant_sublattices(matrix, p, top, args.max_n, args.budget))
+        matches = formula == counts
+        mismatch = next((e for e, (x, y) in enumerate(zip(formula or [], counts)) if x != y), None)
+        demoted = good and not matches
+        reports.append({
+            "prime": p,
+            "max_exp": top,
+            "formula_values": formula,
+            "oracle_values": counts,
+            "heuristically_good": good,
+            "mismatch_index": mismatch,
+            "demoted": demoted,
+        })
+        lines.append(f"p = {p} ({'good' if good else 'bad'} prime, E = {top})")
+        lines.append(f"  formula: {'none (ramified)' if formula is None else formula}")
+        lines.append(f"  oracle:  {counts}")
+        if not matches:
+            lines.append(f"  truncated local factor: {_series_text(counts, p)}")
+        if demoted:
+            lines.append(f"  MISMATCH at exponent {mismatch}: p = {p} demoted to bad")
+        elif matches:
             lines.append("  match")
-    lines.append(
-        "all good primes match" if not failed else f"{len(failed)} good prime(s) mismatched"
-    )
-    doc = {"reports": [r.to_json() for r in reports], "all_good_primes_match": not failed}
-    _emit(args.format, doc, "\n".join(lines))
+    failed = sum(r["demoted"] for r in reports)
+    lines.append(f"{failed} good prime(s) mismatched" if failed else "all good primes match")
+    _emit(args.format, {"reports": reports, "all_good_primes_match": not failed}, "\n".join(lines))
     return 2 if failed else 0
 
 
@@ -449,6 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_value(text: str, source: str) -> int:
+    """int(text), or a usage error that names its source in argparse's wording."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{source}: invalid int value: {text!r}") from None
+
+
+def _env_int(name: str, default: int) -> int:
+    text = _env(name)
+    return _int_value(text, ENV_PREFIX + name) if text else default
+
+
 def _apply_env(args) -> None:
     if args.format is None:
         args.format = _env("FORMAT") or "text"
@@ -457,22 +477,18 @@ def _apply_env(args) -> None:
                 f"{ENV_PREFIX}FORMAT: invalid choice: {args.format!r} "
                 f"(choose from {', '.join(map(repr, FORMATS))})"
             )
-    if getattr(args, "edv", None) is None and args.command == "analyze":
+    if args.command == "analyze" and args.edv is None and args.matrix is None:
         args.edv = _env("EDV")
     if args.command == "verify":
+        source = "argument --primes"
         if args.primes is None:
-            args.primes = _env("PRIMES")
-        if isinstance(args.primes, str):
-            try:
-                args.primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise UsageError(f"bad --primes list: {exc}") from exc
+            args.primes, source = _env("PRIMES"), ENV_PREFIX + "PRIMES"
+        if args.primes:
+            args.primes = [_int_value(tok, source) for tok in args.primes.split(",") if tok.strip()]
         if args.max_index_exp is None:
-            env = _env("MAX_INDEX_EXP")
-            args.max_index_exp = int(env) if env else 3
+            args.max_index_exp = _env_int("MAX_INDEX_EXP", 3)
         if args.budget is None:
-            env = _env("BUDGET")
-            args.budget = int(env) if env else DEFAULT_MAX_CANDIDATES
+            args.budget = _env_int("BUDGET", DEFAULT_MAX_CANDIDATES)
 
 
 def main(argv=None) -> int:

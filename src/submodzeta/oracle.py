@@ -6,6 +6,10 @@ above each pivot reduced into [0, d_j).  The sublattice is invariant under
 the row action of A exactly when B*A = M*B for an integer matrix M.  The
 number of invariant sublattices of index p^e (level e) is the Dirichlet
 coefficient a_{p^e} the symbolic formulas must reproduce.
+`count_invariant_sublattices` returns these counts as a bare tuple.  The
+module imports nothing from the package but `linalg`: it shares no code
+with the elementary divisor vector or the formulas, and `verify` (in
+`cli`) sets the two side by side.
 
 One kernel (`_invariance`) decides B*A = M*B for a batch of bases at once,
 entry by entry: each entry of B, A, w = B*A and M is a Python int where the
@@ -94,21 +98,11 @@ arrays whenever a rigorous worst-case bound keeps every intermediate below
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import sympy
 
-from .canonical import EdvContext, edv_context
 from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
-from .polyfactor import splitting_profile
-from .zetacore import (
-    DirichletCoefficients,
-    RamifiedPrimeError,
-    dirichlet_coefficients,
-    generic_local_factor,
-    is_good_prime,
-)
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
@@ -710,8 +704,8 @@ def _triangular(a: IntMatrix) -> IntMatrix:
 
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_n: int = DEFAULT_MAX_N,
-                                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> DirichletCoefficients:
-    """Exact counts a_{p^0}..a_{p^max_exp} of A-invariant sublattices of Z^n.
+                                max_candidates: int = DEFAULT_MAX_CANDIDATES) -> tuple[int, ...]:
+    """Exact counts (a_{p^0}, .., a_{p^max_exp}) of A-invariant sublattices of Z^n.
 
     Refuses upfront (BudgetError) when n exceeds the cap or the HNF
     candidate total exceeds the budget, at the first level where the
@@ -760,79 +754,4 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                 tree.record(e, nodes)
         if tree.keeping:
             tree.prune(e)
-    return DirichletCoefficients(p, tuple(values))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Formula-vs-oracle coefficients at one prime, with goodness verdicts.
-
-    formula_values is None when no generic factor exists at p (some f_i
-    ramifies).  mismatch_index is the first disagreeing exponent, None when
-    the sequences agree or there is nothing to compare.  demoted flags the
-    never-expected event: a heuristically-good prime whose formula fails
-    the oracle.
-    """
-
-    prime: int
-    max_exp: int
-    formula_values: tuple[int, ...] | None
-    oracle_values: tuple[int, ...]
-    heuristically_good: bool
-    mismatch_index: int | None
-    demoted: bool
-
-    @property
-    def matches(self) -> bool:
-        return self.formula_values is not None and self.mismatch_index is None
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "max_exp": self.max_exp,
-            "formula_values": (
-                list(self.formula_values) if self.formula_values is not None else None
-            ),
-            "oracle_values": list(self.oracle_values),
-            "heuristically_good": self.heuristically_good,
-            "mismatch_index": self.mismatch_index,
-            "demoted": self.demoted,
-        }
-
-
-def compare(a: IntMatrix, p: int, max_exp: int,
-            max_n: int = DEFAULT_MAX_N,
-            max_candidates: int = DEFAULT_MAX_CANDIDATES,
-            ctx: EdvContext | None = None) -> ComparisonReport:
-    """Expand the formula-side factor at p and test it against the brute count.
-
-    ctx is the EDV context of a; callers comparing at several primes pass
-    it in so it is computed once.
-    """
-    if ctx is None:
-        ctx = edv_context(a)
-    good = is_good_prime(p, ctx)
-    try:
-        profiles = [splitting_profile(f, p) for f, _ in ctx.edv.entries]
-        factor = generic_local_factor(ctx.edv, profiles)
-        formula = tuple(dirichlet_coefficients(factor, p, max_exp).values)
-    except RamifiedPrimeError:
-        formula = None
-    counts = count_invariant_sublattices(
-        a, p, max_exp, max_n=max_n, max_candidates=max_candidates
-    )
-    mismatch = None
-    if formula is not None:
-        for e, (x, y) in enumerate(zip(formula, counts.values)):
-            if x != y:
-                mismatch = e
-                break
-    return ComparisonReport(
-        prime=p,
-        max_exp=max_exp,
-        formula_values=formula,
-        oracle_values=counts.values,
-        heuristically_good=good,
-        mismatch_index=mismatch,
-        demoted=good and (formula is None or mismatch is not None),
-    )
+    return tuple(values)

@@ -32,7 +32,7 @@ DEFAULT_DEGREE_CAP = 24
 
 
 class DegreeCapError(ValueError):
-    """Factorization refused: degree beyond the configured cap."""
+    """Factorization refused: degree beyond DEFAULT_DEGREE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SplittingProfile:
         return len(self.degrees)
 
 
-def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tuple[IntPoly, int]]:
+def factor_over_z(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Monic irreducible integer factors of f with multiplicities.
 
     Factors come back sorted by (degree, coefficients); their product is
@@ -62,9 +62,9 @@ def factor_over_z(f: IntPoly, degree_cap: int = DEFAULT_DEGREE_CAP) -> list[tupl
         raise ValueError("factor_over_z wants a monic polynomial")
     if f.degree < 1:
         raise ValueError("factor_over_z wants degree >= 1")
-    if f.degree > degree_cap:
+    if f.degree > DEFAULT_DEGREE_CAP:
         raise DegreeCapError(
-            f"degree {f.degree} exceeds the factorization cap {degree_cap}; "
+            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}; "
             "supply the factorization directly to bypass"
         )
     constant, parts = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)

@@ -350,20 +350,6 @@ def powerseries_ring_coeffs(n_max: int) -> list[int]:
 # exact coefficient expansion
 
 
-@dataclass(frozen=True)
-class DirichletCoefficients:
-    """Exact coefficients a_{p^0}..a_{p^E} of a local factor at one prime."""
-
-    prime: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("need at least the constant coefficient")
-        if self.values[0] != 1:
-            raise ValueError("constant coefficient must be 1")
-
-
 def _expand_binomials(factors, p: int, max_exp: int) -> list[int]:
     """Series in Y of prod (1 - p^a Y^b)^e, truncated at Y^max_exp."""
     coeffs = [0] * (max_exp + 1)
@@ -381,8 +367,8 @@ def _expand_binomials(factors, p: int, max_exp: int) -> list[int]:
     return coeffs
 
 
-def dirichlet_coefficients(f: BinomialProduct, p: int, max_exp: int) -> DirichletCoefficients:
-    """Exact expansion of a binomial product at X = p, up to Y^max_exp."""
+def dirichlet_coefficients(f: BinomialProduct, p: int, max_exp: int) -> tuple[int, ...]:
+    """Exact coefficients (a_{p^0}, .., a_{p^max_exp}) of a binomial product at X = p."""
     if max_exp < 0:
         raise ValueError("max_exp must be >= 0")
-    return DirichletCoefficients(p, tuple(_expand_binomials(f.factors, p, max_exp)))
+    return tuple(_expand_binomials(f.factors, p, max_exp))

@@ -28,7 +28,7 @@ from sympy.utilities.iterables import partitions
 from submodzeta.linalg import IntMatrix, IntPoly
 from submodzeta.partitions import Partition
 from submodzeta.polyfactor import SplittingProfile, splitting_profile
-from submodzeta.zetacore import BinomialProduct, DirichletCoefficients, dirichlet_coefficients
+from submodzeta.zetacore import BinomialProduct, dirichlet_coefficients
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -372,7 +372,7 @@ class XYRational:
 
     def series(self, p: int, max_exp: int) -> list[int]:
         """Exact Y-series coefficients at X = p, up to Y^max_exp."""
-        base = dirichlet_coefficients(self.binomials, p, max_exp).values
+        base = dirichlet_coefficients(self.binomials, p, max_exp)
         out = [0] * (max_exp + 1)
         for a, b, c in self.numerator:
             if b > max_exp:
@@ -381,9 +381,6 @@ class XYRational:
             for i in range(b, max_exp + 1):
                 out[i] += scale * base[i - b]
         return out
-
-    def dirichlet_coefficients(self, p: int, max_exp: int) -> DirichletCoefficients:
-        return DirichletCoefficients(p, tuple(self.series(p, max_exp)))
 
 
 def exceptional_factor_2x2(e: int) -> XYRational:

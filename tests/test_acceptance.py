@@ -8,10 +8,13 @@ import json
 import random
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from submodzeta.canonical import EdvContext, ElementaryDivisorVector, edv_context
 from submodzeta.cli import main
 from submodzeta.linalg import IntMatrix, IntPoly, minpoly
-from submodzeta.oracle import compare, count_invariant_sublattices
+from submodzeta.oracle import count_invariant_sublattices
 from submodzeta.partitions import Partition
 from submodzeta.polyfactor import factor_over_z, splitting_profile
 from submodzeta.zetacore import (
@@ -58,8 +61,8 @@ def test_truncated_polynomial_quotient_closed_form():
     a = companion(X ** 3)
     f = zpxn_zeta(3)
     for p in (2, 3, 5):
-        expected = dirichlet_coefficients(f, p, 5).values
-        counted = count_invariant_sublattices(a, p, 5).values
+        expected = dirichlet_coefficients(f, p, 5)
+        counted = count_invariant_sublattices(a, p, 5)
         assert counted == expected, p
     assert time.monotonic() - start < 10.0
 
@@ -77,8 +80,8 @@ def test_zero_matrix_gives_shifted_zeta_product(capsys):
     for n in range(1, 4):
         a = IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
         e = edv_context(a).edv
-        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, 2)), 2, 4).values
-        assert count_invariant_sublattices(a, 2, 4).values == want
+        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, 2)), 2, 4)
+        assert count_invariant_sublattices(a, 2, 4) == want
 
 
 def test_product_coincidence_between_distinct_partition_pairs():
@@ -108,6 +111,44 @@ def test_functional_equation_exhaustive_and_mixed():
     assert time.monotonic() - start < 30.0
 
 
+# x - c for small c, two quadratics with distinct splitting behaviour, a
+# cyclotomic and two cubics; any few of them are pairwise coprime
+_FE_FACTORS = [IntPoly((-c, 1)) for c in range(-2, 3)] + [
+    IntPoly(coeffs) for coeffs in
+    ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (-1, -1, 0, 1))
+]
+
+
+@st.composite
+def _random_types(draw, n_max=12):
+    """An EDV of 1-3 distinct factors from _FE_FACTORS, each with a random
+    partition, of total size n = sum deg(f) * |lambda| <= n_max."""
+    fs = draw(st.lists(st.sampled_from(_FE_FACTORS), min_size=1, max_size=3,
+                       unique_by=lambda f: f.coeffs))
+    pairs = []
+    used = 0
+    for k, f in enumerate(fs):
+        room = n_max - used - sum(g.degree for g in fs[k + 1:])
+        size = draw(st.integers(1, room // f.degree))
+        cuts = sorted(draw(st.sets(st.integers(1, size - 1)))) if size > 1 else []
+        parts = sorted((b - a for a, b in zip([0] + cuts, cuts + [size])), reverse=True)
+        pairs.append((f, Partition(parts)))
+        used += f.degree * size
+    return ElementaryDivisorVector.from_pairs(pairs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_random_types())
+def test_functional_equation_for_random_types(edv):
+    """At the first three good primes, the generic local factor of a random
+    type inverts with the exponents functional_equation_data predicts."""
+    assert edv.n <= 12
+    for p in itertools.islice(good_primes(EdvContext(edv, 1)), 3):
+        profiles = profiles_at(edv, p)
+        data = functional_equation_data(edv, profiles)
+        assert verify_functional_equation(generic_local_factor(edv, profiles), data), (edv, p)
+
+
 def test_functional_equation_data_collides_where_factors_differ():
     lam_a = Partition([3, 1, 1, 1, 1])
     lam_b = Partition([2, 2, 2, 1])
@@ -126,7 +167,7 @@ def test_exceptional_2x2_family_matches_brute_force():
         a = IntMatrix(((0, p ** e), (0, 0)))
         full = exceptional_factor_2x2(e) * zeta_pair
         want = tuple(full.series(p, 5))
-        got = count_invariant_sublattices(a, p, 5).values
+        got = count_invariant_sublattices(a, p, 5)
         assert got == want, (p, e)
     assert exceptional_factor_2x2(0).is_one
 
@@ -139,11 +180,11 @@ def test_quadratic_irrational_splitting_dichotomy():
     for p in split:
         f = generic_local_factor(e, profiles_at(e, p))
         assert f.factors == ((0, 1, -2),)
-        assert count_invariant_sublattices(a, p, 4).values == (1, 2, 3, 4, 5), p
+        assert count_invariant_sublattices(a, p, 4) == (1, 2, 3, 4, 5), p
     for p in inert:
         f = generic_local_factor(e, profiles_at(e, p))
         assert f.factors == ((0, 2, -1),)
-        assert count_invariant_sublattices(a, p, 4).values == (1, 0, 1, 0, 1), p
+        assert count_invariant_sublattices(a, p, 4) == (1, 0, 1, 0, 1), p
 
 
 def test_abscissa_is_partition_length_everywhere():
@@ -160,10 +201,10 @@ def test_abscissa_is_partition_length_everywhere():
         assert alpha == 2
 
 
-def test_randomized_campaign_no_mismatch_at_good_primes():
+def test_randomized_campaign_no_mismatch_at_good_primes(capsys):
     """50 seeded random matrices with squarefree minimal polynomials whose
     irreducible factors have degree at most 2; at heuristically good primes
-    the symbolic factor must reproduce brute force exactly."""
+    the symbolic factor must reproduce brute force exactly, in `verify`."""
     start = time.monotonic()
     rng = random.Random(20260815)
     accepted = []
@@ -179,13 +220,15 @@ def test_randomized_campaign_no_mismatch_at_good_primes():
             accepted.append(m)
 
     for m in accepted:
-        ctx = edv_context(m)
-        primes = itertools.islice(good_primes(ctx), 3)
-        for p in primes:
-            rep = compare(m, p, 3)
-            assert rep.heuristically_good, (m.entries, p)
-            assert rep.matches, (m.entries, p, rep)
-            assert not rep.demoted
+        primes = list(itertools.islice(good_primes(edv_context(m)), 3))
+        rc = main(["verify", json.dumps(m.to_json()), "--max-index-exp", "3", "--format", "json"])
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [rep["prime"] for rep in reports] == primes
+        for rep in reports:
+            assert rep["heuristically_good"], (m.entries, rep)
+            assert rep["formula_values"] == rep["oracle_values"], (m.entries, rep)
+            assert not rep["demoted"]
+        assert rc == 0
     assert time.monotonic() - start < 300.0
 
 

@@ -362,10 +362,9 @@ def test_edv_validation():
 
 
 def test_edv_degree_cap_propagates():
-    from submodzeta.polyfactor import DegreeCapError
+    from submodzeta.polyfactor import DEFAULT_DEGREE_CAP, DegreeCapError
 
-    big = companion(X ** 30)
     with pytest.raises(DegreeCapError):
-        edv_context(big)
-    edv = edv_context(big, degree_cap=40).edv
-    assert edv.entries == ((X, Partition([30])),)
+        edv_context(companion(X ** (DEFAULT_DEGREE_CAP + 1)))
+    edv = edv_context(companion(X ** DEFAULT_DEGREE_CAP)).edv
+    assert edv.entries == ((X, Partition([DEFAULT_DEGREE_CAP])),)

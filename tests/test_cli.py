@@ -320,17 +320,16 @@ def test_verify_of_a_huge_scalar_matrix_is_quick(capsys):
 
 
 def test_verify_computes_edv_context_once(capsys, monkeypatch):
-    import submodzeta.cli
-    import submodzeta.oracle
-    from submodzeta.canonical import edv_context
-
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return edv_context(*args, **kwargs)
 
-    for module in (submodzeta.cli, submodzeta.oracle):
+    holders = [module for name, module in list(sys.modules.items())
+               if name.startswith("submodzeta") and getattr(module, "edv_context", None) is edv_context]
+    assert "submodzeta.cli" in [module.__name__ for module in holders]
+    for module in holders:
         monkeypatch.setattr(module, "edv_context", counted)
     rc = main(["verify", NILP_2, "--primes", "3,5,7", "--max-index-exp", "2"])
     assert rc == 0
@@ -457,6 +456,42 @@ def test_env_format_must_name_a_format(capsys, monkeypatch):
     monkeypatch.setenv("SUBMODZETA_FORMAT", "")  # empty counts as unset
     assert main(["analyze", ZERO_2]) == 0
     assert capsys.readouterr().out.startswith("matrix:")
+
+
+@pytest.mark.parametrize("name, flag, value, bad", [
+    ("MAX_INDEX_EXP", "--max-index-exp", "abc", "abc"),
+    ("BUDGET", "--budget", "1e6", "1e6"),
+    ("PRIMES", "--primes", "x", "x"),
+    ("PRIMES", "--primes", "5,x", "x"),
+])
+def test_env_integers_must_parse(capsys, monkeypatch, name, flag, value, bad):
+    """A variable that is not an int is named as argparse names the flag."""
+    assert main(["verify", NILP_2, flag, value]) == 1
+    flag_err = capsys.readouterr().err
+    assert flag_err == f"error: argument {flag}: invalid int value: {bad!r}\n"
+    monkeypatch.setenv("SUBMODZETA_" + name, value)
+    assert main(["verify", NILP_2]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: SUBMODZETA_{name}: ")
+    assert err.split(": ", 2)[2] == flag_err.split(": ", 2)[2]
+
+
+def test_env_edv_does_not_replace_a_matrix(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SUBMODZETA_EDV", str(tmp_path / "missing.json"))
+    assert main(["analyze", "[[1]]", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["matrix"] == {"n": 1, "entries": [[1]]}
+    assert main(["analyze"]) == 1  # without a matrix the variable is read
+    assert capsys.readouterr().err.startswith("error: cannot read EDV file: ")
+
+
+def test_analyze_rejects_a_matrix_together_with_edv(capsys, tmp_path):
+    edv = tmp_path / "edv.json"
+    edv.write_text(json.dumps({"edv": [{"poly": [0, 1], "partition": [2]}]}))
+    assert main(["analyze", "--edv", str(edv)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", NILP_2, "--edv", str(edv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: analyze takes a matrix argument or --edv, not both\n"
 
 
 def test_env_primes(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 
 from submodzeta import oracle
 from submodzeta.canonical import edv_context
+from submodzeta.cli import main
 from submodzeta.linalg import IntMatrix, resultant
 from submodzeta.oracle import (
     _INT64_SAFE,
     _PACK,
     BudgetError,
-    ComparisonReport,
     _LatticeTree,
-    compare,
     _batches,
     _count_numpy,
     _distinct,
@@ -82,25 +82,25 @@ def test_candidate_total_matches_visits():
 
 
 def test_zero_matrix_2x2():
-    vals = count_invariant_sublattices(diag(0, 0), 2, 2).values
+    vals = count_invariant_sublattices(diag(0, 0), 2, 2)
     assert vals == (1, 3, 7)
 
 
 def test_nilpotent_single_block():
     a = n_of(Partition([2]))
-    assert count_invariant_sublattices(a, 2, 5).values == (1, 1, 3, 3, 7, 7)
-    assert count_invariant_sublattices(a, 3, 3).values == (1, 1, 4, 4)
+    assert count_invariant_sublattices(a, 2, 5) == (1, 1, 3, 3, 7, 7)
+    assert count_invariant_sublattices(a, 3, 3) == (1, 1, 4, 4)
 
 
 def test_nilpotent_two_blocks():
     a = n_of(Partition([2, 1]))
-    assert count_invariant_sublattices(a, 2, 5).values == (1, 3, 11, 27, 75, 171)
+    assert count_invariant_sublattices(a, 2, 5) == (1, 3, 11, 27, 75, 171)
 
 
 def test_companion_quadratic():
     a = companion(IntPoly((1, 0, 1)))  # x^2 + 1
-    assert count_invariant_sublattices(a, 5, 4).values == (1, 2, 3, 4, 5)
-    assert count_invariant_sublattices(a, 3, 4).values == (1, 0, 1, 0, 1)
+    assert count_invariant_sublattices(a, 5, 4) == (1, 2, 3, 4, 5)
+    assert count_invariant_sublattices(a, 3, 4) == (1, 0, 1, 0, 1)
 
 
 def test_counts_match_formula_at_good_primes():
@@ -112,8 +112,8 @@ def test_counts_match_formula_at_good_primes():
     ]
     for a, p, top in cases:
         e = edv_context(a).edv
-        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, p)), p, top).values
-        got = count_invariant_sublattices(a, p, top).values
+        want = dirichlet_coefficients(generic_local_factor(e, profiles_at(e, p)), p, top)
+        got = count_invariant_sublattices(a, p, top)
         assert got == want, (a.entries, p)
 
 
@@ -128,16 +128,16 @@ def test_counts_invariant_under_unimodular_conjugation():
         u = random_unimodular(rng, 3)
         conj = u * base * int_inverse(u)
         assert (
-            count_invariant_sublattices(conj, 2, 3).values
-            == count_invariant_sublattices(base, 2, 3).values
+            count_invariant_sublattices(conj, 2, 3)
+            == count_invariant_sublattices(base, 2, 3)
         )
     # entries near 10^30 fail the int64 bound; reduced mod p^E they pass it
     u = IntMatrix(((1, 10 ** 15), (0, 1)))
     huge = u * companion(IntPoly((1, 0, 1))) * int_inverse(u)
     abs_max = max(abs(x) for row in huge.entries for x in row)
     assert _int64_bound(2, 3, 0, abs_max) >= _INT64_SAFE
-    assert count_invariant_sublattices(huge, 5, 4).values == (1, 2, 3, 4, 5)
-    assert count_invariant_sublattices(huge, 3, 4).values == (1, 0, 1, 0, 1)
+    assert count_invariant_sublattices(huge, 5, 4) == (1, 2, 3, 4, 5)
+    assert count_invariant_sublattices(huge, 3, 4) == (1, 0, 1, 0, 1)
 
 
 def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch):
@@ -155,7 +155,7 @@ def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch
 
     monkeypatch.setattr(oracle, "_action_dtype", recording)
     # p = 1 mod 4 splits in Z[i]: e + 1 ideals of norm p^e
-    assert count_invariant_sublattices(huge, p, top).values == tuple(range(1, top + 2))
+    assert count_invariant_sublattices(huge, p, top) == tuple(range(1, top + 2))
     assert object in dtypes and np.int64 in dtypes
 
 
@@ -164,8 +164,8 @@ def test_block_diagonal_counts_are_convolutions():
     # multiply as Dirichlet series, i.e. convolve coefficientwise
     top = 3
     p = 5
-    a_vals = count_invariant_sublattices(n_of(Partition([2])), p, top).values
-    b_vals = count_invariant_sublattices(diag(1), p, top).values
+    a_vals = count_invariant_sublattices(n_of(Partition([2])), p, top)
+    b_vals = count_invariant_sublattices(diag(1), p, top)
     blocks = IntMatrix(
         (
             (0, 1, 0),
@@ -173,7 +173,7 @@ def test_block_diagonal_counts_are_convolutions():
             (0, 0, 1),
         )
     )
-    got = count_invariant_sublattices(blocks, p, top).values
+    got = count_invariant_sublattices(blocks, p, top)
     conv = tuple(
         sum(a_vals[i] * b_vals[k - i] for i in range(k + 1)) for k in range(top + 1)
     )
@@ -322,7 +322,7 @@ def test_packed_batches_hold_at_most_the_pack_size():
 
 def test_unit_coefficient_always_one():
     for a in (diag(7), n_of(Partition([3])), companion(IntPoly((2, 0, 1)))):
-        assert count_invariant_sublattices(a, 2, 1).values[0] == 1
+        assert count_invariant_sublattices(a, 2, 1)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_budget_errors():
     with pytest.raises(BudgetError):
         count_invariant_sublattices(diag(0, 0, 0), 2, 6, max_candidates=1000)
     # raising the dimension cap unblocks (tiny case)
-    vals = count_invariant_sublattices(diag(*([0] * 5)), 2, 1, max_n=5).values
+    vals = count_invariant_sublattices(diag(*([0] * 5)), 2, 1, max_n=5)
     assert vals[0] == 1
 
 
@@ -358,66 +358,83 @@ def test_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# compare() and demotion
+# formula against oracle in `verify`, and demotion
 
 
-def test_compare_good_prime_match():
-    rep = compare(n_of(Partition([2, 1])), 5, 3)
-    assert rep.heuristically_good
-    assert rep.matches
-    assert rep.mismatch_index is None
-    assert not rep.demoted
-    assert rep.formula_values == rep.oracle_values
+def _verify_report(capsys, a, p, top):
+    """Exit code and the one report of `verify --format json` on a at p, E = top."""
+    rc = main(["verify", json.dumps(a.to_json()), "--primes", str(p),
+               "--max-index-exp", str(top), "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["reports"]) == 1
+    assert doc["all_good_primes_match"] is (rc == 0)
+    return rc, doc["reports"][0]
 
 
-def test_compare_bad_prime_reported_not_demoted():
+def test_compare_good_prime_match(capsys):
+    rc, rep = _verify_report(capsys, n_of(Partition([2, 1])), 5, 3)
+    assert rc == 0
+    assert rep["heuristically_good"]
+    assert rep["mismatch_index"] is None
+    assert not rep["demoted"]
+    assert rep["formula_values"] == rep["oracle_values"]
+
+
+def test_compare_bad_prime_reported_not_demoted(capsys):
     # p=2 <= n: heuristically bad, formula still evaluable and happens to match
-    rep = compare(n_of(Partition([2])), 2, 4)
-    assert not rep.heuristically_good
-    assert not rep.demoted
-    assert rep.matches
+    rc, rep = _verify_report(capsys, n_of(Partition([2])), 2, 4)
+    assert rc == 0
+    assert not rep["heuristically_good"]
+    assert not rep["demoted"]
+    assert rep["mismatch_index"] is None
+    assert rep["formula_values"] == rep["oracle_values"]
 
 
-def test_compare_demotes_hidden_exceptional_prime():
+def test_compare_demotes_hidden_exceptional_prime(capsys):
     # [[0,9],[0,0]]: minimal polynomial x^2, but 3-adically the module is not
     # what the generic formula assumes; the heuristic misses p=3
     a = IntMatrix(((0, 9), (0, 0)))
-    rep = compare(a, 3, 4)
-    assert rep.heuristically_good
-    assert not rep.matches
-    assert rep.demoted
-    assert rep.mismatch_index == 1
-    assert rep.oracle_values == (1, 4, 13, 13, 40)
+    rc, rep = _verify_report(capsys, a, 3, 4)
+    assert rc == 2
+    assert rep["heuristically_good"]
+    assert rep["formula_values"] != rep["oracle_values"]
+    assert rep["demoted"]
+    assert rep["mismatch_index"] == 1
+    assert rep["oracle_values"] == [1, 4, 13, 13, 40]
 
 
-def test_compare_ramified_prime_has_no_formula():
-    rep = compare(companion(IntPoly((1, 0, 1))), 2, 3)
-    assert rep.formula_values is None
-    assert not rep.heuristically_good
-    assert not rep.demoted  # bad primes carry no guarantee, nothing to demote
+def test_compare_ramified_prime_has_no_formula(capsys):
+    rc, rep = _verify_report(capsys, companion(IntPoly((1, 0, 1))), 2, 3)
+    assert rc == 0
+    assert rep["formula_values"] is None
+    assert not rep["heuristically_good"]
+    assert not rep["demoted"]  # bad primes carry no guarantee, nothing to demote
+    assert rep["mismatch_index"] is None
     # one ideal per index: the local order is a discrete valuation ring
-    assert rep.oracle_values == (1, 1, 1, 1)
+    assert rep["oracle_values"] == [1, 1, 1, 1]
 
 
-def test_compare_scaled_nilpotent_mismatch_without_demotion():
+def test_compare_scaled_nilpotent_mismatch_without_demotion(capsys):
     # [[0,2],[0,0]] at p=2: the heuristic already flags the prime, the generic
     # formula is evaluable but wrong, and no demotion happens
-    rep = compare(IntMatrix(((0, 2), (0, 0))), 2, 4)
-    assert rep.formula_values == (1, 1, 3, 3, 7)
-    assert rep.oracle_values == (1, 3, 3, 7, 7)
-    assert not rep.heuristically_good
-    assert rep.mismatch_index == 1
-    assert not rep.demoted
+    rc, rep = _verify_report(capsys, IntMatrix(((0, 2), (0, 0))), 2, 4)
+    assert rc == 0
+    assert rep["formula_values"] == [1, 1, 3, 3, 7]
+    assert rep["oracle_values"] == [1, 3, 3, 7, 7]
+    assert not rep["heuristically_good"]
+    assert rep["mismatch_index"] == 1
+    assert not rep["demoted"]
 
 
-def test_report_json_round_trip_fields():
-    rep = compare(n_of(Partition([2])), 5, 2)
-    data = rep.to_json()
-    assert data["prime"] == 5
-    assert data["oracle_values"] == [1, 1, 6]
-    assert data["formula_values"] == [1, 1, 6]
-    assert data["demoted"] is False
-    assert isinstance(rep, ComparisonReport)
+def test_report_json_round_trip_fields(capsys):
+    _, rep = _verify_report(capsys, n_of(Partition([2])), 5, 2)
+    assert list(rep) == ["prime", "max_exp", "formula_values", "oracle_values",
+                         "heuristically_good", "mismatch_index", "demoted"]
+    assert rep["prime"] == 5
+    assert rep["max_exp"] == 2
+    assert rep["oracle_values"] == [1, 1, 6]
+    assert rep["formula_values"] == [1, 1, 6]
+    assert rep["demoted"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def test_tree_matches_hnf_on_random_matrices(rows, p):
     a = IntMatrix(tuple(tuple(r) for r in rows))
     top = {1: 5, 2: 3, 3: 2}[a.n_rows]
     assert _tree_counts(a, p, top) == _hnf_counts(a, p, top)
-    assert count_invariant_sublattices(a, p, top).values[2:] == tuple(_hnf_counts(a, p, top))
+    assert count_invariant_sublattices(a, p, top)[2:] == tuple(_hnf_counts(a, p, top))
 
 
 def _hnf_bases(n, p, e):
@@ -576,10 +593,10 @@ def test_counts_of_a_block_sum_coprime_mod_p_convolve(a_rows, b_rows, p):
     along the two blocks, so its counts are the convolution of theirs."""
     a, b = IntMatrix(a_rows), IntMatrix(b_rows)
     assume(resultant(charpoly(a), charpoly(b)) % p)
-    ca = count_invariant_sublattices(a, p, 3).values
-    cb = count_invariant_sublattices(b, p, 3).values
+    ca = count_invariant_sublattices(a, p, 3)
+    cb = count_invariant_sublattices(b, p, 3)
     convolved = tuple(sum(ca[i] * cb[e - i] for i in range(e + 1)) for e in range(4))
-    assert count_invariant_sublattices(block_diag(a, b), p, 3).values == convolved
+    assert count_invariant_sublattices(block_diag(a, b), p, 3) == convolved
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -598,8 +615,8 @@ def test_shifting_by_cI_and_p_to_the_E_changes_no_count_or_producer(rows_x, c, p
     shifted = IntMatrix([[v + (c if i == j else 0) + q * w for j, (v, w) in enumerate(zip(*r))]
                          for i, r in enumerate(zip(rows, x))])
     want = (1,) + tuple(count_at_exponent(a, p, e)[0] for e in range(1, top + 1))
-    assert count_invariant_sublattices(a, p, top).values == want
-    assert count_invariant_sublattices(shifted, p, top).values == want
+    assert count_invariant_sublattices(a, p, top) == want
+    assert count_invariant_sublattices(shifted, p, top) == want
     levels = []
     for m in (a, shifted):
         with pytest.MonkeyPatch.context() as mp:
@@ -744,13 +761,13 @@ def test_unipotent_counts_match_hnf_levels_of_the_raw_matrix(lam, c, p, rng):
     a = plus_scalar(_conjugate(random_unimodular(rng, n), n_of(lam)), c)
     assert _is_strictly_upper_plus(oracle._triangular(a), c)
     top = _cheap_top(n, p)
-    assert count_invariant_sublattices(a, p, top).values == _hnf_values(a, p, top)
+    assert count_invariant_sublattices(a, p, top) == _hnf_values(a, p, top)
 
 
 def test_filiform_ad_e1_counts_match_hnf_levels_and_its_normal_form():
     a = _conjugate(random_unimodular(random.Random(11), 4), _AD_E1_M4)
     want = _hnf_values(a, 2, 4)
-    assert count_invariant_sublattices(a, 2, 4).values == want
+    assert count_invariant_sublattices(a, 2, 4) == want
     assert want == _hnf_values(n_of(Partition([3, 1])), 2, 4)
 
 
@@ -765,8 +782,8 @@ def test_counts_are_invariant_under_random_unimodular_conjugation(rows, p, rng):
     assume(oracle._triangular(a) is a)
     top = {1: 4, 2: 3, 3: 2}[a.n_rows]
     conj = _conjugate(random_unimodular(rng, a.n_rows), a)
-    assert count_invariant_sublattices(conj, p, top).values == \
-        count_invariant_sublattices(a, p, top).values
+    assert count_invariant_sublattices(conj, p, top) == \
+        count_invariant_sublattices(a, p, top)
 
 
 def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
@@ -788,7 +805,7 @@ def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
     got = _recorded_hnf_levels(monkeypatch, a, 2, 5)
     assert [e for e, _ in got] == [1, 2, 3, 4, 5]
     assert got[-1] == (5, False)
-    assert count_invariant_sublattices(a, 2, 5).values == (1, 7, 43, 211, 995, 4355)
+    assert count_invariant_sublattices(a, 2, 5) == (1, 7, 43, 211, 995, 4355)
 
 
 def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
@@ -847,11 +864,11 @@ def _forced(monkeypatch, tree):
 def test_either_producer_at_every_level_gives_the_default_counts(rows, p):
     a = IntMatrix(rows)
     top = {1: 6, 2: 4, 3: 3}[a.n_rows]
-    want = count_invariant_sublattices(a, p, top).values
+    want = count_invariant_sublattices(a, p, top)
     for tree in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             produced = _forced(mp, tree)
-            assert count_invariant_sublattices(a, p, top).values == want
+            assert count_invariant_sublattices(a, p, top) == want
         assert produced == (list(range(1, top + 1)) if tree else [])
 
 

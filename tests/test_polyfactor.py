@@ -36,8 +36,7 @@ def test_factor_validation():
         factor_over_z(IntPoly((7,)))  # constant
     with pytest.raises(DegreeCapError):
         factor_over_z(X ** (DEFAULT_DEGREE_CAP + 1))
-    # explicit cap override
-    assert factor_over_z(X ** 25, degree_cap=30) == [(X, 25)]
+    assert factor_over_z(X ** DEFAULT_DEGREE_CAP) == [(X, DEFAULT_DEGREE_CAP)]
 
 
 def test_factor_reconstructs_input():

@@ -26,6 +26,32 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def _package_imports(path):
+    """Package modules a source file imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+            elif module == "submodzeta":
+                found.update(a.name for a in node.names)
+            elif module.startswith("submodzeta."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("submodzeta."))
+    return found
+
+
+def test_the_oracle_imports_no_formula_code():
+    """`verify` checks the formulas against the oracle, so the oracle shares
+    no code with them: it imports nothing of the package but `linalg`."""
+    imports = _package_imports(Path(submodzeta.__file__).parent / "oracle.py")
+    assert imports.isdisjoint({"canonical", "polyfactor", "zetacore", "cli"})
+    assert imports == {"linalg"}
+
+
 def _top_level_names(path):
     """Names a module binds at top level by def, class or assignment."""
     names = set()

@@ -11,7 +11,6 @@ from submodzeta.partitions import Partition
 from submodzeta.polyfactor import splitting_profile
 from submodzeta.zetacore import (
     BinomialProduct,
-    DirichletCoefficients,
     FunctionalEquationData,
     RamifiedPrimeError,
     abscissa,
@@ -416,17 +415,17 @@ def test_powerseries_partial_sums_subquadratic():
 
 
 def test_dirichlet_coefficients_examples():
-    assert dirichlet_coefficients(w_lambda(Partition([1, 1])), 2, 2).values == (1, 1, 3)
-    assert dirichlet_coefficients(w_lambda(Partition([2])), 3, 2).values == (1, 4, 13)
-    assert dirichlet_coefficients(ONE, 7, 3).values == (1, 0, 0, 0)
+    assert dirichlet_coefficients(w_lambda(Partition([1, 1])), 2, 2) == (1, 1, 3)
+    assert dirichlet_coefficients(w_lambda(Partition([2])), 3, 2) == (1, 4, 13)
+    assert dirichlet_coefficients(ONE, 7, 3) == (1, 0, 0, 0)
 
 
 def test_dirichlet_coefficients_match_convolution():
     f = w_lambda(Partition([2, 1]))
     p, top = 3, 8
-    combined = dirichlet_coefficients(f, p, top).values
+    combined = dirichlet_coefficients(f, p, top)
     pieces = [
-        dirichlet_coefficients(BinomialProduct.from_factors([t]), p, top).values
+        dirichlet_coefficients(BinomialProduct.from_factors([t]), p, top)
         for t in f.factors
     ]
     conv = [1] + [0] * top
@@ -442,19 +441,16 @@ def test_dirichlet_coefficients_positive_exponents():
     f = BinomialProduct.from_factors([(0, 1, 1)])
     g = BinomialProduct.from_factors([(0, 1, -1)])
     assert multiply(f, g) == ONE
-    vals = dirichlet_coefficients(f, 5, 3).values
+    vals = dirichlet_coefficients(f, 5, 3)
     assert vals == (1, -1, 0, 0)
 
 
 def test_dirichlet_coefficients_validation():
     with pytest.raises(ValueError):
         dirichlet_coefficients(ONE, 2, -1)
-    with pytest.raises(ValueError):
-        DirichletCoefficients(2, ())
-    with pytest.raises(ValueError):
-        DirichletCoefficients(2, (3, 1))
-    dc = DirichletCoefficients(5, (1, 2, 3))
-    assert (dc.prime, dc.values) == (5, (1, 2, 3))
+    # a plain tuple, one entry per exponent 0..max_exp, led by a_1 = 1
+    assert dirichlet_coefficients(ONE, 5, 0) == (1,)
+    assert type(dirichlet_coefficients(w_lambda(Partition([2, 1])), 5, 2)) is tuple
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +490,6 @@ def test_xyrational_api():
     assert one.series(7, 3) == [1, 0, 0, 0]
     scaled = one * BinomialProduct.from_factors([(0, 1, -1)])
     assert scaled.series(7, 3) == [1, 1, 1, 1]
-    assert scaled.dirichlet_coefficients(7, 3).values == (1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
