@@ -10,6 +10,16 @@ denominator of the kernel bases of the f(A)^m and, computed once, every
 integer a bad prime divides: the resultants of each f with f' and with
 every other factor, and that denominator.  The bad-prime heuristic in
 zetacore only reads them.
+
+The minimal polynomial comes from one Krylov chain, uncertified, and the
+kernels certify it.  The chain of v = (1, 2, ..., n) gives mu_v, a divisor
+of the minimal polynomial mu.  For each factor f^m of mu_v, the kernel of
+f(A)^m lies in the f-primary part V_f of Q^n, and is all of V_f exactly
+when m is the exponent of f in mu; the dimensions of the V_f, over the
+factors f of mu, add up to n.  So the type sizes weighted by deg f add up
+to n exactly when mu_v(A) = 0, that is when mu_v = mu, and then the EDV is
+proven.  When they fall short, the types are read again off mu itself, the
+lcm of the chains of the unit vectors, which needs no certificate.
 """
 
 from __future__ import annotations
@@ -152,23 +162,37 @@ def _type(fa: IntMatrix, d: int, m: int) -> tuple[Partition, int]:
     return Partition(jumps).dual(), den
 
 
-def edv_context(a: IntMatrix) -> EdvContext:
-    """Elementary divisor vector of a, plus the lcm of denominators seen on the way.
-
-    The denominators are those of the kernel bases of f(a)^m, one for each
-    factor f^m of the minimal polynomial.
-    """
-    if not a.is_square:
-        raise ValueError("edv_context wants a square matrix")
-    if a.n_rows == 0:
-        raise ValueError("n = 0 is rejected everywhere")
+def _edv(a: IntMatrix, mu: IntPoly) -> tuple[ElementaryDivisorVector, int]:
+    """The pairs (f, type of f) for the factors f^m of mu, and the lcm of the
+    denominators of the kernel bases of the f(a)^m."""
     lcm = 1
     pairs = []
-    for f, m in factor_over_z(minpoly(a)):
+    for f, m in factor_over_z(mu):
         lam, den = _type(poly_at_matrix(f, a), f.degree, m)
         pairs.append((f, lam))
         lcm = math.lcm(lcm, den)
-    edv = ElementaryDivisorVector.from_pairs(pairs)
-    if edv.n != a.n_rows:
-        raise RuntimeError("degree-weighted sizes must sum to n")
+    return ElementaryDivisorVector.from_pairs(pairs), lcm
+
+
+def edv_context(a: IntMatrix) -> EdvContext:
+    """Elementary divisor vector of a, plus the lcm of denominators seen on the way.
+
+    The types are read off the divisor mu_v of the minimal polynomial that
+    the Krylov chain of v = (1, 2, ..., n) gives, and the EDV's size is its
+    certificate: it is n exactly when mu_v is the minimal polynomial.
+    Otherwise the types are read again off the minimal polynomial itself,
+    the lcm of the chains of the unit vectors.  The denominators are those
+    of the kernel bases of f(a)^m, one for each factor f^m of the
+    polynomial the answer was read off.
+    """
+    if not a.is_square:
+        raise ValueError("edv_context wants a square matrix")
+    n = a.n_rows
+    if n == 0:
+        raise ValueError("n = 0 is rejected everywhere")
+    edv, lcm = _edv(a, minpoly(a, [range(1, n + 1)]))
+    if edv.n != n:
+        edv, lcm = _edv(a, minpoly(a))
+        if edv.n != n:
+            raise RuntimeError("degree-weighted sizes must sum to n")
     return EdvContext(edv, lcm)

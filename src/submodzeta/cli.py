@@ -294,9 +294,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """The formula against the oracle at each prime.  The formula comes first,
-    so a p that is not prime fails in splitting_profile; it is None where a
-    factor ramifies.  A good prime whose formula is None or wrong is demoted."""
+    """The formula against the oracle at each prime.  The splitting profiles
+    come first, so a p that is not prime fails in splitting_profile; then the
+    oracle's count, so a budget it refuses is refused before the formula is
+    expanded to E; then the formula, None where a factor ramifies.  A good
+    prime whose formula is None or wrong is demoted."""
     if args.matrix is None:
         raise UsageError("verify needs a matrix argument")
     matrix = load_matrix(args.matrix)
@@ -306,12 +308,12 @@ def cmd_verify(args) -> int:
     reports, lines = [], []
     for p in primes:
         good = is_good_prime(p, ctx)
+        profiles = [splitting_profile(f, p) for f, _ in edv.entries]
+        counts = list(count_invariant_sublattices(matrix, p, top, args.max_n, args.budget))
         try:
-            factor = generic_local_factor(edv, [splitting_profile(f, p) for f, _ in edv.entries])
-            formula = list(dirichlet_coefficients(factor, p, top))
+            formula = list(dirichlet_coefficients(generic_local_factor(edv, profiles), p, top))
         except RamifiedPrimeError:
             formula = None
-        counts = list(count_invariant_sublattices(matrix, p, top, args.max_n, args.budget))
         matches = formula == counts
         mismatch = next((e for e, (x, y) in enumerate(zip(formula or [], counts)) if x != y), None)
         demoted = good and not matches
@@ -485,8 +487,12 @@ def _apply_env(args) -> None:
             args.primes, source = _env("PRIMES"), ENV_PREFIX + "PRIMES"
         if args.primes:
             args.primes = [_int_value(tok, source) for tok in args.primes.split(",") if tok.strip()]
+        source = "argument --max-index-exp"
         if args.max_index_exp is None:
             args.max_index_exp = _env_int("MAX_INDEX_EXP", 3)
+            source = ENV_PREFIX + "MAX_INDEX_EXP"
+        if args.max_index_exp < 0:
+            raise UsageError(f"{source}: must be >= 0, got {args.max_index_exp}")
         if args.budget is None:
             args.budget = _env_int("BUDGET", DEFAULT_MAX_CANDIDATES)
 

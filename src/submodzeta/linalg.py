@@ -7,8 +7,12 @@ standing for rows / den.
 
 Entries are arbitrary-precision ints, and every answer is exact.  Matrix
 products run in numpy int64 where a bound proves that no sum can overflow,
-and in Python ints otherwise; minpoly tests annihilation modulo word primes
-whose product exceeds twice a bound on the entries tested.
+and in Python ints otherwise.  minpoly carries no certificate of its own:
+it returns the lcm of the Krylov-chain polynomials of the start vectors it
+is given, each a divisor of the minimal polynomial mu.  For the unit
+vectors, its default, that lcm is mu.  For one start vector v it may fall
+short, and canonical.edv_context tells: the polynomial mu_v is mu exactly
+when its primary kernels fill the whole space.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -16,13 +20,11 @@ right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from itertools import chain, zip_longest
 
 import numpy as np
-import sympy
 from sympy import ZZ
 from sympy.polys.euclidtools import dup_lcm
 from sympy.polys.matrices import DomainMatrix
@@ -426,76 +428,17 @@ def _vector_minpoly(start: list[int], cols) -> IntPoly:
         v = _times_matrix(v, cols)
 
 
-@functools.cache
-def _word_primes(bits: int, count: int) -> tuple[int, ...]:
-    """The count largest primes below 2^bits, largest first."""
-    primes = [sympy.prevprime(1 << bits)]
-    while len(primes) < count:
-        primes.append(sympy.prevprime(primes[-1]))
-    return tuple(primes)
+def minpoly(a: IntMatrix, starts=None) -> IntPoly:
+    """The lcm of the polynomials of the Krylov chains of the start vectors.
 
-
-def _moduli(n: int, bound: int) -> tuple[int, ...]:
-    """The fewest word primes, largest first, whose product exceeds 2*bound.
-
-    Each prime q has n*q^2 < 2^63.  They come from lists of 1, 2, 4, ...
-    primes, each found once per process.
-    """
-    bits = (63 - n.bit_length()) // 2  # n < 2^n.bit_length(), q < 2^bits
-    count = 1
-    while True:
-        product = 1
-        for k, q in enumerate(_word_primes(bits, count), 1):
-            product *= q
-            if product > 2 * bound:
-                return _word_primes(bits, count)[:k]
-        count *= 2
-
-
-def _zero_rows(f: IntPoly, a: IntMatrix, abs_max: int) -> list[bool]:
-    """For each i, whether e_i * f(A) = 0, for a monic f of degree >= 1.
-
-    f(A) is evaluated once by Horner modulo word primes q, batched over the
-    primes; n*q^2 < 2^63, so no int64 sum can overflow.  An entry of f(A) is
-    at most B = |c_0| + sum_{k>=1} |c_k| n^(k-1) max|A|^k in absolute value,
-    as an entry of A^k is at most n^(k-1) max|A|^k, and the primes multiply
-    to more than 2B, so an entry that vanishes modulo every prime is zero.
-    """
-    n = a.n_rows
-    coeffs = f.coeffs
-    bound = abs(coeffs[0]) + sum(abs(c) * n ** (k - 1) * abs_max ** k
-                                 for k, c in enumerate(coeffs) if k)
-    primes = _moduli(n, bound)
-    dtype = np.int64 if abs_max < _INT64_SAFE else object
-    moduli = np.array(primes, dtype=dtype)[:, None, None]
-    a_mod = (np.array(a.entries, dtype=dtype) % moduli).astype(np.int64)
-    moduli = moduli.astype(np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    # c_0, ..., c_(d-1) modulo each prime, shaped to scale the identity
-    residues = np.array([[c % q for q in primes] for c in coeffs[:-1]], dtype=np.int64)
-    residues = residues[:, :, None, None]
-    value = a_mod
-    for step, r in enumerate(residues[::-1]):
-        # entries stay below n*(q-1)^2 + q - 1 < n*q^2
-        value = (value @ a_mod if step else value) + r * eye
-        value %= moduli
-    return (~value.any(axis=(0, 2))).tolist()
-
-
-def minpoly(a: IntMatrix) -> IntPoly:
-    """Minimal polynomial, from the Krylov chain of v = (1, 2, ..., n), certified.
-
-    The polynomial mu_v of that chain divides the minimal polynomial mu, so
-    it is mu exactly when mu_v(A) = 0.  A chain of degree n is the
-    characteristic polynomial, which annihilates A (Cayley-Hamilton).
-    Otherwise best = mu_v is evaluated at A once, modulo enough word primes
-    to tell its zero rows exactly (_zero_rows).  While a row e_i * best(A) is
-    nonzero, the first such e_i runs its own chain, best becomes the lcm of
-    the two polynomials, and best(A) is evaluated again; a row that is zero
-    for best stays zero for every multiple of it, so at most deg mu chains
-    run, each raising the degree.  Every polynomial met is monic with
-    integer coefficients, because it divides the monic integer
-    characteristic polynomial (Gauss's lemma).
+    The chain of v gives mu_v, the monic generator of {g : v * g(A) = 0}; it
+    divides the minimal polynomial mu, and so does the lcm of several.  The
+    default starts are the unit vectors, whose lcm annihilates every row of
+    A and so is mu exactly.  Other starts give a divisor of mu that the
+    caller has to certify: canonical.edv_context asks for the chain of
+    (1, 2, ..., n) alone and proves it by its kernel count.  Every
+    polynomial met is monic with integer coefficients, because it divides
+    the monic integer characteristic polynomial (Gauss's lemma).
     """
     if not a.is_square:
         raise ValueError("minpoly wants a square matrix")
@@ -503,14 +446,11 @@ def minpoly(a: IntMatrix) -> IntPoly:
     if n == 0:
         raise ValueError("minpoly of a 0x0 matrix")
     cols = list(zip(*a.entries))
-    abs_max = _abs_max(a.entries)
-    best = _vector_minpoly(list(range(1, n + 1)), cols)
-    while best.degree < n:
-        zero = _zero_rows(best, a, abs_max)
-        if all(zero):
-            break
-        i = zero.index(False)
-        local = _vector_minpoly([int(j == i) for j in range(n)], cols)
+    if starts is None:
+        starts = [[int(j == i) for j in range(n)] for i in range(n)]
+    chains = (_vector_minpoly(list(start), cols) for start in starts)
+    best = next(chains)
+    for local in chains:
         lcm = dup_lcm(list(reversed(best.coeffs)), list(reversed(local.coeffs)), ZZ)
         lcm = IntPoly([int(c) for c in reversed(lcm)])
         if not (lcm.divmod_monic(best)[1].is_zero and lcm.divmod_monic(local)[1].is_zero):

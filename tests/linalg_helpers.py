@@ -7,8 +7,9 @@ conjugating it to n_of.  A plain Hermite normal form (the reference for
 the oracle's vectorized reduction), the invariance test built on it (the
 reference for the oracle's entrywise test), the characteristic polynomial
 by the trace recursion, Python-int references for the matrix product,
-polynomial evaluation and the minimal polynomial (linalg computes these in
-int64 or modulo word primes where it can), and seeded unimodular matrices
+polynomial evaluation and the minimal polynomial (linalg computes products
+in int64 where it can, and the minimal polynomial by fraction-free Krylov
+chains), and seeded unimodular matrices
 with their inverses for the tests of invariance under change of basis.
 All partitions of n, from sympy.  On the zeta side: the splitting profiles
 of an EDV's entries at one prime, products of binomial products, the
@@ -275,8 +276,10 @@ def _vector_minpoly(i: int, a: IntMatrix) -> IntPoly:
 def minpoly(a: IntMatrix) -> IntPoly:
     """The lcm of the minimal polynomials of the e_i, skipping each e_i that best(a) annihilates.
 
-    The per-row algorithm of linalg.minpoly, with every annihilation test an
-    exact row-vector Horner in Python ints.
+    The reference for linalg.minpoly's default, the lcm over every unit
+    vector: here each chain's relation comes from sympy's nullspace, and an
+    e_i that the lcm so far annihilates, by an exact row-vector Horner in
+    Python ints, runs no chain.
     """
     x = sympy.Symbol("x")
     best = IntPoly([1])

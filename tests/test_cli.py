@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submodzeta import linalg
+from submodzeta import cli, linalg
 from submodzeta.canonical import edv_context
 from submodzeta.cli import _json_text, main
 from submodzeta.linalg import IntMatrix
@@ -306,6 +306,19 @@ def test_verify_refuses_deep_levels_quickly(capsys, matrix, top):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_huge_exponent_before_expanding_the_formula(capsys, monkeypatch):
+    # expanding the formula to E = 2*10^7 takes 6.2 s, with memory growing
+    # in E, so the oracle's budget has to refuse first
+    calls = []
+    monkeypatch.setattr(cli, "dirichlet_coefficients", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    rc = main(["verify", ROT_2, "--primes", "5", "--max-index-exp", str(10 ** 9)])
+    assert rc == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert calls == []
+
+
 def test_verify_of_a_huge_scalar_matrix_is_quick(capsys):
     # cI has the invariant lattices of the zero matrix; on a 2-vCPU Xeon,
     # counting on the unreduced entries took 0.13-0.16 s, on the reduced
@@ -474,6 +487,19 @@ def test_env_integers_must_parse(capsys, monkeypatch, name, flag, value, bad):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: SUBMODZETA_{name}: ")
     assert err.split(": ", 2)[2] == flag_err.split(": ", 2)[2]
+
+
+def test_max_index_exp_must_not_be_negative(capsys, monkeypatch):
+    """A negative E is named as the flag or the variable that gave it."""
+    assert main(["verify", NILP_2, "--max-index-exp", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --max-index-exp: must be >= 0, got -1\n"
+    monkeypatch.setenv("SUBMODZETA_MAX_INDEX_EXP", "-1")
+    assert main(["verify", NILP_2]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: SUBMODZETA_MAX_INDEX_EXP: must be >= 0, got -1\n"
+    assert main(["verify", NILP_2, "--max-index-exp", "0", "--primes", "3"]) == 0
+    assert "oracle:  [1]" in capsys.readouterr().out
 
 
 def test_env_edv_does_not_replace_a_matrix(capsys, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodzeta import canonical, linalg
+from submodzeta.canonical import ElementaryDivisorVector
 from submodzeta.linalg import (
     IntMatrix,
     IntPoly,
@@ -325,8 +326,9 @@ def test_kernel_basis_properties_on_rank_deficient_matrices():
             [Fraction(int(v.p), int(v.q)) for v in vec] for vec in reference]
 
 
-def _derogatory(rng) -> tuple[IntMatrix, IntPoly]:
-    """A conjugated block sum with a repeated factor, and its minimal polynomial."""
+def _derogatory(rng) -> tuple[IntMatrix, IntPoly, list]:
+    """A conjugated block sum with a repeated factor, its minimal polynomial,
+    and its blocks (f, k), one companion of f^k each."""
     polys = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
              IntPoly((-2, 0, 1)), IntPoly((-1, -1, 0, 1))]
     while True:
@@ -351,11 +353,19 @@ def _derogatory(rng) -> tuple[IntMatrix, IntPoly]:
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
         for row in inv:
             row[j] -= c * row[i]
-    return IntMatrix(u) * a * IntMatrix(inv), expected
+    return IntMatrix(u) * a * IntMatrix(inv), expected, blocks
 
 
 _SMALL_IRREDUCIBLES = [X, IntPoly((-1, 1)), IntPoly((2, 1)), IntPoly((1, 0, 1)),
                        IntPoly((-2, 0, 1)), IntPoly((1, 1, 1)), IntPoly((-1, -1, 0, 1))]
+
+
+def _edv_of(blocks) -> ElementaryDivisorVector:
+    """The EDV of a block sum of companions of f^k, for (f, k) in blocks."""
+    parts = {}
+    for f, k in blocks:
+        parts.setdefault(f, []).append(k)
+    return ElementaryDivisorVector.from_pairs((f, Partition(ks)) for f, ks in parts.items())
 
 
 def _block_companion(blocks, seed) -> IntMatrix:
@@ -376,16 +386,13 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
     monkeypatch.setattr(linalg, "_vector_minpoly", counted)
     rng = random.Random(29)
     for _ in range(25):
-        a, expected = _derogatory(rng)
+        a, expected, _ = _derogatory(rng)
         n = a.n_rows
         chains.clear()
         mp = minpoly(a)
         assert mp == expected and mp.degree < n
-        # the chain of (1, ..., n) first; each later chain, of an e_i that the
-        # polynomial so far leaves nonzero, grows the lcm
-        assert chains[0] == list(range(1, n + 1))
-        assert all(sorted(v) == [0] * (n - 1) + [1] for v in chains[1:])
-        assert 1 <= len(chains) <= mp.degree
+        # one chain per unit vector, in order, and no other
+        assert chains == [[int(j == i) for j in range(n)] for i in range(n)]
         assert poly_at(mp, a) == _zeros(n)
         for f, _ in factor_over_z(mp):
             q, r = mp.divmod_monic(f)
@@ -393,74 +400,101 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
             assert poly_at(q, a) != _zeros(n)
 
 
-def _counted_minpoly(monkeypatch, a):
-    """minpoly(a), with the start vectors of its chains and its number of
-    _zero_rows evaluations."""
-    starts, evaluations = [], []
-    chain, zero_rows = linalg._vector_minpoly, linalg._zero_rows
+def _counted_edv_context(monkeypatch, a):
+    """edv_context(a), with the start vectors of each minpoly call it makes
+    (None for the default, the unit vectors)."""
+    calls = []
+    original = canonical.minpoly
 
-    def counted_chain(start, cols):
-        starts.append(start)
-        return chain(start, cols)
+    def counted(m, starts=None):
+        calls.append(None if starts is None else [list(v) for v in starts])
+        return original(m, starts)
 
-    def counted_rows(f, m, abs_max):
-        evaluations.append(f)
-        return zero_rows(f, m, abs_max)
-
-    monkeypatch.setattr(linalg, "_vector_minpoly", counted_chain)
-    monkeypatch.setattr(linalg, "_zero_rows", counted_rows)
-    return minpoly(a), starts, len(evaluations)
+    monkeypatch.setattr(canonical, "minpoly", counted)
+    return canonical.edv_context(a), calls
 
 
-def test_minpoly_runs_one_certified_chain_and_falls_back_on_the_rows_left(monkeypatch):
+def test_edv_context_runs_one_chain_and_falls_back_to_the_unit_vectors(monkeypatch):
     # a conjugated block sum of companions of f^k, as analyze-structured builds it
     x2p1, x3mxm1, xm1 = IntPoly((1, 0, 1)), IntPoly((-1, -1, 0, 1)), IntPoly((-1, 1))
-    a = _block_companion([(x2p1, 2), (x2p1, 1), (x3mxm1, 1), (x3mxm1, 1), (xm1, 2)], 3)
-    mp, starts, evaluations = _counted_minpoly(monkeypatch, a)
-    assert mp == x2p1 ** 2 * x3mxm1 * xm1 ** 2 == linalg_helpers.minpoly(a)
-    assert starts == [list(range(1, a.n_rows + 1))] and evaluations == 1
+    blocks = [(x2p1, 2), (x2p1, 1), (x3mxm1, 1), (x3mxm1, 1), (xm1, 2)]
+    a = _block_companion(blocks, 3)
+    assert a.n_rows == 14
+    ctx, calls = _counted_edv_context(monkeypatch, a)
+    assert ctx.edv == _edv_of(blocks)
+    assert calls == [[list(range(1, 15))]]
+    assert minpoly(a, calls[0]) == x2p1 ** 2 * x3mxm1 * xm1 ** 2 == linalg_helpers.minpoly(a)
 
-    # (1, 2) * A = 0, so the first chain gives x; e_0 * A != 0 runs the fallback
+    # (1, 2) * A = 0, so the chain of (1, 2) gives x, whose kernel has
+    # dimension 1 < 2; the types are read again off the unit vectors' lcm
     a = IntMatrix([[-2, -2], [1, 1]])
-    mp, starts, evaluations = _counted_minpoly(monkeypatch, a)
-    assert mp == IntPoly((0, 1, 1)) == linalg_helpers.minpoly(a)
-    assert starts == [[1, 2], [1, 0]] and evaluations == 1
+    ctx, calls = _counted_edv_context(monkeypatch, a)
+    assert ctx.edv == _edv_of([(X, 1), (IntPoly((1, 1)), 1)])
+    assert calls == [[[1, 2]], None]
+    assert minpoly(a, [[1, 2]]) == X
+    assert minpoly(a) == IntPoly((0, 1, 1)) == linalg_helpers.minpoly(a)
 
-    # a chain of degree n is the characteristic polynomial: nothing to evaluate
-    a = companion(x3mxm1)
-    assert _counted_minpoly(monkeypatch, a) == (x3mxm1, [[1, 2, 3]], 0)
+    # a chain of degree n gives the characteristic polynomial, and the one pass
+    ctx, calls = _counted_edv_context(monkeypatch, companion(x3mxm1))
+    assert ctx.edv == _edv_of([(x3mxm1, 1)]) and calls == [[[1, 2, 3]]]
+
+
+def test_edv_context_reads_the_known_edv_and_falls_back_on_a_stated_share(monkeypatch):
+    """Conjugated block companions (n <= 8) and derogatory block sums
+    (n <= 10), 200 seeded draws of each: edv_context returns the EDV of
+    their blocks.  The chain of (1, ..., n) falls short of the minimal
+    polynomial, and minpoly runs a second time, on 1 block companion and 6
+    derogatory sums."""
+    rng = random.Random(41)
+    fallbacks = [0, 0]
+    for draw in range(400):
+        if draw % 2:
+            a, _, blocks = _derogatory(rng)
+        else:
+            blocks = None
+            while blocks is None or sum(f.degree * k for f, k in blocks) > 8:
+                blocks = [(rng.choice(_SMALL_IRREDUCIBLES), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 4))]
+            a = _block_companion(blocks, rng.randrange(2 ** 32))
+        ctx, calls = _counted_edv_context(monkeypatch, a)
+        assert ctx.edv == _edv_of(blocks)
+        assert calls[0] == [list(range(1, a.n_rows + 1))] and calls[1:] in ([], [None])
+        fallbacks[draw % 2] += len(calls) - 1
+    assert fallbacks == [1, 6]
 
 
 def test_minpoly_sees_rows_that_are_multiples_of_the_word_primes():
-    """Rows of f(A) divisible by the first word prime, or the first two, are not zero."""
-    q1, q2 = linalg._moduli(2, 2 ** 62)[:2]
+    """Rows of A equal to a word-size prime, or to a product of two, are not
+    zero: a zero test modulo such primes alone would miss them."""
+    q1, q2 = 1073741789, 1073741783  # the two largest primes below 2^30
     for c in (q1, -q1, q1 * q2, 3 * q1 * q2):
         a = IntMatrix([[0, 0], [c, 0]])
-        assert linalg._zero_rows(X, a, abs(c)) == [True, False]
         assert minpoly(a) == X ** 2 == linalg_helpers.minpoly(a)
+        assert canonical.edv_context(a).edv == _edv_of([(X, 2)])
 
 
 def test_minpoly_bound_counts_the_growth_of_powers():
-    """A row of A^2 equal to the first word prime q while 2 max|A|^2 < q.
+    """A row of A^2 equal to the prime q = 1073741789 while 2 max|A|^2 < q.
 
-    An entry of A^2 is at most n max|A|^2, and only that factor n calls for a
-    second prime: modulo q alone, e_2 would pass as annihilated by x^2, and
-    the chain of e_2, whose polynomial is x^4, would never run.
+    An entry of A^2 is at most n max|A|^2, so a zero test of x^2 at A modulo
+    q alone, with a bound that dropped the factor n, would pass e_2 as
+    annihilated and miss the chain of e_2, whose polynomial is x^4.
     """
     n = 7
-    (q,) = linalg._moduli(n, 1)
+    q = 1073741789
     top = math.isqrt((q - 1) // 2)
     assert 2 * top ** 2 < q < n * top ** 2
     rest = q - 2 * top ** 2
     rows = [[0] * n for _ in range(n)]
-    rows[0][1] = 1  # e_0 -> e_1 -> 0: the first chain gives x^2
+    rows[0][1] = 1  # e_0 -> e_1 -> 0: the chain of e_0 gives x^2
     rows[2][3:] = [top, top, rest // top, rest % top]
     for i, s in zip(range(3, 7), (top, top, top, 1)):
         rows[i][0] = s
     a = IntMatrix(rows)
     assert matmul(a, a).entries[2] == (q,) + (0,) * (n - 1)
-    assert linalg._zero_rows(X ** 2, a, top)[:3] == [True, True, False]
     assert minpoly(a) == X ** 4 == linalg_helpers.minpoly(a)
+    # kernels of A, ..., A^4 of dimension 4, 5, 6, 7
+    assert canonical.edv_context(a).edv == _edv_of([(X, 4), (X, 1), (X, 1), (X, 1)])
 
 
 def test_minpoly_and_edv_on_entries_past_2_62():
@@ -514,10 +548,13 @@ def test_minpoly_matches_the_per_row_reference(a):
     st.integers(0, 2 ** 32).map(lambda seed: _derogatory(random.Random(seed))[0]),
 ))
 def test_minpoly_past_the_first_chain_matches_the_reference(a):
-    """Conjugated block sums, where the chain of (1, ..., n) can fall short
-    of the minimal polynomial; the mostly cyclic inputs of the property
-    above rarely reach the fallback."""
-    assert minpoly(a) == linalg_helpers.minpoly(a)
+    """Conjugated block sums, where the chain of (1, ..., n), which
+    edv_context runs first, can fall short of the minimal polynomial; the
+    mostly cyclic inputs of the property above rarely make it fall short.
+    Its polynomial divides the lcm over the unit vectors."""
+    mp = minpoly(a)
+    assert mp == linalg_helpers.minpoly(a)
+    assert mp.divmod_monic(minpoly(a, [range(1, a.n_rows + 1)]))[1].is_zero
 
 
 def test_poly_at_matrix():
