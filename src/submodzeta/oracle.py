@@ -53,6 +53,43 @@ not only on how many there are, and T has a zero first column and a zero
 last row.  U*A = (T + cI)*U and U*U^-1 = I are checked exactly.  Every
 other matrix is counted as given.
 
+After the reduction, a matrix T whose first column is zero below the
+diagonal is counted from its trailing block (`_peeled`): every triangular
+conjugate, so every matrix with one eigenvalue, and every 1 x 1 matrix.
+Write T = [[d, t0], [0, T']], with V = span(e_1, .., e_{n-1}), which T maps
+into itself.  For each sublattice L' < V of level l, each a >= 0 and each
+w in V, put L = L' + Z(p^a e_0 + w).  Then:
+
+* Every sublattice L of p-power index arises exactly once this way, w
+  taken mod L': L' = L & V, the first coordinates of L fill p^a Z, and
+  p^a e_0 + w is any vector of L with first coordinate p^a.  Its index is
+  [Z^n : L] = p^a [V : L'] = p^(a + l).
+* L is T-invariant exactly when L' is T'-invariant and
+  (p^a e_0 + w)T - d(p^a e_0 + w) = p^a t0 + w(T' - dI) lies in L & V = L',
+  that is, when w(T' - dI) = -p^a t0 mod L'.
+* w -> w(T' - dI) is an endomorphism of the finite group V/L' with image
+  K/L', K = L' + V(T' - dI).  So the congruence has a solution exactly when
+  p^a t0 lies in K, that is when a >= o(L'), p^o(L') the order of t0 in
+  V/K, and then it has g(L') = [V : K] solutions mod L', as many as the
+  kernel has elements.
+
+So a_{p^e} is the sum of g(L') over the T'-invariant L' of levels l with
+l + o(L') <= e.  The level loop (`_level_counts`) produces the block's
+levels 0..E, from HNF enumeration or the tree, and keeps the bases of their
+invariant lattices.  g(L') is the gcd of the maximal minors of the basis of
+L' stacked over the nonzero rows of T' - dI, and g(L') / p^o(L') that of
+the same rows and t0 (`_minor_gcds`).  The minors are expanded column by
+column, one batch of bases at a time, over the row subsets whose minor is
+not the int 0.  They are int64 arrays for the levels where m! * B^m < 2^62,
+m = n - 1 and B the largest entry, and Python integers for the others.  A
+g or g / p^o that is not a power of p raises RuntimeError.  The cost is
+that of the block's levels, whose candidate totals are those of Z^(n-1),
+plus one pass of minors over their invariant lattices.  On the 40
+operations of a traced verify-dense benchmark run (zero, scalar and
+nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle
+tested 37 160 candidates instead of 7.8 million and took 0.04 s instead of
+0.16 s.
+
 Each producer batches a whole level, not one diagonal at a time
 (`_batches`): a diagonal of more than _BATCH bases is split on its own, its
 earliest mixed-radix positions ints and only the last ones arrays, and
@@ -98,6 +135,7 @@ arrays whenever a rigorous worst-case bound keeps every intermediate below
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import sympy
@@ -702,6 +740,124 @@ def _triangular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(out)
 
 
+def _level_counts(a: IntMatrix, p: int, totals: list[int], bases=None) -> list[int]:
+    """The counts of levels 0..top of the A-invariant sublattices, top = len(totals) - 1.
+
+    Each level e >= 1 comes from HNF enumeration or from the tree, whichever
+    is cheaper, and HNF levels are checked against their candidate totals.
+    When bases is a list, one array per level 1..top is appended to it: the
+    HNF bases of that level's invariant lattices.
+    """
+    n, top = a.n_rows, len(totals) - 1
+    tree = _LatticeTree(a, p, totals)
+    values = [1]
+    for e in range(1, top + 1):
+        if tree.cheaper(e):
+            values.append(tree.produce(e))
+            if bases is not None:
+                bases.append(tree.levels[e][0])
+        else:
+            keep = tree.keeping and e < top
+            nodes = [] if keep or bases is not None else None
+            c, v = count_at_exponent(a, p, e, nodes)
+            if v != totals[e]:
+                raise RuntimeError(
+                    f"oracle visited {v} candidates at p = {p}, e = {e}; "
+                    f"expected {totals[e]}"
+                )
+            values.append(c)
+            if keep:
+                tree.record(e, nodes)
+            if bases is not None:
+                bases.append(np.concatenate([b for b, _ in nodes]
+                                            or [np.zeros((0, n, n), dtype=np.int64)]))
+        if tree.keeping:
+            tree.prune(e)
+    return values
+
+
+def _minor_gcds(cols, rows):
+    """(g, h): per basis C of a batch, the gcd of the maximal minors of C
+    stacked over rows[:-1], and over all of rows.
+
+    cols[i, j] is entry (i, j) of the upper-triangular bases, an array over
+    the batch; rows are int rows of length m, the same for the whole batch.
+    The minors of the leading j+1 columns come from those of the leading j
+    by expansion along column j, one entry at a time (`_muladd`); an entry
+    of C below the diagonal or of rows that is 0 costs nothing, and a row
+    subset whose minor is the int 0 is dropped.
+    """
+    m, _, k = cols.shape
+    stack = [[cols[i, j] if j >= i else 0 for j in range(m)] for i in range(m)] + rows
+    last = len(stack) - 1
+    minors = {(): 1}
+    for j in range(m):
+        grown = {}
+        for subset, mu in minors.items():
+            for r, row in enumerate(stack):
+                x = row[j]
+                if r in subset or (type(x) is int and x == 0):
+                    continue
+                key = tuple(sorted(subset + (r,)))
+                grown[key] = _muladd(grown.get(key, 0), x, mu, sub=(key.index(r) + j) % 2)
+        minors = {key: mu for key, mu in grown.items() if type(mu) is not int or mu}
+    g = h = np.zeros(k, dtype=cols.dtype)
+    for key, mu in minors.items():
+        if last not in key:
+            g = np.gcd(g, mu)
+        h = np.gcd(h, mu)
+    return g, h
+
+
+def _exponents(x, powers):
+    """v with x = powers[v] entrywise; RuntimeError unless every entry is one of powers."""
+    v = np.minimum(np.searchsorted(powers, x), len(powers) - 1)
+    if (powers[v] != x).any():
+        raise RuntimeError("an index of the peeled count is not a power of p")
+    return v
+
+
+def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
+    """The counts of levels 0..top of a matrix whose first column is zero below the diagonal.
+
+    With T' the trailing block, d = T[0][0] and t0 the rest of row 0, the
+    level loop finds the T'-invariant L' of levels l = 0..top; each adds
+    g(L') = [V : L' + V(T' - dI)] to every level e >= l + o(L'), where
+    p^o(L') is the order of t0 modulo L' + V(T' - dI).  Both indices are
+    gcds of maximal minors (`_minor_gcds`): g that of the rows of L' and
+    T' - dI, and g / p^o that of those rows and t0.
+    """
+    m = a.n_rows - 1
+    d, *t0 = a.entries[0]
+    block = [row[1:] for row in a.entries[1:]]
+    rows = [r for r in ([x - d * (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(block)) if any(r)] + [t0]
+    bases = [np.eye(m, dtype=np.int64)[None]]
+    if m:
+        totals = list(itertools.islice(_level_totals(m, p), top + 1))
+        _level_counts(IntMatrix(block), p, totals, bases)
+    # every entry is at most B, so every partial sum of a minor is at most m! * B^m
+    row_max = _abs_max(rows)
+    fits = [math.factorial(m) * max(p ** l, row_max) ** m < _INT64_SAFE for l in range(len(bases))]
+    counts = [0] * (top + 1)
+    for dtype in (np.int64, object):
+        group = [l for l, c in enumerate(bases) if fits[l] == (dtype is np.int64) and len(c)]
+        if not group:
+            continue
+        cols = np.concatenate([bases[l].transpose(1, 2, 0) for l in group], axis=2,
+                              dtype=dtype, casting="unsafe")
+        g, h = _minor_gcds(cols, rows)
+        # g divides det C = p^l, and h divides g
+        powers = np.array([p ** v for v in range(group[-1] + 1)], dtype=dtype)
+        v, o = _exponents(g, powers), _exponents(g // h, powers)
+        at = np.repeat(group, [len(bases[l]) for l in group]) + o
+        keep = at <= top
+        pairs = np.bincount(at[keep] * (top + 1) + v[keep])
+        for key in np.flatnonzero(pairs).tolist():
+            counts[key // (top + 1)] += int(pairs[key]) * p ** (key % (top + 1))
+    return list(itertools.accumulate(counts))
+
+
 def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                                 max_n: int = DEFAULT_MAX_N,
                                 max_candidates: int = DEFAULT_MAX_CANDIDATES) -> tuple[int, ...]:
@@ -711,10 +867,12 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     candidate total exceeds the budget, at the first level where the
     running total passes it.  Both producers count A - cI with its entries
     centred mod p^max_exp (`_reduced`), which has the same invariant
-    lattices up to index p^max_exp.  Each level e >= 1 comes from HNF
-    enumeration or from the tree of invariant lattices, whichever is
-    cheaper; both are deterministic and self-check their work against
-    closed-form totals.
+    lattices up to index p^max_exp.  A matrix whose first column is then
+    zero below the diagonal is counted from its trailing block (`_peeled`);
+    every other one level by level (`_level_counts`), each level e >= 1
+    from HNF enumeration or from the tree of invariant lattices, whichever
+    is cheaper.  Both producers are deterministic and self-check their work
+    against closed-form totals.
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -736,22 +894,6 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                 f"exceed the budget {max_candidates}"
             )
     a = _reduced(_triangular(a), p ** max_exp)
-    tree = _LatticeTree(a, p, totals)
-    values = [1]
-    for e in range(1, max_exp + 1):
-        if tree.cheaper(e):
-            values.append(tree.produce(e))
-        else:
-            nodes = [] if tree.keeping and e < max_exp else None
-            c, v = count_at_exponent(a, p, e, nodes)
-            if v != totals[e]:
-                raise RuntimeError(
-                    f"oracle visited {v} candidates at p = {p}, e = {e}; "
-                    f"expected {totals[e]}"
-                )
-            values.append(c)
-            if nodes is not None:
-                tree.record(e, nodes)
-        if tree.keeping:
-            tree.prune(e)
-    return tuple(values)
+    if not any(row[0] for row in a.entries[1:]):
+        return tuple(_peeled(a, p, max_exp))
+    return tuple(_level_counts(a, p, totals))

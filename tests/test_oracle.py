@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,8 +566,15 @@ def test_actions_reject_a_basis_that_is_not_invariant():
         tree._actions(1, np.array([[[3, 0], [0, 1]]]))
 
 
+def _level_loop(a, p, top):
+    """The counts of the level loop alone, on the matrix count_invariant_sublattices
+    prepares: a matrix it would count from its trailing block is counted whole."""
+    prepared = _reduced(oracle._triangular(a), p ** top)
+    return tuple(oracle._level_counts(prepared, p, _totals(a.n_rows, p, top)))
+
+
 def _recorded_hnf_levels(monkeypatch, a, p, top):
-    """(e, whether the level's nodes were kept) for every HNF-enumerated level."""
+    """(e, whether the level's nodes were kept) for every HNF-enumerated level of the level loop."""
     seen = []
     hnf_level = oracle.count_at_exponent
 
@@ -574,7 +583,7 @@ def _recorded_hnf_levels(monkeypatch, a, p, top):
         return hnf_level(a, p, e, nodes)
 
     monkeypatch.setattr(oracle, "count_at_exponent", recording)
-    count_invariant_sublattices(a, p, top)
+    _level_loop(a, p, top)
     return seen
 
 
@@ -771,6 +780,137 @@ def test_filiform_ad_e1_counts_match_hnf_levels_and_its_normal_form():
     assert want == _hnf_values(n_of(Partition([3, 1])), 2, 4)
 
 
+# ---------------------------------------------------------------------------
+# the peel: a first column zero below the diagonal, counted from the trailing block
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, where the benchmark's inputs are defined."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+def _peeled_and_looped(monkeypatch, a, p, top, **limits):
+    """The counts of count_invariant_sublattices, which must take the peel, and of the level loop."""
+    calls = []
+    peel = oracle._peeled
+
+    def spy(*args):
+        calls.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(oracle, "_peeled", spy)
+    got = count_invariant_sublattices(a, p, top, **limits)
+    assert len(calls) == 1
+    return got, _level_loop(a, p, top)
+
+
+@pytest.mark.parametrize("n, p, top", _WORKLOADS.DENSE_CASES)
+def test_peel_matches_the_level_loop_on_every_verify_dense_class(n, p, top, monkeypatch):
+    rng = random.Random(100 * n + 10 * p + top)
+    matrices = [diag(*[0] * n), diag(*[74149] * n)]
+    for lam in _WORKLOADS.NILPOTENT_TYPES[n]:
+        matrices.append(_conjugate(random_unimodular(rng, n), n_of(Partition(list(lam)))))
+    for a in matrices:
+        got, want = _peeled_and_looped(monkeypatch, a, p, top)
+        assert got == want, (a.entries, p, top)
+
+
+@pytest.mark.parametrize("a, p, top", [
+    (diag(0), 2, 6),
+    (diag(7), 3, 4),
+    (diag(-2 ** 70), 5, 3),
+    (diag(5), 2, 0),
+    (diag(0, 0), 2, 0),
+    (IntMatrix(((3, 1, 0), (0, 0, 2), (0, 1, 0))), 3, 0),
+    (_conjugate(random_unimodular(random.Random(2), 4), n_of(Partition([2, 1, 1]))), 5, 0),
+])
+def test_peel_matches_the_level_loop_at_n_1_and_E_0(a, p, top, monkeypatch):
+    got, want = _peeled_and_looped(monkeypatch, a, p, top)
+    assert got == want
+    # Z has one sublattice of each index, and level 0 holds Z^n alone
+    assert got == ((1,) * (top + 1) if a.n_rows == 1 else (1,))
+
+
+def test_peel_matches_the_level_loop_on_a_5x5_nilpotent(monkeypatch):
+    a = _conjugate(random_unimodular(random.Random(5), 5), n_of(Partition([3, 2])))
+    got, want = _peeled_and_looped(monkeypatch, a, 2, 3, max_n=5)
+    assert got == want
+
+
+def _first_column_zero(n):
+    """n x n matrices whose first column is zero below the diagonal, as rows."""
+    return _square(n, st.one_of(st.integers(-4, 4), st.integers(-10 ** 20, 10 ** 20))).map(
+        lambda rows: [[0 if i and not j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(rows)])
+
+
+def _one_eigenvalue(n):
+    """Unimodular conjugates of N_lambda + cI, lambda a partition of n, as rows."""
+    return st.tuples(st.sampled_from(list(partitions_of(n))), st.integers(-9, 9),
+                     st.randoms(use_true_random=False)).map(
+        lambda t: plus_scalar(_conjugate(random_unimodular(t[2], n), n_of(t[0])), t[1]).entries)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.one_of(_first_column_zero(n), _one_eigenvalue(n))),
+    st.sampled_from([2, 3, 5]),
+)
+# d = 3 after the reduction, with t0 and T' - dI both nonzero
+@example([[3, 1, 0], [0, 0, 2], [0, 1, 0]], 3)
+@example([[-1, 2, 4], [0, 1, 0], [0, 3, 1]], 2)
+def test_peel_matches_the_level_loop_on_random_matrices(rows, p):
+    a = IntMatrix(rows)
+    top = _cheap_top(a.n_rows, p)
+    with pytest.MonkeyPatch.context() as mp:
+        got, want = _peeled_and_looped(mp, a, p, top)
+    assert got == want
+
+
+@pytest.mark.parametrize("t", [40, 2 ** 61])
+def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
+    # [[0, t], [0, 0]] at p = 2: the trailing block [0] has one lattice 2^k Z
+    # of each level k, with g = 2^k and o = max(0, k - v_2(t)).  Minors are
+    # int64 while 1! * max(2^k, |t|) < 2^62, so up to level 61.
+    dtypes = []
+    minor_gcds = oracle._minor_gcds
+
+    def recording(cols, rows):
+        dtypes.append(cols.dtype)
+        return minor_gcds(cols, rows)
+
+    monkeypatch.setattr(oracle, "_minor_gcds", recording)
+    v = (t & -t).bit_length() - 1
+    a = IntMatrix(((0, t), (0, 0)))
+    for top, kinds in ((61, [np.int64]), (66, [np.int64, object])):
+        dtypes.clear()
+        want = tuple(sum(2 ** k for k in range(e + 1) if k + max(0, k - v) <= e)
+                     for e in range(top + 1))
+        assert count_invariant_sublattices(a, 2, top, max_candidates=2 ** 70) == want
+        assert dtypes == kinds
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_peel_rejects_an_index_that_is_not_a_power_of_p(which, monkeypatch):
+    minor_gcds = oracle._minor_gcds
+
+    def corrupted(cols, rows):
+        out = list(minor_gcds(cols, rows))
+        out[which] = out[which] * 3
+        return out
+
+    monkeypatch.setattr(oracle, "_minor_gcds", corrupted)
+    with pytest.raises(RuntimeError, match="not a power of p"):
+        count_invariant_sublattices(n_of(Partition([2, 1])), 2, 3)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     st.integers(1, 3).flatmap(lambda n: _square(n, st.integers(-4, 4))),
@@ -805,6 +945,7 @@ def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
     got = _recorded_hnf_levels(monkeypatch, a, 2, 5)
     assert [e for e, _ in got] == [1, 2, 3, 4, 5]
     assert got[-1] == (5, False)
+    assert _level_loop(a, 2, 5) == (1, 7, 43, 211, 995, 4355)
     assert count_invariant_sublattices(a, 2, 5) == (1, 7, 43, 211, 995, 4355)
 
 
@@ -868,7 +1009,7 @@ def test_either_producer_at_every_level_gives_the_default_counts(rows, p):
     for tree in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             produced = _forced(mp, tree)
-            assert count_invariant_sublattices(a, p, top) == want
+            assert _level_loop(a, p, top) == want
         assert produced == (list(range(1, top + 1)) if tree else [])
 
 
