@@ -17,9 +17,10 @@ Flags may also be supplied through SUBMODZETA_-prefixed environment
 variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
 explicit flags win, and SUBMODZETA_EDV applies only when analyze is given no
 matrix (a matrix together with --edv is a usage error).  An empty variable
-counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, or an
-integer variable that does not parse, is a usage error that names the
-variable, as argparse names the flag.
+counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, an
+integer variable that does not parse, or a list of primes that names none
+(--primes "," or SUBMODZETA_PRIMES=","), is a usage error that names the
+flag or the variable, in argparse's wording.
 
 Output: each cmd_* function composes its document once, as a JSON dict, a
 text view and (for analyze and zpxn) a LaTeX view, and prints it through
@@ -484,9 +485,11 @@ def _apply_env(args) -> None:
     if args.command == "verify":
         source = "argument --primes"
         if args.primes is None:
-            args.primes, source = _env("PRIMES"), ENV_PREFIX + "PRIMES"
-        if args.primes:
+            args.primes, source = _env("PRIMES") or None, ENV_PREFIX + "PRIMES"
+        if args.primes is not None:
             args.primes = [_int_value(tok, source) for tok in args.primes.split(",") if tok.strip()]
+            if not args.primes:
+                raise UsageError(f"{source}: expected at least one prime")
         source = "argument --max-index-exp"
         if args.max_index_exp is None:
             args.max_index_exp = _env_int("MAX_INDEX_EXP", 3)

@@ -29,8 +29,8 @@ once (`_reduced`): c is the most common diagonal residue mod p^E, and every
 entry of A - cI becomes its centred residue mod p^E.  Both producers count
 that matrix, so a scalar matrix is counted as the zero matrix, and entries
 far past the int64 bound shrink below p^E/2.  The modulus is p^E for every
-level, not p^e: the actions that HNF levels record feed the tree's children
-up to level E.
+level, not p^e: the tree solves the actions of the levels it keeps against
+this one matrix, and they feed its children up to level E.
 
 Before that reduction, a matrix with one eigenvalue is replaced by a
 strictly upper-triangular conjugate (`_triangular`): when c = tr(A)/n is an
@@ -74,16 +74,18 @@ w in V, put L = L' + Z(p^a e_0 + w).  Then:
   kernel has elements.
 
 So a_{p^e} is the sum of g(L') over the T'-invariant L' of levels l with
-l + o(L') <= e.  The level loop (`_level_counts`) produces the block's
-levels 0..E, from HNF enumeration or the tree, and keeps the bases of their
-invariant lattices.  g(L') is the gcd of the maximal minors of the basis of
-L' stacked over the nonzero rows of T' - dI, and g(L') / p^o(L') that of
-the same rows and t0 (`_minor_gcds`).  The minors are expanded column by
-column, one batch of bases at a time, over the row subsets whose minor is
-not the int 0.  They are int64 arrays for the levels where m! * B^m < 2^62,
-m = n - 1 and B the largest entry, and Python integers for the others.  A
-g or g / p^o that is not a power of p raises RuntimeError.  The cost is
-that of the block's levels, whose candidate totals are those of Z^(n-1),
+l + o(L') <= e.  HNF enumeration (`count_at_exponent`) produces the block's
+levels 1..E and keeps the bases of their invariant lattices.  The tree is
+not tried there: the block's candidate totals, those of Z^(n-1), never
+exceed the totals of Z^n that the budget admitted, and on the verify-dense
+benchmark the tree won none of the block's levels.  g(L') is the gcd of the
+maximal minors of the basis of L' stacked over the nonzero rows of T' - dI,
+and g(L') / p^o(L') that of the same rows and t0 (`_minor_gcds`).  The
+minors are expanded column by column, one batch of bases at a time, over
+the row subsets whose minor is not the int 0.  They are int64 arrays for
+the levels where m! * B^m < 2^62, m = n - 1 and B the largest entry, and
+Python integers for the others.  A g or g / p^o that is not a power of p
+raises RuntimeError.  The cost is that of enumerating the block's levels
 plus one pass of minors over their invariant lattices.  On the 40
 operations of a traced verify-dense benchmark run (zero, scalar and
 nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle
@@ -116,8 +118,7 @@ Each level comes from whichever of two producers is cheaper:
   codimension) that pack its diagonal patterns, and the number tested is
   checked against the Gaussian-binomial total.  Each child basis R*C is
   reduced to HNF, the children of one codimension are deduplicated with
-  those already found at their level, and the children's actions come from
-  the kernel with a pivot per basis.
+  those already found at their level.
 
 The tree's cost of a level, in units of one HNF candidate, charges each
 subspace it tests, each child it is expected to build, and each node level
@@ -126,8 +127,10 @@ already found, as the last count times its growth over the one before, so
 every decision reads counts and never clocks.  The tree produces a level
 when its cost is below the level's candidate total, which never holds at
 level 1: the root alone has at least as many subspaces as there are level-1
-candidates.  Nodes are kept only while the tree can still pay off, and
-never for the top level, which no later level expands.  Actions are int64
+candidates.  A kept level, from either producer, holds only the int64 HNF
+bases C of its invariant lattices; the kernel solves their actions
+C*A*C^-1, with a pivot per basis, when the tree expands it.  Levels are
+kept only while the tree can still pay off, and never the top level.  Actions are int64
 arrays whenever a rigorous worst-case bound keeps every intermediate below
 2^62, and Python integers (dtype object) otherwise.
 """
@@ -409,29 +412,30 @@ def _count_numpy(a_np, n, diags, chunk, nodes=None):
     """Vectorized enumeration of one level, the diagonals diags in order, in a_np's dtype.
 
     Tests at most `chunk` candidates at a time.  Returns (invariant count,
-    candidates visited).  When nodes is a list, the invariant bases and
-    their actions are appended to it as pairs.
+    candidates visited).  When nodes is a list, the invariant bases are
+    appended to it, one array per batch.
     """
     a = a_np.tolist()
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     count = 0
     visits = 0
     for b, size in _batches(n, [(d, positions) for d in diags], chunk, a_np.dtype):
-        ok, m = _invariance(b, a)
+        ok, _ = _invariance(b, a)
         found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
         count += found
         visits += size
         if nodes is not None and found:
             idx = np.arange(size) if ok is True else np.flatnonzero(ok)
-            nodes.append((_stack(b, idx, a_np.dtype), _stack(m, idx, a_np.dtype)))
+            nodes.append(_stack(b, idx, a_np.dtype))
     return count, visits
 
 
 def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, int]:
     """(invariant count, candidates visited) for sublattices of index exactly p^e.
 
-    When nodes is a list, (bases, actions) array pairs of the invariant
-    sublattices are appended to it.
+    Raises RuntimeError unless the visits equal the candidate total of level
+    e.  When nodes is a list, the bases of the invariant sublattices are
+    appended to it as arrays.
     """
     if not a.is_square:
         raise ValueError("matrix must be square")
@@ -440,7 +444,12 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, in
     dtype = _action_dtype(n, p, e, abs_max)
     a_np = np.array(a.entries, dtype=dtype)
     diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
-    return _count_numpy(a_np, n, diags, _BATCH, nodes)
+    count, visits = _count_numpy(a_np, n, diags, _BATCH, nodes)
+    total = next(itertools.islice(_level_totals(n, p), e, None))
+    if visits != total:
+        raise RuntimeError(
+            f"oracle visited {visits} candidates at p = {p}, e = {e}; expected {total}")
+    return count, visits
 
 
 def _reduce_upper_hnf(b, modulus):
@@ -463,8 +472,8 @@ def _reduce_upper_hnf(b, modulus):
 class _LatticeTree:
     """The invariant lattices of the levels the tree has yet to expand.
 
-    levels[l] = (C, M): int64 HNF bases of level l and their actions
-    C*A*C^-1, or None until they are needed.  pending[l] holds the distinct
+    levels[l] holds the int64 HNF bases C of the invariant lattices of level
+    l, whose actions C*A*C^-1 `_expand` solves.  pending[l] holds the distinct
     child bases found so far at a level not yet produced.  totals[e] is the
     candidate total of level e (from _level_totals), the HNF cost of level
     e, and counts[e] the number of invariant lattices of level e, for the
@@ -481,7 +490,7 @@ class _LatticeTree:
         self.gauss = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
         # bases stay int64: every intermediate of their reduction is below (n*p^e)^2
         self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE
-        self.levels = {0: (np.eye(n, dtype=np.int64)[None], None)}
+        self.levels = {0: np.eye(n, dtype=np.int64)[None]}
         self.pending = {}
         self.counts = [1]
         self.ratio = {1: self.work(1) / totals[1]} if top else {}
@@ -492,7 +501,7 @@ class _LatticeTree:
 
     def work(self, e: int) -> int:
         """Subspaces the tree must test to produce level e."""
-        return sum(len(c) * self._span(l, e) for l, (c, _) in self.levels.items() if l < e)
+        return sum(len(c) * self._span(l, e) for l, c in self.levels.items() if l < e)
 
     def _cost(self, e: int, levels) -> int:
         """The cost, in HNF candidates, of expanding the kept `levels` for level e.
@@ -503,7 +512,7 @@ class _LatticeTree:
         """
         subspaces = expanded = 0
         for l in levels:
-            size = len(self.levels[l][0])
+            size = len(self.levels[l])
             if size:
                 subspaces += size * self._span(l, e)
                 expanded += 1
@@ -516,38 +525,36 @@ class _LatticeTree:
         return self.keeping and self._cost(e, self.levels) < self.totals[e]
 
     def record(self, e: int, nodes) -> None:
-        """Keep level e as found by count_at_exponent: (bases, actions) pairs."""
-        n = self.n
-        dtype = _action_dtype(n, self.p, e, self.abs_max)
-        empty = np.zeros((0, n, n), dtype=np.int64)
-        self.levels[e] = (np.concatenate([b for b, _ in nodes] or [empty]).astype(np.int64),
-                          np.concatenate([m for _, m in nodes] or [empty]).astype(dtype))
-        self.counts.append(len(self.levels[e][0]))
+        """Keep level e as found by count_at_exponent: its arrays of bases."""
+        empty = np.zeros((0, self.n, self.n), dtype=np.int64)
+        self.levels[e] = np.concatenate(nodes or [empty]).astype(np.int64)
+        self.counts.append(len(self.levels[e]))
 
     def produce(self, e: int) -> int:
         """Count level e: expand every level kept so far, keep the children."""
         for l in sorted(self.levels):
             self._expand(l, e)
         empty = np.zeros((0, self.n, self.n), dtype=np.int64)
-        self.levels[e] = (self.pending.pop(e, empty), None)
-        self.counts.append(len(self.levels[e][0]))
+        self.levels[e] = self.pending.pop(e, empty)
+        self.counts.append(len(self.levels[e]))
         return self.counts[-1]
 
     def prune(self, e: int) -> None:
         """After level e, drop the levels whose children all land at or below e.
 
-        Once the kept nodes cannot pay off any more, drop them all and stop
+        Once the kept levels cannot pay off any more, drop them all and stop
         keeping: HNF enumeration then produces every remaining level.
         """
         n, top = self.n, self.top
-        rest = sum(self.totals[e + 1:])
         if e < top:
             self.ratio[e + 1] = self.work(e + 1) / self.totals[e + 1]
         # Give up when the tree would test at least one subspace per HNF
         # candidate at level e+1 with no fall from any of the last n levels,
-        # or when expanding level e alone costs more than all HNF work left.
+        # or when expanding level e alone costs more than all HNF work left;
+        # without the second, [[0,1],[1,0]] at p = 2, E = 3-9, keeps more
+        # levels, which no tree level reads.
         if (e == top
-                or self._cost(e + 1, [e]) >= rest
+                or self._cost(e + 1, [e]) >= sum(self.totals[e + 1:])
                 or self.ratio[e + 1] >= max(1, min(self.ratio[f] for f in
                                                    range(max(1, e + 1 - n), e + 1)))):
             self.keeping = False
@@ -560,11 +567,10 @@ class _LatticeTree:
     def _expand(self, l: int, e: int) -> None:
         """Test every subspace of every node of level l whose child lands at >= e."""
         n, p = self.n, self.p
-        c, m = self.levels.pop(l)
+        c = self.levels.pop(l)
         if not len(c):
             return
-        if m is None:
-            m = self._actions(l, c)
+        m = self._actions(l, c)
         # the test is the level-1 HNF test of the action M against bases R:
         # node actions are columns over the nodes, subspace digits rows
         dtype = _action_dtype(n, p, 1, int(np.abs(m).max()))
@@ -740,37 +746,23 @@ def _triangular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(out)
 
 
-def _level_counts(a: IntMatrix, p: int, totals: list[int], bases=None) -> list[int]:
+def _level_counts(a: IntMatrix, p: int, totals: list[int]) -> list[int]:
     """The counts of levels 0..top of the A-invariant sublattices, top = len(totals) - 1.
 
     Each level e >= 1 comes from HNF enumeration or from the tree, whichever
-    is cheaper, and HNF levels are checked against their candidate totals.
-    When bases is a list, one array per level 1..top is appended to it: the
-    HNF bases of that level's invariant lattices.
+    is cheaper.
     """
-    n, top = a.n_rows, len(totals) - 1
+    top = len(totals) - 1
     tree = _LatticeTree(a, p, totals)
     values = [1]
     for e in range(1, top + 1):
         if tree.cheaper(e):
             values.append(tree.produce(e))
-            if bases is not None:
-                bases.append(tree.levels[e][0])
         else:
-            keep = tree.keeping and e < top
-            nodes = [] if keep or bases is not None else None
-            c, v = count_at_exponent(a, p, e, nodes)
-            if v != totals[e]:
-                raise RuntimeError(
-                    f"oracle visited {v} candidates at p = {p}, e = {e}; "
-                    f"expected {totals[e]}"
-                )
-            values.append(c)
-            if keep:
+            nodes = [] if tree.keeping and e < top else None
+            values.append(count_at_exponent(a, p, e, nodes)[0])
+            if nodes is not None:
                 tree.record(e, nodes)
-            if bases is not None:
-                bases.append(np.concatenate([b for b, _ in nodes]
-                                            or [np.zeros((0, n, n), dtype=np.int64)]))
         if tree.keeping:
             tree.prune(e)
     return values
@@ -820,8 +812,8 @@ def _exponents(x, powers):
 def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     """The counts of levels 0..top of a matrix whose first column is zero below the diagonal.
 
-    With T' the trailing block, d = T[0][0] and t0 the rest of row 0, the
-    level loop finds the T'-invariant L' of levels l = 0..top; each adds
+    With T' the trailing block, d = T[0][0] and t0 the rest of row 0, HNF
+    enumeration finds the T'-invariant L' of levels l = 0..top; each adds
     g(L') = [V : L' + V(T' - dI)] to every level e >= l + o(L'), where
     p^o(L') is the order of t0 modulo L' + V(T' - dI).  Both indices are
     gcds of maximal minors (`_minor_gcds`): g that of the rows of L' and
@@ -834,8 +826,11 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
                         for i, row in enumerate(block)) if any(r)] + [t0]
     bases = [np.eye(m, dtype=np.int64)[None]]
     if m:
-        totals = list(itertools.islice(_level_totals(m, p), top + 1))
-        _level_counts(IntMatrix(block), p, totals, bases)
+        trailing = IntMatrix(block)
+        for l in range(1, top + 1):
+            nodes = []
+            count_at_exponent(trailing, p, l, nodes)
+            bases.append(np.concatenate(nodes or [np.zeros((0, m, m), dtype=np.int64)]))
     # every entry is at most B, so every partial sum of a minor is at most m! * B^m
     row_max = _abs_max(rows)
     fits = [math.factorial(m) * max(p ** l, row_max) ** m < _INT64_SAFE for l in range(len(bases))]

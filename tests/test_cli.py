@@ -526,3 +526,20 @@ def test_env_primes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "p = 5" in out
     assert "p = 3" not in out
+
+
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_primes_that_name_no_prime_are_a_usage_error(capsys, monkeypatch, value):
+    """An explicit list without a prime does not fall back to the default primes."""
+    assert main(["verify", ROT_2, "--primes", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --primes: expected at least one prime\n"
+    if value:
+        monkeypatch.setenv("SUBMODZETA_PRIMES", value)
+        assert main(["verify", ROT_2]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: SUBMODZETA_PRIMES: expected at least one prime\n"
+    monkeypatch.setenv("SUBMODZETA_PRIMES", "")  # empty counts as unset
+    assert main(["verify", ROT_2, "--max-index-exp", "1"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("p = ")] == [
+        "p = 3 (good prime, E = 1)", "p = 5 (good prime, E = 1)", "p = 7 (good prime, E = 1)"]

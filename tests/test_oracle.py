@@ -535,21 +535,20 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top):
         want = {b for b in _hnf_bases(n, p, e) if is_invariant(b, a)}
         nodes = []
         count, _ = count_at_exponent(a, p, e, nodes)
-        pairs = [(b, m) for bs, ms in nodes for b, m in zip(_as_matrices(bs), _as_matrices(ms))]
-        assert count == len(pairs) == len(want)
-        assert {b for b, _ in pairs} == want
-        for b, m in pairs:
-            assert m * b == b * a
-        # the tree's levels and its actions C*A*C^-1 from the same reference
+        bases = [b for batch in nodes for b in _as_matrices(batch)]
+        assert count == len(bases) == len(want)
+        assert set(bases) == want
+        # the tree's levels, recorded or produced, and the actions C*A*C^-1
+        # it solves for them, against the same reference
         if e == 1:
             tree.record(1, nodes)
         else:
             assert tree.produce(e) == len(want)
-            assert set(_as_matrices(tree.levels[e][0])) == want
-        if want:
-            bases = np.array([b.entries for b in sorted(want, key=lambda b: b.entries)])
-            actions = _as_matrices(tree._actions(e, bases))
-            assert all(m * b == b * a for b, m in zip(_as_matrices(bases), actions))
+        kept = tree.levels[e]
+        assert set(_as_matrices(kept)) == want
+        actions = _as_matrices(tree._actions(e, kept))
+        assert len(actions) == len(want)
+        assert all(m * b == b * a for b, m in zip(_as_matrices(kept), actions))
 
 
 def test_reference_cases_reach_the_object_path():
@@ -564,6 +563,34 @@ def test_actions_reject_a_basis_that_is_not_invariant():
     tree = _LatticeTree(a, 3, _totals(2, 3, 2))
     with pytest.raises(RuntimeError, match="not invariant"):
         tree._actions(1, np.array([[[3, 0], [0, 1]]]))
+
+
+def _drop_the_first_batch(monkeypatch):
+    """Make `_batches` lose one batch, as a miscounting enumeration would."""
+    batches = oracle._batches
+    monkeypatch.setattr(oracle, "_batches",
+                        lambda *args: itertools.islice(batches(*args), 1, None))
+
+
+def test_hnf_enumeration_raises_when_it_visits_too_few_candidates(monkeypatch):
+    _drop_the_first_batch(monkeypatch)
+    with pytest.raises(RuntimeError, match="oracle visited 0 candidates at p = 3, e = 1"):
+        count_at_exponent(companion(IntPoly((1, 0, 1))), 3, 1)
+    # through the level loop, and through the peel's enumeration of its block
+    for a in (companion(IntPoly((1, 0, 1))), diag(0, 0)):
+        with pytest.raises(RuntimeError, match="oracle visited"):
+            count_invariant_sublattices(a, 3, 2)
+
+
+def test_tree_level_raises_when_it_tests_too_few_subspaces(monkeypatch):
+    a = companion(IntPoly((1, 0, 1)))
+    tree = _LatticeTree(a, 5, _totals(2, 5, 3))
+    nodes = []
+    count_at_exponent(a, 5, 1, nodes)
+    tree.record(1, nodes)
+    _drop_the_first_batch(monkeypatch)
+    with pytest.raises(RuntimeError, match="tree tested"):
+        tree.produce(2)
 
 
 def _level_loop(a, p, top):
@@ -968,7 +995,7 @@ def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
         assert tree.counts == counts
         # the children expected are the last count times its growth; the
         # empty level 1 of x^2+1 at 3 is not charged
-        levels = sum(1 for c, _ in tree.levels.values() if len(c))
+        levels = sum(1 for c in tree.levels.values() if len(c))
         assert levels == (3 if counts[1] else 2)
         assert tree._cost(3, tree.levels) == (
             oracle._TREE_SUBSPACE * tree.work(3)
