@@ -18,9 +18,10 @@ variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
 explicit flags win, and SUBMODZETA_EDV applies only when analyze is given no
 matrix (a matrix together with --edv is a usage error).  An empty variable
 counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, an
-integer variable that does not parse, or a list of primes that names none
-(--primes "," or SUBMODZETA_PRIMES=","), is a usage error that names the
-flag or the variable, in argparse's wording.
+integer variable that does not parse, a list of primes that names none
+(--primes "," or SUBMODZETA_PRIMES=","), or a negative --max-index-exp,
+--budget or --max-n, is a usage error that names the flag or the variable,
+in argparse's wording.
 
 Output: each cmd_* function composes its document once, as a JSON dict, a
 text view and (for analyze and zpxn) a LaTeX view, and prints it through
@@ -490,14 +491,17 @@ def _apply_env(args) -> None:
             args.primes = [_int_value(tok, source) for tok in args.primes.split(",") if tok.strip()]
             if not args.primes:
                 raise UsageError(f"{source}: expected at least one prime")
-        source = "argument --max-index-exp"
-        if args.max_index_exp is None:
-            args.max_index_exp = _env_int("MAX_INDEX_EXP", 3)
-            source = ENV_PREFIX + "MAX_INDEX_EXP"
-        if args.max_index_exp < 0:
-            raise UsageError(f"{source}: must be >= 0, got {args.max_index_exp}")
-        if args.budget is None:
-            args.budget = _env_int("BUDGET", DEFAULT_MAX_CANDIDATES)
+        # --max-n has no variable, and argparse gives it a default
+        for attr, name, default in (("max_index_exp", "MAX_INDEX_EXP", 3),
+                                    ("budget", "BUDGET", DEFAULT_MAX_CANDIDATES),
+                                    ("max_n", None, None)):
+            source, value = "argument --" + attr.replace("_", "-"), getattr(args, attr)
+            if value is None:
+                value = _env_int(name, default)
+                setattr(args, attr, value)
+                source = ENV_PREFIX + name
+            if value < 0:
+                raise UsageError(f"{source}: must be >= 0, got {value}")
 
 
 def main(argv=None) -> int:

@@ -82,11 +82,11 @@ benchmark the tree won none of the block's levels.  g(L') is the gcd of the
 maximal minors of the basis of L' stacked over the nonzero rows of T' - dI,
 and g(L') / p^o(L') that of the same rows and t0 (`_minor_gcds`).  The
 minors are expanded column by column, one batch of bases at a time, over
-the row subsets whose minor is not the int 0.  They are int64 arrays for
-the levels where m! * B^m < 2^62, m = n - 1 and B the largest entry, and
-Python integers for the others.  A g or g / p^o that is not a power of p
-raises RuntimeError.  The cost is that of enumerating the block's levels
-plus one pass of minors over their invariant lattices.  On the 40
+the row subsets whose minor is not the int 0.  They are int64 arrays at
+every level when m! * B^m < 2^62, m = n - 1 and B the larger of p^E and
+the largest entry, and Python integers otherwise.  A g or g / p^o that is
+not a power of p raises RuntimeError.  The cost is that of enumerating the
+block's levels plus one pass of minors over their invariant lattices.  On the 40
 operations of a traced verify-dense benchmark run (zero, scalar and
 nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle
 tested 37 160 candidates instead of 7.8 million and took 0.04 s instead of
@@ -128,11 +128,12 @@ every decision reads counts and never clocks.  The tree produces a level
 when its cost is below the level's candidate total, which never holds at
 level 1: the root alone has at least as many subspaces as there are level-1
 candidates.  A kept level, from either producer, holds only the int64 HNF
-bases C of its invariant lattices; the kernel solves their actions
-C*A*C^-1, with a pivot per basis, when the tree expands it.  Levels are
-kept only while the tree can still pay off, and never the top level.  Actions are int64
-arrays whenever a rigorous worst-case bound keeps every intermediate below
-2^62, and Python integers (dtype object) otherwise.
+bases C of its invariant lattices.  When the tree expands it, one kernel
+call solves their actions C*A*C^-1, with a pivot per basis, and its
+entries are the node columns the subspace tests read.  Levels are kept
+only while the tree can still pay off, and never the top level.  Entries
+are int64 arrays whenever a rigorous worst-case bound keeps every
+intermediate below 2^62, and Python integers (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -320,21 +321,20 @@ def _stack(entries, idx, dtype):
     return out
 
 
-def _batches(n, level, chunk, dtype):
-    """The upper-triangular bases of one level, entrywise, at most chunk at a time.
+def _batches(n, level, dtype):
+    """The upper-triangular bases of one level, entrywise, at most _BATCH at a time.
 
     level is a list of (diag, free) pairs in visiting order.  For each
     diagonal, the entries at the positions `free` run over [0, diag[j]) in
     mixed radix, the last position fastest; every other entry is 0.  Yields
     (b, size): b[i][j] is an int where the whole batch agrees, else a 1-D
-    array of the batch's size.  A diagonal of more than chunk bases is split
+    array of the batch's size.  A diagonal of more than _BATCH bases is split
     on its own: the last positions whose combinations fit in one batch run
     fully inside each batch, the position before them in runs of as many
     values as fit, and all earlier ones are ints.  Consecutive smaller
-    diagonals are packed, in order, into batches of at most min(chunk,
-    _PACK) bases, or of one diagonal alone when it has more.
+    diagonals are packed, in order, into batches of at most _PACK bases, or
+    of one diagonal alone when it has more.
     """
-    cap = min(chunk, _PACK)
     group = []
     filled = 0
     for diag, free in level:
@@ -343,11 +343,11 @@ def _batches(n, level, chunk, dtype):
         size = 1
         for r in radix:
             size *= r
-        if group and filled + size > cap:
+        if group and filled + size > _PACK:
             yield _packed(n, group, filled, dtype), filled
             group, filled = [], 0
-        if size > chunk:
-            yield from _split(n, diag, free, radix, chunk, dtype)
+        if size > _BATCH:
+            yield from _split(n, diag, free, radix, dtype)
         else:
             group.append((diag, free, radix, size))
             filled += size
@@ -381,15 +381,15 @@ def _packed(n, group, total, dtype):
     return b
 
 
-def _split(n, diag, free, radix, chunk, dtype):
-    """The bases of one diagonal of more than chunk bases, at most chunk at a time."""
+def _split(n, diag, free, radix, dtype):
+    """The bases of one diagonal of more than _BATCH bases, at most _BATCH at a time."""
     low = len(free)
     size = 1
-    while size * radix[low - 1] <= chunk:
+    while size * radix[low - 1] <= _BATCH:
         low -= 1
         size *= radix[low]
     r = radix[low - 1]
-    run = min(chunk // size, r)
+    run = min(_BATCH // size, r)
     # built once and sliced to each batch's length: the digits of a full run;
     # a batch starting at value h of position low-1 adds h to its digits.
     # The batches share these arrays, which nothing writes to.
@@ -408,25 +408,25 @@ def _split(n, diag, free, radix, chunk, dtype):
             yield [row[:] for row in b], k
 
 
-def _count_numpy(a_np, n, diags, chunk, nodes=None):
-    """Vectorized enumeration of one level, the diagonals diags in order, in a_np's dtype.
+def _count_numpy(a, diags, dtype, nodes=None):
+    """Vectorized enumeration of one level, the diagonals diags in order, in dtype.
 
-    Tests at most `chunk` candidates at a time.  Returns (invariant count,
+    a is the matrix as nested lists of ints.  Returns (invariant count,
     candidates visited).  When nodes is a list, the invariant bases are
     appended to it, one array per batch.
     """
-    a = a_np.tolist()
+    n = len(a)
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     count = 0
     visits = 0
-    for b, size in _batches(n, [(d, positions) for d in diags], chunk, a_np.dtype):
+    for b, size in _batches(n, [(d, positions) for d in diags], dtype):
         ok, _ = _invariance(b, a)
         found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
         count += found
         visits += size
         if nodes is not None and found:
             idx = np.arange(size) if ok is True else np.flatnonzero(ok)
-            nodes.append(_stack(b, idx, a_np.dtype))
+            nodes.append(_stack(b, idx, dtype))
     return count, visits
 
 
@@ -440,11 +440,9 @@ def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, in
     if not a.is_square:
         raise ValueError("matrix must be square")
     n = a.n_rows
-    abs_max = _abs_max(a.entries)
-    dtype = _action_dtype(n, p, e, abs_max)
-    a_np = np.array(a.entries, dtype=dtype)
     diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
-    count, visits = _count_numpy(a_np, n, diags, _BATCH, nodes)
+    count, visits = _count_numpy(a.entries, diags, _action_dtype(n, p, e, _abs_max(a.entries)),
+                                 nodes)
     total = next(itertools.islice(_level_totals(n, p), e, None))
     if visits != total:
         raise RuntimeError(
@@ -499,9 +497,11 @@ class _LatticeTree:
         """Subspaces tested per node of `level` when it is expanded for level e."""
         return sum(self.gauss[max(1, e - level):min(self.n, self.top - level) + 1])
 
-    def work(self, e: int) -> int:
-        """Subspaces the tree must test to produce level e."""
-        return sum(len(c) * self._span(l, e) for l, c in self.levels.items() if l < e)
+    def work(self, e: int, levels=None) -> int:
+        """Subspaces the tree must test to expand the kept `levels`, by default
+        all of them, for level e."""
+        return sum(len(self.levels[l]) * self._span(l, e)
+                   for l in (self.levels if levels is None else levels) if l < e)
 
     def _cost(self, e: int, levels) -> int:
         """The cost, in HNF candidates, of expanding the kept `levels` for level e.
@@ -510,15 +510,10 @@ class _LatticeTree:
         and the children expected: the last count times its growth over the
         one before.
         """
-        subspaces = expanded = 0
-        for l in levels:
-            size = len(self.levels[l])
-            if size:
-                subspaces += size * self._span(l, e)
-                expanded += 1
+        expanded = sum(1 for l in levels if len(self.levels[l]))
         last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
-        return (_TREE_SUBSPACE * subspaces + _TREE_CHILD * (last * last // max(1, before))
-                + _TREE_LEVEL * expanded)
+        return (_TREE_SUBSPACE * self.work(e, levels)
+                + _TREE_CHILD * (last * last // max(1, before)) + _TREE_LEVEL * expanded)
 
     def cheaper(self, e: int) -> bool:
         """Would the tree produce level e for less than HNF enumeration?"""
@@ -570,19 +565,25 @@ class _LatticeTree:
         c = self.levels.pop(l)
         if not len(c):
             return
-        m = self._actions(l, c)
         # the test is the level-1 HNF test of the action M against bases R:
-        # node actions are columns over the nodes, subspace digits rows
-        dtype = _action_dtype(n, p, 1, int(np.abs(m).max()))
-        act = [[x if isinstance(x, int) else x[:, None] for x in row]
-               for row in _entries(m, dtype)]
+        # node actions are columns over the nodes, subspace digits rows.  So
+        # the actions C*A*C^-1 are solved with the bases C as columns.
+        ok, act = _invariance([[x if isinstance(x, int) else x[:, None] for x in row]
+                               for row in _entries(c, _action_dtype(n, p, l, self.abs_max))],
+                              self.entries)
+        if not np.all(ok):
+            raise RuntimeError(f"a child basis at level {l} is not invariant")
+        dtype = _action_dtype(n, p, 1, max(abs(x) if isinstance(x, int) else int(np.abs(x).max())
+                                           for row in act for x in row))
+        act = [[x if isinstance(x, int) else x.astype(dtype, copy=False) for x in row]
+               for row in act]
         tested = 0
         for k in range(max(1, e - l), min(n, self.top - l) + 1):
             found = [self.pending.pop(l + k)] if l + k in self.pending else []
             patterns = [(d, [(i, j) for j in range(n) for i in range(j)
                              if d[i] == 1 and d[j] == p])
                         for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
-            for r, size in _batches(n, patterns, _BATCH, dtype):
+            for r, size in _batches(n, patterns, dtype):
                 rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
                 step = max(1, _PACK // size)
                 for s in range(0, len(c), step):
@@ -605,19 +606,6 @@ class _LatticeTree:
         if tested != expected:
             raise RuntimeError(
                 f"tree tested {tested} subspaces below level {l}; expected {expected}")
-
-    def _actions(self, e: int, bases):
-        """C*A*C^-1 for each basis C of level e, solved entrywise with a pivot per basis."""
-        n = self.n
-        dtype = _action_dtype(n, self.p, e, self.abs_max)
-        out = [np.zeros((0, n, n), dtype=dtype)]
-        for s in range(0, len(bases), _BATCH):
-            c = bases[s:s + _BATCH]
-            ok, m = _invariance(_entries(c, dtype), self.entries)
-            if not np.all(ok):
-                raise RuntimeError(f"a child basis at level {e} is not invariant")
-            out.append(_stack(m, np.arange(len(c)), dtype))
-        return np.concatenate(out)
 
 
 def _distinct(b):
@@ -664,12 +652,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _last_power(m, k: int):
-    """N^(j-1) for the leading k x k block N of m, j its nilpotency index; None when N = 0."""
+    """N^(j-1) for the leading k x k block N of m, j its nilpotency index; None when N = 0.
+
+    Raises ValueError when N^k != 0: then N is not nilpotent.
+    """
     block = [row[:k] for row in m[:k]]
     power, step = None, block
-    while any(map(any, step)):
+    for _ in range(k):
+        if not any(map(any, step)):
+            return power
         power, step = step, _product(step, block)
-    return power
+    raise ValueError("the block is not nilpotent")
 
 
 def _flag(m):
@@ -681,6 +674,7 @@ def _flag(m):
     its content.  Extended-gcd column operations E (det 1) on the leading k
     columns carry that row v to (0, ..., 0, 1), and the conjugation
     N -> E^-1*N*E then clears the last row of the leading k x k block.
+    Raises ValueError when N is not nilpotent.
     """
     n = len(m)
     m = [list(row) for row in m]
@@ -732,12 +726,10 @@ def _triangular(a: IntMatrix) -> IntMatrix:
     if not any(map(any, nil)) or sum(x * nil[j][i] for i, row in enumerate(nil)
                                      for j, x in enumerate(row)):
         return a
-    power = nil
-    for _ in range(n - 1):
-        power = _product(power, nil)
-    if any(map(any, power)):
+    try:
+        t, u, u_inv = _flag(nil)
+    except ValueError:  # N^n != 0
         return a
-    t, u, u_inv = _flag(nil)
     out = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
     if (_product(u, a.entries) != _product(out, u)
             or _product(u, u_inv) != [[int(i == j) for j in range(n)] for i in range(n)]
@@ -824,32 +816,30 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     block = [row[1:] for row in a.entries[1:]]
     rows = [r for r in ([x - d * (i == j) for j, x in enumerate(row)]
                         for i, row in enumerate(block)) if any(r)] + [t0]
-    bases = [np.eye(m, dtype=np.int64)[None]]
+    # each batch of bases, and its level l
+    bases, levels = [np.eye(m, dtype=np.int64)[None]], [0]
     if m:
         trailing = IntMatrix(block)
         for l in range(1, top + 1):
             nodes = []
             count_at_exponent(trailing, p, l, nodes)
-            bases.append(np.concatenate(nodes or [np.zeros((0, m, m), dtype=np.int64)]))
+            bases += nodes
+            levels += [l] * len(nodes)
     # every entry is at most B, so every partial sum of a minor is at most m! * B^m
-    row_max = _abs_max(rows)
-    fits = [math.factorial(m) * max(p ** l, row_max) ** m < _INT64_SAFE for l in range(len(bases))]
+    fits = math.factorial(m) * max(p ** top, _abs_max(rows)) ** m < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    cols = np.concatenate([b.transpose(1, 2, 0) for b in bases], axis=2, dtype=dtype,
+                          casting="unsafe")
+    g, h = _minor_gcds(cols, rows)
+    # g divides det C = p^l, and h divides g
+    powers = np.array([p ** v for v in range(levels[-1] + 1)], dtype=dtype)
+    v, o = _exponents(g, powers), _exponents(g // h, powers)
+    at = np.repeat(levels, [len(b) for b in bases]) + o
+    keep = at <= top
+    pairs = np.bincount(at[keep] * (top + 1) + v[keep])
     counts = [0] * (top + 1)
-    for dtype in (np.int64, object):
-        group = [l for l, c in enumerate(bases) if fits[l] == (dtype is np.int64) and len(c)]
-        if not group:
-            continue
-        cols = np.concatenate([bases[l].transpose(1, 2, 0) for l in group], axis=2,
-                              dtype=dtype, casting="unsafe")
-        g, h = _minor_gcds(cols, rows)
-        # g divides det C = p^l, and h divides g
-        powers = np.array([p ** v for v in range(group[-1] + 1)], dtype=dtype)
-        v, o = _exponents(g, powers), _exponents(g // h, powers)
-        at = np.repeat(group, [len(bases[l]) for l in group]) + o
-        keep = at <= top
-        pairs = np.bincount(at[keep] * (top + 1) + v[keep])
-        for key in np.flatnonzero(pairs).tolist():
-            counts[key // (top + 1)] += int(pairs[key]) * p ** (key % (top + 1))
+    for key in np.flatnonzero(pairs).tolist():
+        counts[key // (top + 1)] += int(pairs[key]) * p ** (key % (top + 1))
     return list(itertools.accumulate(counts))
 
 

@@ -502,6 +502,22 @@ def test_max_index_exp_must_not_be_negative(capsys, monkeypatch):
     assert "oracle:  [1]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, name", [("--budget", "BUDGET"), ("--max-n", None)])
+def test_negative_budget_and_size_cap_are_usage_errors(capsys, monkeypatch, flag, name):
+    """As a negative E, named as the flag or the variable that gave it; 0 is
+    no usage error, but a budget or size cap that every input exceeds."""
+    assert main(["verify", NILP_2, flag, "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: argument {flag}: must be >= 0, got -1\n"
+    if name is not None:
+        monkeypatch.setenv("SUBMODZETA_" + name, "-1")
+        assert main(["verify", NILP_2]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: SUBMODZETA_{name}: must be >= 0, got -1\n"
+    assert main(["verify", NILP_2, flag, "0", "--primes", "3"]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 def test_env_edv_does_not_replace_a_matrix(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SUBMODZETA_EDV", str(tmp_path / "missing.json"))
     assert main(["analyze", "[[1]]", "--format", "json"]) == 0

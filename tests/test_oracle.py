@@ -182,7 +182,13 @@ def test_block_diagonal_counts_are_convolutions():
     assert got == conv
 
 
-def test_int64_and_object_dtypes_agree():
+def _batch_size(monkeypatch, size):
+    """Test at most `size` candidates at a time, packing at most min(size, _PACK)."""
+    monkeypatch.setattr(oracle, "_BATCH", size)
+    monkeypatch.setattr(oracle, "_PACK", min(size, _PACK))
+
+
+def test_int64_and_object_dtypes_agree(monkeypatch):
     cases = [
         (n_of(Partition([2, 1])), 2, 3),
         (companion(IntPoly((1, 0, 1))), 3, 3),
@@ -191,18 +197,17 @@ def test_int64_and_object_dtypes_agree():
     ]
     for a, p, top in cases:
         n = a.n_rows
-        fast = np.array(a.entries, dtype=np.int64)
-        exact = np.array(a.entries, dtype=object)
         for e in range(top + 1):
             diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
             seen = set()
-            # small chunks split the larger diagonals and make packed groups
+            # small batches split the larger diagonals and make packed groups
             # open and close at different diagonals; large ones pack the level
-            for chunk in (5, 7, 1 << 14, 1 << 16):
-                for a_np in (fast, exact):
-                    alone = [_count_numpy(a_np, n, [d], chunk) for d in diags]
-                    got = _count_numpy(a_np, n, diags, chunk)
-                    assert got == tuple(map(sum, zip(*alone))), (a.entries, e, chunk)
+            for size in (5, 7, 1 << 14, 1 << 16):
+                _batch_size(monkeypatch, size)
+                for dtype in (np.int64, object):
+                    alone = [_count_numpy(a.entries, [d], dtype) for d in diags]
+                    got = _count_numpy(a.entries, diags, dtype)
+                    assert got == tuple(map(sum, zip(*alone))), (a.entries, e, size)
                     seen.add(got)
             assert len(seen) == 1, (a.entries, e)
             assert seen.pop()[1] == _totals(n, p, e)[e]
@@ -253,23 +258,24 @@ def _mixed_radix_bases(n, level):
 
 @pytest.mark.parametrize("n, p, e", [(2, 2, 4), (2, 5, 2), (2, 3, 3), (3, 2, 3), (3, 3, 2),
                                      (4, 2, 2)])
-def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
+def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e, monkeypatch):
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     hnf_level = [(tuple(p ** x for x in comp), positions) for comp in compositions(e, n)]
     reference = np.array([b.entries for b in _hnf_bases(n, p, e)])
     for dtype in (np.int64, object):
         for level in [hnf_level] + _pattern_levels(n, p):
-            for chunk in (1, 5, 7, 1 << 14):
-                batches = list(_batches(n, level, chunk, dtype))
+            for size in (1, 5, 7, 1 << 14):
+                _batch_size(monkeypatch, size)
+                batches = list(_batches(n, level, dtype))
                 packed = _stacked(batches, dtype)
-                assert all(len(b) <= chunk for b in packed)
+                assert all(len(b) <= size for b in packed)
                 alone = [b for pair in level
-                         for b in _stacked(_batches(n, [pair], chunk, dtype), dtype)]
+                         for b in _stacked(_batches(n, [pair], dtype), dtype)]
                 assert np.concatenate(packed).tolist() == np.concatenate(alone).tolist()
                 assert np.concatenate(packed).tolist() == _mixed_radix_bases(n, level)
             if level is hnf_level:
                 assert np.concatenate(packed).tolist() == reference.tolist()
-            # no diagonal is split at the last chunk: an entry is an array
+            # no diagonal is split at the last batch size: an entry is an array
             # exactly where the bases of its batch differ
             for (b, _), bases in zip(batches, packed):
                 for i in range(n):
@@ -278,7 +284,7 @@ def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
                         assert isinstance(b[i][j], int) == constant, (level, i, j)
 
 
-@pytest.mark.parametrize("diag, chunk", [
+@pytest.mark.parametrize("diag, size", [
     ((1, 27), 5),           # one position, runs of 5 values from 0, 5, ..., 25
     ((1, 1, 8), 5),         # the last position in runs of 5, 3 under each prefix
     ((1, 1, 8), 16),        # the last position whole, the one before in runs of 2
@@ -287,7 +293,7 @@ def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e):
     ((1, 1, 2, 8), 50),     # the last position whole, the one before in runs of 6
     ((2, 4, 8), 7),
 ])
-def test_split_diagonals_yield_the_mixed_radix_bases_in_order(diag, chunk, monkeypatch):
+def test_split_diagonals_yield_the_mixed_radix_bases_in_order(diag, size, monkeypatch):
     n = len(diag)
     level = [(diag, [(i, j) for i in range(n) for j in range(i + 1, n)])]
     starts = []
@@ -299,12 +305,13 @@ def test_split_diagonals_yield_the_mixed_radix_bases_in_order(diag, chunk, monke
             yield b, size
 
     monkeypatch.setattr(oracle, "_split", spy)
+    _batch_size(monkeypatch, size)
     want = _mixed_radix_bases(n, level)
-    assert len(want) > chunk
+    assert len(want) > size
     for dtype in (np.int64, object):
         starts.clear()
-        batches = list(_batches(n, level, chunk, dtype))
-        assert len(batches) > 1 and all(size <= chunk for _, size in batches)
+        batches = list(_batches(n, level, dtype))
+        assert len(batches) > 1 and all(k <= size for _, k in batches)
         # some run of the head position starts past 0
         assert any(starts)
         got = np.concatenate(_stacked(batches, dtype))
@@ -318,7 +325,7 @@ def test_packed_batches_hold_at_most_the_pack_size():
     # the second filling a packed batch, and all the rest together
     top = _PACK.bit_length()
     level = [((2 ** x, 2 ** (top - x)), [(0, 1)]) for x in range(top + 1)]
-    sizes = [size for _, size in _batches(2, level, 1 << 14, np.int64)]
+    sizes = [size for _, size in _batches(2, level, np.int64)]
     assert sizes == [2 * _PACK, _PACK, _PACK - 1]
 
 
@@ -508,6 +515,30 @@ def _as_matrices(batch):
     return [IntMatrix([[int(x) for x in row] for row in b]) for b in batch]
 
 
+def _members(entries, k):
+    """The k integer matrices of a batch held entrywise: an int where all agree, else an array."""
+    return [IntMatrix([[x if isinstance(x, int) else int(x.flat[i]) for x in row]
+                       for row in entries]) for i in range(k)]
+
+
+def _solved_actions(monkeypatch, tree):
+    """Make the kernel record, as (C, M) pairs of integer matrices, each action
+    M = C*A*C^-1 that `_expand` solves: its kernel calls against A itself."""
+    solved = []
+    invariance = oracle._invariance
+
+    def recording(b, a):
+        ok, m = invariance(b, a)
+        if a is tree.entries:
+            assert np.all(ok)
+            k = max((len(x) for row in b for x in row if not isinstance(x, int)), default=1)
+            solved.extend(zip(_members(b, k), _members(m, k)))
+        return ok, m
+
+    monkeypatch.setattr(oracle, "_invariance", recording)
+    return solved
+
+
 def _reference_cases():
     """Seeded matrices, n <= 3, each with a prime in {2, 3} and a top level."""
     rng = random.Random(2016)
@@ -528,9 +559,9 @@ def _reference_cases():
 
 
 @pytest.mark.parametrize("a, p, top", _reference_cases())
-def test_invariant_bases_match_a_pure_python_reference(a, p, top):
+def test_invariant_bases_match_a_pure_python_reference(a, p, top, monkeypatch):
     n = a.n_rows
-    tree = _LatticeTree(a, p, _totals(n, p, top))
+    wants, hnf_nodes = [{IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])}], []
     for e in range(1, top + 1):
         want = {b for b in _hnf_bases(n, p, e) if is_invariant(b, a)}
         nodes = []
@@ -538,17 +569,25 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top):
         bases = [b for batch in nodes for b in _as_matrices(batch)]
         assert count == len(bases) == len(want)
         assert set(bases) == want
-        # the tree's levels, recorded or produced, and the actions C*A*C^-1
-        # it solves for them, against the same reference
-        if e == 1:
-            tree.record(1, nodes)
-        else:
-            assert tree.produce(e) == len(want)
-        kept = tree.levels[e]
-        assert set(_as_matrices(kept)) == want
-        actions = _as_matrices(tree._actions(e, kept))
-        assert len(actions) == len(want)
-        assert all(m * b == b * a for b, m in zip(_as_matrices(kept), actions))
+        wants.append(want)
+        hnf_nodes.append(nodes)
+    # the tree's levels, recorded or produced, and the actions C*A*C^-1 it
+    # solves when it expands them, against the same reference; the tree
+    # reaches one level past top, so that it expands level top too
+    tree = _LatticeTree(a, p, _totals(n, p, top + 1))
+    tree.record(1, hnf_nodes[0])
+    assert set(_as_matrices(tree.levels[1])) == wants[1]
+    solved = _solved_actions(monkeypatch, tree)
+    for e in range(2, top + 2):
+        count = tree.produce(e)
+        if e <= top:
+            assert count == len(wants[e])
+            assert set(_as_matrices(tree.levels[e])) == wants[e]
+    # each invariant lattice of levels 0..top once, empty levels never
+    bases = [c for c, _ in solved]
+    assert len(bases) == len(set(bases)) == sum(map(len, wants))
+    assert set(bases) == set().union(*wants)
+    assert all(m * c == c * a for c, m in solved)
 
 
 def test_reference_cases_reach_the_object_path():
@@ -559,10 +598,17 @@ def test_reference_cases_reach_the_object_path():
 
 
 def test_actions_reject_a_basis_that_is_not_invariant():
+    # a kept level 1 with a basis that x^2+1 does not leave invariant: alone,
+    # and after the two invariant lattices of level 1 at p = 5
     a = companion(IntPoly((1, 0, 1)))
-    tree = _LatticeTree(a, 3, _totals(2, 3, 2))
-    with pytest.raises(RuntimeError, match="not invariant"):
-        tree._actions(1, np.array([[[3, 0], [0, 1]]]))
+    corrupt = np.array([[[5, 0], [0, 1]]])
+    nodes = []
+    assert count_at_exponent(a, 5, 1, nodes)[0] == 2
+    for level in ([corrupt], nodes + [corrupt]):
+        tree = _LatticeTree(a, 5, _totals(2, 5, 3))
+        tree.record(1, level)
+        with pytest.raises(RuntimeError, match="a child basis at level 1 is not invariant"):
+            tree.produce(2)
 
 
 def _drop_the_first_batch(monkeypatch):
@@ -713,6 +759,8 @@ def _conjugate(u, a):
 # ad(e_1) of the filiform Lie ring m_4, [e_1, e_i] = e_(i+1): row i is the image of e_i
 _AD_E1_M4 = IntMatrix(((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)))
 _BIG_SHEAR = IntMatrix(((1, 10 ** 15, 0), (0, 1, 0), (3, 0, 1)))
+# a cyclic permutation: tr(N) = tr(N^2) = 0 with c = 0, yet N^3 = I
+_CYCLIC = IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
 
 def _is_strictly_upper_plus(t, c):
@@ -749,9 +797,22 @@ def test_triangular_conjugate_is_strictly_upper_triangular_plus_cI(a, c):
     IntMatrix(((1, 1), (0, 0))),  # trace 1: not a multiple of n
     diag(0, 0, 0),
     diag(5, 5),
+    _CYCLIC,
 ])
 def test_triangular_conjugate_leaves_other_matrices_alone(a):
     assert oracle._triangular(a) is a
+
+
+def test_last_power_reports_a_block_that_is_not_nilpotent():
+    rows = [list(row) for row in _CYCLIC.entries]
+    with pytest.raises(ValueError, match="not nilpotent"):
+        oracle._last_power(rows, 3)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        oracle._flag(rows)
+    # its leading 2 x 2 block is nilpotent of index 2, and a zero block has no last power
+    assert oracle._last_power(rows, 2) == [[0, 1], [0, 0]]
+    assert oracle._last_power([[0, 0], [0, 0]], 2) is None
+    assert count_invariant_sublattices(_CYCLIC, 2, 3) == _hnf_values(_CYCLIC, 2, 3)
 
 
 def test_triangular_conjugate_rejects_a_corrupted_conjugator(monkeypatch):
@@ -905,7 +966,8 @@ def test_peel_matches_the_level_loop_on_random_matrices(rows, p):
 def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
     # [[0, t], [0, 0]] at p = 2: the trailing block [0] has one lattice 2^k Z
     # of each level k, with g = 2^k and o = max(0, k - v_2(t)).  Minors are
-    # int64 while 1! * max(2^k, |t|) < 2^62, so up to level 61.
+    # int64 while 1! * max(2^E, |t|) < 2^62, so up to E = 61, and all of
+    # them Python integers past it.
     dtypes = []
     minor_gcds = oracle._minor_gcds
 
@@ -916,7 +978,7 @@ def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
     monkeypatch.setattr(oracle, "_minor_gcds", recording)
     v = (t & -t).bit_length() - 1
     a = IntMatrix(((0, t), (0, 0)))
-    for top, kinds in ((61, [np.int64]), (66, [np.int64, object])):
+    for top, kinds in ((61, [np.int64]), (66, [object])):
         dtypes.clear()
         want = tuple(sum(2 ** k for k in range(e + 1) if k + max(0, k - v) <= e)
                      for e in range(top + 1))
@@ -997,10 +1059,12 @@ def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
         # empty level 1 of x^2+1 at 3 is not charged
         levels = sum(1 for c in tree.levels.values() if len(c))
         assert levels == (3 if counts[1] else 2)
+        children = oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
         assert tree._cost(3, tree.levels) == (
-            oracle._TREE_SUBSPACE * tree.work(3)
-            + oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
-            + oracle._TREE_LEVEL * levels)
+            oracle._TREE_SUBSPACE * tree.work(3) + children + oracle._TREE_LEVEL * levels)
+        # level 2 alone, as prune weighs it, charges its own subspaces only
+        assert tree._cost(3, [2]) == (
+            oracle._TREE_SUBSPACE * counts[2] * tree._span(2, 3) + children + oracle._TREE_LEVEL)
 
 
 def _forced(monkeypatch, tree):
