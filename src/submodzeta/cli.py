@@ -19,9 +19,9 @@ explicit flags win, and SUBMODZETA_EDV applies only when analyze is given no
 matrix (a matrix together with --edv is a usage error).  An empty variable
 counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, an
 integer variable that does not parse, a list of primes that names none
-(--primes "," or SUBMODZETA_PRIMES=","), or a negative --max-index-exp,
---budget or --max-n, is a usage error that names the flag or the variable,
-in argparse's wording.
+(--primes "," or SUBMODZETA_PRIMES=",") or one prime twice (--primes 2,2),
+or a negative --max-index-exp, --budget or --max-n, is a usage error that
+names the flag or the variable, in argparse's wording.
 
 Output: each cmd_* function composes its document once, as a JSON dict, a
 text view and (for analyze and zpxn) a LaTeX view, and prints it through
@@ -491,6 +491,9 @@ def _apply_env(args) -> None:
             args.primes = [_int_value(tok, source) for tok in args.primes.split(",") if tok.strip()]
             if not args.primes:
                 raise UsageError(f"{source}: expected at least one prime")
+            for i, p in enumerate(args.primes):
+                if p in args.primes[:i]:
+                    raise UsageError(f"{source}: repeated prime: {p}")
         # --max-n has no variable, and argparse gives it a default
         for attr, name, default in (("max_index_exp", "MAX_INDEX_EXP", 3),
                                     ("budget", "BUDGET", DEFAULT_MAX_CANDIDATES),

@@ -74,23 +74,31 @@ w in V, put L = L' + Z(p^a e_0 + w).  Then:
   kernel has elements.
 
 So a_{p^e} is the sum of g(L') over the T'-invariant L' of levels l with
-l + o(L') <= e.  HNF enumeration (`count_at_exponent`) produces the block's
-levels 1..E and keeps the bases of their invariant lattices.  The tree is
-not tried there: the block's candidate totals, those of Z^(n-1), never
-exceed the totals of Z^n that the budget admitted, and on the verify-dense
-benchmark the tree won none of the block's levels.  g(L') is the gcd of the
-maximal minors of the basis of L' stacked over the nonzero rows of T' - dI,
-and g(L') / p^o(L') that of the same rows and t0 (`_minor_gcds`).  The
-minors are expanded column by column, one batch of bases at a time, over
-the row subsets whose minor is not the int 0.  They are int64 arrays at
-every level when m! * B^m < 2^62, m = n - 1 and B the larger of p^E and
-the largest entry, and Python integers otherwise.  A g or g / p^o that is
-not a power of p raises RuntimeError.  The cost is that of enumerating the
-block's levels plus one pass of minors over their invariant lattices.  On the 40
-operations of a traced verify-dense benchmark run (zero, scalar and
-nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle
-tested 37 160 candidates instead of 7.8 million and took 0.04 s instead of
-0.16 s.
+l + o(L') <= e.  When T' = dI and t0 = 0, as for every zero or scalar
+matrix and every cI + p^E*X once reduced, every L' is invariant, K = L'
+gives g(L') = [V : L'] = p^l, and t0 = 0 gives o(L') = 0.  So a_{p^e} is
+the sum over l <= e of p^l N_{n-1}(l), N_{n-1}(l) the candidate total of
+level l of Z^(n-1) (N_0 = 1, 0, 0, ... at n = 1), and `_peeled` returns it
+without enumerating anything.  Otherwise one call of HNF enumeration
+(`count_at_exponent`) produces the block's levels 1..E in one pass and
+keeps the bases of their invariant lattices; each basis's level is read off
+its diagonal, whose entries must be powers of p.  The tree is not tried
+there: the block's candidate totals, those of Z^(n-1), never exceed the
+totals of Z^n that the budget admitted, and on the verify-dense benchmark
+the tree won none of the block's levels.  g(L') is the gcd of the maximal
+minors of the basis of L' stacked over the nonzero rows of T' - dI, and
+g(L') / p^o(L') that of the same rows and t0 (`_minor_gcds`).  The minors
+are expanded column by column, one batch of bases at a time, over the row
+subsets whose minor is not the int 0.  They are int64 arrays at every level
+when m! * B^m < 2^62, m = n - 1 and B the larger of p^E and the largest
+entry, and Python integers otherwise.  A diagonal entry, g or g / p^o that
+is not a power of p raises RuntimeError.  The cost is that of one
+enumeration of the block's levels plus one pass of minors over their
+invariant lattices.  On the 40 operations of a traced verify-dense benchmark
+run (8 zero, 16 scalar and 16 nilpotent matrices, n = 2-4; one CPU of a
+2-vCPU machine), the oracle ran 16 enumerations, one per nilpotent matrix,
+tested 14 864 candidates and took 0.013 s; enumerating the levels of Z^n
+instead would test 7.8 million.
 
 Each producer batches a whole level, not one diagonal at a time
 (`_batches`): a diagonal of more than _BATCH bases is split on its own, its
@@ -430,23 +438,26 @@ def _count_numpy(a, diags, dtype, nodes=None):
     return count, visits
 
 
-def count_at_exponent(a: IntMatrix, p: int, e: int, nodes=None) -> tuple[int, int]:
-    """(invariant count, candidates visited) for sublattices of index exactly p^e.
+def count_at_exponent(a: IntMatrix, p: int, levels: range, nodes=None) -> tuple[int, int]:
+    """(invariant count, candidates visited) for sublattices of index p^e, e in levels.
 
-    Raises RuntimeError unless the visits equal the candidate total of level
-    e.  When nodes is a list, the bases of the invariant sublattices are
-    appended to it as arrays.
+    levels is a range of consecutive levels.  Their compositions run, each
+    level's in ascending order, through one `_count_numpy` pass in the dtype
+    of the top level.  Raises RuntimeError unless the visits equal the sum
+    of those levels' candidate totals.  When nodes is a list, the bases of
+    the invariant sublattices are appended to it as arrays; a batch may hold
+    bases of several levels.
     """
     if not a.is_square:
         raise ValueError("matrix must be square")
     n = a.n_rows
-    diags = [tuple(p ** ej for ej in comp) for comp in compositions(e, n)]
-    count, visits = _count_numpy(a.entries, diags, _action_dtype(n, p, e, _abs_max(a.entries)),
-                                 nodes)
-    total = next(itertools.islice(_level_totals(n, p), e, None))
+    diags = [tuple(p ** ej for ej in comp) for e in levels for comp in compositions(e, n)]
+    dtype = _action_dtype(n, p, levels[-1], _abs_max(a.entries))
+    count, visits = _count_numpy(a.entries, diags, dtype, nodes)
+    total = sum(itertools.islice(_level_totals(n, p), levels.start, levels.stop))
     if visits != total:
-        raise RuntimeError(
-            f"oracle visited {visits} candidates at p = {p}, e = {e}; expected {total}")
+        raise RuntimeError(f"oracle visited {visits} candidates at p = {p}, "
+                           f"e = {levels.start}..{levels.stop - 1}; expected {total}")
     return count, visits
 
 
@@ -752,7 +763,7 @@ def _level_counts(a: IntMatrix, p: int, totals: list[int]) -> list[int]:
             values.append(tree.produce(e))
         else:
             nodes = [] if tree.keeping and e < top else None
-            values.append(count_at_exponent(a, p, e, nodes)[0])
+            values.append(count_at_exponent(a, p, range(e, e + 1), nodes)[0])
             if nodes is not None:
                 tree.record(e, nodes)
         if tree.keeping:
@@ -797,44 +808,44 @@ def _exponents(x, powers):
     """v with x = powers[v] entrywise; RuntimeError unless every entry is one of powers."""
     v = np.minimum(np.searchsorted(powers, x), len(powers) - 1)
     if (powers[v] != x).any():
-        raise RuntimeError("an index of the peeled count is not a power of p")
+        raise RuntimeError("a diagonal entry or index of the peeled count is not a power of p")
     return v
 
 
 def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     """The counts of levels 0..top of a matrix whose first column is zero below the diagonal.
 
-    With T' the trailing block, d = T[0][0] and t0 the rest of row 0, HNF
-    enumeration finds the T'-invariant L' of levels l = 0..top; each adds
-    g(L') = [V : L' + V(T' - dI)] to every level e >= l + o(L'), where
-    p^o(L') is the order of t0 modulo L' + V(T' - dI).  Both indices are
-    gcds of maximal minors (`_minor_gcds`): g that of the rows of L' and
-    T' - dI, and g / p^o that of those rows and t0.
+    With T' the trailing block, d = T[0][0] and t0 the rest of row 0, the
+    T'-invariant L' of level l each add g(L') = [V : L' + V(T' - dI)] to
+    every level e >= l + o(L'), where p^o(L') is the order of t0 modulo
+    L' + V(T' - dI).  When T' = dI and t0 = 0, every L' is invariant, with
+    g(L') = p^l and o(L') = 0, so the counts come from the block's candidate
+    totals alone.  Otherwise one HNF enumeration finds the invariant L' of
+    levels 1..top, each basis's level is read off its diagonal, and both
+    indices are gcds of maximal minors (`_minor_gcds`): g that of the rows
+    of L' and T' - dI, and g / p^o that of those rows and t0.
     """
     m = a.n_rows - 1
     d, *t0 = a.entries[0]
     block = [row[1:] for row in a.entries[1:]]
     rows = [r for r in ([x - d * (i == j) for j, x in enumerate(row)]
                         for i, row in enumerate(block)) if any(r)] + [t0]
-    # each batch of bases, and its level l
-    bases, levels = [np.eye(m, dtype=np.int64)[None]], [0]
-    if m:
-        trailing = IntMatrix(block)
-        for l in range(1, top + 1):
-            nodes = []
-            count_at_exponent(trailing, p, l, nodes)
-            bases += nodes
-            levels += [l] * len(nodes)
+    if not any(map(any, rows)):  # always so at n = 1, where t0 is empty
+        totals = itertools.islice(_level_totals(m, p), top + 1) if m else [1] + [0] * top
+        return list(itertools.accumulate(p ** l * t for l, t in enumerate(totals)))
+    nodes = [np.eye(m, dtype=np.int64)[None]]
+    count_at_exponent(IntMatrix(block), p, range(1, top + 1), nodes)
     # every entry is at most B, so every partial sum of a minor is at most m! * B^m
     fits = math.factorial(m) * max(p ** top, _abs_max(rows)) ** m < _INT64_SAFE
     dtype = np.int64 if fits else object
-    cols = np.concatenate([b.transpose(1, 2, 0) for b in bases], axis=2, dtype=dtype,
+    cols = np.concatenate([b.transpose(1, 2, 0) for b in nodes], axis=2, dtype=dtype,
                           casting="unsafe")
+    powers = np.array([p ** v for v in range(top + 1)], dtype=dtype)
+    level = sum(_exponents(cols[i, i], powers) for i in range(m))
     g, h = _minor_gcds(cols, rows)
-    # g divides det C = p^l, and h divides g
-    powers = np.array([p ** v for v in range(levels[-1] + 1)], dtype=dtype)
+    # g divides det C = p^level, and h divides g
     v, o = _exponents(g, powers), _exponents(g // h, powers)
-    at = np.repeat(levels, [len(b) for b in bases]) + o
+    at = level + o
     keep = at <= top
     pairs = np.bincount(at[keep] * (top + 1) + v[keep])
     counts = [0] * (top + 1)

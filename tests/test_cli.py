@@ -559,3 +559,15 @@ def test_primes_that_name_no_prime_are_a_usage_error(capsys, monkeypatch, value)
     assert main(["verify", ROT_2, "--max-index-exp", "1"]) == 0
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("p = ")] == [
         "p = 3 (good prime, E = 1)", "p = 5 (good prime, E = 1)", "p = 7 (good prime, E = 1)"]
+
+
+@pytest.mark.parametrize("value, repeated", [("2,2", 2), ("3,5,3", 3), ("5, 05", 5)])
+def test_a_repeated_prime_is_a_usage_error(capsys, monkeypatch, value, repeated):
+    """A prime listed twice would run the oracle twice and print two identical reports."""
+    assert main(["verify", NILP_2, "--primes", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: argument --primes: repeated prime: {repeated}\n"
+    monkeypatch.setenv("SUBMODZETA_PRIMES", value)
+    assert main(["verify", NILP_2]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: SUBMODZETA_PRIMES: repeated prime: {repeated}\n"

@@ -72,7 +72,7 @@ def test_compositions_order_and_count():
 def test_candidate_total_matches_visits():
     for n, p, e in [(1, 2, 3), (2, 2, 2), (2, 3, 2), (3, 2, 1)]:
         a = IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-        count, visits = count_at_exponent(a, p, e)
+        count, visits = count_at_exponent(a, p, range(e, e + 1))
         assert visits == _totals(n, p, e)[e]
         # zero matrix: every sublattice is invariant, count == number of
         # index-p^e sublattices of Z^n
@@ -454,13 +454,13 @@ def _tree_counts(a, p, top):
     """Levels 2..top produced by the tree alone, from the level-1 HNF nodes."""
     tree = _LatticeTree(a, p, _totals(a.n_rows, p, top))
     nodes = []
-    count_at_exponent(a, p, 1, nodes)
+    count_at_exponent(a, p, range(1, 2), nodes)
     tree.record(1, nodes)
     return [tree.produce(e) for e in range(2, top + 1)]
 
 
 def _hnf_counts(a, p, top):
-    return [count_at_exponent(a, p, e)[0] for e in range(2, top + 1)]
+    return [count_at_exponent(a, p, range(e, e + 1))[0] for e in range(2, top + 1)]
 
 
 def _huge_x2_plus_1():
@@ -565,7 +565,7 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top, monkeypatch):
     for e in range(1, top + 1):
         want = {b for b in _hnf_bases(n, p, e) if is_invariant(b, a)}
         nodes = []
-        count, _ = count_at_exponent(a, p, e, nodes)
+        count, _ = count_at_exponent(a, p, range(e, e + 1), nodes)
         bases = [b for batch in nodes for b in _as_matrices(batch)]
         assert count == len(bases) == len(want)
         assert set(bases) == want
@@ -603,7 +603,7 @@ def test_actions_reject_a_basis_that_is_not_invariant():
     a = companion(IntPoly((1, 0, 1)))
     corrupt = np.array([[[5, 0], [0, 1]]])
     nodes = []
-    assert count_at_exponent(a, 5, 1, nodes)[0] == 2
+    assert count_at_exponent(a, 5, range(1, 2), nodes)[0] == 2
     for level in ([corrupt], nodes + [corrupt]):
         tree = _LatticeTree(a, 5, _totals(2, 5, 3))
         tree.record(1, level)
@@ -620,10 +620,11 @@ def _drop_the_first_batch(monkeypatch):
 
 def test_hnf_enumeration_raises_when_it_visits_too_few_candidates(monkeypatch):
     _drop_the_first_batch(monkeypatch)
-    with pytest.raises(RuntimeError, match="oracle visited 0 candidates at p = 3, e = 1"):
-        count_at_exponent(companion(IntPoly((1, 0, 1))), 3, 1)
-    # through the level loop, and through the peel's enumeration of its block
-    for a in (companion(IntPoly((1, 0, 1))), diag(0, 0)):
+    with pytest.raises(RuntimeError, match="oracle visited 0 candidates at p = 3, e = 1..1;"):
+        count_at_exponent(companion(IntPoly((1, 0, 1))), 3, range(1, 2))
+    # through the level loop, and through the peel's enumeration of its
+    # block, which a nilpotent still takes (a scalar matrix enumerates nothing)
+    for a in (companion(IntPoly((1, 0, 1))), IntMatrix(((0, 1), (0, 0)))):
         with pytest.raises(RuntimeError, match="oracle visited"):
             count_invariant_sublattices(a, 3, 2)
 
@@ -632,7 +633,7 @@ def test_tree_level_raises_when_it_tests_too_few_subspaces(monkeypatch):
     a = companion(IntPoly((1, 0, 1)))
     tree = _LatticeTree(a, 5, _totals(2, 5, 3))
     nodes = []
-    count_at_exponent(a, 5, 1, nodes)
+    count_at_exponent(a, 5, range(1, 2), nodes)
     tree.record(1, nodes)
     _drop_the_first_batch(monkeypatch)
     with pytest.raises(RuntimeError, match="tree tested"):
@@ -651,9 +652,9 @@ def _recorded_hnf_levels(monkeypatch, a, p, top):
     seen = []
     hnf_level = oracle.count_at_exponent
 
-    def recording(a, p, e, nodes=None):
-        seen.append((e, nodes is not None))
-        return hnf_level(a, p, e, nodes)
+    def recording(a, p, levels, nodes=None):
+        seen.extend((e, nodes is not None) for e in levels)
+        return hnf_level(a, p, levels, nodes)
 
     monkeypatch.setattr(oracle, "count_at_exponent", recording)
     _level_loop(a, p, top)
@@ -696,7 +697,7 @@ def test_shifting_by_cI_and_p_to_the_E_changes_no_count_or_producer(rows_x, c, p
     q = p ** top
     shifted = IntMatrix([[v + (c if i == j else 0) + q * w for j, (v, w) in enumerate(zip(*r))]
                          for i, r in enumerate(zip(rows, x))])
-    want = (1,) + tuple(count_at_exponent(a, p, e)[0] for e in range(1, top + 1))
+    want = (1,) + tuple(count_at_exponent(a, p, range(e, e + 1))[0] for e in range(1, top + 1))
     assert count_invariant_sublattices(a, p, top) == want
     assert count_invariant_sublattices(shifted, p, top) == want
     levels = []
@@ -834,7 +835,7 @@ def test_triangular_conjugate_rejects_a_corrupted_conjugator(monkeypatch):
 
 def _hnf_values(a, p, top):
     """The counts of count_at_exponent alone, level by level, on a as given."""
-    return (1,) + tuple(count_at_exponent(a, p, e)[0] for e in range(1, top + 1))
+    return (1,) + tuple(count_at_exponent(a, p, range(e, e + 1))[0] for e in range(1, top + 1))
 
 
 def _cheap_top(n, p):
@@ -967,7 +968,8 @@ def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
     # [[0, t], [0, 0]] at p = 2: the trailing block [0] has one lattice 2^k Z
     # of each level k, with g = 2^k and o = max(0, k - v_2(t)).  Minors are
     # int64 while 1! * max(2^E, |t|) < 2^62, so up to E = 61, and all of
-    # them Python integers past it.
+    # them Python integers past it.  t = 2^61 at E = 61 reduces to the zero
+    # matrix, which the peel counts without minors.
     dtypes = []
     minor_gcds = oracle._minor_gcds
 
@@ -983,7 +985,7 @@ def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
         want = tuple(sum(2 ** k for k in range(e + 1) if k + max(0, k - v) <= e)
                      for e in range(top + 1))
         assert count_invariant_sublattices(a, 2, top, max_candidates=2 ** 70) == want
-        assert dtypes == kinds
+        assert dtypes == (kinds if t % 2 ** top else [])
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -998,6 +1000,86 @@ def test_peel_rejects_an_index_that_is_not_a_power_of_p(which, monkeypatch):
     monkeypatch.setattr(oracle, "_minor_gcds", corrupted)
     with pytest.raises(RuntimeError, match="not a power of p"):
         count_invariant_sublattices(n_of(Partition([2, 1])), 2, 3)
+
+
+def _refuse(*args):
+    raise AssertionError("this count must not enumerate or expand minors")
+
+
+def test_a_range_of_levels_enumerates_each_level_in_turn():
+    for a, p, top in ((n_of(Partition([2, 1])), 2, 4), (companion(IntPoly((1, 0, 1))), 5, 3),
+                      (diag(0, 0, 0), 3, 3), (_huge_x2_plus_1(), 5, 3)):
+        nodes, per_level, counts = [], [], []
+        count, visits = count_at_exponent(a, p, range(1, top + 1), nodes)
+        for e in range(1, top + 1):
+            counts.append(count_at_exponent(a, p, range(e, e + 1), per_level)[0])
+        assert count == sum(counts)
+        assert visits == sum(_totals(a.n_rows, p, top)[1:])
+        assert np.concatenate(nodes).tolist() == np.concatenate(per_level).tolist()
+
+
+@pytest.mark.parametrize("n, p, top", _WORKLOADS.DENSE_CASES)
+def test_peel_enumerates_its_block_in_one_call(n, p, top, monkeypatch):
+    calls = []
+    hnf = oracle.count_at_exponent
+
+    def recording(a, p, levels, nodes=None):
+        out = hnf(a, p, levels, nodes)
+        calls.append((levels, out[1]))
+        return out
+
+    monkeypatch.setattr(oracle, "count_at_exponent", recording)
+    rng = random.Random(100 * n + 10 * p + top)
+    for lam in _WORKLOADS.NILPOTENT_TYPES[n]:
+        calls.clear()
+        count_invariant_sublattices(
+            _conjugate(random_unimodular(rng, n), n_of(Partition(list(lam)))), p, top)
+        # the block is (n-1) x (n-1): every candidate of its levels 1..top, once
+        assert calls == [(range(1, top + 1), sum(_totals(n - 1, p, top)[1:]))]
+
+
+@pytest.mark.parametrize("a, p, top", [
+    *[(diag(*[c] * n), p, top) for n, p, top in _WORKLOADS.DENSE_CASES for c in (0, 74149)],
+    (diag(-2 ** 70), 5, 6),
+    (diag(-2 ** 70, -2 ** 70, -2 ** 70), 3, 3),
+    (diag(0), 2, 0),
+    (diag(9, 9, 9), 2, 0),
+    (diag(4), 7, 5),
+    # cI + p^E X, with p^E = 2^5
+    (IntMatrix(((9 + 32, 64), (-96, 9))), 2, 5),
+])
+def test_scalar_peel_counts_every_sublattice_without_enumerating(a, p, top, monkeypatch):
+    want = _hnf_values(a, p, top)
+    monkeypatch.setattr(oracle, "count_at_exponent", _refuse)
+    monkeypatch.setattr(oracle, "_minor_gcds", _refuse)
+    got = count_invariant_sublattices(a, p, top)
+    assert got == want == tuple(_totals(a.n_rows, p, top))
+
+
+@pytest.mark.parametrize("a", [diag(0), diag(7, 7), diag(-3, -3, -3)])
+def test_scalar_peel_still_refuses_a_count_over_budget(a, monkeypatch):
+    totals = _totals(a.n_rows, 2, 6)
+    monkeypatch.setattr(oracle, "_peeled", _refuse)
+    with pytest.raises(BudgetError, match="up to level 6"):
+        count_invariant_sublattices(a, 2, 6, max_candidates=sum(totals) - 1)
+    monkeypatch.undo()
+    assert count_invariant_sublattices(a, 2, 6, max_candidates=sum(totals)) == tuple(totals)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_peel_rejects_a_diagonal_entry_that_is_not_a_power_of_p(position, monkeypatch):
+    hnf = oracle.count_at_exponent
+
+    def corrupted(a, p, levels, nodes):
+        out = hnf(a, p, levels, nodes)
+        nodes[-1][-1, position, position] *= 3
+        return out
+
+    monkeypatch.setattr(oracle, "count_at_exponent", corrupted)
+    # the levels are read before any minor is expanded
+    monkeypatch.setattr(oracle, "_minor_gcds", _refuse)
+    with pytest.raises(RuntimeError, match="not a power of p"):
+        count_invariant_sublattices(n_of(Partition([2, 1, 1])), 2, 3)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1052,7 +1134,7 @@ def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
         tree = _LatticeTree(a, p, _totals(n, p, 5))
         for e in (1, 2):
             nodes = []
-            count_at_exponent(a, p, e, nodes)
+            count_at_exponent(a, p, range(e, e + 1), nodes)
             tree.record(e, nodes)
         assert tree.counts == counts
         # the children expected are the last count times its growth; the
@@ -1138,4 +1220,4 @@ def test_compositions_and_count_at_exponent_reject_bad_input():
     with pytest.raises(ValueError):
         list(compositions(2, 0))
     with pytest.raises(ValueError):
-        count_at_exponent(IntMatrix(((0, 1, 0), (0, 0, 1))), 2, 1)
+        count_at_exponent(IntMatrix(((0, 1, 0), (0, 0, 1))), 2, range(1, 2))
