@@ -31,6 +31,12 @@ polynomial, a binomial product or a global formula reads is decided by its
 own class (IntPoly, BinomialProduct, GlobalZetaExpression), one layout for
 both text and LaTeX.  Errors go to stderr from main.
 
+Limits: analyze accepts every matrix with n <= 24 (it factors minimal
+polynomials of degree <= 24, and a larger one exits 1 with a hint to pass
+--edv); verify exits 3 past --max-n or --budget; special zpxn takes N <= 1000
+and special powerseries N <= 100000, each well under a second.  A larger N,
+or a MATRIX that is not square or has no entries, is a usage error.
+
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
 exceeded.
@@ -75,6 +81,8 @@ from .zetacore import (
 
 ENV_PREFIX = "SUBMODZETA_"
 FORMATS = ("text", "json", "latex")
+ZPXN_MAX = 1000
+POWERSERIES_MAX = 100_000
 
 
 class UsageError(Exception):
@@ -182,14 +190,16 @@ def load_matrix(text: str) -> IntMatrix:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise UsageError(f"matrix is not valid JSON: {exc}") from exc
+    if not isinstance(data, (dict, list)):
+        raise UsageError("matrix must be a list of rows or {n, entries}")
     try:
-        if isinstance(data, dict):
-            return IntMatrix.from_json(data)
-        if isinstance(data, list) and data:
-            return IntMatrix(data)
+        matrix = IntMatrix.from_json(data) if isinstance(data, dict) else IntMatrix(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid matrix: {exc}") from exc
-    raise UsageError("matrix must be a non-empty list of rows or {n, entries}")
+    if not matrix.is_square or not matrix.n_rows:
+        raise UsageError("matrix must be square and non-empty, got "
+                         f"{matrix.n_rows} x {matrix.n_cols}")
+    return matrix
 
 
 def load_edv(path: str) -> ElementaryDivisorVector:
@@ -367,11 +377,18 @@ def _int_arg(value, what) -> int:
         raise UsageError(f"{what}: {value!r} is not an integer") from exc
 
 
+def _size_arg(value, what: str, noun: str, limit: int) -> int:
+    n = _int_arg(value, what)
+    if n < 1:
+        raise UsageError(f"{what} needs a positive {noun}")
+    if n > limit:
+        raise UsageError(f"{what}: {noun} {n} exceeds the limit {limit}")
+    return n
+
+
 def cmd_special(args) -> int:
     if args.what == "zpxn":
-        n = _int_arg(args.n, "zpxn")
-        if n < 1:
-            raise UsageError("zpxn needs a positive block size")
+        n = _size_arg(args.n, "zpxn", "block size", ZPXN_MAX)
         product = zpxn_zeta(n)
         _emit(
             args.format,
@@ -382,9 +399,7 @@ def cmd_special(args) -> int:
         return 0
 
     if args.what == "powerseries":
-        n = _int_arg(args.n, "powerseries")
-        if n < 1:
-            raise UsageError("powerseries needs a positive coefficient count")
+        n = _size_arg(args.n, "powerseries", "coefficient count", POWERSERIES_MAX)
         coeffs = powerseries_ring_coeffs(n)
         _emit(
             args.format,

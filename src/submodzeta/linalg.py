@@ -26,6 +26,7 @@ from itertools import chain, zip_longest
 
 import numpy as np
 from sympy import ZZ
+from sympy.polys.densearith import dup_rem
 from sympy.polys.euclidtools import dup_lcm
 from sympy.polys.matrices import DomainMatrix
 
@@ -88,21 +89,6 @@ class IntPoly:
             base = base * base
             k >>= 1
         return result
-
-    def divmod_monic(self, g: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Quotient and remainder by a monic divisor; stays over the integers."""
-        if not isinstance(g, IntPoly) or not g.is_monic:
-            raise ValueError("divisor must be monic")
-        rem = list(self._coeffs)
-        dg = g.degree
-        q = [0] * max(0, len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i]
-            if c:
-                q[i - dg] = c
-                for k, gc in enumerate(g.coeffs):
-                    rem[i - dg + k] -= c * gc
-        return IntPoly(q), IntPoly(rem)
 
     def derivative(self) -> IntPoly:
         return IntPoly([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -451,9 +437,9 @@ def minpoly(a: IntMatrix, starts=None) -> IntPoly:
     chains = (_vector_minpoly(list(start), cols) for start in starts)
     best = next(chains)
     for local in chains:
-        lcm = dup_lcm(list(reversed(best.coeffs)), list(reversed(local.coeffs)), ZZ)
-        lcm = IntPoly([int(c) for c in reversed(lcm)])
-        if not (lcm.divmod_monic(best)[1].is_zero and lcm.divmod_monic(local)[1].is_zero):
+        f, g = list(reversed(best.coeffs)), list(reversed(local.coeffs))
+        lcm = dup_lcm(f, g, ZZ)
+        if dup_rem(lcm, f, ZZ) or dup_rem(lcm, g, ZZ):
             raise RuntimeError("lcm must be divisible by both polynomials")
-        best = lcm
+        best = IntPoly([int(c) for c in reversed(lcm)])
     return best

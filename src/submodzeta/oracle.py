@@ -148,9 +148,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import sympy
+from sympy.core.intfunc import igcdex
 
 from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
 
@@ -160,31 +162,24 @@ DEFAULT_MAX_CANDIDATES = 120_000_000
 _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
 # Bases per batch of packed diagonals, and (node, subspace) pairs per tree
 # kernel call.  Where packed diagonals differ, their pivots are arrays, and
-# dividing by an array costs more than by an int: on the verify-dense
-# inputs, packing up to 4096 bases took 6-10 % less oracle time than packing
-# up to _BATCH.  Tree calls of up to _BATCH pairs, with the patterns of a
-# codimension packed, raised the traced peak memory of a 4x4 nilpotent
-# count at p = 2, E = 5 from 5.6 to 7.2 MiB.
+# dividing by an array costs more than by an int.  Over 400 operations of
+# each verify workload (seed 1), no batch held more than 3515 bases, no tree
+# call more than 381 pairs, and `_split` never ran; on the five slowest
+# level-loop counts below, _PACK = _BATCH changed the oracle time by 1-3 %.
 _PACK = 1 << 12
 
 # The tree's cost in units of one HNF candidate: per subspace tested, per
-# child it is expected to build, and per node level it expands.  Timed per
-# level on the verify workloads' inputs (int64 path, one CPU, each level
-# produced both ways from the same state), a tree level costs 0.2, 0.4 and
-# 0.7 ms per node level at n = 2, 3 and 4, plus 0.2-0.4 us per subspace and,
-# at n = 3 and 4, 0.3-0.5 us per child built; an HNF level costs 0.09-0.2 ms
-# plus 5-18 ns per candidate and 30-190 ns per lattice it keeps for the
-# tree.  The tree builds 1-7 times as many children as the estimate: it finds
-# a lattice once from each of its parents.  Over whole counts of those
-# inputs, the dense total stayed within 1 % of its best for a subspace cost
-# of 2-6, a child cost of 20-45 and a level cost of 1000-8000; the level
-# cost decides the sparse levels.  At 1000, one node level weighs what a
-# sparse HNF level of about 1000 candidates does at n = 2 (0.13-0.2 ms
-# each).  At 1200, x^2+1 at p = 3, E = 7 moved level 6 (1093 candidates,
-# one node level) to HNF and ran 6 % slower; at 250 the large-entry x^2+1
-# at p = 5 moved to the tree and ran 20 % slower.  Without the subspace
-# term the dense p95 rose 5-10 %, without the child term the dense total
-# 11-12 %, and without the level term the sparse total 7-11 %.
+# child it is expected to build, and per node level it expands, fitted to
+# per-level timings of inputs the peel now counts.  Measured since on 160
+# counts that reach the level loop (random 2x2-4x4 matrices, entries in
+# [-9, 9], and cI + p^k*B, p <= 7, at most 10^6 candidates each) and on the
+# 72 verify-sparse counts of seeds 1-3 (one CPU of a 2-vCPU machine, best
+# of 9 per input; repeat runs differ by up to 3 % in total):
+# * without the subspace and child terms, 18 of the 160 change producers
+#   and take 5 times as long in total (0.8-8.2 times each);
+# * the child term alone changes no decision on either set;
+# * a level term of 0, 250 or 1200 changes the producers of 45, 27 and 21
+#   verify-sparse counts, and their oracle time by at most 7 %.
 _TREE_SUBSPACE = 3
 _TREE_CHILD = 30
 _TREE_LEVEL = 1000
@@ -195,15 +190,15 @@ class BudgetError(RuntimeError):
 
 
 def compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`, ascending lex."""
+    """All tuples of `parts` non-negative integers summing to `total`, ascending lex.
+
+    Stars and bars: the parts are the gaps between 0, the parts - 1 cuts and
+    total, and `itertools.combinations_with_replacement` yields cuts in lex order.
+    """
     if parts < 1:
         raise ValueError("compositions need at least one part")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, cuts + (total,), (0,) + cuts))
 
 
 def _level_totals(n: int, p: int):
@@ -483,7 +478,8 @@ class _LatticeTree:
 
     levels[l] holds the int64 HNF bases C of the invariant lattices of level
     l, whose actions C*A*C^-1 `_expand` solves.  pending[l] holds the distinct
-    child bases found so far at a level not yet produced.  totals[e] is the
+    child bases found so far at a level not yet produced, and patterns the
+    subspace batches of each (codimension, dtype) met so far.  totals[e] is the
     candidate total of level e (from _level_totals), the HNF cost of level
     e, and counts[e] the number of invariant lattices of level e, for the
     levels found so far.
@@ -501,6 +497,7 @@ class _LatticeTree:
         self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE
         self.levels = {0: np.eye(n, dtype=np.int64)[None]}
         self.pending = {}
+        self.patterns = {}
         self.counts = [1]
         self.ratio = {1: self.work(1) / totals[1]} if top else {}
 
@@ -558,7 +555,9 @@ class _LatticeTree:
         # candidate at level e+1 with no fall from any of the last n levels,
         # or when expanding level e alone costs more than all HNF work left;
         # without the second, [[0,1],[1,0]] at p = 2, E = 3-9, keeps more
-        # levels, which no tree level reads.
+        # levels, which no tree level reads.  The first changes the decisions
+        # on 71 of the 160 level-loop counts above _TREE_SUBSPACE: 27 of them
+        # ran 1.1-4.5 times faster without it, and four 1.6-2.2 times slower.
         if (e == top
                 or self._cost(e + 1, [e]) >= sum(self.totals[e + 1:])
                 or self.ratio[e + 1] >= max(1, min(self.ratio[f] for f in
@@ -569,6 +568,18 @@ class _LatticeTree:
             return
         for l in [l for l in self.levels if l <= e - n]:
             del self.levels[l]
+
+    def _patterns(self, k: int, dtype) -> list:
+        """The batches of the subspaces of codimension k, R in reduced row echelon
+        form with diagonal entries in {1, p}, in dtype; built once per tree."""
+        key = (k, dtype)
+        if key not in self.patterns:
+            n, p = self.n, self.p
+            patterns = [(d, [(i, j) for j in range(n) for i in range(j)
+                             if d[i] == 1 and d[j] == p])
+                        for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
+            self.patterns[key] = list(_batches(n, patterns, dtype))
+        return self.patterns[key]
 
     def _expand(self, l: int, e: int) -> None:
         """Test every subspace of every node of level l whose child lands at >= e."""
@@ -591,10 +602,7 @@ class _LatticeTree:
         tested = 0
         for k in range(max(1, e - l), min(n, self.top - l) + 1):
             found = [self.pending.pop(l + k)] if l + k in self.pending else []
-            patterns = [(d, [(i, j) for j in range(n) for i in range(j)
-                             if d[i] == 1 and d[j] == p])
-                        for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
-            for r, size in _batches(n, patterns, dtype):
+            for r, size in self._patterns(k, dtype):
                 rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
                 step = max(1, _PACK // size)
                 for s in range(0, len(c), step):
@@ -651,17 +659,6 @@ def _reduced(a: IntMatrix, modulus: int) -> IntMatrix:
     return IntMatrix(shifted)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
-
-
 def _last_power(m, k: int):
     """N^(j-1) for the leading k x k block N of m, j its nilpotency index; None when N = 0.
 
@@ -696,9 +693,7 @@ def _flag(m):
         if power is None:
             break
         v = next(row for row in power if any(row))
-        g = 0
-        for x in v:
-            g = _xgcd(g, x)[0]
+        g = math.gcd(*v)
         if v[-1] < 0:
             g = -g
         v = [x // g for x in v]
@@ -707,7 +702,7 @@ def _flag(m):
             a, b = v[i], v[l]
             if not a:
                 continue
-            g, s, t = _xgcd(a, b)
+            s, t, g = igcdex(a, b)
             a, b = a // g, b // g
             # E on columns (i, l): [[b, s], [-a, t]]; E^-1 on rows: [[t, -s], [a, b]]
             v[i], v[l] = 0, g

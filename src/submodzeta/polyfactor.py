@@ -21,9 +21,8 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.galoistools import (
     gf_ddf_zassenhaus,
     gf_degree,
-    gf_diff,
     gf_from_int_poly,
-    gf_gcd,
+    gf_sqf_p,
 )
 
 from .linalg import IntPoly
@@ -95,7 +94,7 @@ def splitting_profile(f: IntPoly, p: int) -> SplittingProfile:
     if not f.is_monic or f.degree < 1:
         raise ValueError("splitting_profile wants a monic polynomial of degree >= 1")
     fbar = gf_from_int_poly(list(reversed(f.coeffs)), p)
-    if gf_gcd(fbar, gf_diff(fbar, p, ZZ), p, ZZ) != [1]:
+    if not gf_sqf_p(fbar, p, ZZ):
         return SplittingProfile(p, (), True)
     degrees = []
     for g, d in gf_ddf_zassenhaus(fbar, p, ZZ):

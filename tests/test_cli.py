@@ -421,6 +421,33 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "[[]]"], "matrix must be square and non-empty, got 1 x 0"),
+    (["analyze", '{"n": 0, "entries": []}'], "matrix must be square and non-empty, got 0 x 0"),
+    (["verify", "[[1,2],[3,4],[5,6]]", "--primes", "3"],
+     "matrix must be square and non-empty, got 3 x 2"),
+], ids=["analyze-1x0", "analyze-0x0", "verify-3x2"])
+def test_a_matrix_that_is_not_square_or_is_empty_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("what, limit, message", [
+    ("zpxn", cli.ZPXN_MAX, "zpxn: block size {} exceeds the limit {}"),
+    ("powerseries", cli.POWERSERIES_MAX, "powerseries: coefficient count {} exceeds the limit {}"),
+], ids=["zpxn", "powerseries"])
+def test_special_sizes_past_their_limit_are_refused_quickly(capsys, what, limit, message):
+    assert main(["special", what, str(limit)]) == 0
+    capsys.readouterr()
+    for n in (limit + 1, 10 ** 12):
+        start = time.perf_counter()
+        assert main(["special", what, str(n)]) == 1
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message.format(n, limit)}\n"
+
+
 def test_an_unreadable_matrix_path_is_a_usage_error(capsys, tmp_path):
     """A matrix path that cannot be read fails as an unreadable --edv file does."""
     assert main(["analyze", str(tmp_path)]) == 1

@@ -67,6 +67,10 @@ def test_compositions_order_and_count():
     assert len(got) == 6  # C(2+2, 2)
     assert all(sum(c) == 2 for c in got)
     assert list(compositions(0, 2)) == [(0, 0)]
+    for e in range(7):
+        for n in range(1, 5):
+            lex = [c for c in itertools.product(range(e + 1), repeat=n) if sum(c) == e]
+            assert list(compositions(e, n)) == lex
 
 
 def test_candidate_total_matches_visits():
@@ -640,6 +644,26 @@ def test_tree_level_raises_when_it_tests_too_few_subspaces(monkeypatch):
         tree.produce(2)
 
 
+def test_the_tree_builds_each_subspace_pattern_set_once_per_count(monkeypatch):
+    """x^2+1 at p = 13 splits; the tree produces three of its levels, and
+    expands nodes of several levels for each, but builds the batches of
+    each (codimension, dtype) pattern set once.  An HNF level lets every
+    diagonal run over all positions above it; a pattern set has a diagonal
+    with no free position."""
+    built = []
+    batches = oracle._batches
+
+    def recording(n, level, dtype):
+        built.append((tuple((d, tuple(free)) for d, free in level), dtype))
+        return batches(n, level, dtype)
+
+    monkeypatch.setattr(oracle, "_batches", recording)
+    assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
+    patterns = [key for key in built if any(not free for _, free in key[0])]
+    assert len(patterns) == 2
+    assert len(set(built)) == len(built)
+
+
 def _level_loop(a, p, top):
     """The counts of the level loop alone, on the matrix count_invariant_sublattices
     prepares: a matrix it would count from its trailing block is counted whole."""
@@ -647,8 +671,9 @@ def _level_loop(a, p, top):
     return tuple(oracle._level_counts(prepared, p, _totals(a.n_rows, p, top)))
 
 
-def _recorded_hnf_levels(monkeypatch, a, p, top):
-    """(e, whether the level's nodes were kept) for every HNF-enumerated level of the level loop."""
+def _recorded_hnf_levels(monkeypatch, a, p, top, count=None):
+    """(e, whether the level's nodes were kept) for every HNF-enumerated level
+    of the level loop, or of `count` when it is given."""
     seen = []
     hnf_level = oracle.count_at_exponent
 
@@ -657,7 +682,7 @@ def _recorded_hnf_levels(monkeypatch, a, p, top):
         return hnf_level(a, p, levels, nodes)
 
     monkeypatch.setattr(oracle, "count_at_exponent", recording)
-    _level_loop(a, p, top)
+    (count or _level_loop)(a, p, top)
     return seen
 
 
@@ -1118,6 +1143,16 @@ def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
     assert got[-1] == (5, False)
     assert _level_loop(a, 2, 5) == (1, 7, 43, 211, 995, 4355)
     assert count_invariant_sublattices(a, 2, 5) == (1, 7, 43, 211, 995, 4355)
+
+
+def test_cost_rule_gives_up_on_a_dense_count_that_reaches_the_level_loop(monkeypatch):
+    # its first column stays nonzero below the diagonal, so it is not
+    # peeled; the ratio rule stops keeping nodes after level 1, and without
+    # it they are kept through level 3, which no tree level reads
+    a = IntMatrix([[9, 16, -8], [24, 25, -16], [16, 8, 9]])
+    assert count_invariant_sublattices(a, 2, 6) == (1, 7, 35, 155, 267, 555, 811)
+    got = _recorded_hnf_levels(monkeypatch, a, 2, 6, count_invariant_sublattices)
+    assert got == [(1, True)] + [(e, False) for e in range(2, 7)]
 
 
 def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
