@@ -34,8 +34,10 @@ both text and LaTeX.  Errors go to stderr from main.
 Limits: analyze accepts every matrix with n <= 24 (it factors minimal
 polynomials of degree <= 24, and a larger one exits 1 with a hint to pass
 --edv); verify exits 3 past --max-n or --budget; special zpxn takes N <= 1000
-and special powerseries N <= 100000, each well under a second.  A larger N,
-or a MATRIX that is not square or has no entries, is a usage error.
+and special powerseries N <= 100000, and analyze --edv and special fe-check
+an EDV of size n <= 1000 (deg f times partition size, summed), each well
+under a second.  A larger N or n, or a MATRIX that is not square or has no
+entries, is a usage error.
 
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
@@ -83,6 +85,7 @@ ENV_PREFIX = "SUBMODZETA_"
 FORMATS = ("text", "json", "latex")
 ZPXN_MAX = 1000
 POWERSERIES_MAX = 100_000
+EDV_MAX = 1000
 
 
 class UsageError(Exception):
@@ -238,7 +241,9 @@ def cmd_analyze(args) -> int:
     if args.edv:
         if args.matrix is not None:
             raise UsageError("analyze takes a matrix argument or --edv, not both")
-        ctx = EdvContext(load_edv(args.edv), 1)
+        edv = load_edv(args.edv)
+        _size_arg(edv.n, "analyze --edv", "size", EDV_MAX)
+        ctx = EdvContext(edv, 1)
         matrix = None
     else:
         if args.matrix is None:
@@ -412,6 +417,7 @@ def cmd_special(args) -> int:
         tokens = ([args.n] if args.n is not None else []) + list(args.parts)
         lam = _parse_partition(tokens)
         edv = ElementaryDivisorVector.from_pairs([(IntPoly((0, 1)), lam)])
+        _size_arg(edv.n, "fe-check", "size", EDV_MAX)
         p, data, verified = _fe_check(EdvContext(edv, 1))
         _emit(
             args.format,

@@ -250,6 +250,8 @@ class IntMatrix:
         entries = obj["entries"]
         if not isinstance(n, int) or not isinstance(entries, list):
             raise ValueError("malformed matrix JSON")
+        if isinstance(n, bool):
+            raise ValueError(f"integer n required, got {n!r}")
         m = cls(entries)
         if m.n_rows != n or m.n_cols != n:
             raise ValueError(f"matrix JSON says n={n} but entries are {m.n_rows}x{m.n_cols}")

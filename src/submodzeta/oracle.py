@@ -128,20 +128,22 @@ Each level comes from whichever of two producers is cheaper:
   reduced to HNF, the children of one codimension are deduplicated with
   those already found at their level.
 
-The tree's cost of a level, in units of one HNF candidate, charges each
-subspace it tests, each child it is expected to build, and each node level
-it expands that is not empty.  The children are estimated from the counts
-already found, as the last count times its growth over the one before, so
-every decision reads counts and never clocks.  The tree produces a level
-when its cost is below the level's candidate total, which never holds at
-level 1: the root alone has at least as many subspaces as there are level-1
-candidates.  A kept level, from either producer, holds only the int64 HNF
-bases C of its invariant lattices.  When the tree expands it, one kernel
-call solves their actions C*A*C^-1, with a pivot per basis, and its
-entries are the node columns the subspace tests read.  Levels are kept
-only while the tree can still pay off, and never the top level.  Entries
-are int64 arrays whenever a rigorous worst-case bound keeps every
-intermediate below 2^62, and Python integers (dtype object) otherwise.
+The tree's cost of expanding kept levels, in units of one HNF candidate,
+charges each subspace it tests, each child it is expected to build, and
+each node level it expands that is not empty.  The children are estimated
+from the counts already found, as the last count times its growth over the
+one before, so every decision reads counts and never clocks.  That one
+cost, set against candidate totals, decides every tree choice.  The tree
+produces a level when expanding every kept level costs less than the
+level's total, never at level 1: the root alone has as many subspaces as
+there are level-1 candidates.  It stops keeping levels at the top, or once
+expanding the last one alone costs at least the totals of all levels left.
+A kept level, from either producer, holds only the int64 HNF bases C of
+its invariant lattices.  When the tree expands it, one kernel call solves
+their actions C*A*C^-1, with a pivot per basis, and its entries are the
+node columns the subspace tests read.  Entries are int64 arrays whenever a
+rigorous worst-case bound keeps every intermediate below 2^62, and Python
+integers (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -172,14 +174,16 @@ _PACK = 1 << 12
 # child it is expected to build, and per node level it expands, fitted to
 # per-level timings of inputs the peel now counts.  Measured since on 160
 # counts that reach the level loop (random 2x2-4x4 matrices, entries in
-# [-9, 9], and cI + p^k*B, p <= 7, at most 10^6 candidates each) and on the
-# 72 verify-sparse counts of seeds 1-3 (one CPU of a 2-vCPU machine, best
-# of 9 per input; repeat runs differ by up to 3 % in total):
-# * without the subspace and child terms, 18 of the 160 change producers
-#   and take 5 times as long in total (0.8-8.2 times each);
-# * the child term alone changes no decision on either set;
-# * a level term of 0, 250 or 1200 changes the producers of 45, 27 and 21
-#   verify-sparse counts, and their oracle time by at most 7 %.
+# [-9, 9], and cI + p^k*B, p <= 7, at most 10^6 candidates each; one CPU,
+# best of 7 per input):
+# * without the child term, 38 of them change decisions and take 1.24 times
+#   as long in total (0.83-3.3 times each), and the level loop has the tree
+#   produce level 5 of [[1,0,0,1],[3,0,0,3],[1,0,0,1],[-1,0,0,-1]] at p = 2,
+#   a (2,1,1) nilpotent verify-dense draws: 16-19 ms in place of 5.5-6.1 ms;
+# * without the subspace and child terms, 89 change decisions and take 12
+#   times as long in total (0.8-47 times each);
+# * on the 452 distinct verify-sparse counts of seeds 1-3, neither changes
+#   a decision, and a level term of 0, 250 or 1200 changes 274, 170 and 137.
 _TREE_SUBSPACE = 3
 _TREE_CHILD = 30
 _TREE_LEVEL = 1000
@@ -499,17 +503,10 @@ class _LatticeTree:
         self.pending = {}
         self.patterns = {}
         self.counts = [1]
-        self.ratio = {1: self.work(1) / totals[1]} if top else {}
 
     def _span(self, level: int, e: int) -> int:
         """Subspaces tested per node of `level` when it is expanded for level e."""
         return sum(self.gauss[max(1, e - level):min(self.n, self.top - level) + 1])
-
-    def work(self, e: int, levels=None) -> int:
-        """Subspaces the tree must test to expand the kept `levels`, by default
-        all of them, for level e."""
-        return sum(len(self.levels[l]) * self._span(l, e)
-                   for l in (self.levels if levels is None else levels) if l < e)
 
     def _cost(self, e: int, levels) -> int:
         """The cost, in HNF candidates, of expanding the kept `levels` for level e.
@@ -518,9 +515,10 @@ class _LatticeTree:
         and the children expected: the last count times its growth over the
         one before.
         """
+        subspaces = sum(len(self.levels[l]) * self._span(l, e) for l in levels)
         expanded = sum(1 for l in levels if len(self.levels[l]))
         last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
-        return (_TREE_SUBSPACE * self.work(e, levels)
+        return (_TREE_SUBSPACE * subspaces
                 + _TREE_CHILD * (last * last // max(1, before)) + _TREE_LEVEL * expanded)
 
     def cheaper(self, e: int) -> bool:
@@ -545,28 +543,16 @@ class _LatticeTree:
     def prune(self, e: int) -> None:
         """After level e, drop the levels whose children all land at or below e.
 
-        Once the kept levels cannot pay off any more, drop them all and stop
-        keeping: HNF enumeration then produces every remaining level.
+        Give up at the top level, or when expanding level e alone would cost
+        at least all the HNF candidates left: then drop every kept level and
+        stop keeping, and HNF enumeration produces every remaining level.
         """
-        n, top = self.n, self.top
-        if e < top:
-            self.ratio[e + 1] = self.work(e + 1) / self.totals[e + 1]
-        # Give up when the tree would test at least one subspace per HNF
-        # candidate at level e+1 with no fall from any of the last n levels,
-        # or when expanding level e alone costs more than all HNF work left;
-        # without the second, [[0,1],[1,0]] at p = 2, E = 3-9, keeps more
-        # levels, which no tree level reads.  The first changes the decisions
-        # on 71 of the 160 level-loop counts above _TREE_SUBSPACE: 27 of them
-        # ran 1.1-4.5 times faster without it, and four 1.6-2.2 times slower.
-        if (e == top
-                or self._cost(e + 1, [e]) >= sum(self.totals[e + 1:])
-                or self.ratio[e + 1] >= max(1, min(self.ratio[f] for f in
-                                                   range(max(1, e + 1 - n), e + 1)))):
+        if e == self.top or self._cost(e + 1, [e]) >= sum(self.totals[e + 1:]):
             self.keeping = False
             self.levels.clear()
             self.pending.clear()
             return
-        for l in [l for l in self.levels if l <= e - n]:
+        for l in [l for l in self.levels if l <= e - self.n]:
             del self.levels[l]
 
     def _patterns(self, k: int, dtype) -> list:
@@ -867,7 +853,7 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
-    if not isinstance(max_exp, int) or max_exp < 0:
+    if not isinstance(max_exp, int) or isinstance(max_exp, bool) or max_exp < 0:
         raise ValueError("max_exp must be a non-negative integer")
     if not a.is_square:
         raise ValueError("matrix must be square")

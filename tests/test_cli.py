@@ -436,7 +436,8 @@ def test_a_matrix_that_is_not_square_or_is_empty_is_a_usage_error(capsys, argv, 
 @pytest.mark.parametrize("what, limit, message", [
     ("zpxn", cli.ZPXN_MAX, "zpxn: block size {} exceeds the limit {}"),
     ("powerseries", cli.POWERSERIES_MAX, "powerseries: coefficient count {} exceeds the limit {}"),
-], ids=["zpxn", "powerseries"])
+    ("fe-check", cli.EDV_MAX, "fe-check: size {} exceeds the limit {}"),
+], ids=["zpxn", "powerseries", "fe-check"])
 def test_special_sizes_past_their_limit_are_refused_quickly(capsys, what, limit, message):
     assert main(["special", what, str(limit)]) == 0
     capsys.readouterr()
@@ -446,6 +447,37 @@ def test_special_sizes_past_their_limit_are_refused_quickly(capsys, what, limit,
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message.format(n, limit)}\n"
+
+
+def test_an_edv_past_the_size_limit_is_refused_quickly(capsys, tmp_path):
+    """Both EDV commands share one limit on the size, deg f times the size of
+    the partition: at the limit, x and x^2 + 1 run in under a second, and
+    past it they are refused as quickly."""
+    edv_file = tmp_path / "edv.json"
+    for poly, degree in (([0, 1], 1), ([1, 0, 1], 2)):
+        at = cli.EDV_MAX // degree
+        for cells, rc in ((at, 0), (at + 1, 1), (10 ** 12, 1)):
+            edv_file.write_text(json.dumps([{"poly": poly, "partition": [cells]}]))
+            runs = {"analyze --edv": ["analyze", "--edv", str(edv_file)]}
+            if degree == 1:
+                runs["fe-check"] = ["special", "fe-check", str(cells)]
+            for what, argv in runs.items():
+                start = time.perf_counter()
+                assert main(argv) == rc
+                assert time.perf_counter() - start < 1
+                out, err = capsys.readouterr()
+                if rc:
+                    assert out == "" and err == (f"error: {what}: size {cells * degree} "
+                                                 f"exceeds the limit {cli.EDV_MAX}\n")
+
+
+def test_a_bool_matrix_size_is_refused(capsys):
+    """JSON true is not the integer 1, as a bool entry is not an integer entry."""
+    assert main(["analyze", '{"n": true, "entries": [[5]]}']) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: invalid matrix: integer n required, got True\n"
+    assert main(["analyze", '{"n": 1, "entries": [[true]]}']) == 1
+    assert capsys.readouterr().err == "error: invalid matrix: integer entries required, got True\n"
 
 
 def test_an_unreadable_matrix_path_is_a_usage_error(capsys, tmp_path):

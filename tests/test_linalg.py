@@ -673,5 +673,7 @@ def test_matrix_json():
         IntMatrix.from_json({"n": 3, "entries": [[0, 1], [2, 3]]})
     with pytest.raises(ValueError):
         IntMatrix.from_json({"entries": "nope"})
+    with pytest.raises(ValueError, match="integer n required, got True"):
+        IntMatrix.from_json({"n": True, "entries": [[5]]})
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])

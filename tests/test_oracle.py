@@ -364,6 +364,8 @@ def test_input_validation():
         count_invariant_sublattices(diag(0, 0), 4, 2)  # not prime
     with pytest.raises(ValueError):
         count_invariant_sublattices(diag(0, 0), 2, -1)
+    with pytest.raises(ValueError, match="max_exp must be a non-negative integer"):
+        count_invariant_sublattices(diag(0, 0), 2, True)  # a bool is not a size
     with pytest.raises(ValueError):
         count_invariant_sublattices(
             IntMatrix(((0, 1, 0), (0, 0, 1))), 2, 2
@@ -1128,9 +1130,11 @@ def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
 
 
 def test_cost_rule_keeps_dense_levels_on_hnf(monkeypatch):
-    # every sublattice is invariant: the nodes stop being kept after level 1
+    # every sublattice is invariant: HNF enumeration produces every level,
+    # and the nodes stop being kept after level 5, where expanding that
+    # level alone would cost at least the candidates of levels 6-10
     got = _recorded_hnf_levels(monkeypatch, diag(0, 0), 2, 10)
-    assert got == [(1, True)] + [(e, False) for e in range(2, 11)]
+    assert got == [(e, e <= 5) for e in range(1, 11)]
 
 
 def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
@@ -1147,12 +1151,33 @@ def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
 
 def test_cost_rule_gives_up_on_a_dense_count_that_reaches_the_level_loop(monkeypatch):
     # its first column stays nonzero below the diagonal, so it is not
-    # peeled; the ratio rule stops keeping nodes after level 1, and without
-    # it they are kept through level 3, which no tree level reads
+    # peeled; the nodes are kept through level 3, and no tree level reads them
     a = IntMatrix([[9, 16, -8], [24, 25, -16], [16, 8, 9]])
     assert count_invariant_sublattices(a, 2, 6) == (1, 7, 35, 155, 267, 555, 811)
     got = _recorded_hnf_levels(monkeypatch, a, 2, 6, count_invariant_sublattices)
-    assert got == [(1, True)] + [(e, False) for e in range(2, 7)]
+    assert got == [(e, e <= 3) for e in range(1, 7)]
+
+
+def test_cost_rule_hands_the_top_levels_of_a_shifted_count_to_the_tree(monkeypatch):
+    # twice a matrix whose first column is nonzero below the diagonal: HNF
+    # enumeration produces levels 1-5, keeping their nodes, and the tree 6-9
+    a = IntMatrix([[0, 0, 6], [-4, -8, 4], [-6, 2, -2]])
+    want = (1, 7, 11, 23, 27, 39, 43, 55, 59, 71)
+    produced = []
+    produce = _LatticeTree.produce
+
+    def producing(self, e):
+        produced.append(e)
+        return produce(self, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_LatticeTree, "produce", producing)
+        got = _recorded_hnf_levels(mp, a, 2, 9, count_invariant_sublattices)
+    assert got == [(e, True) for e in range(1, 6)]
+    assert produced == [6, 7, 8, 9]
+    assert count_invariant_sublattices(a, 2, 9) == want
+    _forced(monkeypatch, False)
+    assert _level_loop(a, 2, 9) == want
 
 
 def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
@@ -1177,8 +1202,9 @@ def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
         levels = sum(1 for c in tree.levels.values() if len(c))
         assert levels == (3 if counts[1] else 2)
         children = oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
+        subspaces = sum(len(c) * tree._span(l, 3) for l, c in tree.levels.items())
         assert tree._cost(3, tree.levels) == (
-            oracle._TREE_SUBSPACE * tree.work(3) + children + oracle._TREE_LEVEL * levels)
+            oracle._TREE_SUBSPACE * subspaces + children + oracle._TREE_LEVEL * levels)
         # level 2 alone, as prune weighs it, charges its own subspaces only
         assert tree._cost(3, [2]) == (
             oracle._TREE_SUBSPACE * counts[2] * tree._span(2, 3) + children + oracle._TREE_LEVEL)
@@ -1219,6 +1245,33 @@ def test_either_producer_at_every_level_gives_the_default_counts(rows, p):
             produced = _forced(mp, tree)
             assert _level_loop(a, p, top) == want
         assert produced == (list(range(1, top + 1)) if tree else [])
+
+
+@st.composite
+def _shifted_counts(draw):
+    """(cI + p^k*B, p, E): n = 2-4, p <= 5, k < E and at most 10^5 candidates,
+    the counts where the level loop can switch producers between levels."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([2, 3, 5]))
+    top = draw(st.sampled_from([e for e in range(1, 13) if sum(_totals(n, p, e)) <= 10 ** 5]))
+    k = draw(st.integers(0, top - 1))
+    c = draw(st.integers(-9, 9))
+    b = draw(_square(n, st.integers(-9, 9)))
+    a = IntMatrix([[c * (i == j) + p ** k * x for j, x in enumerate(row)]
+                   for i, row in enumerate(b)])
+    return a, p, top
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_shifted_counts(), st.randoms(use_true_random=False))
+def test_shifted_counts_match_hnf_levels_and_unimodular_conjugates(case, rng):
+    a, p, top = case
+    want = count_invariant_sublattices(a, p, top)
+    conj = _conjugate(random_unimodular(rng, a.n_rows), a)
+    assert count_invariant_sublattices(conj, p, top) == want
+    with pytest.MonkeyPatch.context() as mp:
+        _forced(mp, False)
+        assert _level_loop(a, p, top) == want
 
 
 def test_upper_hnf_reduction_matches_linalg_hnf():
