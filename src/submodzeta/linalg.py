@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
-Dense matrices over Z, integer polynomials, resultants, fraction-free
-ranks, left kernels and minimal polynomials.  A rational left kernel
-basis is returned as (rows, den): integer rows over one denominator,
-standing for rows / den.
+Dense matrices over Z, integer polynomials, resultants, ranks, left kernels
+and minimal polynomials.  sympy gives resultants and polynomial products;
+one fraction-free row reduction gives ranks and Krylov relations.  A left
+kernel basis is (rows, den): integer rows over one denominator, rows / den.
 
 Entries are arbitrary-precision ints, and every answer is exact.  Matrix
 products run in numpy int64 where a bound proves that no sum can overflow,
@@ -26,8 +26,8 @@ from itertools import chain, zip_longest
 
 import numpy as np
 from sympy import ZZ
-from sympy.polys.densearith import dup_rem
-from sympy.polys.euclidtools import dup_lcm
+from sympy.polys.densearith import dup_mul, dup_pow, dup_rem
+from sympy.polys.euclidtools import dup_lcm, dup_resultant
 from sympy.polys.matrices import DomainMatrix
 
 
@@ -59,36 +59,18 @@ class IntPoly:
         return len(self._coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self._coeffs) and self._coeffs[-1] == 1
 
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return _from_dup(dup_mul(_dup(self), _dup(other), ZZ))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = IntPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _from_dup(dup_pow(_dup(self), k, ZZ))
 
     def derivative(self) -> IntPoly:
         return IntPoly([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -142,26 +124,26 @@ class IntPoly:
         return out
 
 
+def _dup(f: IntPoly) -> list[int]:
+    return list(reversed(f.coeffs))  # sympy's dense form, highest degree first
+
+
+def _from_dup(coeffs) -> IntPoly:
+    # int(): with gmpy2 installed, sympy's ZZ elements are mpz
+    return IntPoly([int(c) for c in reversed(coeffs)])
+
+
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of two integer polynomials: the determinant of their Sylvester
-    matrix, by fraction-free (Bareiss) elimination."""
+    """Resultant of two integer polynomials, the determinant of their Sylvester
+    matrix.  sympy's dup_resultant returns Res(g, f) when deg f < deg g, so
+    the higher-degree one goes first, and Res(f, g) = (-1)^(deg f deg g) Res(g, f).
+    """
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial is undefined")
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
-    rows = []
-    frow = list(reversed(f.coeffs))  # highest degree first
-    grow = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + frow + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + grow + [0] * (size - n - 1 - i))
-    rank, sign, pivot = _bareiss(IntMatrix(rows))
-    return sign * pivot if rank == size else 0
+    if m < n:
+        return (-1) ** (m * n) * int(dup_resultant(_dup(g), _dup(f), ZZ))
+    return int(dup_resultant(_dup(f), _dup(g), ZZ))
 
 
 # ---------------------------------------------------------------------------
@@ -301,40 +283,35 @@ def poly_at_matrix(f: IntPoly, a: IntMatrix) -> IntMatrix:
 # fraction-free elimination
 
 
-def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) elimination on the rows of m.
+def _eliminate(row: list[int], echelon) -> list[int]:
+    """row reduced against echelon by fraction-free (Bareiss) elimination.
 
-    Returns (rank, sign, pivot): the rank over Q, the sign of the row swaps
-    made, and the last pivot (1 if there is none).  For a square m of full
-    rank, sign * pivot is det(m).
+    echelon lists (col, pivot row) pairs, each reduced the same way against
+    the pairs before it, nonzero at col, and padded with zeros when shorter
+    than row, which may be changed in place.  Each step zeroes the pivot's
+    col, deletes it, and divides exactly by the pivot before: entries stay minors.
     """
-    rows = [list(r) for r in m.entries]
-    n_rows = len(rows)
-    n_cols = m.n_cols
-    rank = 0
-    sign = 1
     prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        pivot = rows[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = rows[i][col]
-            for k in range(col + 1, n_cols):
-                rows[i][k] = (pivot * rows[i][k] - factor * rows[rank][k]) // prev
-            rows[i][col] = 0
-        prev = pivot
-        rank += 1
-    return rank, sign, prev
+    for col, pivot in echelon:
+        p, c = pivot[col], row[col]
+        if c:
+            row = [(p * x - c * y) // prev for x, y in zip_longest(row, pivot, fillvalue=0)]
+        elif p != prev:  # the same step with c = 0
+            row = [p * x // prev for x in row]
+        del row[col]
+        prev = p
+    return row
 
 
 def kernel_dim(m: IntMatrix) -> int:
-    """Dimension of the left kernel {x : x*m = 0}: n_rows minus the rank over Q."""
-    return m.n_rows - _bareiss(m)[0]
+    """Dimension of the left kernel {x : x*m = 0}: the rows that reduce to zero."""
+    echelon = []
+    for row in m.entries:
+        row = _eliminate(list(row), echelon)
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is not None:
+            echelon.append((col, row))
+    return m.n_rows - len(echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -381,39 +358,29 @@ def kernel_basis(m: IntMatrix) -> tuple[list[list[int]], int]:
 # minimal polynomials
 
 
-def _times_matrix(v: list[int], cols) -> list[int]:
-    """The row vector v*A, given the columns of A."""
-    return [sum(map(operator.mul, v, col)) for col in cols]
-
-
 def _vector_minpoly(start: list[int], cols) -> IntPoly:
     """Monic generator of {g : v * g(A) = 0}, from the Krylov chain of v = start.
 
-    Each new vector v A^k is reduced against the earlier ones by
-    fraction-free (Bareiss) elimination that also carries the combination
-    of chain vectors it stands for; every division is exact.  The first
-    vector that reduces to zero gives the relation.
+    Each new vector v A^k, followed by the combination of chain vectors it
+    stands for (1 at v A^k), is reduced against the earlier ones, leaving
+    n - k vector entries.  The first whose vector entries reduce to zero, at
+    the latest the (n+1)-th, gives the relation.
     """
-    pivots = []  # (pivot column, reduced vector, combination)
+    n = len(start)
+    echelon = []
     v = start
-    while True:
-        vec = v
-        combo = [0] * len(pivots) + [1]
-        prev = 1
-        for col, pvec, pcombo in pivots:
-            p, c = pvec[col], vec[col]
-            vec = [(p * x - c * y) // prev for x, y in zip(vec, pvec)]
-            combo = [(p * x - c * y) // prev for x, y in zip_longest(combo, pcombo, fillvalue=0)]
-            prev = p
-        col = next((k for k, x in enumerate(vec) if x), None)
+    for k in range(n + 1):
+        row = _eliminate(v + [0] * k + [1], echelon)
+        col = next((j for j in range(n - k) if row[j]), None)
         if col is None:
             # 0 = sum(combo[j] * v A^j) with combo[-1] the last pivot, nonzero
-            lead = combo[-1]
+            combo, lead = row[n - k:], row[-1]
             if any(x % lead for x in combo):
                 raise RuntimeError("minimal polynomial came out non-integral")
             return IntPoly([x // lead for x in combo])
-        pivots.append((col, vec, combo))
-        v = _times_matrix(v, cols)
+        echelon.append((col, row))
+        v = [sum(map(operator.mul, v, c)) for c in cols]  # v*A, cols those of A
+    raise RuntimeError("a Krylov chain of n + 1 vectors came out independent")
 
 
 def minpoly(a: IntMatrix, starts=None) -> IntPoly:
@@ -439,9 +406,9 @@ def minpoly(a: IntMatrix, starts=None) -> IntPoly:
     chains = (_vector_minpoly(list(start), cols) for start in starts)
     best = next(chains)
     for local in chains:
-        f, g = list(reversed(best.coeffs)), list(reversed(local.coeffs))
+        f, g = _dup(best), _dup(local)
         lcm = dup_lcm(f, g, ZZ)
         if dup_rem(lcm, f, ZZ) or dup_rem(lcm, g, ZZ):
             raise RuntimeError("lcm must be divisible by both polynomials")
-        best = IntPoly([int(c) for c in reversed(lcm)])
+        best = _from_dup(lcm)
     return best

@@ -807,12 +807,14 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     of L' and T' - dI, and g / p^o that of those rows and t0.
     """
     m = a.n_rows - 1
+    if not m:  # Z has one sublattice of each index, and it is invariant
+        return [1] * (top + 1)
     d, *t0 = a.entries[0]
     block = [row[1:] for row in a.entries[1:]]
     rows = [r for r in ([x - d * (i == j) for j, x in enumerate(row)]
                         for i, row in enumerate(block)) if any(r)] + [t0]
-    if not any(map(any, rows)):  # always so at n = 1, where t0 is empty
-        totals = itertools.islice(_level_totals(m, p), top + 1) if m else [1] + [0] * top
+    if not any(map(any, rows)):
+        totals = itertools.islice(_level_totals(m, p), top + 1)
         return list(itertools.accumulate(p ** l * t for l, t in enumerate(totals)))
     nodes = [np.eye(m, dtype=np.int64)[None]]
     count_at_exponent(IntMatrix(block), p, range(1, top + 1), nodes)

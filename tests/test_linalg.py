@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_intpoly_basics():
     assert (IntPoly((-1, 1)) * IntPoly((-2, 1))) == f
     assert f.derivative() == IntPoly((-3, 2))
     assert IntPoly((1, 0, 0)).degree == 0  # trailing zeros stripped
-    assert IntPoly(()).is_zero and IntPoly(()).degree == -1
+    assert IntPoly(()).coeffs == () and IntPoly(()).degree == -1
     assert f.to_json() == [2, -3, 1]
     assert IntPoly.from_json([2, -3, 1]) == f
 
@@ -102,7 +103,8 @@ def test_resultant():
     with pytest.raises(ValueError):
         resultant(IntPoly(()), g)
     # deg f < deg g: Res(x - a, g) = g(a).  sympy 1.14's resultant and
-    # dup_resultant both give -5 for this pair, so they are not used here.
+    # dup_resultant both give -5 for this pair, Res(g, x - a): `resultant`
+    # passes the higher-degree polynomial first and fixes the sign.
     cubic = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
     x_minus_2 = IntPoly((-2, 1))
     cubic_at_2 = sum(c * 2 ** k for k, c in enumerate(cubic.coeffs))
@@ -113,6 +115,43 @@ def test_resultant():
     assert resultant(quad, cubic) == resultant(cubic, quad) == 19  # |g(i*sqrt 2)|^2
     for a, b in ((x_minus_2, cubic), (quad, cubic), (f, k), (g * h, cubic)):
         assert resultant(b, a) == (-1) ** (a.degree * b.degree) * resultant(a, b)
+
+
+def _sylvester(f: IntPoly, g: IntPoly) -> sympy.Matrix:
+    """The Sylvester matrix of f and g: deg g shifted rows of f over deg f of g."""
+    m, n = f.degree, g.degree
+    fs, gs = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    return sympy.Matrix([[0] * i + fs + [0] * (n - 1 - i) for i in range(n)]
+                        + [[0] * i + gs + [0] * (m - 1 - i) for i in range(m)])
+
+
+def _polys(max_degree):
+    """Integer polynomials of degree 0..max_degree with a nonzero leading coefficient,
+    negative and non-monic ones included."""
+    return st.integers(0, max_degree).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d), st.sampled_from([-5, -2, -1, 1, 3])
+    )).map(lambda drawn: IntPoly(drawn[0] + [drawn[1]]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f=_polys(6), g=_polys(6))
+def test_resultant_is_the_determinant_of_the_sylvester_matrix(f, g):
+    """Both orders of each pair, so deg f below, equal to and above deg g,
+    constants included: sympy's division-free determinant of the Sylvester
+    matrix agrees."""
+    assert resultant(f, g) == _sylvester(f, g).det(method="berkowitz")
+    assert resultant(g, f) == _sylvester(g, f).det(method="berkowitz")
+
+
+def test_resultants_of_high_degree_are_quick():
+    """Res(f, f') of x^400 - 2, and of a dense polynomial of degree 100; the
+    Bareiss determinant of the Sylvester matrix took 22.9 s and 1.0 s."""
+    rng = random.Random(100)
+    dense = IntPoly([rng.randint(-9, 9) for _ in range(100)] + [1])
+    for f in (IntPoly([-2] + [0] * 399 + [1]), dense):
+        start = time.perf_counter()
+        assert resultant(f, f.derivative()) != 0
+        assert time.perf_counter() - start < 0.5
 
 
 def test_companion_examples():
@@ -229,14 +268,29 @@ def test_charpoly_and_det():
         assert charpoly(m).coeffs[0] == -sympy.Matrix(m.entries).det()
 
 
+def _rank_and_det(m: IntMatrix) -> tuple[int, int]:
+    """The rank and the last pivot, signed by the order of the pivot columns,
+    of kernel_dim's reduction: each row reduced against the nonzero ones above.
+    A pivot's col counts the columns left, all pivots of later rows when the
+    rank is full, that come before it."""
+    echelon = []
+    for row in m.entries:
+        row = linalg._eliminate(list(row), echelon)
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is not None:
+            echelon.append((col, row))
+    pivot = echelon[-1][1][echelon[-1][0]] if echelon else 1
+    return len(echelon), (-1) ** sum(col for col, _ in echelon) * pivot
+
+
 def test_det_and_rank_agree_with_sympy():
-    """One fraction-free elimination gives the rank, and for a square matrix of
-    full rank the determinant as sign * last pivot; singular and swapped
-    inputs included."""
-    assert linalg._bareiss(IntMatrix(())) == (0, 1, 1)
-    assert linalg._bareiss(permutation_matrix((1, 2, 0))) == (3, 1, 1)
-    assert linalg._bareiss(permutation_matrix((1, 0, 2))) == (3, -1, 1)
-    assert linalg._bareiss(IntMatrix([[0, 0], [0, 5]]))[0] == 1
+    """The fraction-free reduction of kernel_dim gives the rank, and for a
+    square matrix of full rank its last pivot, signed by the order of the
+    pivot columns, is the determinant; singular and swapped inputs included."""
+    assert kernel_dim(IntMatrix(())) == 0 and _rank_and_det(IntMatrix(())) == (0, 1)
+    assert _rank_and_det(permutation_matrix((1, 2, 0))) == (3, 1)
+    assert _rank_and_det(permutation_matrix((1, 0, 2))) == (3, -1)
+    assert kernel_dim(IntMatrix([[0, 0], [0, 5]])) == 1
     rng = random.Random(17)
     for _ in range(60):
         n = rng.randint(1, 5)
@@ -245,12 +299,12 @@ def test_det_and_rank_agree_with_sympy():
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
         m = IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
                        for row in left])
-        rank, sign, pivot = linalg._bareiss(m)
+        rank, det = _rank_and_det(m)
         assert rank == _rank(m) == n - kernel_dim(m)
         if rank == n:
-            assert sign * pivot == sympy.Matrix(m.entries).det()
+            assert det == sympy.Matrix(m.entries).det()
         wide = IntMatrix([list(row) + [rng.randint(-2, 2)] for row in m.entries])
-        assert linalg._bareiss(wide)[0] == _rank(wide)
+        assert n - kernel_dim(wide) == _rank(wide)
 
 
 def test_minpoly_examples():
@@ -277,7 +331,7 @@ def test_minpoly_divides_charpoly_and_annihilates():
         cp = charpoly(m)
         assert mp.is_monic
         q, r = _divmod(cp, mp)
-        assert r.is_zero
+        assert r == IntPoly()
         assert poly_at(mp, m) == _zeros(n)
         for f, _ in factor_over_z(mp):
             assert poly_at(_divmod(mp, f)[0], m) != _zeros(n)
@@ -408,7 +462,7 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
         assert poly_at(mp, a) == _zeros(n)
         for f, _ in factor_over_z(mp):
             q, r = _divmod(mp, f)
-            assert r.is_zero
+            assert r == IntPoly()
             assert poly_at(q, a) != _zeros(n)
 
 
@@ -566,7 +620,7 @@ def test_minpoly_past_the_first_chain_matches_the_reference(a):
     Its polynomial divides the lcm over the unit vectors."""
     mp = minpoly(a)
     assert mp == linalg_helpers.minpoly(a)
-    assert _divmod(mp, minpoly(a, [range(1, a.n_rows + 1)]))[1].is_zero
+    assert _divmod(mp, minpoly(a, [range(1, a.n_rows + 1)]))[1] == IntPoly()
 
 
 def test_poly_at_matrix():
