@@ -19,7 +19,7 @@ when m is the exponent of f in mu; the dimensions of the V_f, over the
 factors f of mu, add up to n.  So the type sizes weighted by deg f add up
 to n exactly when mu_v(A) = 0, that is when mu_v = mu, and then the EDV is
 proven.  When they fall short, the types are read again off mu itself, the
-lcm of the chains of the unit vectors, which needs no certificate.
+first relation among the powers of A, which needs no certificate.
 """
 
 from __future__ import annotations
@@ -135,22 +135,18 @@ def _type(fa: IntMatrix, d: int, m: int) -> tuple[Partition, int]:
     f-component, and the j-th jump of their dimensions is d times the
     number of parts >= j.  Each of fa, ..., fa^m must enlarge the kernel,
     and fa^(m+1) is never formed.  The kernel of fa^m is taken by
-    kernel_basis for its denominator, which is returned (1 when fa^m = 0,
-    the kernel being everything).
+    kernel_basis for its denominator, which is returned (1 when fa^m = 0:
+    its basis is then the unit vectors).
     """
-    n = fa.n_rows
     jumps = []
     prev = 0
-    den = 1
     for j in range(1, m + 1):
         power = fa if j == 1 else power * fa
         if j < m:
             k = kernel_dim(power)
-        elif any(map(any, power.entries)):
+        else:
             rows, den = kernel_basis(power)
             k = len(rows)
-        else:
-            k = n
         if k == prev:
             if not jumps:
                 raise ValueError("f(a) is invertible; f does not divide the minimal polynomial")
@@ -181,7 +177,7 @@ def edv_context(a: IntMatrix) -> EdvContext:
     the Krylov chain of v = (1, 2, ..., n) gives, and the EDV's size is its
     certificate: it is n exactly when mu_v is the minimal polynomial.
     Otherwise the types are read again off the minimal polynomial itself,
-    the lcm of the chains of the unit vectors.  The denominators are those
+    the first relation among the powers of a.  The denominators are those
     of the kernel bases of f(a)^m, one for each factor f^m of the
     polynomial the answer was read off.
     """
@@ -190,7 +186,7 @@ def edv_context(a: IntMatrix) -> EdvContext:
     n = a.n_rows
     if n == 0:
         raise ValueError("n = 0 is rejected everywhere")
-    edv, lcm = _edv(a, minpoly(a, [range(1, n + 1)]))
+    edv, lcm = _edv(a, minpoly(a, range(1, n + 1)))
     if edv.n != n:
         edv, lcm = _edv(a, minpoly(a))
         if edv.n != n:

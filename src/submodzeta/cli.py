@@ -20,8 +20,9 @@ matrix (a matrix together with --edv is a usage error).  An empty variable
 counts as unset; a SUBMODZETA_FORMAT other than text, json or latex, an
 integer variable that does not parse, a list of primes that names none
 (--primes "," or SUBMODZETA_PRIMES=",") or one prime twice (--primes 2,2),
-or a negative --max-index-exp, --budget or --max-n, is a usage error that
-names the flag or the variable, in argparse's wording.
+or a negative --max-index-exp, --budget or --max-n, or a --max-index-exp
+above MAX_INDEX_EXP = 100000, is a usage error that names the flag or the
+variable, in argparse's wording.
 
 Output: each cmd_* function composes its document once, as a JSON dict, a
 text view and (for analyze and zpxn) a LaTeX view, and prints it through
@@ -33,11 +34,14 @@ both text and LaTeX.  Errors go to stderr from main.
 
 Limits: analyze accepts every matrix with n <= 24 (it factors minimal
 polynomials of degree <= 24, and a larger one exits 1 with a hint to pass
---edv); verify exits 3 past --max-n or --budget; special zpxn takes N <= 1000
-and special powerseries N <= 100000, and analyze --edv and special fe-check
-an EDV of size n <= 1000 (deg f times partition size, summed), each well
-under a second.  A larger N or n, or a MATRIX that is not square or has no
-entries, is a usage error.
+--edv); verify takes E <= 100000 and exits 3 past --max-n or --budget;
+special zpxn takes N <= 1000 and special powerseries N <= 100000, and
+analyze --edv and special fe-check an EDV of size n <= 1000 (deg f times
+partition size, summed).  Each runs well under a second, but not for a
+factor f of high degree, which splitting_profile takes seconds for (x^1000
+- 2: 2.7-4.0 s), nor where sympy's factorint stalls on a bad-prime integer
+(a random dense 8 x 8 matrix, a dense f of degree 40).  A larger E, N or n,
+or a MATRIX that is not square or has no entries, is a usage error.
 
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
@@ -86,6 +90,7 @@ FORMATS = ("text", "json", "latex")
 ZPXN_MAX = 1000
 POWERSERIES_MAX = 100_000
 EDV_MAX = 1000
+MAX_INDEX_EXP = 100_000
 
 
 class UsageError(Exception):
@@ -526,6 +531,8 @@ def _apply_env(args) -> None:
                 source = ENV_PREFIX + name
             if value < 0:
                 raise UsageError(f"{source}: must be >= 0, got {value}")
+            if attr == "max_index_exp" and value > MAX_INDEX_EXP:
+                raise UsageError(f"{source}: must be <= {MAX_INDEX_EXP}, got {value}")
 
 
 def main(argv=None) -> int:

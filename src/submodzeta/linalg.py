@@ -2,17 +2,17 @@
 
 Dense matrices over Z, integer polynomials, resultants, ranks, left kernels
 and minimal polynomials.  sympy gives resultants and polynomial products;
-one fraction-free row reduction gives ranks and Krylov relations.  A left
-kernel basis is (rows, den): integer rows over one denominator, rows / den.
+one fraction-free row reduction gives ranks and linear relations among rows,
+which left kernels and minimal polynomials are read off.  A left kernel
+basis is (rows, den): integer rows over one denominator, rows / den.
 
 Entries are arbitrary-precision ints, and every answer is exact.  Matrix
 products run in numpy int64 where a bound proves that no sum can overflow,
-and in Python ints otherwise.  minpoly carries no certificate of its own:
-it returns the lcm of the Krylov-chain polynomials of the start vectors it
-is given, each a divisor of the minimal polynomial mu.  For the unit
-vectors, its default, that lcm is mu.  For one start vector v it may fall
-short, and canonical.edv_context tells: the polynomial mu_v is mu exactly
-when its primary kernels fill the whole space.
+and in Python ints otherwise.  minpoly(a) is the first relation among the
+powers of A, the minimal polynomial mu.  minpoly(a, v) is the first among
+v, vA, vA^2, ..., a divisor mu_v of mu that carries no certificate of its
+own; canonical.edv_context tells: mu_v is mu exactly when its primary
+kernels fill the whole space.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 
 import numpy as np
 from sympy import ZZ
-from sympy.polys.densearith import dup_mul, dup_pow, dup_rem
-from sympy.polys.euclidtools import dup_lcm, dup_resultant
-from sympy.polys.matrices import DomainMatrix
+from sympy.polys.densearith import dup_mul, dup_pow
+from sympy.polys.euclidtools import dup_resultant
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +302,30 @@ def _eliminate(row: list[int], echelon) -> list[int]:
     return row
 
 
+def _relations(rows):
+    """For each row i, None if it is independent of the rows before it, else
+    the relation c, sum(c[j] * rows[j]) = 0 over rows 0..i with c[i] != 0.
+
+    Row i, followed by its combination coordinates (1 at i), is reduced
+    against the independent rows before it, with pivots from its own
+    entries only; when those all reduce to zero, the rest is c.  rows may
+    be lazy: each is read after the answer for the one before is taken.
+    """
+    echelon = []
+    for i, row in enumerate(rows):
+        row = _eliminate(list(row) + [0] * i + [1], echelon)
+        width = len(row) - i - 1
+        col = next((k for k in range(width) if row[k]), None)
+        if col is None:
+            yield row[width:]
+        else:
+            echelon.append((col, row))
+            yield None
+
+
 def kernel_dim(m: IntMatrix) -> int:
-    """Dimension of the left kernel {x : x*m = 0}: the rows that reduce to zero."""
+    """Dimension of the left kernel {x : x*m = 0}: the rows that reduce to
+    zero, as in _relations but without the combination coordinates."""
     echelon = []
     for row in m.entries:
         row = _eliminate(list(row), echelon)
@@ -322,93 +343,48 @@ def kernel_basis(m: IntMatrix) -> tuple[list[list[int]], int]:
     """Basis of the left kernel {x : x*m = 0}, as integer rows over one denominator.
 
     Returns (rows, den) with den >= 1 the least common denominator of the
-    basis, which is rows / den.  The pivot rows of m are its rows that are
-    independent of the rows above them; the basis has one vector per other
-    (free) row i, equal to 1 at i, 0 at every other free row, and supported
-    on the pivot rows above i.  So row r of the result is den at its own free
-    coordinate, which is its last nonzero entry.  Computed from the
-    fraction-free reduced row echelon form of the transpose over ZZ
-    (sympy's DomainMatrix.rref_den).
+    basis, which is rows / den.  The basis has one vector per row i of m
+    that depends on the rows above it: the relation c among rows 0..i,
+    scaled to 1 at i.  It is 0 at every other dependent row and supported
+    on the independent rows above i, so row r of the result is den at its
+    own coordinate, which is its last nonzero entry.
     """
-    n_rows = m.n_rows
-    transposed = DomainMatrix([list(col) for col in zip(*m.entries)], (m.n_cols, n_rows), ZZ)
-    echelon, den, pivots = transposed.rref_den(method="FF")
-    # int(): with gmpy2 installed, sympy's ZZ elements are mpz
-    rref = [[int(x) for x in row] for row in echelon.to_list()]
-    den = int(den)
-    free = sorted(set(range(n_rows)) - set(pivots))
-    # the basis vector of free row i is -rref[r][i] / den at pivot row pivots[r]
-    common = den
-    for row in rref:
-        for i in free:
-            common = math.gcd(common, row[i])
-    lcd = abs(den // common)
-    step = den // lcd
-    rows = []
-    for i in free:
-        vec = [0] * n_rows
-        vec[i] = lcd
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][i] // step
-        rows.append(vec)
-    return rows, lcd
+    relations = list(filter(None, _relations(m.entries)))
+    den = math.lcm(1, *(c[-1] // math.gcd(*c) for c in relations))
+    return [[x * den // c[-1] for x in c] + [0] * (m.n_rows - len(c)) for c in relations], den
 
 
 # ---------------------------------------------------------------------------
 # minimal polynomials
 
 
-def _vector_minpoly(start: list[int], cols) -> IntPoly:
-    """Monic generator of {g : v * g(A) = 0}, from the Krylov chain of v = start.
+def minpoly(a: IntMatrix, v=None) -> IntPoly:
+    """The minimal polynomial mu of a, or mu_v, the monic generator of
+    {g : v * g(a) = 0}, when a start vector v is given.
 
-    Each new vector v A^k, followed by the combination of chain vectors it
-    stands for (1 at v A^k), is reduced against the earlier ones, leaving
-    n - k vector entries.  The first whose vector entries reduce to zero, at
-    the latest the (n+1)-th, gives the relation.
-    """
-    n = len(start)
-    echelon = []
-    v = start
-    for k in range(n + 1):
-        row = _eliminate(v + [0] * k + [1], echelon)
-        col = next((j for j in range(n - k) if row[j]), None)
-        if col is None:
-            # 0 = sum(combo[j] * v A^j) with combo[-1] the last pivot, nonzero
-            combo, lead = row[n - k:], row[-1]
-            if any(x % lead for x in combo):
-                raise RuntimeError("minimal polynomial came out non-integral")
-            return IntPoly([x // lead for x in combo])
-        echelon.append((col, row))
-        v = [sum(map(operator.mul, v, c)) for c in cols]  # v*A, cols those of A
-    raise RuntimeError("a Krylov chain of n + 1 vectors came out independent")
-
-
-def minpoly(a: IntMatrix, starts=None) -> IntPoly:
-    """The lcm of the polynomials of the Krylov chains of the start vectors.
-
-    The chain of v gives mu_v, the monic generator of {g : v * g(A) = 0}; it
-    divides the minimal polynomial mu, and so does the lcm of several.  The
-    default starts are the unit vectors, whose lcm annihilates every row of
-    A and so is mu exactly.  Other starts give a divisor of mu that the
-    caller has to certify: canonical.edv_context asks for the chain of
-    (1, 2, ..., n) alone and proves it by its kernel count.  Every
-    polynomial met is monic with integer coefficients, because it divides
-    the monic integer characteristic polynomial (Gauss's lemma).
+    mu is the first relation among I, a, a^2, ..., each flattened to n^2
+    entries; mu_v the first among v, v a, v a^2, ....  mu_v divides mu, and
+    the caller has to certify that it is mu: canonical.edv_context asks for
+    the chain of (1, 2, ..., n) and proves it by its kernel count.  Either
+    polynomial is monic with integer coefficients, because it divides the
+    monic integer characteristic polynomial (Gauss's lemma).
     """
     if not a.is_square:
         raise ValueError("minpoly wants a square matrix")
     n = a.n_rows
     if n == 0:
         raise ValueError("minpoly of a 0x0 matrix")
-    cols = list(zip(*a.entries))
-    if starts is None:
-        starts = [[int(j == i) for j in range(n)] for i in range(n)]
-    chains = (_vector_minpoly(list(start), cols) for start in starts)
-    best = next(chains)
-    for local in chains:
-        f, g = _dup(best), _dup(local)
-        lcm = dup_lcm(f, g, ZZ)
-        if dup_rem(lcm, f, ZZ) or dup_rem(lcm, g, ZZ):
-            raise RuntimeError("lcm must be divisible by both polynomials")
-        best = _from_dup(lcm)
-    return best
+    if v is None:
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        powers = accumulate(repeat(a.entries, n), _product, initial=identity)
+        terms = map(chain.from_iterable, powers)
+    else:
+        terms = accumulate(repeat(list(zip(*a.entries)), n),
+                           lambda u, cols: [sum(map(operator.mul, u, c)) for c in cols],
+                           initial=list(v))
+    c = next(filter(None, _relations(terms)), None)
+    if c is None:
+        raise RuntimeError("n + 1 terms of a Krylov chain came out independent")
+    if any(x % c[-1] for x in c):
+        raise RuntimeError("minimal polynomial came out non-integral")
+    return IntPoly([x // c[-1] for x in c])

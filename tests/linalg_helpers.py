@@ -276,10 +276,11 @@ def _vector_minpoly(i: int, a: IntMatrix) -> IntPoly:
 def minpoly(a: IntMatrix) -> IntPoly:
     """The lcm of the minimal polynomials of the e_i, skipping each e_i that best(a) annihilates.
 
-    The reference for linalg.minpoly's default, the lcm over every unit
-    vector: here each chain's relation comes from sympy's nullspace, and an
-    e_i that the lcm so far annihilates, by an exact row-vector Horner in
-    Python ints, runs no chain.
+    The reference for linalg.minpoly's default, which reads the first
+    relation among the powers of a instead: here the lcm over the unit
+    vectors annihilates every row of a, each chain's relation comes from
+    sympy's nullspace, and an e_i that the lcm so far annihilates, by an
+    exact row-vector Horner in Python ints, runs no chain.
     """
     x = sympy.Symbol("x")
     best = IntPoly([1])

@@ -308,11 +308,12 @@ def test_verify_refuses_deep_levels_quickly(capsys, matrix, top):
 
 def test_verify_refuses_a_huge_exponent_before_expanding_the_formula(capsys, monkeypatch):
     # expanding the formula to E = 2*10^7 takes 6.2 s, with memory growing
-    # in E, so the oracle's budget has to refuse first
+    # in E, so the oracle's budget has to refuse first, here at the largest
+    # E accepted (past cli.MAX_INDEX_EXP, E is a usage error)
     calls = []
     monkeypatch.setattr(cli, "dirichlet_coefficients", lambda *args: calls.append(args))
     start = time.perf_counter()
-    rc = main(["verify", ROT_2, "--primes", "5", "--max-index-exp", str(10 ** 9)])
+    rc = main(["verify", ROT_2, "--primes", "5", "--max-index-exp", str(cli.MAX_INDEX_EXP)])
     assert rc == 3
     assert time.perf_counter() - start < 2.0
     assert capsys.readouterr().err.startswith("budget exceeded: ")
@@ -345,6 +346,31 @@ def test_verify_of_a_1x1_matrix_is_linear_in_the_exponent(capsys):
     assert time.perf_counter() - start < 0.5
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["reports"][0]["oracle_values"] == [1] * 50001
+
+
+def test_max_index_exp_has_an_upper_limit(capsys, monkeypatch):
+    """E = 10^6 on [[0]] took 1.6 s and printed 22 MB; past MAX_INDEX_EXP
+    the flag or the variable is refused at once, with no output."""
+    start = time.perf_counter()
+    argv = ["verify", "[[0]]", "--primes", "2", "--format", "json"]
+    assert main(argv + ["--max-index-exp", str(cli.MAX_INDEX_EXP)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert len(json.loads(capsys.readouterr().out)["reports"][0]["oracle_values"]) == cli.MAX_INDEX_EXP + 1
+    for value in (cli.MAX_INDEX_EXP + 1, 10 ** 12):
+        start = time.perf_counter()
+        assert main(argv + ["--max-index-exp", str(value)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: argument --max-index-exp: must be <= {cli.MAX_INDEX_EXP}, got {value}\n")
+        monkeypatch.setenv("SUBMODZETA_MAX_INDEX_EXP", str(value))
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: SUBMODZETA_MAX_INDEX_EXP: must be <= {cli.MAX_INDEX_EXP}, got {value}\n")
+        monkeypatch.delenv("SUBMODZETA_MAX_INDEX_EXP")
 
 
 def test_verify_computes_edv_context_once(capsys, monkeypatch):

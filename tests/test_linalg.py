@@ -314,11 +314,16 @@ def test_minpoly_examples():
     assert minpoly(diag(1, 1, 1, 1)) == IntPoly((-1, 1))
 
 
-def test_minpoly_checks_that_the_lcm_is_divisible_by_each_chain(monkeypatch):
-    # the chains of e_0 and e_1 under diag(1, 2) are x - 1 and x - 2; an
-    # lcm that drops the second fails the check
-    monkeypatch.setattr(linalg, "dup_lcm", lambda f, g, domain: f)
-    with pytest.raises(RuntimeError, match="lcm must be divisible"):
+def test_minpoly_self_checks_raise(monkeypatch):
+    """A chain of n + 1 independent terms, and a relation whose last entry
+    does not divide the others, raise instead of returning a polynomial."""
+    monkeypatch.setattr(linalg, "_relations", lambda rows: (None for _ in rows))
+    with pytest.raises(RuntimeError, match="n \\+ 1 terms"):
+        minpoly(diag(1, 2))
+    with pytest.raises(RuntimeError, match="n \\+ 1 terms"):
+        minpoly(diag(1, 2), [1, 1])
+    monkeypatch.setattr(linalg, "_relations", lambda rows: iter([None, [1, 3, 2]]))
+    with pytest.raises(RuntimeError, match="non-integral"):
         minpoly(diag(1, 2))
 
 
@@ -359,9 +364,10 @@ def _pivot_rows(m: IntMatrix) -> list[int]:
     return pivots
 
 
-def _rank_deficient(rng) -> IntMatrix:
-    """A seeded integer matrix L*R of rank below its row count."""
-    n_rows, n_cols = rng.randint(2, 7), rng.randint(1, 7)
+def _rank_deficient(rng, n_rows=None) -> IntMatrix:
+    """A seeded integer matrix L*R of rank below its row count, n_rows
+    rows (2 to 7 when not given)."""
+    n_rows, n_cols = n_rows or rng.randint(2, 7), rng.randint(1, 7)
     r = rng.randint(0, min(n_rows - 1, n_cols))
     left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n_rows)]
     right = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(r)]
@@ -371,8 +377,11 @@ def _rank_deficient(rng) -> IntMatrix:
 
 def test_kernel_basis_properties_on_rank_deficient_matrices():
     rng = random.Random(19)
-    for _ in range(80):
-        m = _rank_deficient(rng)
+    matrices = [_rank_deficient(rng) for _ in range(80)]
+    # the zero matrix, whose basis is the unit vectors over den 1, and a tall one
+    matrices += [_zeros(4), _rank_deficient(rng, 11)]
+    assert kernel_basis(_zeros(4)) == ([[int(i == j) for j in range(4)] for i in range(4)], 1)
+    for m in matrices:
         rows, den = kernel_basis(m)
         pivots = _pivot_rows(m)
         free = [i for i in range(m.n_rows) if i not in pivots]
@@ -441,24 +450,13 @@ def _block_companion(blocks, seed) -> IntMatrix:
     return matmul(matmul(u, base), linalg_helpers.int_inverse(u))
 
 
-def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
-    chains = []
-    chain = linalg._vector_minpoly
-
-    def counted(start, cols):
-        chains.append(start)
-        return chain(start, cols)
-
-    monkeypatch.setattr(linalg, "_vector_minpoly", counted)
+def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices():
     rng = random.Random(29)
     for _ in range(25):
         a, expected, _ = _derogatory(rng)
         n = a.n_rows
-        chains.clear()
         mp = minpoly(a)
         assert mp == expected and mp.degree < n
-        # one chain per unit vector, in order, and no other
-        assert chains == [[int(j == i) for j in range(n)] for i in range(n)]
         assert poly_at(mp, a) == _zeros(n)
         for f, _ in factor_over_z(mp):
             q, r = _divmod(mp, f)
@@ -467,14 +465,14 @@ def test_minpoly_annihilates_and_is_minimal_on_derogatory_matrices(monkeypatch):
 
 
 def _counted_edv_context(monkeypatch, a):
-    """edv_context(a), with the start vectors of each minpoly call it makes
-    (None for the default, the unit vectors)."""
+    """edv_context(a), with the start vector of each minpoly call it makes
+    (None for the default, the powers of a)."""
     calls = []
     original = canonical.minpoly
 
-    def counted(m, starts=None):
-        calls.append(None if starts is None else [list(v) for v in starts])
-        return original(m, starts)
+    def counted(m, v=None):
+        calls.append(None if v is None else list(v))
+        return original(m, v)
 
     monkeypatch.setattr(canonical, "minpoly", counted)
     return canonical.edv_context(a), calls
@@ -488,21 +486,21 @@ def test_edv_context_runs_one_chain_and_falls_back_to_the_unit_vectors(monkeypat
     assert a.n_rows == 14
     ctx, calls = _counted_edv_context(monkeypatch, a)
     assert ctx.edv == _edv_of(blocks)
-    assert calls == [[list(range(1, 15))]]
+    assert calls == [list(range(1, 15))]
     assert minpoly(a, calls[0]) == x2p1 ** 2 * x3mxm1 * xm1 ** 2 == linalg_helpers.minpoly(a)
 
     # (1, 2) * A = 0, so the chain of (1, 2) gives x, whose kernel has
-    # dimension 1 < 2; the types are read again off the unit vectors' lcm
+    # dimension 1 < 2; the types are read again off the minimal polynomial
     a = IntMatrix([[-2, -2], [1, 1]])
     ctx, calls = _counted_edv_context(monkeypatch, a)
     assert ctx.edv == _edv_of([(X, 1), (IntPoly((1, 1)), 1)])
-    assert calls == [[[1, 2]], None]
-    assert minpoly(a, [[1, 2]]) == X
+    assert calls == [[1, 2], None]
+    assert minpoly(a, [1, 2]) == X
     assert minpoly(a) == IntPoly((0, 1, 1)) == linalg_helpers.minpoly(a)
 
     # a chain of degree n gives the characteristic polynomial, and the one pass
     ctx, calls = _counted_edv_context(monkeypatch, companion(x3mxm1))
-    assert ctx.edv == _edv_of([(x3mxm1, 1)]) and calls == [[[1, 2, 3]]]
+    assert ctx.edv == _edv_of([(x3mxm1, 1)]) and calls == [[1, 2, 3]]
 
 
 def test_edv_context_reads_the_known_edv_and_falls_back_on_a_stated_share(monkeypatch):
@@ -524,7 +522,7 @@ def test_edv_context_reads_the_known_edv_and_falls_back_on_a_stated_share(monkey
             a = _block_companion(blocks, rng.randrange(2 ** 32))
         ctx, calls = _counted_edv_context(monkeypatch, a)
         assert ctx.edv == _edv_of(blocks)
-        assert calls[0] == [list(range(1, a.n_rows + 1))] and calls[1:] in ([], [None])
+        assert calls[0] == list(range(1, a.n_rows + 1)) and calls[1:] in ([], [None])
         fallbacks[draw % 2] += len(calls) - 1
     assert fallbacks == [1, 6]
 
@@ -617,10 +615,10 @@ def test_minpoly_past_the_first_chain_matches_the_reference(a):
     """Conjugated block sums, where the chain of (1, ..., n), which
     edv_context runs first, can fall short of the minimal polynomial; the
     mostly cyclic inputs of the property above rarely make it fall short.
-    Its polynomial divides the lcm over the unit vectors."""
+    Its polynomial divides the minimal polynomial."""
     mp = minpoly(a)
     assert mp == linalg_helpers.minpoly(a)
-    assert _divmod(mp, minpoly(a, [range(1, a.n_rows + 1)]))[1] == IntPoly()
+    assert _divmod(mp, minpoly(a, range(1, a.n_rows + 1)))[1] == IntPoly()
 
 
 def test_poly_at_matrix():
