@@ -114,36 +114,54 @@ Each level comes from whichever of two producers is cheaper:
   lexicographic order, then mixed-radix over the off-diagonal residues),
   and checks its visit count against the closed-form candidate total, the
   coefficient of t^e in prod_{j<n} 1/(1 - p^j t).
-* The tree of invariant lattices descends from Z^n.  Every invariant N of
-  level e >= 1 has the invariant parent L = (p^-1 N) & Z^n with
-  pL <= N < L, so level e is the set of invariant N with pL <= N < L over
-  the invariant L of levels e-n..e-1.  In the basis C of L, with action
-  M = C*A*C^-1, these N are the subspaces of F_p^n invariant under M mod p.
-  Written in reduced row echelon form, a subspace gives the basis R*C of N
-  with R upper triangular, diagonal entries in {1, p}.  Every subspace is
-  tested by the kernel, against the actions of many nodes at once (node
-  actions as columns, subspace entries as rows), in batches per (level,
-  codimension) that pack its diagonal patterns, and the number tested is
-  checked against the Gaussian-binomial total.  Each child basis R*C is
-  reduced to HNF, the children of one codimension are deduplicated with
-  those already found at their level.
+* The tree of invariant lattices descends from Z^n, building each node's
+  maximal invariant sublattices.  Let g run over the distinct monic
+  irreducible factors of the characteristic polynomial chi of A mod p, of
+  degrees d.  For an invariant L with basis C, the children of L for g are
+  the N with N0 = L*g(A) + pL <= N < L and L/N = F_p[x]/(g), a field of
+  p^d elements; by the correspondence theorem these N are the hyperplanes
+  over that field of L/N0, all invariant, each of level l + d.
+  - Every invariant N of level e >= 1 is such a child.  Z^n/N is a finite
+    nonzero Z[A]-module, so it has a simple submodule S, killed by p and
+    by g(A) for an irreducible g.  Every composition factor of Z^n/N is one
+    of Z^n/p^e Z^n, whose factors p^i Z^n / p^(i+1) Z^n are F_p^n under A
+    mod p, so g divides chi mod p.  The preimage P of S is invariant, of
+    level e - deg g, and N contains pP and P*g(A) with P/N = S: N is a
+    child of P for g.  So level e is the union over the factors g of the
+    children of level e - deg g.  N has one parent per simple submodule of
+    Z^n/N, so children are deduplicated per level.
+  - N0 is built from the rows of C*g(A) and the triangular basis p*C, one
+    row at a time: a row is reduced by a pivot that divides its entry, and
+    otherwise swapped in by the unimodular gcd combination.  L contains
+    p^l Z^n, so pL contains p^(l+1) Z^n, and rows enter mod p^(l+1); the
+    result is reduced to HNF (`_insert`, `_hnf`).  L/N0 = (L/pL)/(image of g(M)),
+    M = C*A*C^-1, is a vector space over the field, of dimension k >= 1.
+    When [L : N0] = p^d, k = 1 and N0 is the only child; so it was for all
+    2964 (node, factor) pairs of the first 160 verify-sparse operations of
+    seeds 1-3.  Otherwise a basis q_1..q_k over the field is read
+    off the rows of C, and the (p^dk - 1)/(p^d - 1) hyperplanes, with
+    normalized coordinates (0, .., 0, 1, a_(j+1), .., a_k), are spanned over
+    N0 by q_i, i < j, and q_i - q_j*a_i(A), i > j, with their images under
+    A^t, t < d.
+  - chi mod p is factored once per count, with sympy's `gf_factor` (chi
+    need not be squarefree mod p), and each g(A) is formed once, mod p^E.
+  - Self-checks raise RuntimeError: L/N0 must have order a power of p^d;
+    the hyperplanes built below a node must number (p^dk - 1)/(p^d - 1)
+    and be distinct, each of index p^(l+d); and every child of a level
+    must pass the invariance kernel.
 
-The tree's cost of expanding kept levels, in units of one HNF candidate,
-charges each subspace it tests, each child it is expected to build, and
-each node level it expands that is not empty.  The children are estimated
-from the counts already found, as the last count times its growth over the
-one before, so every decision reads counts and never clocks.  That one
-cost, set against candidate totals, decides every tree choice.  The tree
-produces a level when expanding every kept level costs less than the
-level's total, never at level 1: the root alone has as many subspaces as
-there are level-1 candidates.  It stops keeping levels at the top, or once
-expanding the last one alone costs at least the totals of all levels left.
-A kept level, from either producer, holds only the int64 HNF bases C of
-its invariant lattices.  When the tree expands it, one kernel call solves
-their actions C*A*C^-1, with a pivot per basis, and its entries are the
-node columns the subspace tests read.  Entries are int64 arrays whenever a
-rigorous worst-case bound keeps every intermediate below 2^62, and Python
-integers (dtype object) otherwise.
+The tree works in Python integers, one node at a time: its levels hold a
+few bases where it wins, and its bases have entries below p^E however
+large, so it has no int64 bound.  Its cost, in units of one HNF candidate,
+charges each (node, factor) pair it expands and each child it is expected
+to build, estimated as the last count times its growth over the one
+before, so every decision reads counts and never clocks.  That one cost,
+set against candidate totals, decides every tree choice.  The tree produces
+a level when expanding the levels e - d costs less than the level's total,
+never at level 1, whose (p^n - 1)/(p - 1) candidates one enumeration tests.
+It stops keeping levels at the top, or once expanding the last one alone
+costs at least the totals of all levels left.  A kept level, from either
+producer, holds the HNF bases of its invariant lattices as tuples of rows.
 """
 
 from __future__ import annotations
@@ -155,6 +173,9 @@ import operator
 import numpy as np
 import sympy
 from sympy.core.intfunc import igcdex
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
+from sympy.polys.matrices.ddm import DDM
 
 from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
 
@@ -162,31 +183,22 @@ DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
 
 _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
-# Bases per batch of packed diagonals, and (node, subspace) pairs per tree
-# kernel call.  Where packed diagonals differ, their pivots are arrays, and
-# dividing by an array costs more than by an int.  Over 400 operations of
-# each verify workload (seed 1), no batch held more than 3515 bases, no tree
-# call more than 381 pairs, and `_split` never ran; on the five slowest
-# level-loop counts below, _PACK = _BATCH changed the oracle time by 1-3 %.
+# Bases per batch of packed diagonals.  Where packed diagonals differ, their
+# pivots are arrays, and dividing by an array costs more than by an int.
+# Over 400 operations of each verify workload (seed 1), no batch held more
+# than 3515 bases and `_split` never ran; on the five slowest level-loop
+# counts of an earlier draw, _PACK = _BATCH changed the oracle time by 1-3 %.
 _PACK = 1 << 12
 
-# The tree's cost in units of one HNF candidate: per subspace tested, per
-# child it is expected to build, and per node level it expands, fitted to
-# per-level timings of inputs the peel now counts.  Measured since on 160
-# counts that reach the level loop (random 2x2-4x4 matrices, entries in
-# [-9, 9], and cI + p^k*B, p <= 7, at most 10^6 candidates each; one CPU,
-# best of 7 per input):
-# * without the child term, 38 of them change decisions and take 1.24 times
-#   as long in total (0.83-3.3 times each), and the level loop has the tree
-#   produce level 5 of [[1,0,0,1],[3,0,0,3],[1,0,0,1],[-1,0,0,-1]] at p = 2,
-#   a (2,1,1) nilpotent verify-dense draws: 16-19 ms in place of 5.5-6.1 ms;
-# * without the subspace and child terms, 89 change decisions and take 12
-#   times as long in total (0.8-47 times each);
-# * on the 452 distinct verify-sparse counts of seeds 1-3, neither changes
-#   a decision, and a level term of 0, 250 or 1200 changes 274, 170 and 137.
-_TREE_SUBSPACE = 3
-_TREE_CHILD = 30
-_TREE_LEVEL = 1000
+# The tree's cost in units of one HNF candidate: per (node, factor) pair it
+# expands and per child it is expected to build.  Fitted to per-level
+# timings of both producers (one CPU, best of 5): a pair with k = 1 took
+# 10-20 us and a hyperplane child 20-40 us at n = 2-4, where an HNF level
+# took 45-150 us before its first candidate and 0.01-0.06 us per candidate.
+# The pair term is below the time ratio because HNF's fixed cost per level
+# is not charged.
+_TREE_NODE = 1000
+_TREE_CHILD = 1000
 
 
 class BudgetError(RuntimeError):
@@ -220,15 +232,6 @@ def _level_totals(n: int, p: int):
         yield h[-1]
         for j in range(1, n):
             h[j] = h[j - 1] + p ** j * h[j]
-
-
-def _gaussian_binomial(n: int, k: int, p: int) -> int:
-    """Number of k-dimensional subspaces of F_p^n."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
 
 
 def _int64_bound(n: int, p: int, e: int, abs_max: int) -> int:
@@ -306,16 +309,6 @@ def _invariance(b, a):
             return ok, None
         m.append(row)
     return ok, m
-
-
-def _entries(batch, dtype):
-    """A non-empty (k, n, n) batch entrywise: an int where all k agree, else a 1-D array."""
-    first = batch[0].tolist()
-    if len(batch) == 1:
-        return first
-    same = (batch == batch[:1]).all(axis=0).tolist()
-    cols = np.ascontiguousarray(batch.transpose(1, 2, 0), dtype=dtype)
-    return [[x if s else col for x, s, col in zip(*rows)] for rows in zip(first, same, cols)]
 
 
 def _stack(entries, idx, dtype):
@@ -460,33 +453,66 @@ def count_at_exponent(a: IntMatrix, p: int, levels: range, nodes=None) -> tuple[
     return count, visits
 
 
-def _reduce_upper_hnf(b, modulus):
-    """Row HNF, in place, of a batch of upper-triangular integer bases.
+def _insert(w, r) -> None:
+    """Add the row r to the lattice spanned by the upper-triangular basis w, in place.
 
-    Every diagonal entry must be positive and every lattice must contain
-    modulus*Z^n, so that entries right of the column being reduced can be
-    kept in [0, modulus) without changing the lattice.
+    Column by column, r is reduced by the pivot row where the pivot divides
+    its entry; elsewhere the two rows are replaced by the unimodular
+    combination that puts their gcd on the diagonal and clears r there.  So
+    the span of w and r never changes, and r ends as 0.
     """
-    n = b.shape[-1]
-    for j in range(1, n):
-        dj = b[:, j, j]
+    for j, row in enumerate(w):
+        x = r[j]
+        if not x:
+            continue
+        d = row[j]
+        q, rest = divmod(x, d)
+        if rest:
+            s, t, g = igcdex(x, d)
+            w[j] = [s * u + t * v for u, v in zip(r, row)]
+            r = [d // g * u - x // g * v for u, v in zip(r, row)]
+        else:
+            r = [u - q * v for u, v in zip(r, row)]
+
+
+def _hnf(w, modulus: int) -> tuple:
+    """The row HNF, as a tuple of rows, of an upper-triangular basis w of a
+    lattice that contains modulus*Z^n.
+
+    Every entry right of a diagonal may be taken mod modulus: the rows stay
+    in the lattice and the determinant does not change, so the lattice
+    does not either.  Then each column j is reduced into [0, w[j][j]).
+    """
+    w = [[x % modulus if j > i else x for j, x in enumerate(row)] for i, row in enumerate(w)]
+    for j in range(1, len(w)):
+        pivot = w[j]
         for i in range(j):
-            q = b[:, i, j] // dj
-            b[:, i, j:] -= q[:, None] * b[:, j, j:]
-            b[:, i, j + 1:] %= modulus
-    return b
+            q = w[i][j] // pivot[j]
+            if q:
+                w[i][j:] = [(x - q * y) % modulus for x, y in zip(w[i][j:], pivot[j:])]
+    return tuple(map(tuple, w))
+
+
+def _times(v, cols, modulus: int) -> list[int]:
+    """The row v times the matrix of columns cols, mod modulus."""
+    return [sum(map(operator.mul, v, col)) % modulus for col in cols]
+
+
+def _index(b) -> int:
+    """The index of the lattice of an upper-triangular basis: its diagonal product."""
+    return math.prod(row[i] for i, row in enumerate(b))
 
 
 class _LatticeTree:
-    """The invariant lattices of the levels the tree has yet to expand.
+    """The invariant lattices of the levels the tree may still expand.
 
-    levels[l] holds the int64 HNF bases C of the invariant lattices of level
-    l, whose actions C*A*C^-1 `_expand` solves.  pending[l] holds the distinct
-    child bases found so far at a level not yet produced, and patterns the
-    subspace batches of each (codimension, dtype) met so far.  totals[e] is the
-    candidate total of level e (from _level_totals), the HNF cost of level
-    e, and counts[e] the number of invariant lattices of level e, for the
-    levels found so far.
+    levels[l] holds the HNF bases C, tuples of rows of Python ints, of the
+    invariant lattices of level l.  factors holds (d, G) for each distinct
+    monic irreducible factor g of degree d of the characteristic polynomial
+    mod p, G the columns of g(A) mod p^top.  totals[e] is the candidate
+    total of level e (from _level_totals), the HNF cost of level e, and
+    counts[e] the number of invariant lattices of level e, for the levels
+    found so far.
     """
 
     def __init__(self, a: IntMatrix, p: int, totals: list[int]):
@@ -495,132 +521,122 @@ class _LatticeTree:
         self.top = top = len(totals) - 1
         self.totals = totals
         self.entries = a.entries
-        self.abs_max = _abs_max(a.entries)
-        self.gauss = [_gaussian_binomial(n, k, p) for k in range(n + 1)]
-        # bases stay int64: every intermediate of their reduction is below (n*p^e)^2
-        self.keeping = top >= 2 and (n * p ** top) ** 2 < _INT64_SAFE
-        self.levels = {0: np.eye(n, dtype=np.int64)[None]}
-        self.pending = {}
-        self.patterns = {}
+        self.cols = list(zip(*a.entries))
+        self.keeping = top >= 2
+        self.levels = {0: [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]}
         self.counts = [1]
+        self.factors = []
+        if self.keeping:
+            chi = DDM([[x % p for x in row] for row in a.entries], (n, n), ZZ).charpoly()
+            modulus = p ** top
+            for g, _ in gf_factor([int(x) % p for x in chi], p, ZZ)[1]:
+                power = [[0] * n for _ in range(n)]
+                for x in g:  # Horner: G = G*A + x*I, mod p^top
+                    power = [[(y + x * (i == j)) % modulus
+                              for j, y in enumerate(_times(row, self.cols, modulus))]
+                             for i, row in enumerate(power)]
+                self.factors.append((len(g) - 1, list(zip(*power))))
 
-    def _span(self, level: int, e: int) -> int:
-        """Subspaces tested per node of `level` when it is expanded for level e."""
-        return sum(self.gauss[max(1, e - level):min(self.n, self.top - level) + 1])
-
-    def _cost(self, e: int, levels) -> int:
-        """The cost, in HNF candidates, of expanding the kept `levels` for level e.
-
-        It charges each subspace tested, each node level that is not empty,
-        and the children expected: the last count times its growth over the
-        one before.
-        """
-        subspaces = sum(len(self.levels[l]) * self._span(l, e) for l in levels)
-        expanded = sum(1 for l in levels if len(self.levels[l]))
+    def _cost(self, nodes: int) -> int:
+        """The cost, in HNF candidates, of expanding `nodes` (node, factor) pairs:
+        each pair, and each child expected, the last count times its growth
+        over the one before."""
         last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
-        return (_TREE_SUBSPACE * subspaces
-                + _TREE_CHILD * (last * last // max(1, before)) + _TREE_LEVEL * expanded)
+        return _TREE_NODE * nodes + _TREE_CHILD * (last * last // max(1, before))
 
     def cheaper(self, e: int) -> bool:
-        """Would the tree produce level e for less than HNF enumeration?"""
-        return self.keeping and self._cost(e, self.levels) < self.totals[e]
+        """Would the tree produce level e for less than HNF enumeration?  Never at level 1."""
+        return (self.keeping and e > 1 and self._cost(
+            sum(len(self.levels.get(e - d, ())) for d, _ in self.factors)) < self.totals[e])
 
     def record(self, e: int, nodes) -> None:
         """Keep level e as found by count_at_exponent: its arrays of bases."""
-        empty = np.zeros((0, self.n, self.n), dtype=np.int64)
-        self.levels[e] = np.concatenate(nodes or [empty]).astype(np.int64)
+        self.levels[e] = [tuple(map(tuple, b)) for batch in nodes for b in batch.tolist()]
         self.counts.append(len(self.levels[e]))
 
     def produce(self, e: int) -> int:
-        """Count level e: expand every level kept so far, keep the children."""
-        for l in sorted(self.levels):
-            self._expand(l, e)
-        empty = np.zeros((0, self.n, self.n), dtype=np.int64)
-        self.levels[e] = self.pending.pop(e, empty)
-        self.counts.append(len(self.levels[e]))
+        """Count level e: the children of level e - d for each factor of degree d."""
+        found = set()
+        for d, g in self.factors:
+            for c in self.levels.get(e - d, ()):
+                found.update(self._children(c, e - d, d, g))
+        for b in found:
+            if _invariance(b, self.entries)[0] is not True:
+                raise RuntimeError(f"a child basis at level {e} is not invariant")
+        self.levels[e] = list(found)
+        self.counts.append(len(found))
         return self.counts[-1]
 
     def prune(self, e: int) -> None:
-        """After level e, drop the levels whose children all land at or below e.
+        """After level e, drop the levels no later level is a child of.
 
         Give up at the top level, or when expanding level e alone would cost
         at least all the HNF candidates left: then drop every kept level and
         stop keeping, and HNF enumeration produces every remaining level.
         """
-        if e == self.top or self._cost(e + 1, [e]) >= sum(self.totals[e + 1:]):
+        if e == self.top or (self._cost(len(self.levels[e]) * len(self.factors))
+                             >= sum(self.totals[e + 1:])):
             self.keeping = False
             self.levels.clear()
-            self.pending.clear()
             return
-        for l in [l for l in self.levels if l <= e - self.n]:
+        reach = max(d for d, _ in self.factors)
+        for l in [l for l in self.levels if l <= e - reach]:
             del self.levels[l]
 
-    def _patterns(self, k: int, dtype) -> list:
-        """The batches of the subspaces of codimension k, R in reduced row echelon
-        form with diagonal entries in {1, p}, in dtype; built once per tree."""
-        key = (k, dtype)
-        if key not in self.patterns:
-            n, p = self.n, self.p
-            patterns = [(d, [(i, j) for j in range(n) for i in range(j)
-                             if d[i] == 1 and d[j] == p])
-                        for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
-            self.patterns[key] = list(_batches(n, patterns, dtype))
-        return self.patterns[key]
-
-    def _expand(self, l: int, e: int) -> None:
-        """Test every subspace of every node of level l whose child lands at >= e."""
-        n, p = self.n, self.p
-        c = self.levels.pop(l)
-        if not len(c):
-            return
-        # the test is the level-1 HNF test of the action M against bases R:
-        # node actions are columns over the nodes, subspace digits rows.  So
-        # the actions C*A*C^-1 are solved with the bases C as columns.
-        ok, act = _invariance([[x if isinstance(x, int) else x[:, None] for x in row]
-                               for row in _entries(c, _action_dtype(n, p, l, self.abs_max))],
-                              self.entries)
-        if not np.all(ok):
-            raise RuntimeError(f"a child basis at level {l} is not invariant")
-        dtype = _action_dtype(n, p, 1, max(abs(x) if isinstance(x, int) else int(np.abs(x).max())
-                                           for row in act for x in row))
-        act = [[x if isinstance(x, int) else x.astype(dtype, copy=False) for x in row]
-               for row in act]
-        tested = 0
-        for k in range(max(1, e - l), min(n, self.top - l) + 1):
-            found = [self.pending.pop(l + k)] if l + k in self.pending else []
-            for r, size in self._patterns(k, dtype):
-                rows = [[x if isinstance(x, int) else x[None] for x in row] for row in r]
-                step = max(1, _PACK // size)
-                for s in range(0, len(c), step):
-                    part = [[x if isinstance(x, int) else x[s:s + step] for x in row]
-                            for row in act]
-                    ok, _ = _invariance(rows, part)
-                    shape = (min(step, len(c) - s), size)
-                    tested += shape[0] * shape[1]
-                    if ok is False:
-                        continue
-                    if ok is True or ok.shape != shape:
-                        ok = np.broadcast_to(ok, shape)
-                    node, sub = np.nonzero(ok)
-                    if node.size:
-                        found.append(_reduce_upper_hnf(_stack(r, sub, np.int64) @ c[s + node],
-                                                       p ** (l + k)))
-            if found:
-                self.pending[l + k] = _distinct(np.concatenate(found))
-        expected = len(c) * self._span(l, e)
-        if tested != expected:
-            raise RuntimeError(
-                f"tree tested {tested} subspaces below level {l}; expected {expected}")
-
-
-def _distinct(b):
-    """The distinct bases of a batch, each once."""
-    keys = b.reshape(len(b), -1)
-    order = np.lexsort(keys.T)
-    keys = keys[order]
-    first = np.ones(len(b), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return b[order[first]]
+    def _children(self, c, l: int, d: int, g) -> list:
+        """The HNF bases of the children of the node c of level l for a factor
+        of degree d, g the columns of g(A): the N with N0 = C*g(A) + pL <= N < L
+        and L/N the field F_p[x]/(g), the hyperplanes of L/N0 over that field."""
+        p = self.p
+        modulus = p ** (l + 1)  # pL contains p^(l+1)*Z^n
+        w = [[p * x for x in row] for row in c]
+        for row in c:
+            _insert(w, _times(row, g, modulus))
+        n0 = _hnf(w, modulus)
+        size, field = _index(n0) // p ** l, p ** d
+        if size == field:
+            return [n0]
+        k = round(math.log(size, field))
+        if k < 1 or field ** k != size:
+            raise RuntimeError(f"L/N0 has order {size} at level {l}, not a power of {field}")
+        # a basis q_1..q_k of L/N0 over the field, each with its images under
+        # A^t, t < d: rows of C outside the span so far, until it is L
+        basis, span = [], [list(row) for row in n0]
+        for row in c:
+            powers = [list(row)]
+            for _ in range(1, d):
+                powers.append(_times(powers[-1], self.cols, modulus))
+            grown = [list(r) for r in span]
+            for v in powers:
+                _insert(grown, v)
+            if _index(grown) < _index(span):
+                basis.append(powers)
+                span = grown
+        if len(basis) != k or _index(span) != p ** l:
+            raise RuntimeError(f"found {len(basis)} of {k} basis vectors of L/N0 at level {l}")
+        # the hyperplane with normalized coordinates (0, .., 0, 1, a_(j+1), .., a_k)
+        # is spanned over the field by q_i, i < j, and q_i - q_j*a_i(A), i > j
+        children = []
+        for j, q in enumerate(basis):
+            for a in itertools.product(range(p), repeat=d * (k - 1 - j)):
+                gens = [other[0] for other in basis[:j]]
+                for i, other in enumerate(basis[j + 1:]):
+                    coeffs = a[i * d:(i + 1) * d]
+                    gens.append([(x - sum(map(operator.mul, coeffs, ys))) % modulus
+                                 for x, *ys in zip(other[0], *q)])
+                w = [list(r) for r in n0]
+                for v in gens:
+                    for _ in range(d):
+                        _insert(w, v)
+                        v = _times(v, self.cols, modulus)
+                children.append(_hnf(w, modulus))
+        want = (field ** k - 1) // (field - 1)
+        if len(children) != want or len(set(children)) != want:
+            raise RuntimeError(f"built {len(children)} hyperplanes ({len(set(children))} "
+                               f"distinct) below a node of level {l}; expected {want}")
+        if any(_index(b) != p ** (l + d) for b in children):
+            raise RuntimeError(f"a child of a node of level {l} has index other than p^{l + d}")
+        return children
 
 
 def _reduced(a: IntMatrix, modulus: int) -> IntMatrix:

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,9 @@ from submodzeta.oracle import (
     _LatticeTree,
     _batches,
     _count_numpy,
-    _distinct,
-    _gaussian_binomial,
+    _hnf,
     _level_totals,
     _int64_bound,
-    _reduce_upper_hnf,
     _reduced,
     _stack,
     compositions,
@@ -148,8 +147,10 @@ def test_counts_invariant_under_unimodular_conjugation():
 
 def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch):
     # at p^E = 13^6 the reduced entries of the 10^30 conjugate of x^2+1 still
-    # fail the bound, so the higher levels run in dtype object
+    # fail the bound, so the higher levels run in dtype object; the tree works
+    # in Python integers, so HNF enumeration is made to produce every level
     p, top = 13, 6
+    _forced(monkeypatch, False)
     huge = _huge_x2_plus_1()
     assert _int64_bound(2, p, top, _abs_max(_reduced(huge, p ** top))) >= _INT64_SAFE
     dtypes = []
@@ -503,6 +504,81 @@ def test_tree_matches_hnf_on_random_matrices(rows, p):
     assert count_invariant_sublattices(a, p, top)[2:] == tuple(_hnf_counts(a, p, top))
 
 
+@st.composite
+def _scalar_mod_p(draw):
+    """(cI + p*B, p, top): n = 2-4, p <= 7, at most 2*10^4 candidates in levels
+    2..top.  Every node is scalar mod p at first, so L/N0 has dimension k > 1
+    and the tree builds its hyperplanes."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    tops = [e for e in range(2, 7) if sum(_totals(n, p, e)[2:]) <= 2 * 10 ** 4]
+    assume(tops)
+    c = draw(st.integers(-5, 5))
+    b = draw(_square(n, st.integers(-3, 3)))
+    a = IntMatrix([[c * (i == j) + p * x for j, x in enumerate(row)] for i, row in enumerate(b)])
+    return a, p, draw(st.sampled_from(tops))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_scalar_mod_p())
+def test_tree_matches_hnf_below_nodes_that_are_scalar_mod_p(case):
+    a, p, top = case
+    assert _tree_counts(a, p, top) == _hnf_counts(a, p, top)
+
+
+def _random_6x6():
+    """The first three 6x6 matrices drawn row by row from random.Random(1),
+    entries in [-9, 9]."""
+    rng = random.Random(1)
+    return [IntMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)])
+            for _ in range(3)]
+
+
+def _timed_count(a, p, top):
+    start = time.perf_counter()
+    counts = count_invariant_sublattices(a, p, top, max_n=6, max_candidates=10 ** 14)
+    return counts, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("p, wants", [
+    # at p = 5 the values of the tree that tested every subspace of F_5^6;
+    # level 2 of the third draw also against HNF enumeration (12.7 million
+    # candidates), level 3 has 4*10^10
+    (5, [(1, 0, 1, 0), (1, 0, 0, 2), (1, 2, 4, 6)]),
+    (7, [(1, 4, 11, 24), (1, 0, 0, 0), (1, 1, 2, 3)]),
+])
+def test_random_6x6_counts_in_time_and_under_conjugation(p, wants):
+    rng = random.Random(6)
+    for a, want in zip(_random_6x6(), wants):
+        counts, seconds = _timed_count(a, p, 3)
+        assert counts == want
+        # the tree builds a few children per level (3-21 ms on one CPU);
+        # testing every subspace of F_7^6 took 4.8-6.6 s
+        assert seconds < 1.0
+        assert _timed_count(_conjugate(random_unimodular(rng, 6), a), p, 3)[0] == want
+    if p == 5:
+        assert count_at_exponent(a, p, range(2, 3))[0] == want[2]
+
+
+def test_third_random_6x6_keeps_the_cube_of_its_factor_mod_5():
+    # chi = (x - 1)(x - 2)^3(x^2 - 2x - 1) mod 5: factoring only squarefree
+    # polynomials misses the repeated factor x - 2
+    a = _random_6x6()[2]
+    assert a.entries[0] == (7, -6, -4, 7, 3, 2)
+    tree = _LatticeTree(a, 5, _totals(6, 5, 3))
+    assert sorted(d for d, _ in tree.factors) == [1, 1, 2]
+    assert _timed_count(a, 5, 3)[0] == (1, 2, 4, 6)
+
+
+def test_x2_plus_1_at_89_runs_past_the_int64_bound_in_time():
+    # (n*p^E)^2 >= 2^62 switched the old tree off, and HNF enumeration of
+    # 5.7*10^9 candidates ran for minutes; the tree builds two children a node
+    start = time.perf_counter()
+    assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 89, 5,
+                                       max_candidates=10 ** 10) == (1, 2, 3, 4, 5, 6)
+    assert time.perf_counter() - start < 0.5
+
+
 def _hnf_bases(n, p, e):
     """Every HNF basis of determinant p^e, by a pure-Python loop."""
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -529,7 +605,7 @@ def _members(entries, k):
 
 def _solved_actions(monkeypatch, tree):
     """Make the kernel record, as (C, M) pairs of integer matrices, each action
-    M = C*A*C^-1 that `_expand` solves: its kernel calls against A itself."""
+    M = C*A*C^-1 that the tree solves: its invariance check of every child."""
     solved = []
     invariance = oracle._invariance
 
@@ -578,8 +654,8 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top, monkeypatch):
         wants.append(want)
         hnf_nodes.append(nodes)
     # the tree's levels, recorded or produced, and the actions C*A*C^-1 it
-    # solves when it expands them, against the same reference; the tree
-    # reaches one level past top, so that it expands level top too
+    # solves when it checks its children, against the same reference; the
+    # tree reaches one level past top, so that it expands level top too
     tree = _LatticeTree(a, p, _totals(n, p, top + 1))
     tree.record(1, hnf_nodes[0])
     assert set(_as_matrices(tree.levels[1])) == wants[1]
@@ -589,10 +665,10 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top, monkeypatch):
         if e <= top:
             assert count == len(wants[e])
             assert set(_as_matrices(tree.levels[e])) == wants[e]
-    # each invariant lattice of levels 0..top once, empty levels never
+    # each invariant lattice of the produced levels 2..top checked once
     bases = [c for c, _ in solved]
-    assert len(bases) == len(set(bases)) == sum(map(len, wants))
-    assert set(bases) == set().union(*wants)
+    assert len(bases) == len(set(bases)) == sum(map(len, wants[2:])) + count
+    assert set(bases) >= set().union(*wants[2:])
     assert all(m * c == c * a for c, m in solved)
 
 
@@ -603,9 +679,10 @@ def test_reference_cases_reach_the_object_path():
     assert _int64_bound(a.n_rows, p, 1, abs_max) >= _INT64_SAFE
 
 
-def test_actions_reject_a_basis_that_is_not_invariant():
+def test_actions_reject_a_basis_that_is_not_invariant(monkeypatch):
     # a kept level 1 with a basis that x^2+1 does not leave invariant: alone,
-    # and after the two invariant lattices of level 1 at p = 5
+    # and after the two invariant lattices of level 1 at p = 5.  Its N0 is
+    # all of L, which no invariant node has
     a = companion(IntPoly((1, 0, 1)))
     corrupt = np.array([[[5, 0], [0, 1]]])
     nodes = []
@@ -613,8 +690,15 @@ def test_actions_reject_a_basis_that_is_not_invariant():
     for level in ([corrupt], nodes + [corrupt]):
         tree = _LatticeTree(a, 5, _totals(2, 5, 3))
         tree.record(1, level)
-        with pytest.raises(RuntimeError, match="a child basis at level 1 is not invariant"):
+        with pytest.raises(RuntimeError, match="L/N0 has order 1 at level 1, not a power of 5"):
             tree.produce(2)
+    # a child that is not invariant fails the kernel's check
+    tree = _LatticeTree(a, 5, _totals(2, 5, 3))
+    tree.record(1, nodes)
+    children = [((5, 0), (0, 5)), ((25, 0), (0, 1))]
+    monkeypatch.setattr(_LatticeTree, "_children", lambda *args: children)
+    with pytest.raises(RuntimeError, match="a child basis at level 2 is not invariant"):
+        tree.produce(2)
 
 
 def _drop_the_first_batch(monkeypatch):
@@ -635,35 +719,32 @@ def test_hnf_enumeration_raises_when_it_visits_too_few_candidates(monkeypatch):
             count_invariant_sublattices(a, 3, 2)
 
 
-def test_tree_level_raises_when_it_tests_too_few_subspaces(monkeypatch):
-    a = companion(IntPoly((1, 0, 1)))
-    tree = _LatticeTree(a, 5, _totals(2, 5, 3))
-    nodes = []
-    count_at_exponent(a, 5, range(1, 2), nodes)
-    tree.record(1, nodes)
-    _drop_the_first_batch(monkeypatch)
-    with pytest.raises(RuntimeError, match="tree tested"):
-        tree.produce(2)
+def _root_children(monkeypatch, hnf):
+    """The level-1 children of the 2x2 zero matrix at p = 2, built with `hnf` in
+    place of `_hnf` for its hyperplanes: L/N0 = F_2^2 has three lines."""
+    tree = _LatticeTree(diag(0, 0), 2, _totals(2, 2, 3))
+    monkeypatch.setattr(oracle, "_hnf", lambda w, modulus: hnf(_hnf(w, modulus)))
+    return tree.produce(1)
 
 
-def test_the_tree_builds_each_subspace_pattern_set_once_per_count(monkeypatch):
-    """x^2+1 at p = 13 splits; the tree produces three of its levels, and
-    expands nodes of several levels for each, but builds the batches of
-    each (codimension, dtype) pattern set once.  An HNF level lets every
-    diagonal run over all positions above it; a pattern set has a diagonal
-    with no free position."""
-    built = []
-    batches = oracle._batches
+@pytest.mark.parametrize("corrupt, message", [
+    # an unnormalized hyperplane: every child the same
+    pytest.param(lambda b: ((1, 0), (0, 2)),
+                 r"built 3 hyperplanes \(1 distinct\) below a node of level 0", id="duplicates"),
+    # a child of index p^2, not p^(l + d) = p
+    pytest.param(lambda b: (b[0], (0, 2 * b[1][1])), "has index other than p", id="index"),
+])
+def test_tree_level_raises_when_it_builds_the_wrong_hyperplanes(corrupt, message, monkeypatch):
+    assert _root_children(monkeypatch, lambda b: b) == 3
+    calls = []
 
-    def recording(n, level, dtype):
-        built.append((tuple((d, tuple(free)) for d, free in level), dtype))
-        return batches(n, level, dtype)
+    def corrupted(b):
+        # N0 = 2Z^2 is built first, then the three hyperplanes
+        calls.append(b)
+        return b if len(calls) == 1 else corrupt(b)
 
-    monkeypatch.setattr(oracle, "_batches", recording)
-    assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
-    patterns = [key for key in built if any(not free for _, free in key[0])]
-    assert len(patterns) == 2
-    assert len(set(built)) == len(built)
+    with pytest.raises(RuntimeError, match=message):
+        _root_children(monkeypatch, corrupted)
 
 
 def _level_loop(a, p, top):
@@ -1131,10 +1212,10 @@ def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
 
 def test_cost_rule_keeps_dense_levels_on_hnf(monkeypatch):
     # every sublattice is invariant: HNF enumeration produces every level,
-    # and the nodes stop being kept after level 5, where expanding that
-    # level alone would cost at least the candidates of levels 6-10
+    # and the nodes stop being kept after level 1, where expanding that
+    # level alone would cost at least the candidates of levels 2-10
     got = _recorded_hnf_levels(monkeypatch, diag(0, 0), 2, 10)
-    assert got == [(e, e <= 5) for e in range(1, 11)]
+    assert got == [(e, e <= 1) for e in range(1, 11)]
 
 
 def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
@@ -1151,16 +1232,16 @@ def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
 
 def test_cost_rule_gives_up_on_a_dense_count_that_reaches_the_level_loop(monkeypatch):
     # its first column stays nonzero below the diagonal, so it is not
-    # peeled; the nodes are kept through level 3, and no tree level reads them
+    # peeled; the nodes of level 1 are kept, and no tree level reads them
     a = IntMatrix([[9, 16, -8], [24, 25, -16], [16, 8, 9]])
     assert count_invariant_sublattices(a, 2, 6) == (1, 7, 35, 155, 267, 555, 811)
     got = _recorded_hnf_levels(monkeypatch, a, 2, 6, count_invariant_sublattices)
-    assert got == [(e, e <= 3) for e in range(1, 7)]
+    assert got == [(e, e <= 1) for e in range(1, 7)]
 
 
 def test_cost_rule_hands_the_top_levels_of_a_shifted_count_to_the_tree(monkeypatch):
     # twice a matrix whose first column is nonzero below the diagonal: HNF
-    # enumeration produces levels 1-5, keeping their nodes, and the tree 6-9
+    # enumeration produces levels 1-7, keeping their nodes, and the tree 8-9
     a = IntMatrix([[0, 0, 6], [-4, -8, 4], [-6, 2, -2]])
     want = (1, 7, 11, 23, 27, 39, 43, 55, 59, 71)
     produced = []
@@ -1173,41 +1254,42 @@ def test_cost_rule_hands_the_top_levels_of_a_shifted_count_to_the_tree(monkeypat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_LatticeTree, "produce", producing)
         got = _recorded_hnf_levels(mp, a, 2, 9, count_invariant_sublattices)
-    assert got == [(e, True) for e in range(1, 6)]
-    assert produced == [6, 7, 8, 9]
+    assert got == [(e, True) for e in range(1, 8)]
+    assert produced == [8, 9]
     assert count_invariant_sublattices(a, 2, 9) == want
     _forced(monkeypatch, False)
     assert _level_loop(a, 2, 9) == want
 
 
 def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
-    # the tree still keeps the nodes of levels 1-4, but no later level
-    # would expand those of level 5
+    # the tree keeps the nodes of levels 1-2 and gives up after level 2;
+    # no later level would expand those of level 5 in any case
     got = _recorded_hnf_levels(monkeypatch, n_of(Partition([3])), 2, 5)
-    assert got == [(1, True), (2, True), (3, True), (4, True), (5, False)]
+    assert got == [(1, True), (2, True), (3, False), (4, False), (5, False)]
 
 
-def test_tree_cost_charges_subspaces_expected_children_and_node_levels():
-    for a, p, counts in ((n_of(Partition([2, 1])), 2, [1, 3, 11]),
-                         (companion(IntPoly((1, 0, 1))), 3, [1, 0, 1])):
+def test_tree_cost_charges_node_factor_pairs_and_expected_children(monkeypatch):
+    for a, p, counts, degrees in ((n_of(Partition([2, 1])), 2, [1, 3, 11], [1]),
+                                  (companion(IntPoly((1, 0, 1))), 3, [1, 0, 1], [2]),
+                                  (companion(IntPoly((1, 0, 1))), 5, [1, 2, 3], [1, 1])):
         n = a.n_rows
         tree = _LatticeTree(a, p, _totals(n, p, 5))
+        assert [d for d, _ in tree.factors] == degrees
         for e in (1, 2):
             nodes = []
             count_at_exponent(a, p, range(e, e + 1), nodes)
             tree.record(e, nodes)
         assert tree.counts == counts
-        # the children expected are the last count times its growth; the
-        # empty level 1 of x^2+1 at 3 is not charged
-        levels = sum(1 for c in tree.levels.values() if len(c))
-        assert levels == (3 if counts[1] else 2)
+        # the children expected are the last count times its growth
         children = oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
-        subspaces = sum(len(c) * tree._span(l, 3) for l, c in tree.levels.items())
-        assert tree._cost(3, tree.levels) == (
-            oracle._TREE_SUBSPACE * subspaces + children + oracle._TREE_LEVEL * levels)
-        # level 2 alone, as prune weighs it, charges its own subspaces only
-        assert tree._cost(3, [2]) == (
-            oracle._TREE_SUBSPACE * counts[2] * tree._span(2, 3) + children + oracle._TREE_LEVEL)
+        assert tree._cost(7) == oracle._TREE_NODE * 7 + children
+        # level 3 expands level 3 - d once per factor of degree d
+        pairs = sum(counts[3 - d] for d in degrees)
+        with monkeypatch.context() as mp:
+            seen = []
+            mp.setattr(_LatticeTree, "_cost", lambda self, nodes: seen.append(nodes) or 0)
+            assert tree.cheaper(3)
+        assert seen == [pairs]
 
 
 def _forced(monkeypatch, tree):
@@ -1290,18 +1372,16 @@ def test_upper_hnf_reduction_matches_linalg_hnf():
         det = 1
         for i in range(n):
             det *= prod.entries[i][i]
-        got = _reduce_upper_hnf(np.array([prod.entries], dtype=np.int64), det)[0]
-        assert IntMatrix(tuple(tuple(int(x) for x in row) for row in got)) == hnf(prod)
+        assert IntMatrix(_hnf(prod.entries, det)) == hnf(prod)
 
 
-def test_distinct_keeps_one_of_each_basis():
-    b = np.array([[[2, 1], [0, 1]], [[1, 0], [0, 4]], [[2, 1], [0, 1]], [[2, 0], [0, 1]]])
-    assert sorted(_distinct(b).tolist()) == [[[1, 0], [0, 4]], [[2, 0], [0, 1]], [[2, 1], [0, 1]]]
-
-
-def test_gaussian_binomials_count_subspaces():
-    assert [_gaussian_binomial(3, k, 2) for k in range(4)] == [1, 7, 7, 1]
-    assert _gaussian_binomial(4, 2, 3) == 130
+def test_hyperplanes_of_a_scalar_node_count_the_subspaces():
+    # below Z^n the zero matrix has N0 = pZ^n, so the root's children are the
+    # hyperplanes of F_p^n, (p^n - 1)/(p - 1) of them, and the children of
+    # level 1 reach every sublattice of level 2
+    for n, p, want in ((3, 2, [7, 35]), (4, 3, [40, 1210])):
+        tree = _LatticeTree(IntMatrix([[0] * n for _ in range(n)]), p, _totals(n, p, 3))
+        assert [tree.produce(e) for e in (1, 2)] == want == _totals(n, p, 2)[1:]
 
 
 def test_compositions_and_count_at_exponent_reject_bad_input():
