@@ -719,11 +719,11 @@ def test_hnf_enumeration_raises_when_it_visits_too_few_candidates(monkeypatch):
             count_invariant_sublattices(a, 3, 2)
 
 
-def _root_children(monkeypatch, hnf):
-    """The level-1 children of the 2x2 zero matrix at p = 2, built with `hnf` in
-    place of `_hnf` for its hyperplanes: L/N0 = F_2^2 has three lines."""
+def _root_children(monkeypatch, wrap):
+    """The level-1 children of the 2x2 zero matrix at p = 2, each HNF basis
+    passed through `wrap`: L/N0 = F_2^2 has three lines."""
     tree = _LatticeTree(diag(0, 0), 2, _totals(2, 2, 3))
-    monkeypatch.setattr(oracle, "_hnf", lambda w, modulus: hnf(_hnf(w, modulus)))
+    monkeypatch.setattr(oracle, "_hnf", lambda w, modulus: wrap(_hnf(w, modulus)))
     return tree.produce(1)
 
 
