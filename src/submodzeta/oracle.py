@@ -11,16 +11,15 @@ module imports nothing from the package but `linalg`: it shares no code
 with the elementary divisor vector or the formulas, and `verify` (in
 `cli`) sets the two side by side.
 
-One kernel (`_invariance`) decides B*A = M*B for a batch of bases at once,
-entry by entry: each entry of B, A, w = B*A and M is a Python int where the
-whole batch agrees and a contiguous 1-D array over the batch otherwise.
-Row i of M comes from row i of w by forward substitution against B, and
-column j needs the division test q = acc // d_j, q*d_j == acc, only when
-its pivot d_j is not 1.  Int entries fold into ints, and a term with an int
-factor 0 is never formed, so a basis row without free entries gives a
-constant row of w and a zero entry of A costs nothing.  A nonzero diagonal
-does cost: the kernel takes 2-3 times as long on cI as on the zero matrix,
-which has the same invariant lattices.
+One kernel (`_invariance`) decides whether B*A = M*B has an integer
+solution M for a batch of bases at once, entry by entry: each entry of B, A
+and w = B*A is a Python int where the whole batch agrees and a contiguous
+1-D array over the batch otherwise.  Row i of M comes from row i of w by
+forward substitution against B, and the verdict is that each division by a
+pivot other than 1 is exact.  A term with an int factor 0 is never formed,
+so a zero entry of A costs nothing, but a nonzero diagonal does: the kernel
+takes 2-3 times as long on cI as on the zero matrix, which has the same
+invariant lattices.
 
 A sublattice of index p^e contains p^e*Z^n, so for e <= E it is invariant
 under A exactly when it is invariant under A - cI + p^E*X, for any integer c
@@ -29,8 +28,8 @@ once (`_reduced`): c is the most common diagonal residue mod p^E, and every
 entry of A - cI becomes its centred residue mod p^E.  Both producers count
 that matrix, so a scalar matrix is counted as the zero matrix, and entries
 far past the int64 bound shrink below p^E/2.  The modulus is p^E for every
-level, not p^e: the tree solves the actions of the levels it keeps against
-this one matrix, and they feed its children up to level E.
+level, not p^e: the tree forms each g(A) once from this one matrix, mod
+p^E, and builds children from it up to level E.
 
 Before that reduction, a matrix with one eigenvalue is replaced by a
 strictly upper-triangular conjugate (`_triangular`): when c = tr(A)/n is an
@@ -85,20 +84,22 @@ keeps the bases of their invariant lattices; each basis's level is read off
 its diagonal, whose entries must be powers of p.  The tree is not tried
 there: the block's candidate totals, those of Z^(n-1), never exceed the
 totals of Z^n that the budget admitted, and on the verify-dense benchmark
-the tree won none of the block's levels.  g(L') is the gcd of the maximal
-minors of the basis of L' stacked over the nonzero rows of T' - dI, and
-g(L') / p^o(L') that of the same rows and t0 (`_minor_gcds`).  The minors
-are expanded column by column, one batch of bases at a time, over the row
-subsets whose minor is not the int 0.  They are int64 arrays at every level
-when m! * B^m < 2^62, m = n - 1 and B the larger of p^E and the largest
-entry, and Python integers otherwise.  A diagonal entry, g or g / p^o that
-is not a power of p raises RuntimeError.  The cost is that of one
-enumeration of the block's levels plus one pass of minors over their
-invariant lattices.  On the 40 operations of a traced verify-dense benchmark
-run (8 zero, 16 scalar and 16 nilpotent matrices, n = 2-4; one CPU of a
-2-vCPU machine), the oracle ran 16 enumerations, one per nilpotent matrix,
-tested 14 864 candidates and took 0.013 s; enumerating the levels of Z^n
-instead would test 7.8 million.
+the tree won none of the block's levels (re-measured for the tree of
+maximal invariant sublattices: the cost rule chose HNF for all 1790 block
+levels of the first 201 distinct operations of seeds 1-3).  g(L') is the
+gcd of the maximal minors of the basis of L' stacked over the nonzero rows
+of T' - dI, and g(L') / p^o(L') that of the same rows and t0
+(`_minor_gcds`).  The minors are expanded column by column, one batch of
+bases at a time, over the row subsets whose minor is not the int 0.  They
+are int64 arrays at every level when m! * B^m < 2^62, m = n - 1 and B the
+larger of p^E and the largest entry, and Python integers otherwise.  A
+diagonal entry, g or g / p^o that is not a power of p raises RuntimeError.
+The cost is that of one enumeration of the block's levels plus one pass of
+minors over their invariant lattices.  On the 40 operations of a traced
+verify-dense benchmark run (8 zero, 16 scalar and 16 nilpotent matrices,
+n = 2-4; one CPU of a 2-vCPU machine), the oracle ran 16 enumerations, one
+per nilpotent matrix, tested 14 864 candidates and took 0.013 s;
+enumerating the levels of Z^n instead would test 7.8 million.
 
 Each producer batches a whole level, not one diagonal at a time
 (`_batches`): a diagonal of more than _BATCH bases is split on its own, its
@@ -267,48 +268,42 @@ def _muladd(s, x, y, sub=False):
 
 
 def _invariance(b, a):
-    """(ok, m) with m*b = b*a, solved entrywise against upper-triangular b.
+    """Is b*a = m*b for an integer m, per member of a batch of upper-triangular b?
 
     b and a are n x n nested lists.  Each entry is a Python int, the same
     for the whole batch, or an array over the batch; arrays broadcast
     together, and only the entries that are not the int 0 are visited.
-    b[j][j] is the pivot of column j.  ok is a bool or a boolean array:
-    every division by a pivot was exact, and then m (a nested list of the
-    same kind) is the integer action.  Row i of m needs only row i of b*a,
-    so once no batch member is left, m is None.
+    b[j][j] is the pivot of column j.  Row i of m is solved from row i of
+    b*a by forward substitution, and the verdict, a bool or a boolean
+    array, says that every division by a pivot was exact.
     """
     n = len(b)
     b_rows = [_nonzero(row) for row in b]
     a_rows = [_nonzero(row) for row in a]
     ok = True
-    m = []
     for i in range(n):
         acc = [0] * n
         for k, x in b_rows[i]:
             for j, y in a_rows[k]:
                 acc[j] = _muladd(acc[j], x, y)
-        row = []
         for j in range(n):
             q = v = acc[j]
             d = b[j][j]
             if type(v) is int and v == 0:
-                row.append(0)
                 continue
             if type(d) is not int or d != 1:
                 q = v // d
                 exact = q * d == v
                 if exact is False:
-                    return False, None
+                    return False
                 if exact is not True:
                     ok = exact if ok is True else ok & exact
-            row.append(q)
             for l, x in b_rows[j]:
                 if l > j:
                     acc[l] = _muladd(acc[l], q, x, sub=True)
         if ok is not True and not ok.any():
-            return ok, None
-        m.append(row)
-    return ok, m
+            return ok
+    return ok
 
 
 def _stack(entries, idx, dtype):
@@ -420,7 +415,7 @@ def _count_numpy(a, diags, dtype, nodes=None):
     count = 0
     visits = 0
     for b, size in _batches(n, [(d, positions) for d in diags], dtype):
-        ok, _ = _invariance(b, a)
+        ok = _invariance(b, a)
         found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
         count += found
         visits += size
@@ -561,7 +556,7 @@ class _LatticeTree:
             for c in self.levels.get(e - d, ()):
                 found.update(self._children(c, e - d, d, g))
         for b in found:
-            if _invariance(b, self.entries)[0] is not True:
+            if _invariance(b, self.entries) is not True:
                 raise RuntimeError(f"a child basis at level {e} is not invariant")
         self.levels[e] = list(found)
         self.counts.append(len(found))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy.core.random
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -579,6 +580,30 @@ def test_x2_plus_1_at_89_runs_past_the_int64_bound_in_time():
     assert time.perf_counter() - start < 0.5
 
 
+def test_counts_leave_the_global_random_state_alone():
+    # x^2+1 at p = 13: chi splits into two linear factors mod 13, so the
+    # equal-degree step of gf_factor runs, and the tree produces levels 4-5.
+    # That step draws from sympy's own generator, not from `random`
+    state, sympy_state = random.getstate(), sympy.core.random.rng.getstate()
+    assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
+    assert random.getstate() == state
+    assert sympy.core.random.rng.getstate() != sympy_state
+
+
+def test_tree_factors_do_not_depend_on_the_sympy_seed():
+    a = companion(IntPoly((1, 0, 1)))
+    state = sympy.core.random.rng.getstate()
+    factors = []
+    try:
+        for seed in (0, 1):
+            sympy.core.random.seed(seed)
+            factors.append(_LatticeTree(a, 13, _totals(2, 13, 5)).factors)
+    finally:
+        sympy.core.random.rng.setstate(state)
+    assert factors[0] == factors[1]
+    assert [d for d, _ in factors[0]] == [1, 1]
+
+
 def _hnf_bases(n, p, e):
     """Every HNF basis of determinant p^e, by a pure-Python loop."""
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -597,28 +622,21 @@ def _as_matrices(batch):
     return [IntMatrix([[int(x) for x in row] for row in b]) for b in batch]
 
 
-def _members(entries, k):
-    """The k integer matrices of a batch held entrywise: an int where all agree, else an array."""
-    return [IntMatrix([[x if isinstance(x, int) else int(x.flat[i]) for x in row]
-                       for row in entries]) for i in range(k)]
-
-
-def _solved_actions(monkeypatch, tree):
-    """Make the kernel record, as (C, M) pairs of integer matrices, each action
-    M = C*A*C^-1 that the tree solves: its invariance check of every child."""
-    solved = []
+def _checked_children(monkeypatch, tree):
+    """Make the kernel record, as integer matrices, the bases the tree checks:
+    its invariance check of every child, one basis of ints at a time."""
+    checked = []
     invariance = oracle._invariance
 
     def recording(b, a):
-        ok, m = invariance(b, a)
+        ok = invariance(b, a)
         if a is tree.entries:
-            assert np.all(ok)
-            k = max((len(x) for row in b for x in row if not isinstance(x, int)), default=1)
-            solved.extend(zip(_members(b, k), _members(m, k)))
-        return ok, m
+            assert ok is True
+            checked.append(IntMatrix(b))
+        return ok
 
     monkeypatch.setattr(oracle, "_invariance", recording)
-    return solved
+    return checked
 
 
 def _reference_cases():
@@ -653,23 +671,22 @@ def test_invariant_bases_match_a_pure_python_reference(a, p, top, monkeypatch):
         assert set(bases) == want
         wants.append(want)
         hnf_nodes.append(nodes)
-    # the tree's levels, recorded or produced, and the actions C*A*C^-1 it
-    # solves when it checks its children, against the same reference; the
-    # tree reaches one level past top, so that it expands level top too
+    # the tree's levels, recorded or produced, and the children its kernel
+    # check accepts, against the same reference; the tree reaches one level
+    # past top, so that it expands level top too
     tree = _LatticeTree(a, p, _totals(n, p, top + 1))
     tree.record(1, hnf_nodes[0])
     assert set(_as_matrices(tree.levels[1])) == wants[1]
-    solved = _solved_actions(monkeypatch, tree)
+    bases = _checked_children(monkeypatch, tree)
     for e in range(2, top + 2):
         count = tree.produce(e)
         if e <= top:
             assert count == len(wants[e])
             assert set(_as_matrices(tree.levels[e])) == wants[e]
     # each invariant lattice of the produced levels 2..top checked once
-    bases = [c for c, _ in solved]
     assert len(bases) == len(set(bases)) == sum(map(len, wants[2:])) + count
     assert set(bases) >= set().union(*wants[2:])
-    assert all(m * c == c * a for c, m in solved)
+    assert all(is_invariant(c, a) for c in bases)
 
 
 def test_reference_cases_reach_the_object_path():
@@ -677,6 +694,55 @@ def test_reference_cases_reach_the_object_path():
     abs_max = max(abs(x) for row in a.entries for x in row)
     assert 10 ** 19 < abs_max < 10 ** 21
     assert _int64_bound(a.n_rows, p, 1, abs_max) >= _INT64_SAFE
+
+
+@st.composite
+def _kernel_batch(draw):
+    """(A, members, dtype): n <= 4, a batch of 1-5 HNF bases and the dtype of
+    the arrays that hold them.  Each entry is drawn from a pool of one or two
+    values, so members agree on some entries and differ on others; an entry
+    right of a pivot d_j is taken mod d_j."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    pools = {(i, j): draw(st.lists(st.integers(int(i == j), 8), min_size=1, max_size=2))
+             for i in range(n) for j in range(i, n)}
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        pick = {pos: draw(st.sampled_from(pool)) for pos, pool in pools.items()}
+        members.append([[pick[i, j] % pick[j, j] if j > i else pick[i, j] if j == i else 0
+                         for j in range(n)] for i in range(n)])
+    return a, members, draw(st.sampled_from([np.int64, object]))
+
+
+# _CARRY_A with bases of diagonal (2, 4, 4): the first is invariant, and the
+# others fail only at column 2 of row 0, after the quotient of column 0 was
+# carried into it; a kernel that does not carry q gets every verdict wrong
+_CARRY_A = [[-2, -2, 2], [-2, 1, -1], [1, -2, 2]]
+_CARRY_BASES = [[[2, 2, 2], [0, 4, 0], [0, 0, 4]], [[2, 0, 2], [0, 4, 0], [0, 0, 4]],
+                [[2, 0, 0], [0, 4, 2], [0, 0, 4]], [[2, 0, 2], [0, 4, 2], [0, 0, 4]]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_batch())
+@example((_CARRY_A, _CARRY_BASES[:3], np.int64))  # fails only at the last column
+@example((_CARRY_A, _CARRY_BASES[1:], object))  # all fail in row 0: the early exit
+@example((_CARRY_A, _CARRY_BASES[:1] * 2, np.int64))  # int only: the bool True
+@example((_CARRY_A, _CARRY_BASES[1:2], np.int64))  # int only: the bool False
+def test_kernel_verdict_matches_a_pure_python_reference(case):
+    a, members, dtype = case
+    n, k = len(a), len(members)
+    b = [[members[0][i][j] if len({m[i][j] for m in members}) == 1
+          else np.array([m[i][j] for m in members], dtype=dtype) for j in range(n)]
+         for i in range(n)]
+    ok = oracle._invariance(b, a)
+    want = [is_invariant(IntMatrix(m), IntMatrix(a)) for m in members]
+    if all(isinstance(x, int) for row in b for x in row):
+        assert type(ok) is bool
+    if type(ok) is bool:
+        assert want == [ok] * k
+    else:
+        assert ok.dtype == bool and ok.shape == (k,)
+        assert ok.tolist() == want
 
 
 def test_actions_reject_a_basis_that_is_not_invariant(monkeypatch):

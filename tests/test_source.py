@@ -26,6 +26,22 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_package_module_imports_random():
+    """Counts and outputs must not depend on the global `random` state."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _package_imports(path):
     """Package modules a source file imports, by relative or absolute name."""
     found = set()
