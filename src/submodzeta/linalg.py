@@ -181,7 +181,10 @@ class IntMatrix:
         # from a list, so the tuple is allocated at its final size: one built
         # from a generator is resized, and the resized tuples pile up on
         # the interpreter's free lists until a full garbage collection
-        rows = tuple([tuple(r) for r in rows])
+        try:
+            rows = tuple([tuple(r) for r in rows])
+        except TypeError:
+            raise ValueError("each row must be a list of integers") from None
         width = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != width:

@@ -17,28 +17,25 @@ and w = B*A is a Python int where the whole batch agrees and a contiguous
 1-D array over the batch otherwise.  Row i of M comes from row i of w by
 forward substitution against B, and the verdict is that each division by a
 pivot other than 1 is exact.  A term with an int factor 0 is never formed,
-so a zero entry of A costs nothing, but a nonzero diagonal does: the kernel
-takes 2-3 times as long on cI as on the zero matrix, which has the same
-invariant lattices.
+so a zero entry of A costs nothing.
 
 A sublattice of index p^e contains p^e*Z^n, so for e <= E it is invariant
-under A exactly when it is invariant under A - cI + p^E*X, for any integer c
-and integer matrix X.  `count_invariant_sublattices` therefore reduces A
-once (`_reduced`): c is the most common diagonal residue mod p^E, and every
-entry of A - cI becomes its centred residue mod p^E.  Both producers count
-that matrix, so a scalar matrix is counted as the zero matrix, and entries
-far past the int64 bound shrink below p^E/2.  The modulus is p^E for every
-level, not p^e: the tree forms each g(A) once from this one matrix, mod
-p^E, and builds children from it up to level E.
+under A exactly when it is invariant under A + p^E*X, for any integer
+matrix X.  `count_invariant_sublattices` therefore reduces A once
+(`_reduced`): every entry becomes its centred residue mod p^E, so entries
+far past the int64 bound shrink below p^E/2 and no zero entry is lost.
+The modulus is p^E for every level, not p^e: the tree forms each g(A) once
+from this one matrix, mod p^E, and builds children from it up to level E.
 
 Before that reduction, a matrix with one eigenvalue is replaced by a
 strictly upper-triangular conjugate (`_triangular`): when c = tr(A)/n is an
-integer and N = A - cI has N^n = 0, the producers count T + cI with
-T = U*N*U^-1 strictly upper triangular and U unimodular.  Three facts make
-this exact and always possible:
+integer and N = A - cI has N^n = 0, the producers count T = U*N*U^-1,
+strictly upper triangular with U unimodular.  Four facts make this exact
+and always possible:
 
+* cI maps every lattice into itself: A and N have the same invariant ones.
 * x -> x*U^-1 permutes the sublattices of Z^n and keeps their index, and L
-  is invariant under A exactly when L*U^-1 is invariant under U*A*U^-1, so
+  is invariant under N exactly when L*U^-1 is invariant under U*N*U^-1, so
   the counts agree level by level.
 * Left kernels are pure: if k*x lies in the left kernel of N for an integer
   k != 0, so does x.  So a primitive vector v of it is the last row of a
@@ -49,12 +46,13 @@ this exact and always possible:
 
 The kernel's cost depends on where the nonzero entries of the matrix sit,
 not only on how many there are, and T has a zero first column and a zero
-last row.  U*A = (T + cI)*U and U*U^-1 = I are checked exactly.  Every
-other matrix is counted as given.
+last row.  U*N = T*U and U*U^-1 = I are checked exactly.  Every other
+matrix is counted as given.
 
 After the reduction, a matrix T whose first column is zero below the
 diagonal is counted from its trailing block (`_peeled`): every triangular
-conjugate, so every matrix with one eigenvalue, and every 1 x 1 matrix.
+conjugate and every scalar matrix, so every matrix with one eigenvalue, and
+every 1 x 1 matrix.
 Write T = [[d, t0], [0, T']], with V = span(e_1, .., e_{n-1}), which T maps
 into itself.  For each sublattice L' < V of level l, each a >= 0 and each
 w in V, put L = L' + Z(p^a e_0 + w).  Then:
@@ -79,16 +77,18 @@ gives g(L') = [V : L'] = p^l, and t0 = 0 gives o(L') = 0.  So a_{p^e} is
 the sum over l <= e of p^l N_{n-1}(l), N_{n-1}(l) the candidate total of
 level l of Z^(n-1) (N_0 = 1, 0, 0, ... at n = 1), and `_peeled` returns it
 without enumerating anything.  Otherwise one call of HNF enumeration
-(`count_at_exponent`) produces the block's levels 1..E in one pass and
-keeps the bases of their invariant lattices; each basis's level is read off
-its diagonal, whose entries must be powers of p.  The tree is not tried
+(`count_at_exponent`) produces the levels 1..E of T' - dI, entries centred
+mod p^E, which has the invariant lattices of T', in one pass, and keeps the
+bases of their invariant lattices; each basis's level is read off its
+diagonal, whose entries must be powers of p.  The tree is not tried
 there: the block's candidate totals, those of Z^(n-1), never exceed the
 totals of Z^n that the budget admitted, and on the verify-dense benchmark
 the tree won none of the block's levels (re-measured for the tree of
 maximal invariant sublattices: the cost rule chose HNF for all 1790 block
 levels of the first 201 distinct operations of seeds 1-3).  g(L') is the
 gcd of the maximal minors of the basis of L' stacked over the nonzero rows
-of T' - dI, and g(L') / p^o(L') that of the same rows and t0
+of that centred T' - dI (L' contains p^E*V, so K is unchanged), and
+g(L') / p^o(L') that of the same rows and t0
 (`_minor_gcds`).  The minors are expanded column by column, one batch of
 bases at a time, over the row subsets whose minor is not the int 0.  They
 are int64 arrays at every level when m! * B^m < 2^62, m = n - 1 and B the
@@ -178,7 +178,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 from sympy.polys.matrices.ddm import DDM
 
-from .linalg import _INT64_SAFE, IntMatrix, _abs_max, _product
+from .linalg import _INT64_SAFE, IntMatrix, IntPoly, _abs_max, _product, poly_at_matrix
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
@@ -525,12 +525,9 @@ class _LatticeTree:
             chi = DDM([[x % p for x in row] for row in a.entries], (n, n), ZZ).charpoly()
             modulus = p ** top
             for g, _ in gf_factor([int(x) % p for x in chi], p, ZZ)[1]:
-                power = [[0] * n for _ in range(n)]
-                for x in g:  # Horner: G = G*A + x*I, mod p^top
-                    power = [[(y + x * (i == j)) % modulus
-                              for j, y in enumerate(_times(row, self.cols, modulus))]
-                             for i, row in enumerate(power)]
-                self.factors.append((len(g) - 1, list(zip(*power))))
+                power = poly_at_matrix(IntPoly([int(x) for x in reversed(g)]), a)
+                self.factors.append((len(g) - 1, [tuple(x % modulus for x in col)
+                                                  for col in zip(*power.entries)]))
 
     def _cost(self, nodes: int) -> int:
         """The cost, in HNF candidates, of expanding `nodes` (node, factor) pairs:
@@ -635,25 +632,17 @@ class _LatticeTree:
 
 
 def _reduced(a: IntMatrix, modulus: int) -> IntMatrix:
-    """A - cI with every entry a centred residue mod modulus, in (-modulus/2, modulus/2].
+    """A with every entry a centred residue mod modulus, in (-modulus/2, modulus/2].
 
-    c is the most common diagonal residue, ties going to 0, and 0 when
-    subtracting it would raise the largest |entry|.  The reduced matrix has
-    no fewer zero entries than A and no larger entry; every sublattice
-    containing modulus*Z^n is invariant under it exactly when under A.
+    The reduced matrix has no fewer zero entries than A and no larger entry;
+    every sublattice containing modulus*Z^n is invariant under it exactly
+    when under A.
     """
     def centred(x):
         r = x % modulus
         return r - modulus if 2 * r > modulus else r
 
-    residues = [row[i] % modulus for i, row in enumerate(a.entries)]
-    c = max(dict.fromkeys(residues), key=lambda r: (residues.count(r), r == 0))
-    plain = [[centred(x) for x in row] for row in a.entries]
-    shifted = [[centred(x - c) if i == j else x for j, x in enumerate(row)]
-               for i, row in enumerate(plain)]
-    if max(map(abs, itertools.chain(*shifted))) > max(map(abs, itertools.chain(*plain))):
-        shifted = plain
-    return IntMatrix(shifted)
+    return IntMatrix([[centred(x) for x in row] for row in a.entries])
 
 
 def _last_power(m, k: int):
@@ -713,12 +702,12 @@ def _flag(m):
 
 
 def _triangular(a: IntMatrix) -> IntMatrix:
-    """T + cI with T = U*(A - cI)*U^-1 strictly upper triangular, U unimodular.
+    """T = U*N*U^-1 strictly upper triangular, U unimodular, N = A - cI.
 
     Only for a matrix with one eigenvalue c, an integer: c = tr(A)/n and
-    (A - cI)^n = 0.  Every other matrix, and every scalar one, comes back
-    as it is.  Raises RuntimeError unless U*A = (T + cI)*U and U*U^-1 = I
-    hold exactly.
+    N^n = 0.  cI maps every lattice into itself, so T counts as A.  Every
+    other matrix, and every scalar one, comes back as it is.  Raises
+    RuntimeError unless U*N = T*U and U*U^-1 = I hold exactly.
     """
     n = a.n_rows
     c, r = divmod(sum(a.entries[i][i] for i in range(n)), n)
@@ -733,12 +722,11 @@ def _triangular(a: IntMatrix) -> IntMatrix:
         t, u, u_inv = _flag(nil)
     except ValueError:  # N^n != 0
         return a
-    out = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)]
-    if (_product(u, a.entries) != _product(out, u)
+    if (_product(u, nil) != _product(t, u)
             or _product(u, u_inv) != [[int(i == j) for j in range(n)] for i in range(n)]
             or any(x for i, row in enumerate(t) for x in row[:i + 1])):
         raise RuntimeError("the unimodular triangular conjugate failed its exact check")
-    return IntMatrix(out)
+    return IntMatrix(t)
 
 
 def _level_counts(a: IntMatrix, p: int, totals: list[int]) -> list[int]:
@@ -812,8 +800,9 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     every level e >= l + o(L'), where p^o(L') is the order of t0 modulo
     L' + V(T' - dI).  When T' = dI and t0 = 0, every L' is invariant, with
     g(L') = p^l and o(L') = 0, so the counts come from the block's candidate
-    totals alone.  Otherwise one HNF enumeration finds the invariant L' of
-    levels 1..top, each basis's level is read off its diagonal, and both
+    totals alone.  Otherwise one HNF enumeration of T' - dI, entries centred
+    mod p^top, finds the invariant L' of levels 1..top, each basis's level
+    is read off its diagonal, and both
     indices are gcds of maximal minors (`_minor_gcds`): g that of the rows
     of L' and T' - dI, and g / p^o that of those rows and t0.
     """
@@ -821,14 +810,14 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     if not m:  # Z has one sublattice of each index, and it is invariant
         return [1] * (top + 1)
     d, *t0 = a.entries[0]
-    block = [row[1:] for row in a.entries[1:]]
-    rows = [r for r in ([x - d * (i == j) for j, x in enumerate(row)]
-                        for i, row in enumerate(block)) if any(r)] + [t0]
+    block = _reduced(IntMatrix([[x - d * (i == j) for j, x in enumerate(row[1:])]
+                                for i, row in enumerate(a.entries[1:])]), p ** top)
+    rows = [r for r in block.entries if any(r)] + [t0]
     if not any(map(any, rows)):
         totals = itertools.islice(_level_totals(m, p), top + 1)
         return list(itertools.accumulate(p ** l * t for l, t in enumerate(totals)))
     nodes = [np.eye(m, dtype=np.int64)[None]]
-    count_at_exponent(IntMatrix(block), p, range(1, top + 1), nodes)
+    count_at_exponent(block, p, range(1, top + 1), nodes)
     # every entry is at most B, so every partial sum of a minor is at most m! * B^m
     fits = math.factorial(m) * max(p ** top, _abs_max(rows)) ** m < _INT64_SAFE
     dtype = np.int64 if fits else object
@@ -855,10 +844,11 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
 
     Refuses upfront (BudgetError) when n exceeds the cap or the HNF
     candidate total exceeds the budget, at the first level where the
-    running total passes it.  Both producers count A - cI with its entries
-    centred mod p^max_exp (`_reduced`), which has the same invariant
-    lattices up to index p^max_exp.  A matrix whose first column is then
-    zero below the diagonal is counted from its trailing block (`_peeled`);
+    running total passes it.  Both producers count A, or its triangular
+    conjugate (`_triangular`), entries centred mod p^max_exp (`_reduced`),
+    which has the same invariant lattices up to index p^max_exp.  A matrix
+    whose first column is then zero below the diagonal is counted from its
+    trailing block (`_peeled`);
     every other one level by level (`_level_counts`), each level e >= 1
     from HNF enumeration or from the tree of invariant lattices, whichever
     is cheaper.  Both producers are deterministic and self-check their work

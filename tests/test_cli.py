@@ -532,6 +532,14 @@ def test_a_bool_matrix_size_is_refused(capsys):
     assert capsys.readouterr().err == "error: invalid matrix: integer entries required, got True\n"
 
 
+@pytest.mark.parametrize("matrix", ["[1,2]", "[null]", '{"n": 2, "entries": [1, 2]}'],
+                         ids=["ints", "null", "entries-of-ints"])
+def test_a_row_that_is_not_a_list_is_refused_in_plain_words(capsys, matrix):
+    assert main(["analyze", matrix]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: invalid matrix: each row must be a list of integers\n"
+
+
 def test_an_unreadable_matrix_path_is_a_usage_error(capsys, tmp_path):
     """A matrix path that cannot be read fails as an unreadable --edv file does."""
     assert main(["analyze", str(tmp_path)]) == 1
@@ -540,6 +548,17 @@ def test_an_unreadable_matrix_path_is_a_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
     assert main(["analyze", "--edv", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read EDV file: ")
+
+
+@pytest.mark.parametrize("argv", [["special", "zpxn", "3", "4"],
+                                  ["special", "powerseries", "12", "13"]],
+                         ids=["zpxn", "powerseries"])
+def test_special_refuses_an_extra_argument(capsys, argv):
+    """Only fe-check reads more than one argument; the other forms refuse
+    an extra one instead of dropping it."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {argv[1]} takes one argument, got 2\n"
 
 
 def test_special_fe_check_names_a_token_that_is_not_an_integer(capsys):

@@ -904,23 +904,23 @@ def test_reduced_matrix_is_centred_sparser_and_no_larger(rows, c, p, max_exp):
     q = p ** max_exp
     r = _reduced(a, q)
     assert all(-q < 2 * x <= q for row in r.entries for x in row)
-    # A - R is a scalar matrix mod q
-    diff = [[(x - y) % q for x, y in zip(*pair)] for pair in zip(a.entries, r.entries)]
-    assert all(diff[i][j] == (diff[0][0] if i == j else 0) for i in range(n) for j in range(n))
+    # R = A mod q, the diagonal as every other entry
+    assert all((x - y) % q == 0 for pair in zip(a.entries, r.entries) for x, y in zip(*pair))
     assert _zeros(r) >= _zeros(a)
     assert _abs_max(r) <= _abs_max(a)
     assert _int64_bound(n, p, max_exp, _abs_max(r)) <= _int64_bound(n, p, max_exp, _abs_max(a))
 
 
 def test_reduced_matrix_examples():
-    for c in (1, -1, 74149, 10 ** 18 + 7):
-        assert _reduced(diag(c, c, c), 2 ** 8) == diag(0, 0, 0)
+    # every entry, on the diagonal or off it, goes to its centred residue
+    # and nothing else: no scalar is subtracted
+    for c, r in ((1, 1), (-1, -1), (74149, -91), (10 ** 18 + 7, 7)):
+        assert _reduced(diag(c, c, c), 2 ** 8) == diag(r, r, r)
     assert _reduced(IntMatrix(((3, 10 ** 20), (-7, 5))), 1) == diag(0, 0)
-    # the most common diagonal residue goes, ties going to 0
-    assert _reduced(diag(7, 7, 1), 3 ** 4) == diag(0, 0, -6)
-    assert _reduced(diag(7, 0, 1), 3 ** 4) == diag(7, 0, 1)
-    # subtracting 5 would make -10 of -5, so nothing is subtracted
-    assert _reduced(diag(5, 5, -5), 3 ** 4) == diag(5, 5, -5)
+    assert _reduced(diag(7, 7, 1), 3 ** 4) == diag(7, 7, 1)
+    assert _reduced(diag(41, 40, -40), 3 ** 4) == diag(-40, 40, -40)
+    # a residue of exactly half the modulus stays positive
+    assert _reduced(IntMatrix(((5, -4), (12, 2 ** 70))), 8) == IntMatrix(((-3, 4), (4, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -938,9 +938,8 @@ _BIG_SHEAR = IntMatrix(((1, 10 ** 15, 0), (0, 1, 0), (3, 0, 1)))
 _CYCLIC = IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
 
-def _is_strictly_upper_plus(t, c):
-    return all(x == c * (i == j) for i, row in enumerate(t.entries) for j, x in enumerate(row)
-               if j <= i)
+def _is_strictly_upper(t):
+    return all(x == 0 for i, row in enumerate(t.entries) for x in row[:i + 1])
 
 
 @pytest.mark.parametrize("a, c", [
@@ -956,13 +955,15 @@ def _is_strictly_upper_plus(t, c):
     (plus_scalar(_conjugate(_BIG_SHEAR, n_of(Partition([3]))), 2 ** 70), 2 ** 70),
 ])
 def test_triangular_conjugate_is_strictly_upper_triangular_plus_cI(a, c):
+    """a is a unimodular conjugate of a strictly upper-triangular matrix plus
+    cI; the conjugate T of N = a - cI comes back without c."""
     t = oracle._triangular(a)
-    assert _is_strictly_upper_plus(t, c)
+    assert _is_strictly_upper(t)
     nil = plus_scalar(a, -c)
     flag, u, u_inv = (IntMatrix(m) for m in oracle._flag(nil.entries))
-    assert u * nil == flag * u
+    assert u * nil == t * u
     assert int_inverse(u) == u_inv
-    assert plus_scalar(flag, c) == t
+    assert flag == t
 
 
 @pytest.mark.parametrize("a", [
@@ -1031,7 +1032,9 @@ def _cheap_top(n, p):
 def test_unipotent_counts_match_hnf_levels_of_the_raw_matrix(lam, c, p, rng):
     n = lam.size
     a = plus_scalar(_conjugate(random_unimodular(rng, n), n_of(lam)), c)
-    assert _is_strictly_upper_plus(oracle._triangular(a), c)
+    t = oracle._triangular(a)
+    # a scalar matrix comes back as it is, and any other without c
+    assert t is a if max(lam.parts) == 1 else _is_strictly_upper(t)
     top = _cheap_top(n, p)
     assert count_invariant_sublattices(a, p, top) == _hnf_values(a, p, top)
 
@@ -1128,6 +1131,8 @@ def _one_eigenvalue(n):
 )
 # d = 3 after the reduction, with t0 and T' - dI both nonzero
 @example([[3, 1, 0], [0, 0, 2], [0, 1, 0]], 3)
+# the same plus 2^70*I: d is past the int64 bound, T' - dI the same as above
+@example([[3 + 2 ** 70, 1, 0], [0, 2 ** 70, 2], [0, 1, 2 ** 70]], 3)
 @example([[-1, 2, 4], [0, 1, 0], [0, 3, 1]], 2)
 def test_peel_matches_the_level_loop_on_random_matrices(rows, p):
     a = IntMatrix(rows)
@@ -1135,6 +1140,29 @@ def test_peel_matches_the_level_loop_on_random_matrices(rows, p):
     with pytest.MonkeyPatch.context() as mp:
         got, want = _peeled_and_looped(mp, a, p, top)
     assert got == want
+
+
+@pytest.mark.parametrize("rows, block", [
+    ([[3, 1, 0], [0, 0, 2], [0, 1, 0]], ((-3, 2), (1, -3))),
+    ([[3 + 2 ** 70, 1, 0], [0, 2 ** 70, 2], [0, 1, 2 ** 70]], ((-3, 2), (1, -3))),
+    # T' - dI has -200 on its diagonal, centred mod 3^5 = 243 to 43
+    ([[100, 1, 0], [0, -100, 1], [0, 0, 50]], ((43, 1), (0, -50))),
+], ids=["small", "shifted-by-2^70", "centred"])
+def test_peel_enumerates_its_block_less_d_centred(rows, block, monkeypatch):
+    """For d != 0 the peel hands count_at_exponent T' - dI, entries centred mod p^top."""
+    p, top = 3, 5
+    seen = []
+    hnf = oracle.count_at_exponent
+
+    def recording(a, p, levels, nodes=None):
+        seen.append(a)
+        return hnf(a, p, levels, nodes)
+
+    a = IntMatrix(rows)
+    want = _level_loop(a, p, top)
+    monkeypatch.setattr(oracle, "count_at_exponent", recording)
+    assert count_invariant_sublattices(a, p, top) == want
+    assert seen == [IntMatrix(block)]
 
 
 @pytest.mark.parametrize("t", [40, 2 ** 61])
