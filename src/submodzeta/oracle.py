@@ -101,11 +101,10 @@ n = 2-4; one CPU of a 2-vCPU machine), the oracle ran 16 enumerations, one
 per nilpotent matrix, tested 14 864 candidates and took 0.013 s;
 enumerating the levels of Z^n instead would test 7.8 million.
 
-Each producer batches a whole level, not one diagonal at a time
-(`_batches`): a diagonal of more than _BATCH bases is split on its own, its
-earliest mixed-radix positions ints and only the last ones arrays, and
-consecutive smaller diagonals are packed, in order, into batches of at most
-_PACK bases, where an entry is an array only where the packed diagonals
+HNF enumeration batches a whole level, not one diagonal at a time
+(`_batches`): one rule cuts each diagonal into runs of at most _BATCH bases
+(`_runs`), and consecutive runs are packed, in order, into batches of at
+most _PACK bases, where an entry is an array only where the batch's bases
 differ.
 
 Each level comes from whichever of two producers is cheaper:
@@ -184,11 +183,13 @@ DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
 
 _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
-# Bases per batch of packed diagonals.  Where packed diagonals differ, their
+# Bases per batch of packed runs.  Where packed diagonals differ, their
 # pivots are arrays, and dividing by an array costs more than by an int.
-# Over 400 operations of each verify workload (seed 1), no batch held more
-# than 3515 bases and `_split` never ran; on the five slowest level-loop
-# counts of an earlier draw, _PACK = _BATCH changed the oracle time by 1-3 %.
+# Over the first 160 distinct operations of seeds 1-3, verify-sparse held up
+# to 4913 bases in a batch (60 of 1401 batches, each one diagonal alone, were
+# past _PACK) and verify-dense up to 3515; no diagonal of either was cut.
+# On the five slowest level-loop counts of an earlier draw, _PACK = _BATCH
+# changed the oracle time by 1-3 %.
 _PACK = 1 << 12
 
 # The tree's cost in units of one HNF candidate: per (node, factor) pair it
@@ -316,91 +317,90 @@ def _stack(entries, idx, dtype):
     return out
 
 
-def _batches(n, level, dtype):
-    """The upper-triangular bases of one level, entrywise, at most _BATCH at a time.
+def _runs(n, diags):
+    """The bases of each diagonal in runs of at most _BATCH, all cut by one rule.
 
-    level is a list of (diag, free) pairs in visiting order.  For each
-    diagonal, the entries at the positions `free` run over [0, diag[j]) in
-    mixed radix, the last position fastest; every other entry is 0.  Yields
-    (b, size): b[i][j] is an int where the whole batch agrees, else a 1-D
-    array of the batch's size.  A diagonal of more than _BATCH bases is split
-    on its own: the last positions whose combinations fit in one batch run
-    fully inside each batch, the position before them in runs of as many
-    values as fit, and all earlier ones are ints.  Consecutive smaller
-    diagonals are packed, in order, into batches of at most _PACK bases, or
-    of one diagonal alone when it has more.
+    The longest tail of free positions whose combinations fit in _BATCH runs
+    in full; the position before it, if any, takes stretches of as many
+    consecutive values as fit, and the positions before that are fixed.
+    Yields (diag, size, spec): in the run's digits viewed as (-1, m, w), the
+    position pos of each (pos, v, m, w) in spec takes the values v..v+m-1,
+    each w times in a row.
+    """
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in diags:
+        free = [(pos, diag[pos[1]]) for pos in positions if diag[pos[1]] > 1]
+        tail = []
+        size = 1
+        while free and size * free[-1][1] <= _BATCH:
+            pos, r = free.pop()
+            tail.append((pos, 0, r, size))
+            size *= r
+        if not free:
+            yield diag, size, tail
+            continue
+        pos, r = free.pop()
+        step = _BATCH // size
+        for lead in itertools.product(*(range(d) for _, d in free)):
+            for h in range(0, r, step):
+                m = min(step, r - h)
+                k = m * size
+                fixed = [(q, v, 1, k) for (q, _), v in zip(free, lead)]
+                yield diag, k, fixed + [(pos, h, m, size)] + tail
+
+
+def _batches(n, diags, dtype):
+    """The upper-triangular bases of the diagonals diags, in order, entrywise.
+
+    For each diagonal, the entries at its free positions, the upper (i, j)
+    with diag[j] > 1 row by row, run over [0, diag[j]) in mixed radix, the
+    last position fastest; every other entry is 0.  Yields (b, size):
+    b[i][j] is an int where the whole batch agrees, else a 1-D array of the
+    batch's size.  Consecutive runs (`_runs`) are packed into batches of at
+    most _PACK bases, or of one run alone when it has more.
     """
     group = []
     filled = 0
-    for diag, free in level:
-        free = [(i, j) for i, j in free if diag[j] > 1]
-        radix = [diag[j] for _, j in free]
-        size = 1
-        for r in radix:
-            size *= r
-        if group and filled + size > _PACK:
+    for run in _runs(n, diags):
+        if group and filled + run[1] > _PACK:
             yield _packed(n, group, filled, dtype), filled
             group, filled = [], 0
-        if size > _BATCH:
-            yield from _split(n, diag, free, radix, dtype)
-        else:
-            group.append((diag, free, radix, size))
-            filled += size
+        group.append(run)
+        filled += run[1]
     if group:
         yield _packed(n, group, filled, dtype), filled
 
 
-def _packed(n, group, total, dtype):
-    """The bases of whole diagonals (diag, free, radix, size), one after another."""
-    sizes = [size for *_, size in group]
+def _packed(n, runs, total, dtype):
+    """The bases of the runs (diag, size, spec), one after another, entrywise."""
+    sizes = [size for _, size, _ in runs]
     b = [[0] * n for _ in range(n)]
     for i in range(n):
-        d = [diag[i] for diag, *_ in group]
+        d = [diag[i] for diag, _, _ in runs]
         b[i][i] = d[0] if d.count(d[0]) == len(d) else np.repeat(np.array(d, dtype=dtype), sizes)
+    held = {}  # per free position, each run's value there, None where the run varies
+    for _, _, spec in runs:
+        for pos, v, m, _ in spec:
+            held.setdefault(pos, []).append(None if m > 1 else v)
     slot = {}
-    for _, free, _, _ in group:
-        for pos in free:
-            slot.setdefault(pos, len(slot))
+    for (i, j), vals in held.items():
+        vals += [0] * (len(runs) - len(vals))  # 0 in the runs where (i, j) is not free
+        if None in vals or vals.count(vals[0]) < len(vals):
+            slot[i, j] = len(slot)
+        else:
+            b[i][j] = vals[0]
     digits = np.zeros((len(slot), total), dtype=dtype)
     start = 0
-    for _, free, radix, size in group:
-        # the mixed radix of one diagonal, written through views of its slice
-        stride = size
-        for pos, r in zip(free, radix):
-            stride //= r
-            digits[slot[pos], start:start + size].reshape(-1, r, stride)[...] = \
-                np.arange(r)[:, None]
+    for _, size, spec in runs:
+        # the run's mixed radix, written through views of its slice
+        for pos, v, m, w in spec:
+            k = slot.get(pos)
+            if k is not None:
+                digits[k, start:start + size].reshape(-1, m, w)[...] = np.arange(v, v + m)[:, None]
         start += size
     for (i, j), k in slot.items():
         b[i][j] = digits[k]
     return b
-
-
-def _split(n, diag, free, radix, dtype):
-    """The bases of one diagonal of more than _BATCH bases, at most _BATCH at a time."""
-    low = len(free)
-    size = 1
-    while size * radix[low - 1] <= _BATCH:
-        low -= 1
-        size *= radix[low]
-    r = radix[low - 1]
-    run = min(_BATCH // size, r)
-    # built once and sliced to each batch's length: the digits of a full run;
-    # a batch starting at value h of position low-1 adds h to its digits.
-    # The batches share these arrays, which nothing writes to.
-    step = np.repeat(np.arange(run).astype(dtype), size)
-    tails = np.tile(np.indices(radix[low:], dtype=dtype).reshape(len(free) - low, size), run)
-    b = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    for prefix in itertools.product(*map(range, radix[:low - 1])):
-        for (i, j), d in zip(free, prefix):
-            b[i][j] = d
-        for h in range(0, r, run):
-            k = min(run, r - h) * size
-            i, j = free[low - 1]
-            b[i][j] = step[:k] + h if h else step[:k]
-            for (i, j), d in zip(free[low:], tails):
-                b[i][j] = d[:k]
-            yield [row[:] for row in b], k
 
 
 def _count_numpy(a, diags, dtype, nodes=None):
@@ -411,10 +411,9 @@ def _count_numpy(a, diags, dtype, nodes=None):
     appended to it, one array per batch.
     """
     n = len(a)
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     count = 0
     visits = 0
-    for b, size in _batches(n, [(d, positions) for d in diags], dtype):
+    for b, size in _batches(n, diags, dtype):
         ok = _invariance(b, a)
         found = size * ok if isinstance(ok, bool) else int(np.count_nonzero(ok))
         count += found

@@ -219,15 +219,17 @@ def test_int64_and_object_dtypes_agree(monkeypatch):
             assert seen.pop()[1] == _totals(n, p, e)[e]
 
 
+def _bases_of(diag):
+    """The number of HNF bases of a diagonal d: prod_j d_j^j."""
+    size = 1
+    for j, d in enumerate(diag):
+        size *= d ** j
+    return size
+
+
 def _composition_total(n, p, e):
-    """The candidate total of level e by definition: each diagonal d has prod_j d_j^j bases."""
-    total = 0
-    for comp in compositions(e, n):
-        size = 1
-        for j, ej in enumerate(comp):
-            size *= p ** (j * ej)
-        total += size
-    return total
+    """The candidate total of level e by definition: the sum over its diagonals."""
+    return sum(_bases_of(tuple(p ** x for x in comp)) for comp in compositions(e, n))
 
 
 def test_candidate_total_matches_the_composition_sum():
@@ -237,23 +239,17 @@ def test_candidate_total_matches_the_composition_sum():
                 assert _totals(n, p, e)[e] == _composition_total(n, p, e), (n, p, e)
 
 
-def _pattern_levels(n, p):
-    """The tree's diagonal patterns of each codimension k, with their free positions."""
-    return [[(d, [(i, j) for j in range(n) for i in range(j) if d[i] == 1 and d[j] == p])
-             for d in itertools.product((1, p), repeat=n) if d.count(p) == k]
-            for k in range(1, n + 1)]
-
-
 def _stacked(batches, dtype):
     return [_stack(b, np.arange(size), dtype) for b, size in batches]
 
 
-def _mixed_radix_bases(n, level):
-    """The bases of a level by a pure-Python loop: per diagonal, its free
-    positions over [0, diag[j]) in mixed radix, the last position fastest."""
+def _mixed_radix_bases(n, diags):
+    """The bases of diags by a pure-Python loop: per diagonal, the upper
+    positions (i, j) with diag[j] > 1 over [0, diag[j]) in mixed radix, the
+    last position fastest."""
     out = []
-    for diag, free in level:
-        free = [(i, j) for i, j in free if diag[j] > 1]
+    for diag in diags:
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if diag[j] > 1]
         for values in itertools.product(*(range(diag[j]) for _, j in free)):
             rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
             for (i, j), v in zip(free, values):
@@ -262,32 +258,37 @@ def _mixed_radix_bases(n, level):
     return out
 
 
+def _checked_batches(n, diags, dtype, size):
+    """The batches of diags, checked: the mixed-radix bases in order, at most
+    `size` at a time, each entry an int exactly where the bases of its batch
+    agree and otherwise an array of the batch's size, and Python ints in
+    dtype object.  Returns the batches and their bases stacked."""
+    batches = list(_batches(n, diags, dtype))
+    stacked = _stacked(batches, dtype)
+    assert all(0 < k <= size for _, k in batches)
+    for (b, k), bases in zip(batches, stacked):
+        for i in range(n):
+            for j in range(n):
+                constant = bool((bases[:, i, j] == bases[0, i, j]).all())
+                assert isinstance(b[i][j], int) == constant, (diags, size, i, j)
+                assert constant or b[i][j].shape == (k,)
+    got = np.concatenate(stacked)
+    assert got.tolist() == _mixed_radix_bases(n, diags)
+    if dtype is object:
+        assert all(type(x) is int for x in got.ravel())
+    return batches, stacked
+
+
 @pytest.mark.parametrize("n, p, e", [(2, 2, 4), (2, 5, 2), (2, 3, 3), (3, 2, 3), (3, 3, 2),
                                      (4, 2, 2)])
 def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e, monkeypatch):
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    hnf_level = [(tuple(p ** x for x in comp), positions) for comp in compositions(e, n)]
-    reference = np.array([b.entries for b in _hnf_bases(n, p, e)])
+    diags = [tuple(p ** x for x in comp) for comp in compositions(e, n)]
+    reference = np.array([b.entries for b in _hnf_bases(n, p, e)]).tolist()
     for dtype in (np.int64, object):
-        for level in [hnf_level] + _pattern_levels(n, p):
-            for size in (1, 5, 7, 1 << 14):
-                _batch_size(monkeypatch, size)
-                batches = list(_batches(n, level, dtype))
-                packed = _stacked(batches, dtype)
-                assert all(len(b) <= size for b in packed)
-                alone = [b for pair in level
-                         for b in _stacked(_batches(n, [pair], dtype), dtype)]
-                assert np.concatenate(packed).tolist() == np.concatenate(alone).tolist()
-                assert np.concatenate(packed).tolist() == _mixed_radix_bases(n, level)
-            if level is hnf_level:
-                assert np.concatenate(packed).tolist() == reference.tolist()
-            # no diagonal is split at the last batch size: an entry is an array
-            # exactly where the bases of its batch differ
-            for (b, _), bases in zip(batches, packed):
-                for i in range(n):
-                    for j in range(n):
-                        constant = bool((bases[:, i, j] == bases[0, i, j]).all())
-                        assert isinstance(b[i][j], int) == constant, (level, i, j)
+        for size in (1, 5, 7, 1 << 14):
+            _batch_size(monkeypatch, size)
+            _, stacked = _checked_batches(n, diags, dtype, size)
+            assert np.concatenate(stacked).tolist() == reference
 
 
 @pytest.mark.parametrize("diag, size", [
@@ -295,44 +296,58 @@ def test_packed_levels_yield_the_per_diagonal_bases_in_order(n, p, e, monkeypatc
     ((1, 1, 8), 5),         # the last position in runs of 5, 3 under each prefix
     ((1, 1, 8), 16),        # the last position whole, the one before in runs of 2
     ((1, 2, 4), 3),
-    ((1, 3, 9), 20),        # runs of 2 values of 9: the last run is short
+    ((1, 3, 9), 20),        # runs of 2 values of 9: the last run is one value
     ((1, 1, 2, 8), 50),     # the last position whole, the one before in runs of 6
     ((2, 4, 8), 7),
+    ((1, 2, 128), 1 << 14),  # the default size: (0, 1) is 0, then 1, in each batch
 ])
 def test_split_diagonals_yield_the_mixed_radix_bases_in_order(diag, size, monkeypatch):
     n = len(diag)
-    level = [(diag, [(i, j) for i in range(n) for j in range(i + 1, n)])]
-    starts = []
-    split = oracle._split
-
-    def spy(*args):
-        for b, size in split(*args):
-            starts.extend(int(x[0]) for row in b for x in row if not isinstance(x, int))
-            yield b, size
-
-    monkeypatch.setattr(oracle, "_split", spy)
+    free = [(i, j) for i in range(n) for j in range(i + 1, n) if diag[j] > 1]
+    # the longest tail of positions that fits in a batch runs in full, the
+    # head position before it in stretches of consecutive values, and the
+    # positions before the head are fixed in each batch
+    cut, tail = len(free) - 1, 1
+    while tail * diag[free[cut][1]] <= size:
+        tail *= diag[free[cut][1]]
+        cut -= 1
+    head = free[cut]
     _batch_size(monkeypatch, size)
-    want = _mixed_radix_bases(n, level)
-    assert len(want) > size
     for dtype in (np.int64, object):
-        starts.clear()
-        batches = list(_batches(n, level, dtype))
-        assert len(batches) > 1 and all(k <= size for _, k in batches)
-        # some run of the head position starts past 0
-        assert any(starts)
-        got = np.concatenate(_stacked(batches, dtype))
-        assert got.tolist() == want
-        if dtype is object:
-            assert all(type(x) is int for x in got.ravel())
+        batches, stacked = _checked_batches(n, [diag], dtype, size)
+        assert len(batches) > 1
+        for (b, k), bases in zip(batches, stacked):
+            assert k % tail == 0
+            assert all(isinstance(b[i][j], int) for i, j in free[:cut])
+            heads = bases[::tail, head[0], head[1]].tolist()
+            assert heads == list(range(heads[0], heads[0] + len(heads)))
+        # some stretch of the head position starts past 0
+        assert any(bases[0, head[0], head[1]] > 0 for bases in stacked)
 
 
 def test_packed_batches_hold_at_most_the_pack_size():
     # diagonals of 2*_PACK, _PACK, _PACK/2, ..., 1 bases: the first alone,
     # the second filling a packed batch, and all the rest together
     top = _PACK.bit_length()
-    level = [((2 ** x, 2 ** (top - x)), [(0, 1)]) for x in range(top + 1)]
-    sizes = [size for _, size in _batches(2, level, np.int64)]
+    diags = [(2 ** x, 2 ** (top - x)) for x in range(top + 1)]
+    sizes = [size for _, size in _batches(2, diags, np.int64)]
     assert sizes == [2 * _PACK, _PACK, _PACK - 1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.sampled_from([2, 3, 5]).flatmap(lambda p: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n).map(lambda exps: tuple(p ** x for x in exps))
+        .filter(lambda diag: _bases_of(diag) <= 1000), min_size=1, max_size=6)),
+    st.one_of(st.integers(1, 64), st.none()),
+    st.sampled_from([np.int64, object]))))
+def test_batches_of_any_diagonals_are_their_mixed_radix_bases(case):
+    # size None keeps the default _BATCH and _PACK
+    diags, size, dtype = case
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            _batch_size(mp, size)
+        _checked_batches(len(diags[0]), diags, dtype, oracle._BATCH)
 
 
 def test_unit_coefficient_always_one():
