@@ -82,10 +82,11 @@ mod p^E, which has the invariant lattices of T', in one pass, and keeps the
 bases of their invariant lattices; each basis's level is read off its
 diagonal, whose entries must be powers of p.  The tree is not tried
 there: the block's candidate totals, those of Z^(n-1), never exceed the
-totals of Z^n that the budget admitted, and on the verify-dense benchmark
-the tree won none of the block's levels (re-measured for the tree of
-maximal invariant sublattices: the cost rule chose HNF for all 1790 block
-levels of the first 201 distinct operations of seeds 1-3).  g(L') is the
+totals of Z^n that the budget admitted, and one pass packs all of the
+block's levels into shared batches.  On the 209 enumerated blocks of the
+first 160 distinct verify-dense operations of seeds 1-3, the pass took
+33 ms and the level loop 107 ms (best of 5, one CPU), though its cost
+rule sent 1050 of their 1475 levels to the tree.  g(L') is the
 gcd of the maximal minors of the basis of L' stacked over the nonzero rows
 of that centred T' - dI (L' contains p^E*V, so K is unchanged), and
 g(L') / p^o(L') that of the same rows and t0
@@ -134,15 +135,15 @@ Each level comes from whichever of two producers is cheaper:
     row at a time: a row is reduced by a pivot that divides its entry, and
     otherwise swapped in by the unimodular gcd combination.  L contains
     p^l Z^n, so pL contains p^(l+1) Z^n, and rows enter mod p^(l+1); the
-    result is reduced to HNF (`_insert`, `_hnf`).  L/N0 = (L/pL)/(image of g(M)),
-    M = C*A*C^-1, is a vector space over the field, of dimension k >= 1.
-    When [L : N0] = p^d, k = 1 and N0 is the only child; so it was for all
-    2964 (node, factor) pairs of the first 160 verify-sparse operations of
-    seeds 1-3.  Otherwise a basis q_1..q_k over the field is read
-    off the rows of C, and the (p^dk - 1)/(p^d - 1) hyperplanes, with
-    normalized coordinates (0, .., 0, 1, a_(j+1), .., a_k), are spanned over
-    N0 by q_i, i < j, and q_i - q_j*a_i(A), i > j, with their images under
-    A^t, t < d.
+    result is reduced to HNF (`_floor`, `_insert`, `_hnf`).  L/N0 =
+    (L/pL)/(image of g(M)), M = C*A*C^-1, is a vector space over the
+    field, of dimension k >= 1.  When [L : N0] = p^d, k = 1 and N0 is the
+    only child; so it was for all 4038 (node, factor) pairs of the first
+    160 verify-sparse operations of seeds 1-3.  Otherwise a basis
+    q_1..q_k over the field is read off the rows of C, and the
+    (p^dk - 1)/(p^d - 1) hyperplanes, with normalized coordinates
+    (0, .., 0, 1, a_(j+1), .., a_k), are spanned over N0 by q_i, i < j,
+    and q_i - q_j*a_i(A), i > j, with their images under A^t, t < d.
   - chi mod p is factored once per count, with sympy's `gf_factor` (chi
     need not be squarefree mod p), and each g(A) is formed once, mod p^E.
   - Self-checks raise RuntimeError: L/N0 must have order a power of p^d;
@@ -152,16 +153,21 @@ Each level comes from whichever of two producers is cheaper:
 
 The tree works in Python integers, one node at a time: its levels hold a
 few bases where it wins, and its bases have entries below p^E however
-large, so it has no int64 bound.  Its cost, in units of one HNF candidate,
-charges each (node, factor) pair it expands and each child it is expected
-to build, estimated as the last count times its growth over the one
-before, so every decision reads counts and never clocks.  That one cost,
-set against candidate totals, decides every tree choice.  The tree produces
-a level when expanding the levels e - d costs less than the level's total,
-never at level 1, whose (p^n - 1)/(p - 1) candidates one enumeration tests.
-It stops keeping levels at the top, or once expanding the last one alone
-costs at least the totals of all levels left.  A kept level, from either
-producer, holds the HNF bases of its invariant lattices as tuples of rows.
+large, so it has no int64 bound.  Costs are in units of one HNF
+candidate.  HNF enumeration of a level costs its candidate total plus
+_HNF_LEVEL, what a level costs before its first candidate.  The tree's
+cost charges each (node, factor) pair it expands and each child it is
+expected to build.  At level 1 the children are counted exactly: only the
+factors g of degree 1 have children there, the (p^k - 1)/(p - 1) lines of
+Z^n/N0 = F_p^k, k = n - rank(g(A) mod p), and k = 1 when g divides chi mod p
+once.  At a later level they are estimated as the last count times its
+growth over the one before.  So every decision reads counts and never
+clocks.  The tree produces a level when expanding the levels e - d costs
+less than enumerating it.  It stops keeping levels at the top, or once
+expanding the last one alone costs at least the enumeration of all levels
+left, their candidate totals and _HNF_LEVEL for each.  A kept level, from
+either producer, holds the HNF bases of its invariant lattices as tuples
+of rows.
 """
 
 from __future__ import annotations
@@ -192,15 +198,20 @@ _BATCH = 1 << 14  # candidates tested together: 128 KB per int64 entry array
 # changed the oracle time by 1-3 %.
 _PACK = 1 << 12
 
-# The tree's cost in units of one HNF candidate: per (node, factor) pair it
-# expands and per child it is expected to build.  Fitted to per-level
-# timings of both producers (one CPU, best of 5): a pair with k = 1 took
-# 10-20 us and a hyperplane child 20-40 us at n = 2-4, where an HNF level
-# took 45-150 us before its first candidate and 0.01-0.06 us per candidate.
-# The pair term is below the time ratio because HNF's fixed cost per level
-# is not charged.
+# The producers' costs in units of one HNF candidate: an HNF level pays
+# _HNF_LEVEL on top of its candidate total, and the tree pays per (node,
+# factor) pair it expands and per child it is expected to build.  Fitted to
+# per-level timings of both producers (one CPU, best of 5, n = 2-4): an HNF
+# level that keeps its bases took 73, 128 and 208 us before its first
+# candidate at n = 2, 3 and 4, and 0.007, 0.018 and 0.051 us a candidate; a
+# pair with k = 1, which builds one child, took 18, 32 and 48 us, and each
+# further hyperplane child 27, 31 and 38 us.  At every n the fixed cost is
+# about four such pairs, so _HNF_LEVEL is four times _TREE_NODE + _TREE_CHILD.
+# That sum is 1.2-1.7 times a pair's time in candidates at n = 2-3 and three
+# times it at n = 4, so the dense 4 x 4 levels stay on HNF.
+_HNF_LEVEL = 12000
 _TREE_NODE = 1000
-_TREE_CHILD = 1000
+_TREE_CHILD = 2000
 
 
 class BudgetError(RuntimeError):
@@ -503,8 +514,10 @@ class _LatticeTree:
     levels[l] holds the HNF bases C, tuples of rows of Python ints, of the
     invariant lattices of level l.  factors holds (d, G) for each distinct
     monic irreducible factor g of degree d of the characteristic polynomial
-    mod p, G the columns of g(A) mod p^top.  totals[e] is the candidate
-    total of level e (from _level_totals), the HNF cost of level e, and
+    mod p, G the columns of g(A) mod p^top.  lines is the number of
+    invariant lattices of level 1, the children of Z^n for the factors of
+    degree 1: (p^k - 1)/(p - 1) for each, k = n - rank(g(A) mod p).
+    totals[e] is the candidate total of level e (from _level_totals), and
     counts[e] the number of invariant lattices of level e, for the levels
     found so far.
     """
@@ -520,25 +533,38 @@ class _LatticeTree:
         self.levels = {0: [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]}
         self.counts = [1]
         self.factors = []
+        self.lines = 0
         if self.keeping:
             chi = DDM([[x % p for x in row] for row in a.entries], (n, n), ZZ).charpoly()
             modulus = p ** top
-            for g, _ in gf_factor([int(x) % p for x in chi], p, ZZ)[1]:
+            for g, m in gf_factor([int(x) % p for x in chi], p, ZZ)[1]:
                 power = poly_at_matrix(IntPoly([int(x) for x in reversed(g)]), a)
-                self.factors.append((len(g) - 1, [tuple(x % modulus for x in col)
-                                                  for col in zip(*power.entries)]))
+                cols = [tuple(x % modulus for x in col) for col in zip(*power.entries)]
+                self.factors.append((len(g) - 1, cols))
+                if len(g) == 2:
+                    # the children of Z^n for g are the (p^k - 1)/(p - 1) lines
+                    # of Z^n/N0 = F_p^k, and 1 <= k <= m, the multiplicity of g
+                    self.lines += 1 if m == 1 else (
+                        _index(self._floor(self.levels[0][0], 0, cols)) - 1) // (p - 1)
 
-    def _cost(self, nodes: int) -> int:
-        """The cost, in HNF candidates, of expanding `nodes` (node, factor) pairs:
-        each pair, and each child expected, the last count times its growth
-        over the one before."""
-        last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
-        return _TREE_NODE * nodes + _TREE_CHILD * (last * last // max(1, before))
+    def _cost(self, nodes: int, e: int) -> int:
+        """The cost, in HNF candidates, of producing level e by expanding
+        `nodes` (node, factor) pairs: each pair, and each child expected.
+        Level 1's are counted exactly (lines); a later level's are estimated
+        as the last count times its growth over the one before."""
+        if e == 1:
+            children = self.lines
+        else:
+            last, before = self.counts[-1], self.counts[-2] if len(self.counts) > 1 else 1
+            children = last * last // max(1, before)
+        return _TREE_NODE * nodes + _TREE_CHILD * children
 
     def cheaper(self, e: int) -> bool:
-        """Would the tree produce level e for less than HNF enumeration?  Never at level 1."""
-        return (self.keeping and e > 1 and self._cost(
-            sum(len(self.levels.get(e - d, ())) for d, _ in self.factors)) < self.totals[e])
+        """Would the tree produce level e for less than HNF enumeration, whose
+        cost is the level's candidate total and _HNF_LEVEL?"""
+        return (self.keeping and self._cost(
+            sum(len(self.levels.get(e - d, ())) for d, _ in self.factors), e)
+            < self.totals[e] + _HNF_LEVEL)
 
     def record(self, e: int, nodes) -> None:
         """Keep level e as found by count_at_exponent: its arrays of bases."""
@@ -562,11 +588,12 @@ class _LatticeTree:
         """After level e, drop the levels no later level is a child of.
 
         Give up at the top level, or when expanding level e alone would cost
-        at least all the HNF candidates left: then drop every kept level and
+        at least what HNF enumeration of every level left costs, their
+        candidates and _HNF_LEVEL for each: then drop every kept level and
         stop keeping, and HNF enumeration produces every remaining level.
         """
-        if e == self.top or (self._cost(len(self.levels[e]) * len(self.factors))
-                             >= sum(self.totals[e + 1:])):
+        if e == self.top or (self._cost(len(self.levels[e]) * len(self.factors), e + 1)
+                             >= sum(self.totals[e + 1:]) + _HNF_LEVEL * (self.top - e)):
             self.keeping = False
             self.levels.clear()
             return
@@ -574,16 +601,22 @@ class _LatticeTree:
         for l in [l for l in self.levels if l <= e - reach]:
             del self.levels[l]
 
+    def _floor(self, c, l: int, g) -> tuple:
+        """The HNF basis of N0 = C*g(A) + pL for the node c of level l, g the
+        columns of g(A)."""
+        modulus = self.p ** (l + 1)  # pL contains p^(l+1)*Z^n
+        w = [[self.p * x for x in row] for row in c]
+        for row in c:
+            _insert(w, _times(row, g, modulus))
+        return _hnf(w, modulus)
+
     def _children(self, c, l: int, d: int, g) -> list:
         """The HNF bases of the children of the node c of level l for a factor
         of degree d, g the columns of g(A): the N with N0 = C*g(A) + pL <= N < L
         and L/N the field F_p[x]/(g), the hyperplanes of L/N0 over that field."""
         p = self.p
-        modulus = p ** (l + 1)  # pL contains p^(l+1)*Z^n
-        w = [[p * x for x in row] for row in c]
-        for row in c:
-            _insert(w, _times(row, g, modulus))
-        n0 = _hnf(w, modulus)
+        modulus = p ** (l + 1)
+        n0 = self._floor(c, l, g)
         size, field = _index(n0) // p ** l, p ** d
         if size == field:
             return [n0]

@@ -52,6 +52,9 @@ COMMANDS = (
         ["verify", "[[1,0,0,1],[3,0,0,3],[1,0,0,1],[-1,0,0,-1]]", "--primes", "2",
          "--max-index-exp", "5"],
         ["verify", "[[7,0,0],[0,7,0],[0,0,7]]", "--primes", "3", "--max-index-exp", "4"],
+        # I mod 3: all 13 candidates of level 1 are invariant, so HNF
+        # enumeration produces that level and keeps its bases for the tree
+        ["verify", "[[1,3,0],[3,4,3],[0,3,4]]", "--primes", "3", "--max-index-exp", "4"],
     ]
 )
 CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")]

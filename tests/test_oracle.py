@@ -486,6 +486,11 @@ def _hnf_counts(a, p, top):
     return [count_at_exponent(a, p, range(e, e + 1))[0] for e in range(2, top + 1)]
 
 
+# I mod 3: x - 1 is the one factor of its characteristic polynomial mod 3,
+# and all 13 lines of F_3^3 are invariant
+_I_MOD_3 = IntMatrix(((1, 3, 0), (3, 4, 3), (0, 3, 4)))
+
+
 def _huge_x2_plus_1():
     u = IntMatrix(((1, 10 ** 15), (0, 1)))
     return u * companion(IntPoly((1, 0, 1))) * int_inverse(u)
@@ -793,10 +798,13 @@ def test_hnf_enumeration_raises_when_it_visits_too_few_candidates(monkeypatch):
     _drop_the_first_batch(monkeypatch)
     with pytest.raises(RuntimeError, match="oracle visited 0 candidates at p = 3, e = 1..1;"):
         count_at_exponent(companion(IntPoly((1, 0, 1))), 3, range(1, 2))
-    # through the level loop, and through the peel's enumeration of its
-    # block, which a nilpotent still takes (a scalar matrix enumerates nothing)
-    for a in (companion(IntPoly((1, 0, 1))), IntMatrix(((0, 1), (0, 0)))):
-        with pytest.raises(RuntimeError, match="oracle visited"):
+    # through the level loop, where I mod 3 keeps level 1 on HNF (its 13
+    # candidates are all invariant), and through the peel's enumeration of
+    # its block, which a nilpotent still takes (a scalar matrix enumerates
+    # nothing)
+    for a, message in ((_I_MOD_3, "oracle visited 0 candidates at p = 3, e = 1..1;"),
+                       (IntMatrix(((0, 1), (0, 0))), "oracle visited")):
+        with pytest.raises(RuntimeError, match=message):
             count_invariant_sublattices(a, 3, 2)
 
 
@@ -1315,16 +1323,22 @@ def test_counts_are_invariant_under_random_unimodular_conjugation(rows, p, rng):
 
 
 def test_cost_rule_sends_sparse_levels_to_the_tree(monkeypatch):
+    # level 1 too: its two children cost less than one HNF level's fixed cost
     a = companion(IntPoly((1, 0, 1)))
-    assert _recorded_hnf_levels(monkeypatch, a, 89, 4) == [(1, True)]
+    produced = _produced_levels(monkeypatch)
+    assert _recorded_hnf_levels(monkeypatch, a, 89, 4) == []
+    assert produced == [1, 2, 3, 4]
 
 
 def test_cost_rule_keeps_dense_levels_on_hnf(monkeypatch):
-    # every sublattice is invariant: HNF enumeration produces every level,
-    # and the nodes stop being kept after level 1, where expanding that
-    # level alone would cost at least the candidates of levels 2-10
+    # every sublattice is invariant: the tree builds the three lines of
+    # level 1 for less than one HNF level, and HNF enumeration produces
+    # levels 2-10; the nodes stop being kept after level 4, where expanding
+    # that level alone would cost at least HNF enumeration of levels 5-10
+    produced = _produced_levels(monkeypatch)
     got = _recorded_hnf_levels(monkeypatch, diag(0, 0), 2, 10)
-    assert got == [(e, e <= 1) for e in range(1, 11)]
+    assert produced == [1]
+    assert got == [(e, e <= 4) for e in range(2, 11)]
 
 
 def test_cost_rule_enumerates_the_top_of_a_dense_nilpotent(monkeypatch):
@@ -1348,33 +1362,28 @@ def test_cost_rule_gives_up_on_a_dense_count_that_reaches_the_level_loop(monkeyp
     assert got == [(e, e <= 1) for e in range(1, 7)]
 
 
-def test_cost_rule_hands_the_top_levels_of_a_shifted_count_to_the_tree(monkeypatch):
+def test_cost_rule_hands_the_top_level_of_a_shifted_count_to_the_tree(monkeypatch):
     # twice a matrix whose first column is nonzero below the diagonal: HNF
-    # enumeration produces levels 1-7, keeping their nodes, and the tree 8-9
+    # enumeration produces levels 1-8, keeping their nodes, and the tree 9
     a = IntMatrix([[0, 0, 6], [-4, -8, 4], [-6, 2, -2]])
     want = (1, 7, 11, 23, 27, 39, 43, 55, 59, 71)
-    produced = []
-    produce = _LatticeTree.produce
-
-    def producing(self, e):
-        produced.append(e)
-        return produce(self, e)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_LatticeTree, "produce", producing)
+        produced = _produced_levels(mp)
         got = _recorded_hnf_levels(mp, a, 2, 9, count_invariant_sublattices)
-    assert got == [(e, True) for e in range(1, 8)]
-    assert produced == [8, 9]
+    assert got == [(e, True) for e in range(1, 9)]
+    assert produced == [9]
     assert count_invariant_sublattices(a, 2, 9) == want
     _forced(monkeypatch, False)
     assert _level_loop(a, 2, 9) == want
 
 
 def test_no_nodes_are_kept_for_the_top_level(monkeypatch):
-    # the tree keeps the nodes of levels 1-2 and gives up after level 2;
-    # no later level would expand those of level 5 in any case
-    got = _recorded_hnf_levels(monkeypatch, n_of(Partition([3])), 2, 5)
-    assert got == [(1, True), (2, True), (3, False), (4, False), (5, False)]
+    # the tree produces levels 1-2 and keeps the nodes of HNF level 3, and
+    # still keeps at level 4; no later level would expand those of the top
+    produced = _produced_levels(monkeypatch)
+    got = _recorded_hnf_levels(monkeypatch, n_of(Partition([3])), 2, 4)
+    assert produced == [1, 2]
+    assert got == [(3, True), (4, False)]
 
 
 def test_tree_cost_charges_node_factor_pairs_and_expected_children(monkeypatch):
@@ -1389,20 +1398,28 @@ def test_tree_cost_charges_node_factor_pairs_and_expected_children(monkeypatch):
             count_at_exponent(a, p, range(e, e + 1), nodes)
             tree.record(e, nodes)
         assert tree.counts == counts
-        # the children expected are the last count times its growth
+        # past level 1 the children expected are the last count times its
+        # growth; at level 1 they are the lines, as many as level 1 holds
         children = oracle._TREE_CHILD * (counts[2] ** 2 // max(1, counts[1]))
-        assert tree._cost(7) == oracle._TREE_NODE * 7 + children
-        # level 3 expands level 3 - d once per factor of degree d
+        assert tree._cost(7, 3) == oracle._TREE_NODE * 7 + children
+        assert tree._cost(7, 1) == oracle._TREE_NODE * 7 + oracle._TREE_CHILD * counts[1]
+        # level 3 expands level 3 - d once per factor of degree d, against
+        # HNF's candidate total and fixed cost
         pairs = sum(counts[3 - d] for d in degrees)
         with monkeypatch.context() as mp:
             seen = []
-            mp.setattr(_LatticeTree, "_cost", lambda self, nodes: seen.append(nodes) or 0)
+            mp.setattr(_LatticeTree, "_cost",
+                       lambda self, nodes, e: seen.append((nodes, e)) or tree.totals[3]
+                       + oracle._HNF_LEVEL - 1)
             assert tree.cheaper(3)
-        assert seen == [pairs]
+            mp.setattr(_LatticeTree, "_cost",
+                       lambda self, nodes, e: tree.totals[3] + oracle._HNF_LEVEL)
+            assert not tree.cheaper(3)
+        assert seen == [(pairs, 3)]
 
 
-def _forced(monkeypatch, tree):
-    """Make every level come from the tree (kept to the end), or every one from HNF."""
+def _produced_levels(monkeypatch):
+    """The levels the tree produces from now on, in order."""
     produced = []
     produce = _LatticeTree.produce
 
@@ -1410,12 +1427,18 @@ def _forced(monkeypatch, tree):
         produced.append(e)
         return produce(self, e)
 
+    monkeypatch.setattr(_LatticeTree, "produce", producing)
+    return produced
+
+
+def _forced(monkeypatch, tree):
+    """Make every level come from the tree (kept to the end), or every one from HNF."""
     def keep_to_the_end(self, e):
         for l in [l for l in self.levels if l <= e - self.n]:
             del self.levels[l]
 
+    produced = _produced_levels(monkeypatch)
     monkeypatch.setattr(_LatticeTree, "cheaper", lambda self, e: tree)
-    monkeypatch.setattr(_LatticeTree, "produce", producing)
     if tree:
         monkeypatch.setattr(_LatticeTree, "prune", keep_to_the_end)
     return produced
@@ -1460,6 +1483,98 @@ def test_shifted_counts_match_hnf_levels_and_unimodular_conjugates(case, rng):
     want = count_invariant_sublattices(a, p, top)
     conj = _conjugate(random_unimodular(rng, a.n_rows), a)
     assert count_invariant_sublattices(conj, p, top) == want
+    with pytest.MonkeyPatch.context() as mp:
+        _forced(mp, False)
+        assert _level_loop(a, p, top) == want
+
+
+def test_level_1_is_costed_with_its_exact_children(monkeypatch):
+    # x^2 + 1 splits mod 13: its two lines cost the tree less than HNF's
+    # fixed cost, so the tree produces level 1
+    x2_plus_1 = _LatticeTree(companion(IntPoly((1, 0, 1))), 13, _totals(2, 13, 5))
+    assert x2_plus_1.lines == 2
+    with pytest.MonkeyPatch.context() as mp:
+        produced = _produced_levels(mp)
+        assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == \
+            (1, 2, 3, 4, 5, 6)
+    assert produced[0] == 1
+    # I mod 3 has one factor, x - 1, whose N0 is 3Z^3: the 13 lines of
+    # F_3^3, where the growth estimate would read 1; they cost more than
+    # HNF's 13 candidates and fixed cost, so HNF enumeration keeps level 1
+    tree = _LatticeTree(_I_MOD_3, 3, _totals(3, 3, 4))
+    assert tree.lines == 13
+    charged = []
+    cost = _LatticeTree._cost
+    monkeypatch.setattr(_LatticeTree, "_cost",
+                        lambda self, nodes, e: charged.append(cost(self, nodes, e)) or charged[-1])
+    assert not tree.cheaper(1)
+    assert charged == [oracle._TREE_NODE + 13 * oracle._TREE_CHILD]
+    assert tree.produce(1) == 13
+    want = (1, 13, 13, 40, 13)
+    assert count_invariant_sublattices(_I_MOD_3, 3, 4) == want
+    for forced in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            _forced(mp, forced)
+            assert _level_loop(_I_MOD_3, 3, 4) == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_shifted_counts())
+def test_level_1_lines_are_the_level_1_count(case):
+    # a factor of multiplicity m > 1 may have k anywhere in 1..m
+    a, p, _ = case
+    tree = _LatticeTree(a, p, _totals(a.n_rows, p, 2))
+    assert tree.lines == count_at_exponent(a, p, range(1, 2))[0]
+
+
+# x^2 + 1 and the four irreducible cubics of the verify-sparse benchmark,
+# lowest coefficient first, with their discriminants
+_SPARSE_POLYS = [((1, 0, 1), -4), ((-1, -1, 0, 1), -23), ((-2, 0, 0, 1), -108),
+                 ((1, 1, 0, 1), -31), ((1, 2, 0, 1), -59)]
+
+
+def _dedekind_counts(f, p, top):
+    """The ideals of index p^e, e <= top, of Z[x]/(f) for a prime p not
+    dividing the discriminant: the residue degrees of the places above p
+    are read off the roots of f mod p."""
+    roots = sum(1 for x in range(p) if sum(c * x ** k for k, c in enumerate(f)) % p == 0)
+    degrees = {(2, 0): [2], (2, 2): [1, 1],
+               (3, 0): [3], (3, 1): [1, 2], (3, 3): [1, 1, 1]}[len(f) - 1, roots]
+    coeffs = [1] + [0] * top
+    for d in degrees:
+        for i in range(d, top + 1):
+            coeffs[i] += coeffs[i - d]
+    return tuple(coeffs)
+
+
+def _sparse_case(f, p, top, rng):
+    """(f, p, E, A), A a unimodular conjugate of the companion matrix of f."""
+    u = random_unimodular(rng, len(f) - 1)
+    return f, p, top, _conjugate(u, companion(IntPoly(f)))
+
+
+@st.composite
+def _sparse_counts(draw):
+    """A sparse case at a good prime among those of the benchmark, E <= 4,
+    with at most 3*10^5 HNF candidates."""
+    f, disc = draw(st.sampled_from(_SPARSE_POLYS))
+    p = draw(st.sampled_from([q for q in (7, 11, 13, 17, 19, 23) if disc % q]))
+    n = len(f) - 1
+    top = draw(st.sampled_from([e for e in range(1, 5) if sum(_totals(n, p, e)) <= 3 * 10 ** 5]))
+    return _sparse_case(f, p, top, draw(st.randoms(use_true_random=False)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_sparse_counts())
+# the benchmark's split and inert x^2 + 1 and its cubics at p = 7 and 19
+@example(_sparse_case((1, 0, 1), 13, 4, random.Random(1)))
+@example(_sparse_case((1, 0, 1), 23, 4, random.Random(1)))
+@example(_sparse_case((-1, -1, 0, 1), 7, 3, random.Random(1)))
+@example(_sparse_case((1, 2, 0, 1), 19, 2, random.Random(1)))
+def test_sparse_classes_match_the_dedekind_form_and_hnf_levels(case):
+    f, p, top, a = case
+    want = _dedekind_counts(f, p, top)
+    assert count_invariant_sublattices(a, p, top) == want
     with pytest.MonkeyPatch.context() as mp:
         _forced(mp, False)
         assert _level_loop(a, p, top) == want
