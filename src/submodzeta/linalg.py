@@ -149,7 +149,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 # matrices
 
 # int64 arithmetic runs only where a bound on every intermediate stays below
-# this: for products here, and for the oracle's actions (oracle._action_dtype).
+# this: for products here, and in the oracle (oracle._hnf_dtype, the peel's minors).
 _INT64_SAFE = 1 << 62
 
 

@@ -26,6 +26,10 @@ matrix X.  `count_invariant_sublattices` therefore reduces A once
 far past the int64 bound shrink below p^E/2 and no zero entry is lost.
 The modulus is p^E for every level, not p^e: the tree forms each g(A) once
 from this one matrix, mod p^E, and builds children from it up to level E.
+So when A = cI mod p^E (every 1 x 1 matrix, and every matrix when E = 0),
+every sublattice up to index p^E is invariant, as under cI, and
+`count_invariant_sublattices` returns the candidate totals it computed for
+the budget before any other step.
 
 Before that reduction, a matrix with one eigenvalue is replaced by a
 strictly upper-triangular conjugate (`_triangular`): when c = tr(A)/n is an
@@ -51,8 +55,7 @@ matrix is counted as given.
 
 After the reduction, a matrix T whose first column is zero below the
 diagonal is counted from its trailing block (`_peeled`): every triangular
-conjugate and every scalar matrix, so every matrix with one eigenvalue, and
-every 1 x 1 matrix.
+conjugate, so every matrix with one eigenvalue that is not scalar mod p^E.
 Write T = [[d, t0], [0, T']], with V = span(e_1, .., e_{n-1}), which T maps
 into itself.  For each sublattice L' < V of level l, each a >= 0 and each
 w in V, put L = L' + Z(p^a e_0 + w).  Then:
@@ -71,36 +74,31 @@ w in V, put L = L' + Z(p^a e_0 + w).  Then:
   kernel has elements.
 
 So a_{p^e} is the sum of g(L') over the T'-invariant L' of levels l with
-l + o(L') <= e.  When T' = dI and t0 = 0, as for every zero or scalar
-matrix and every cI + p^E*X once reduced, every L' is invariant, K = L'
-gives g(L') = [V : L'] = p^l, and t0 = 0 gives o(L') = 0.  So a_{p^e} is
-the sum over l <= e of p^l N_{n-1}(l), N_{n-1}(l) the candidate total of
-level l of Z^(n-1) (N_0 = 1, 0, 0, ... at n = 1), and `_peeled` returns it
-without enumerating anything.  Otherwise one call of HNF enumeration
-(`count_at_exponent`) produces the levels 1..E of T' - dI, entries centred
-mod p^E, which has the invariant lattices of T', in one pass, and keeps the
-bases of their invariant lattices; each basis's level is read off its
-diagonal, whose entries must be powers of p.  The tree is not tried
-there: the block's candidate totals, those of Z^(n-1), never exceed the
-totals of Z^n that the budget admitted, and one pass packs all of the
-block's levels into shared batches.  On the 209 enumerated blocks of the
-first 160 distinct verify-dense operations of seeds 1-3, the pass took
-33 ms and the level loop 107 ms (best of 5, one CPU), though its cost
-rule sent 1050 of their 1475 levels to the tree.  g(L') is the
-gcd of the maximal minors of the basis of L' stacked over the nonzero rows
-of that centred T' - dI (L' contains p^E*V, so K is unchanged), and
-g(L') / p^o(L') that of the same rows and t0
-(`_minor_gcds`).  The minors are expanded column by column, one batch of
-bases at a time, over the row subsets whose minor is not the int 0.  They
-are int64 arrays at every level when m! * B^m < 2^62, m = n - 1 and B the
-larger of p^E and the largest entry, and Python integers otherwise.  A
-diagonal entry, g or g / p^o that is not a power of p raises RuntimeError.
-The cost is that of one enumeration of the block's levels plus one pass of
-minors over their invariant lattices.  On the 40 operations of a traced
-verify-dense benchmark run (8 zero, 16 scalar and 16 nilpotent matrices,
-n = 2-4; one CPU of a 2-vCPU machine), the oracle ran 16 enumerations, one
-per nilpotent matrix, tested 14 864 candidates and took 0.013 s;
-enumerating the levels of Z^n instead would test 7.8 million.
+l + o(L') <= e.  One call of HNF enumeration (`count_at_exponent`)
+produces the levels 1..E of T' - dI, entries centred mod p^E, which has the
+invariant lattices of T', in one pass, and keeps the bases of their
+invariant lattices; each basis's level is read off its diagonal, whose
+entries must be powers of p.  The tree is not tried there: the block's
+candidate totals, those of Z^(n-1), never exceed the totals of Z^n that the
+budget admitted, and one pass packs all of the block's levels into shared
+batches.  On the 209 enumerated blocks of the first 160 distinct
+verify-dense operations of seeds 1-3, the pass took 33 ms and the level
+loop 107 ms (best of 5, one CPU), though its cost rule sent 1050 of their
+1475 levels to the tree.  g(L') is the gcd of the maximal minors of the
+basis of L' stacked over the nonzero rows of that centred T' - dI (L'
+contains p^E*V, so K is unchanged), and g(L') / p^o(L') that of the same
+rows and t0 (`_minor_gcds`).  The minors are expanded column by column,
+one batch of bases at a time, over the row subsets whose minor is not the
+int 0.  They are int64 arrays at every level when m! * B^m < 2^62,
+m = n - 1 and B the larger of p^E and the largest entry, and Python
+integers otherwise.  A diagonal entry, g or g / p^o that is not a power of
+p raises RuntimeError.  The cost is that of one enumeration of the block's
+levels plus one pass of minors over their invariant lattices.  On the 40
+operations of a traced verify-dense benchmark run (8 zero, 16 scalar and 16
+nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle ran
+16 enumerations, one per nilpotent matrix, tested 14 864 candidates and
+took 0.013 s; enumerating the levels of Z^n instead would test 7.8
+million.
 
 HNF enumeration batches a whole level, not one diagonal at a time
 (`_batches`): one rule cuts each diagonal into runs of at most _BATCH bases
@@ -252,8 +250,9 @@ def _int64_bound(n: int, p: int, e: int, abs_max: int) -> int:
     return 4 * (2 ** n) * n * max(1, abs_max) * (p ** e) ** n
 
 
-def _action_dtype(n: int, p: int, e: int, abs_max: int):
-    """int64 when every intermediate at level e provably fits, else object."""
+def _hnf_dtype(n: int, p: int, e: int, abs_max: int):
+    """The dtype HNF enumeration of level e runs in: int64 when every
+    intermediate provably fits, else object."""
     return np.int64 if _int64_bound(n, p, e, abs_max) < _INT64_SAFE else object
 
 
@@ -449,7 +448,7 @@ def count_at_exponent(a: IntMatrix, p: int, levels: range, nodes=None) -> tuple[
         raise ValueError("matrix must be square")
     n = a.n_rows
     diags = [tuple(p ** ej for ej in comp) for e in levels for comp in compositions(e, n)]
-    dtype = _action_dtype(n, p, levels[-1], _abs_max(a.entries))
+    dtype = _hnf_dtype(n, p, levels[-1], _abs_max(a.entries))
     count, visits = _count_numpy(a.entries, diags, dtype, nodes)
     total = sum(itertools.islice(_level_totals(n, p), levels.start, levels.stop))
     if visits != total:
@@ -738,8 +737,8 @@ def _triangular(a: IntMatrix) -> IntMatrix:
 
     Only for a matrix with one eigenvalue c, an integer: c = tr(A)/n and
     N^n = 0.  cI maps every lattice into itself, so T counts as A.  Every
-    other matrix, and every scalar one, comes back as it is.  Raises
-    RuntimeError unless U*N = T*U and U*U^-1 = I hold exactly.
+    other matrix comes back as it is.  Raises RuntimeError unless U*N = T*U
+    and U*U^-1 = I hold exactly.
     """
     n = a.n_rows
     c, r = divmod(sum(a.entries[i][i] for i in range(n)), n)
@@ -747,8 +746,7 @@ def _triangular(a: IntMatrix) -> IntMatrix:
         return a
     nil = [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a.entries)]
     # tr(N^2) = 0 is necessary for N^n = 0, and costs no product
-    if not any(map(any, nil)) or sum(x * nil[j][i] for i, row in enumerate(nil)
-                                     for j, x in enumerate(row)):
+    if sum(x * nil[j][i] for i, row in enumerate(nil) for j, x in enumerate(row)):
         return a
     try:
         t, u, u_inv = _flag(nil)
@@ -830,24 +828,18 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     With T' the trailing block, d = T[0][0] and t0 the rest of row 0, the
     T'-invariant L' of level l each add g(L') = [V : L' + V(T' - dI)] to
     every level e >= l + o(L'), where p^o(L') is the order of t0 modulo
-    L' + V(T' - dI).  When T' = dI and t0 = 0, every L' is invariant, with
-    g(L') = p^l and o(L') = 0, so the counts come from the block's candidate
-    totals alone.  Otherwise one HNF enumeration of T' - dI, entries centred
-    mod p^top, finds the invariant L' of levels 1..top, each basis's level
-    is read off its diagonal, and both
-    indices are gcds of maximal minors (`_minor_gcds`): g that of the rows
-    of L' and T' - dI, and g / p^o that of those rows and t0.
+    L' + V(T' - dI).  One HNF enumeration of T' - dI, entries centred mod
+    p^top, finds the invariant L' of levels 1..top, each basis's level is
+    read off its diagonal, and both indices are gcds of maximal minors
+    (`_minor_gcds`): g that of the rows of L' and T' - dI, and g / p^o that
+    of those rows and t0.  No matrix that is scalar mod p^top gets here
+    (`count_invariant_sublattices`), so n >= 2 and top >= 1.
     """
     m = a.n_rows - 1
-    if not m:  # Z has one sublattice of each index, and it is invariant
-        return [1] * (top + 1)
     d, *t0 = a.entries[0]
     block = _reduced(IntMatrix([[x - d * (i == j) for j, x in enumerate(row[1:])]
                                 for i, row in enumerate(a.entries[1:])]), p ** top)
     rows = [r for r in block.entries if any(r)] + [t0]
-    if not any(map(any, rows)):
-        totals = itertools.islice(_level_totals(m, p), top + 1)
-        return list(itertools.accumulate(p ** l * t for l, t in enumerate(totals)))
     nodes = [np.eye(m, dtype=np.int64)[None]]
     count_at_exponent(block, p, range(1, top + 1), nodes)
     # every entry is at most B, so every partial sum of a minor is at most m! * B^m
@@ -876,14 +868,15 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
 
     Refuses upfront (BudgetError) when n exceeds the cap or the HNF
     candidate total exceeds the budget, at the first level where the
-    running total passes it.  Both producers count A, or its triangular
-    conjugate (`_triangular`), entries centred mod p^max_exp (`_reduced`),
-    which has the same invariant lattices up to index p^max_exp.  A matrix
-    whose first column is then zero below the diagonal is counted from its
-    trailing block (`_peeled`);
-    every other one level by level (`_level_counts`), each level e >= 1
-    from HNF enumeration or from the tree of invariant lattices, whichever
-    is cheaper.  Both producers are deterministic and self-check their work
+    running total passes it.  Then A = cI mod p^max_exp, under which every
+    sublattice up to index p^max_exp is invariant, counts as those candidate
+    totals.  Otherwise both producers count A, or its triangular conjugate
+    (`_triangular`), entries centred mod p^max_exp (`_reduced`), which has
+    the same invariant lattices up to index p^max_exp.  A matrix whose first
+    column is then zero below the diagonal is counted from its trailing
+    block (`_peeled`); every other one level by level (`_level_counts`),
+    each level e >= 1 from HNF enumeration or from the tree of invariant
+    lattices, whichever is cheaper.  Both producers are deterministic and self-check their work
     against closed-form totals.
     """
     if not sympy.isprime(p):
@@ -905,6 +898,10 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
                 f"{running} HNF candidates up to level {e} for p = {p}, E = {max_exp} "
                 f"exceed the budget {max_candidates}"
             )
+    c = a.entries[0][0]
+    if not any((x - c * (i == j)) % p ** max_exp for i, row in enumerate(a.entries)
+               for j, x in enumerate(row)):
+        return tuple(totals)
     a = _reduced(_triangular(a), p ** max_exp)
     if not any(row[0] for row in a.entries[1:]):
         return tuple(_peeled(a, p, max_exp))

@@ -47,8 +47,9 @@ COMMANDS = (
         ["verify", "[[0,2],[0,0]]", "--primes", "2,5"],         # a bad and a good prime
         ["verify", "[[0,2],[0,0]]", "--primes", "4"],           # not a prime
         ["verify", "[[0,2],[0,0]]", "--max-n", "1"],            # over the size cap
-        # a conjugate of the nilpotent of type (2, 1, 1), and a scalar
-        # matrix: both counted from the trailing block of their first column
+        # a conjugate of the nilpotent of type (2, 1, 1), counted from the
+        # trailing block of its first column, and a scalar matrix, counted
+        # as the candidate totals of Z^3
         ["verify", "[[1,0,0,1],[3,0,0,3],[1,0,0,1],[-1,0,0,-1]]", "--primes", "2",
          "--max-index-exp", "5"],
         ["verify", "[[7,0,0],[0,7,0],[0,0,7]]", "--primes", "3", "--max-index-exp", "4"],

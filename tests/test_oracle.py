@@ -155,13 +155,13 @@ def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch
     huge = _huge_x2_plus_1()
     assert _int64_bound(2, p, top, _abs_max(_reduced(huge, p ** top))) >= _INT64_SAFE
     dtypes = []
-    chosen = oracle._action_dtype
+    chosen = oracle._hnf_dtype
 
     def recording(*args):
         dtypes.append(chosen(*args))
         return dtypes[-1]
 
-    monkeypatch.setattr(oracle, "_action_dtype", recording)
+    monkeypatch.setattr(oracle, "_hnf_dtype", recording)
     # p = 1 mod 4 splits in Z[i]: e + 1 ideals of norm p^e
     assert count_invariant_sublattices(huge, p, top) == tuple(range(1, top + 2))
     assert object in dtypes and np.int64 in dtypes
@@ -591,6 +591,28 @@ def test_third_random_6x6_keeps_the_cube_of_its_factor_mod_5():
     assert _timed_count(a, 5, 3)[0] == (1, 2, 4, 6)
 
 
+def test_random_5x5_and_6x6_counts_survive_unimodular_conjugation_in_time(monkeypatch):
+    """60 dense draws, entries in [-9, 9], each (n, p, E) five times: the
+    counts of A and of a unimodular conjugate agree, and the tree produces
+    most of their levels."""
+    rng = random.Random(9)
+    produced = _produced_levels(monkeypatch)
+    cases = [(7, 3), (5, 3), (3, 4), (2, 5), (11, 2), (2, 6)]
+    slowest, levels = 0.0, 0
+    for k in range(60):
+        n, (p, top) = 5 + k % 2, cases[k // 2 % 6]
+        a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        counts, seconds = _timed_count(a, p, top)
+        conj, conj_seconds = _timed_count(_conjugate(random_unimodular(rng, n), a), p, top)
+        assert conj == counts, (a.entries, p, top)
+        slowest = max(slowest, seconds, conj_seconds)
+        levels += 2 * top
+    # 0.02-0.06 s at worst on one CPU; level 3 of Z^6 at p = 7 alone holds
+    # 5.7*10^12 HNF candidates
+    assert slowest < 1.0
+    assert 2 * len(produced) > levels
+
+
 def test_x2_plus_1_at_89_runs_past_the_int64_bound_in_time():
     # (n*p^E)^2 >= 2^62 switched the old tree off, and HNF enumeration of
     # 5.7*10^9 candidates ran for minutes; the tree builds two children a node
@@ -999,7 +1021,11 @@ def test_triangular_conjugate_is_strictly_upper_triangular_plus_cI(a, c):
     _CYCLIC,
 ])
 def test_triangular_conjugate_leaves_other_matrices_alone(a):
-    assert oracle._triangular(a) is a
+    # a scalar matrix has N = 0, its own triangular conjugate; counts
+    # decide scalars before they reach _triangular
+    zero = diag(*[0] * a.n_rows)
+    t = oracle._triangular(a)
+    assert t == zero if plus_scalar(a, -a.entries[0][0]) == zero else t is a
 
 
 def test_last_power_reports_a_block_that_is_not_nilpotent():
@@ -1056,8 +1082,9 @@ def test_unipotent_counts_match_hnf_levels_of_the_raw_matrix(lam, c, p, rng):
     n = lam.size
     a = plus_scalar(_conjugate(random_unimodular(rng, n), n_of(lam)), c)
     t = oracle._triangular(a)
-    # a scalar matrix comes back as it is, and any other without c
-    assert t is a if max(lam.parts) == 1 else _is_strictly_upper(t)
+    # every one comes back without c, and only a scalar matrix as T = 0
+    assert _is_strictly_upper(t)
+    assert any(map(any, t.entries)) == (max(lam.parts) > 1)
     top = _cheap_top(n, p)
     assert count_invariant_sublattices(a, p, top) == _hnf_values(a, p, top)
 
@@ -1085,8 +1112,14 @@ def _benchmark_workloads():
 _WORKLOADS = _benchmark_workloads()
 
 
+def _scalar_mod(a, q):
+    """Is A = cI mod q for an integer c?"""
+    return all(x % q == 0 for row in plus_scalar(a, -a.entries[0][0]).entries for x in row)
+
+
 def _peeled_and_looped(monkeypatch, a, p, top, **limits):
-    """The counts of count_invariant_sublattices, which must take the peel, and of the level loop."""
+    """The counts of count_invariant_sublattices and of the level loop, and
+    whether the count took the peel, at most once."""
     calls = []
     peel = oracle._peeled
 
@@ -1096,8 +1129,8 @@ def _peeled_and_looped(monkeypatch, a, p, top, **limits):
 
     monkeypatch.setattr(oracle, "_peeled", spy)
     got = count_invariant_sublattices(a, p, top, **limits)
-    assert len(calls) == 1
-    return got, _level_loop(a, p, top)
+    assert len(calls) <= 1
+    return got, _level_loop(a, p, top), bool(calls)
 
 
 @pytest.mark.parametrize("n, p, top", _WORKLOADS.DENSE_CASES)
@@ -1106,9 +1139,11 @@ def test_peel_matches_the_level_loop_on_every_verify_dense_class(n, p, top, monk
     matrices = [diag(*[0] * n), diag(*[74149] * n)]
     for lam in _WORKLOADS.NILPOTENT_TYPES[n]:
         matrices.append(_conjugate(random_unimodular(rng, n), n_of(Partition(list(lam)))))
-    for a in matrices:
-        got, want = _peeled_and_looped(monkeypatch, a, p, top)
+    for k, a in enumerate(matrices):
+        got, want, peeled = _peeled_and_looped(monkeypatch, a, p, top)
         assert got == want, (a.entries, p, top)
+        # the zero and scalar matrices count as the candidate totals, unpeeled
+        assert peeled == (k >= 2)
 
 
 @pytest.mark.parametrize("a, p, top", [
@@ -1121,16 +1156,18 @@ def test_peel_matches_the_level_loop_on_every_verify_dense_class(n, p, top, monk
     (_conjugate(random_unimodular(random.Random(2), 4), n_of(Partition([2, 1, 1]))), 5, 0),
 ])
 def test_peel_matches_the_level_loop_at_n_1_and_E_0(a, p, top, monkeypatch):
-    got, want = _peeled_and_looped(monkeypatch, a, p, top)
+    got, want, peeled = _peeled_and_looped(monkeypatch, a, p, top)
     assert got == want
+    # every 1 x 1 matrix, and every matrix at E = 0, is scalar mod p^E
+    assert not peeled
     # Z has one sublattice of each index, and level 0 holds Z^n alone
     assert got == ((1,) * (top + 1) if a.n_rows == 1 else (1,))
 
 
 def test_peel_matches_the_level_loop_on_a_5x5_nilpotent(monkeypatch):
     a = _conjugate(random_unimodular(random.Random(5), 5), n_of(Partition([3, 2])))
-    got, want = _peeled_and_looped(monkeypatch, a, 2, 3, max_n=5)
-    assert got == want
+    got, want, peeled = _peeled_and_looped(monkeypatch, a, 2, 3, max_n=5)
+    assert got == want and peeled
 
 
 def _first_column_zero(n):
@@ -1161,8 +1198,11 @@ def test_peel_matches_the_level_loop_on_random_matrices(rows, p):
     a = IntMatrix(rows)
     top = _cheap_top(a.n_rows, p)
     with pytest.MonkeyPatch.context() as mp:
-        got, want = _peeled_and_looped(mp, a, p, top)
+        got, want, peeled = _peeled_and_looped(mp, a, p, top)
     assert got == want
+    # a first column zero below the diagonal, or one eigenvalue, is peeled
+    # unless the matrix is scalar mod p^E
+    assert peeled != _scalar_mod(a, p ** top)
 
 
 @pytest.mark.parametrize("rows, block", [
@@ -1193,8 +1233,8 @@ def test_peel_crosses_from_int64_to_object_minors(t, monkeypatch):
     # [[0, t], [0, 0]] at p = 2: the trailing block [0] has one lattice 2^k Z
     # of each level k, with g = 2^k and o = max(0, k - v_2(t)).  Minors are
     # int64 while 1! * max(2^E, |t|) < 2^62, so up to E = 61, and all of
-    # them Python integers past it.  t = 2^61 at E = 61 reduces to the zero
-    # matrix, which the peel counts without minors.
+    # them Python integers past it.  t = 2^61 at E = 61 is the zero matrix
+    # mod 2^E, which counts as the candidate totals without the peel.
     dtypes = []
     minor_gcds = oracle._minor_gcds
 
@@ -1228,7 +1268,14 @@ def test_peel_rejects_an_index_that_is_not_a_power_of_p(which, monkeypatch):
 
 
 def _refuse(*args):
-    raise AssertionError("this count must not enumerate or expand minors")
+    raise AssertionError("this count must not reach this step")
+
+
+def _refuse_every_step(monkeypatch):
+    """Make every step after the budget raise: the triangular conjugate, the
+    peel and its minors, and both producers."""
+    for name in ("_triangular", "_peeled", "_minor_gcds", "count_at_exponent", "_LatticeTree"):
+        monkeypatch.setattr(oracle, name, _refuse)
 
 
 def test_a_range_of_levels_enumerates_each_level_in_turn():
@@ -1275,8 +1322,7 @@ def test_peel_enumerates_its_block_in_one_call(n, p, top, monkeypatch):
 ])
 def test_scalar_peel_counts_every_sublattice_without_enumerating(a, p, top, monkeypatch):
     want = _hnf_values(a, p, top)
-    monkeypatch.setattr(oracle, "count_at_exponent", _refuse)
-    monkeypatch.setattr(oracle, "_minor_gcds", _refuse)
+    _refuse_every_step(monkeypatch)
     got = count_invariant_sublattices(a, p, top)
     assert got == want == tuple(_totals(a.n_rows, p, top))
 
@@ -1289,6 +1335,38 @@ def test_scalar_peel_still_refuses_a_count_over_budget(a, monkeypatch):
         count_invariant_sublattices(a, 2, 6, max_candidates=sum(totals) - 1)
     monkeypatch.undo()
     assert count_invariant_sublattices(a, 2, 6, max_candidates=sum(totals)) == tuple(totals)
+
+
+@st.composite
+def _scalar_mod_p_to_the_e(draw):
+    """(cI + p^E*X, p, E): n <= 4, p <= 7, E <= 5, |c| <= 2^70 and X in
+    [-9, 9]; or a 1 x 1 matrix, any entry up to 2^70, at E <= 60."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70)))
+    if draw(st.booleans()):
+        return diag(c), p, draw(st.integers(0, 60))
+    top = draw(st.integers(0, 5))
+    x = draw(st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-9, 9))))
+    return IntMatrix([[c * (i == j) + p ** top * v for j, v in enumerate(row)]
+                      for i, row in enumerate(x)]), p, top
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_scalar_mod_p_to_the_e())
+# 9I + 2^5*X: scalar mod 2^5, not in its entries
+@example((IntMatrix(((41, 64), (-96, 9))), 2, 5))
+@example((diag(2 ** 70 + 1), 2, 6))
+def test_scalar_mod_p_to_the_e_counts_as_the_candidate_totals_alone(case):
+    """A = cI mod p^E counts as the candidate totals that the budget reads,
+    with no conjugate, peel or producer; HNF enumeration agrees where the
+    totals stay small."""
+    a, p, top = case
+    totals = _totals(a.n_rows, p, top)
+    if sum(totals) <= 1500:
+        assert _hnf_values(a, p, top) == tuple(totals)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_every_step(mp)
+        assert count_invariant_sublattices(a, p, top, max_candidates=sum(totals)) == tuple(totals)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
