@@ -37,11 +37,13 @@ polynomials of degree <= 24, and a larger one exits 1 with a hint to pass
 --edv); verify takes E <= 100000 and exits 3 past --max-n or --budget;
 special zpxn takes N <= 1000 and special powerseries N <= 100000, and
 analyze --edv and special fe-check an EDV of size n <= 1000 (deg f times
-partition size, summed).  Each runs well under a second, but not for a
-factor f of high degree, which splitting_profile takes seconds for (x^1000
-- 2: 2.7-4.0 s), nor where sympy's factorint stalls on a bad-prime integer
-(a random dense 8 x 8 matrix, a dense f of degree 40).  A larger E, N or n,
-or a MATRIX that is not square or has no entries, is a usage error.
+partition size, summed).  analyze --edv factors each f of degree <= 24 and
+refuses a reducible one; above that degree f is taken on trust to be
+irreducible.  Each runs in under a second, a factor f of high degree
+included (x^1000 - 2: 0.6-0.75 s, 0.1 s of it in splitting_profile), but
+not where sympy's factorint stalls on a bad-prime integer (a random dense
+8 x 8 matrix, a dense f of degree 40).  A larger E, N or n, or a MATRIX
+that is not square or has no entries, is a usage error.
 
 Exit codes: 0 success / all good primes match, 1 usage or input error,
 2 verification mismatch at a heuristically good prime, 3 work budget
@@ -67,7 +69,7 @@ from .oracle import (
     count_invariant_sublattices,
 )
 from .partitions import Partition
-from .polyfactor import DegreeCapError, splitting_profile
+from .polyfactor import DEFAULT_DEGREE_CAP, DegreeCapError, factor_over_z, splitting_profile
 from .zetacore import (
     FunctionalEquationData,
     RamifiedPrimeError,
@@ -252,6 +254,10 @@ def cmd_analyze(args) -> int:
         edv = load_edv(args.edv)
         _size_arg(edv.n, "analyze --edv", "size", EDV_MAX)
         ctx = EdvContext(edv, 1)
+        for f, _ in edv.entries:
+            # above the factorization cap, f is taken to be irreducible
+            if f.degree <= DEFAULT_DEGREE_CAP and factor_over_z(f) != [(f, 1)]:
+                raise UsageError(f"EDV polynomial {f} is reducible over Q")
         matrix = None
     else:
         if args.matrix is None:

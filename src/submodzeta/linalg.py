@@ -16,6 +16,12 @@ kernels fill the whole space.
 
 Convention used everywhere: vectors are rows and matrices act on the
 right, x -> x*A.  "Kernel" always means the left kernel {x : x*A = 0}.
+
+Polynomials over F_p are lists of Python ints, lowest degree first, with
+pow(c, -1, p) for inverses.  distinct_degree, the distinct-degree
+factorization over F_p (Cantor-Zassenhaus), is what both polyfactor (the
+splitting profiles and the inert-prime shortcut of factor_over_z) and the
+oracle's lattice tree factor with; the oracle splits its parts itself.
 """
 
 from __future__ import annotations
@@ -143,6 +149,128 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     if m < n:
         return (-1) ** (m * n) * int(dup_resultant(_dup(g), _dup(f), ZZ))
     return int(dup_resultant(_dup(f), _dup(g), ZZ))
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: lists of ints in [0, p), lowest degree first, no
+# trailing zeros ([] is zero), for a prime p
+
+
+def _gf_reduce(a, p: int) -> list[int]:
+    """The integer list a as a polynomial over F_p: entries mod p, trailing zeros stripped."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gf_divmod(a, f, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic f.  Entries only grow while a
+    is reduced (each step subtracts c*f from a shifted slice, c < p), so each
+    is taken mod p once, at the end or when it leads.  Plain loops: at every
+    degree tried, 2-100, they beat list comprehensions."""
+    n = len(f) - 1
+    if len(a) <= n:
+        return [], a
+    a, low, quotient = list(a), f[:n], []
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = a.pop() % p
+        quotient.append(c)
+        if c:
+            for j, y in enumerate(low, k):
+                a[j] -= c * y
+    quotient.reverse()
+    return quotient, _gf_reduce(a, p)
+
+
+def _gf_mulmod(a, b, f, p: int) -> list[int]:
+    """a*b mod the monic f.  Zero coefficients of a cost nothing, so a sparse
+    a stays cheap against a long b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _gf_divmod(out, f, p)[1]
+
+
+def _gf_powmod(a, k: int, f, p: int) -> list[int]:
+    """a^k mod the monic f, k >= 1, by squaring from the leading bit of k."""
+    a = out = _gf_divmod(a, f, p)[1]
+    for bit in bin(k)[3:]:
+        out = _gf_mulmod(out, out, f, p)
+        if bit == "1":
+            out = _gf_mulmod(out, a, f, p)
+    return out
+
+
+def _gf_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd of a and b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = b, _gf_divmod(a, [x * inv % p for x in b], p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _gf_sub(a, b, p: int) -> list[int]:
+    """a - b."""
+    return _gf_reduce([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+def _gf_frobenius(h, base, p: int) -> list[int]:
+    """h^p mod f, base[i] = x^(ip) mod f for i < deg f: h^p = sum h_i x^(ip) over F_p."""
+    out = [0] * len(base)
+    for c, b in zip(h, base):
+        if c:
+            for j, y in enumerate(b):
+                out[j] += c * y
+    return _gf_reduce(out, p)
+
+
+def distinct_degree(f, p: int):
+    """For d = 1, 2, ...: (d, the product of the distinct monic irreducible
+    factors of degree d of f mod p), for each d that has one.
+
+    f is monic, a list of ints lowest degree first; p is prime.  Step d takes
+    h = x^(p^d) mod f and the gcd of f with h - x, which, once every factor
+    of degree below d is gone from f, is the product of those of degree d.
+    Each such part is yielded, and every power of each of its factors is
+    stripped from f (f divided by gcd(f, part) until it is coprime to the
+    part).  What is left once deg f < 2(d + 1) has every factor of degree
+    above d, so it is one irreducible factor, yielded last.  So the degrees
+    of the parts sum to deg f exactly when f mod p is squarefree.
+
+    Step 1 takes h = x^p mod f by squaring.  Later steps read h^p mod f off
+    base, x^(ip) mod f for i < deg f, built at step 2 and reduced mod each
+    smaller f, which divides the last; so a caller that stops after the
+    first part never builds it.
+    """
+    f = [c % p for c in f]
+    d, base = 1, None
+    while len(f) - 1 >= 2 * d:
+        if d == 1:
+            xp = h = _gf_powmod([0, 1], p, f, p)
+        else:
+            if base is None:
+                base = [[1], xp]
+                while len(base) < len(f) - 1:
+                    base.append(_gf_mulmod(base[-1], xp, f, p))
+            h = _gf_frobenius(h, base, p)
+        part = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
+        if len(part) > 1:
+            yield d, part
+            while len(part) > 1:
+                f = _gf_divmod(f, part, p)[0]
+                part = _gf_gcd(f, part, p)
+            h, xp = _gf_divmod(h, f, p)[1], _gf_divmod(xp, f, p)[1]
+            if base is not None:
+                base = [_gf_divmod(b, f, p)[1] for b in base[:len(f) - 1]]
+        d += 1
+    if len(f) > 1:
+        yield len(f) - 1, f
 
 
 # ---------------------------------------------------------------------------

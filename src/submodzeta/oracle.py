@@ -142,8 +142,10 @@ Each level comes from whichever of two producers is cheaper:
     (p^dk - 1)/(p^d - 1) hyperplanes, with normalized coordinates
     (0, .., 0, 1, a_(j+1), .., a_k), are spanned over N0 by q_i, i < j,
     and q_i - q_j*a_i(A), i > j, with their images under A^t, t < d.
-  - chi mod p is factored once per count, with sympy's `gf_factor` (chi
-    need not be squarefree mod p), and each g(A) is formed once, mod p^E.
+  - chi mod p is factored once per count, in Python integers: the
+    distinct-degree kernel of `linalg` gives, for each d, the product of
+    the factors g of degree d (chi need not be squarefree mod p), and
+    `_equal_degree` splits it.  Each g(A) is formed once, mod p^E.
   - Self-checks raise RuntimeError: L/N0 must have order a power of p^d;
     the hyperplanes built below a node must number (p^dk - 1)/(p^d - 1)
     and be distinct, each of index p^(l+d); and every child of a level
@@ -178,10 +180,22 @@ import numpy as np
 import sympy
 from sympy.core.intfunc import igcdex
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor
 from sympy.polys.matrices.ddm import DDM
 
-from .linalg import _INT64_SAFE, IntMatrix, IntPoly, _abs_max, _product, poly_at_matrix
+from .linalg import (
+    _INT64_SAFE,
+    IntMatrix,
+    IntPoly,
+    _abs_max,
+    _gf_divmod,
+    _gf_gcd,
+    _gf_mulmod,
+    _gf_powmod,
+    _gf_sub,
+    _product,
+    distinct_degree,
+    poly_at_matrix,
+)
 
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_CANDIDATES = 120_000_000
@@ -507,6 +521,38 @@ def _index(b) -> int:
     return math.prod(row[i] for i, row in enumerate(b))
 
 
+def _equal_degree(part, d: int, p: int) -> list:
+    """The monic irreducible factors of part mod p, a product of distinct
+    ones of degree d (a part the distinct-degree kernel yields).
+
+    Deterministic equal-degree splitting (Cantor-Zassenhaus): for u = x + t,
+    t = 0..p-1, then the monic u of degree 2, 3, ..., 2d in a fixed order,
+    w(u) is u^((p^d - 1)/2) - 1 for odd p, and the trace u + u^2 + u^4 +
+    ... + u^(2^(d-1)) for p = 2, mod part.  On each factor g, u is an
+    element of F_(p^d), and g divides w(u) exactly when u is a nonzero square
+    there (odd p) or has trace 0 (p = 2).  So gcd(part, w(u)) splits part
+    unless every factor answers alike; some monic u of degree 2d takes any
+    pair of values on two factors (CRT), so the split always comes.
+    """
+    if len(part) - 1 == d:
+        return [part]
+    for k in range(1, 2 * d + 1):
+        for low in itertools.product(range(p), repeat=k):
+            u = [*low, 1]
+            if p == 2:
+                w = s = _gf_divmod(u, part, p)[1]
+                for _ in range(d - 1):
+                    s = _gf_mulmod(s, s, part, p)
+                    w = _gf_sub(w, s, p)  # = w + s mod 2
+            else:
+                w = _gf_sub(_gf_powmod(u, (p ** d - 1) // 2, part, p), [1], p)
+            g = _gf_gcd(part, w, p)
+            if 1 < len(g) < len(part):
+                return (_equal_degree(g, d, p)
+                        + _equal_degree(_gf_divmod(part, g, p)[0], d, p))
+    raise RuntimeError(f"no u of degree <= {2 * d} split a product of degree-{d} factors mod {p}")
+
+
 class _LatticeTree:
     """The invariant lattices of the levels the tree may still expand.
 
@@ -535,16 +581,21 @@ class _LatticeTree:
         self.lines = 0
         if self.keeping:
             chi = DDM([[x % p for x in row] for row in a.entries], (n, n), ZZ).charpoly()
+            chi = [int(x) for x in reversed(chi)]
             modulus = p ** top
-            for g, m in gf_factor([int(x) % p for x in chi], p, ZZ)[1]:
-                power = poly_at_matrix(IntPoly([int(x) for x in reversed(g)]), a)
-                cols = [tuple(x % modulus for x in col) for col in zip(*power.entries)]
-                self.factors.append((len(g) - 1, cols))
-                if len(g) == 2:
-                    # the children of Z^n for g are the (p^k - 1)/(p - 1) lines
-                    # of Z^n/N0 = F_p^k, and 1 <= k <= m, the multiplicity of g
-                    self.lines += 1 if m == 1 else (
-                        _index(self._floor(self.levels[0][0], 0, cols)) - 1) // (p - 1)
+            for d, part in distinct_degree(chi, p):
+                for g in _equal_degree(part, d, p):
+                    power = poly_at_matrix(IntPoly(g), a)
+                    cols = [tuple(x % modulus for x in col) for col in zip(*power.entries)]
+                    self.factors.append((d, cols))
+                    if d == 1:
+                        # the children of Z^n for g = x - r are the (p^k - 1)/(p - 1)
+                        # lines of Z^n/N0 = F_p^k, and 1 <= k <= m, the multiplicity
+                        # of g: k = 1 when m = 1, that is when chi'(r) != 0 mod p
+                        r = -g[0]
+                        simple = sum(i * c * r ** (i - 1) for i, c in enumerate(chi) if i) % p
+                        self.lines += 1 if simple else (
+                            _index(self._floor(self.levels[0][0], 0, cols)) - 1) // (p - 1)
 
     def _cost(self, nodes: int, e: int) -> int:
         """The cost, in HNF candidates, of producing level e by expanding

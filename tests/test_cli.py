@@ -181,6 +181,22 @@ def test_analyze_edv_with_a_repeated_factor_exits_1(capsys, tmp_path):
     assert main(["analyze", "--edv", str(edv_file)]) == 1
 
 
+def test_analyze_edv_with_a_reducible_polynomial_exits_1(capsys, tmp_path):
+    """Q[x]/(f) is a field only for an irreducible f: x^2 - 1 and x^3 - x are
+    squarefree but reducible, and are refused; x^4 + 1, reducible mod every
+    prime, is irreducible over Q and accepted."""
+    edv_file = tmp_path / "edv.json"
+    for poly, name in (([-1, 0, 1], "x^2 - 1"), ([0, -1, 0, 1], "x^3 - x")):
+        edv_file.write_text(json.dumps({"edv": [{"poly": poly, "partition": [1]}]}))
+        assert main(["analyze", "--edv", str(edv_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: EDV polynomial {name} is reducible over Q\n"
+    edv_file.write_text(json.dumps({"edv": [{"poly": [1, 0, 0, 0, 1], "partition": [1]}]}))
+    assert main(["analyze", "--edv", str(edv_file)]) == 0
+    assert "global zeta: zeta_[x^4 + 1](s)" in capsys.readouterr().out
+
+
 def test_analyze_latex(capsys):
     assert main(["analyze", ROT_2, "--format", "latex"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.densearith import dup_div
+from sympy.polys.galoistools import gf_ddf_zassenhaus, gf_factor, gf_mul, gf_sqf_p
 
 from submodzeta import canonical, linalg
 from submodzeta.canonical import ElementaryDivisorVector
@@ -152,6 +153,51 @@ def test_resultants_of_high_degree_are_quick():
         start = time.perf_counter()
         assert resultant(f, f.derivative()) != 0
         assert time.perf_counter() - start < 0.5
+
+
+def _gf_reference_parts(f, p):
+    """(d, the product of the distinct monic irreducible factors of degree d
+    of f mod p) for each d that has one, read off sympy's gf_factor."""
+    parts = {}
+    for g, _ in gf_factor([c % p for c in reversed(f)], p, ZZ)[1]:
+        parts[len(g) - 1] = gf_mul(parts.get(len(g) - 1, [1]), g, p, ZZ)
+    return [(d, [int(c) for c in reversed(g)]) for d, g in sorted(parts.items())]
+
+
+def test_distinct_degree_matches_sympy():
+    """The kernel against sympy's galoistools on 1400 seeded draws: 200 at
+    each p in {2, 3, 5, 7, 13, 89, 10007}, f of degree 1-10 a product of
+    random monic factors, half of them with one factor raised to a power.
+    The parts match gf_factor's factors grouped by degree; their degrees sum
+    to deg f exactly when gf_sqf_p says f is squarefree, and then they are
+    gf_ddf_zassenhaus's."""
+    rng = random.Random(37)
+    repeated = equal = 0
+    for p in (2, 3, 5, 7, 13, 89, 10007):
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            f, room = [1], n
+            if n >= 2 and rng.random() < 0.5:
+                k = rng.randint(1, n // 2)
+                g = [1] + [rng.randrange(p) for _ in range(k)]
+                for _ in range(rng.randint(2, n // k)):
+                    f, room = gf_mul(f, g, p, ZZ), room - k
+            while room:
+                k = rng.randint(1, room)
+                f, room = gf_mul(f, [1] + [rng.randrange(p) for _ in range(k)], p, ZZ), room - k
+            coeffs = [int(c) for c in reversed(f)]
+            parts = list(linalg.distinct_degree(coeffs, p))
+            assert parts == _gf_reference_parts(coeffs, p), (p, coeffs)
+            squarefree = gf_sqf_p(f, p, ZZ)
+            assert (sum(len(g) - 1 for _, g in parts) == n) == squarefree
+            if squarefree:
+                assert parts == [(d, [int(c) for c in reversed(g)])
+                                 for g, d in gf_ddf_zassenhaus(f, p, ZZ)]
+            factors = gf_factor(f, p, ZZ)[1]
+            repeated += any(m > 1 for _, m in factors)
+            equal += len({len(g) for g, _ in factors}) < len(factors)
+    # the campaign reaches repeated factors and factors of equal degree
+    assert repeated > 600 and equal > 600
 
 
 def test_companion_examples():

@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy.core.random
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_mul
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from submodzeta import oracle
 from submodzeta.canonical import edv_context
 from submodzeta.cli import main
-from submodzeta.linalg import IntMatrix, resultant
+from submodzeta.linalg import IntMatrix, distinct_degree, resultant
 from submodzeta.oracle import (
     _INT64_SAFE,
     _PACK,
@@ -624,12 +626,12 @@ def test_x2_plus_1_at_89_runs_past_the_int64_bound_in_time():
 
 def test_counts_leave_the_global_random_state_alone():
     # x^2+1 at p = 13: chi splits into two linear factors mod 13, so the
-    # equal-degree step of gf_factor runs, and the tree produces levels 4-5.
-    # That step draws from sympy's own generator, not from `random`
+    # equal-degree step runs, and the tree produces levels 4-5.  That step
+    # is deterministic: it draws from neither `random` nor sympy's generator
     state, sympy_state = random.getstate(), sympy.core.random.rng.getstate()
     assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
     assert random.getstate() == state
-    assert sympy.core.random.rng.getstate() != sympy_state
+    assert sympy.core.random.rng.getstate() == sympy_state
 
 
 def test_tree_factors_do_not_depend_on_the_sympy_seed():
@@ -639,11 +641,79 @@ def test_tree_factors_do_not_depend_on_the_sympy_seed():
     try:
         for seed in (0, 1):
             sympy.core.random.seed(seed)
+            seeded, global_state = sympy.core.random.rng.getstate(), random.getstate()
             factors.append(_LatticeTree(a, 13, _totals(2, 13, 5)).factors)
+            assert sympy.core.random.rng.getstate() == seeded
+            assert random.getstate() == global_state
     finally:
         sympy.core.random.rng.setstate(state)
     assert factors[0] == factors[1]
     assert [d for d, _ in factors[0]] == [1, 1]
+
+
+def test_equal_degree_splits_into_sympys_factors():
+    """The kernel's parts split by _equal_degree give gf_factor's distinct
+    irreducible factors: 700 seeded products of 1-4 random monic factors of
+    one degree d in 1-3, some repeated, 100 at each p in {2, 3, 5, 7, 13, 89,
+    10007}; so p = 2 takes the trace map at d = 2 and 3."""
+    rng = random.Random(38)
+    split = 0
+    for p in (2, 3, 5, 7, 13, 89, 10007):
+        for _ in range(100):
+            d = rng.randint(1, 3)
+            f = [1]
+            for _ in range(rng.randint(1, 4)):
+                g = [1] + [rng.randrange(p) for _ in range(d)]
+                f = gf_mul(f, gf_mul(g, g, p, ZZ) if rng.random() < 0.2 else g, p, ZZ)
+            coeffs = [int(c) for c in reversed(f)]
+            ours = sorted(g for e, part in distinct_degree(coeffs, p)
+                          for g in oracle._equal_degree(part, e, p))
+            want = sorted([int(c) for c in reversed(g)] for g, _ in gf_factor(f, p, ZZ)[1])
+            assert ours == want, (p, coeffs)
+            split += any(len(part) - 1 > e for e, part in distinct_degree(coeffs, p))
+    assert split > 400
+
+
+def _tree_against_hnf(a, p, top):
+    """The tree's levels 1..top, each expanded from the ones before, against
+    HNF enumeration of that level alone: the same invariant bases."""
+    tree = _LatticeTree(a, p, _totals(a.n_rows, p, top))
+    counts = [1]
+    for e in range(1, top + 1):
+        nodes = []
+        count = count_at_exponent(a, p, range(e, e + 1), nodes)[0]
+        assert tree.produce(e) == count
+        hnf_bases = {tuple(map(tuple, b)) for batch in nodes for b in batch.tolist()}
+        assert set(tree.levels[e]) == hnf_bases
+        counts.append(count)
+    return tree, counts
+
+
+def test_tree_matches_hnf_where_chi_has_two_quadratic_factors_mod_3():
+    # chi = (x^2 + 1)(x^2 + x + 2), both irreducible mod 3: the kernel yields
+    # one part of degree 4 at d = 2, which the equal-degree step splits
+    rng = random.Random(3)
+    f = IntPoly((1, 0, 1)) * IntPoly((2, 1, 1))
+    for a in (companion(f), _conjugate(random_unimodular(rng, 4), companion(f))):
+        tree, counts = _tree_against_hnf(a, 3, 4)
+        assert [d for d, _ in tree.factors] == [2, 2]
+        assert counts == [1, 0, 2, 0, 3]
+
+
+def test_tree_matches_hnf_at_2_with_a_repeated_factor():
+    # chi = x(x + 1)^2 mod 2, from x(x + 1)^2 and x(x^2 + 2x + 3): the part
+    # x(x + 1) is split by the trace map, and x + 1, a double root (chi' =
+    # 3x^2 + 4x + 1 is 8 at 1), has its lines counted through N0; then
+    # (x^2 + x + 1)^2, and a block sum of the first and x^2 + x + 1
+    rng = random.Random(2)
+    for f in (IntPoly((0, 1, 2, 1)), IntPoly((1, 1, 1)) ** 2, IntPoly((0, 3, 2, 1))):
+        a = _conjugate(random_unimodular(rng, f.degree), companion(f))
+        tree, counts = _tree_against_hnf(a, 2, 5)
+        assert tree.lines == counts[1]
+    b = block_diag(companion(IntPoly((0, 1, 2, 1))), companion(IntPoly((1, 1, 1))))
+    tree, counts = _tree_against_hnf(_conjugate(random_unimodular(rng, 5), b), 2, 3)
+    assert sorted(d for d, _ in tree.factors) == [1, 1, 2]
+    assert tree.lines == counts[1]
 
 
 def _hnf_bases(n, p, e):
