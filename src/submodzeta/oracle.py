@@ -55,7 +55,8 @@ matrix is counted as given.
 
 After the reduction, a matrix T whose first column is zero below the
 diagonal is counted from its trailing block (`_peeled`): every triangular
-conjugate, so every matrix with one eigenvalue that is not scalar mod p^E.
+conjugate, so every matrix with one eigenvalue that is not scalar mod p^E,
+and the conjugate of a matrix at a simple root of chi mod p (below).
 Write T = [[d, t0], [0, T']], with V = span(e_1, .., e_{n-1}), which T maps
 into itself.  For each sublattice L' < V of level l, each a >= 0 and each
 w in V, put L = L' + Z(p^a e_0 + w).  Then:
@@ -99,6 +100,48 @@ nilpotent matrices, n = 2-4; one CPU of a 2-vCPU machine), the oracle ran
 16 enumerations, one per nilpotent matrix, tested 14 864 candidates and
 took 0.013 s; enumerating the levels of Z^n instead would test 7.8
 million.
+
+A matrix whose first column is still nonzero below the diagonal reaches the
+peel another way when its characteristic polynomial chi has a simple root r
+mod p, chi'(r) != 0 mod p, as each place of degree 1 at a split prime gives
+(`_eigen_conjugate`):
+
+* Newton steps lift r to a root of the integer chi mod p^E (Hensel's lemma:
+  chi'(r) is a unit mod p).
+* A - rI then has rank n - 1 mod p, so over the local ring Z/p^E it is
+  equivalent to diag(1, .., 1, chi(r)) = diag(1, .., 1, 0): its right
+  kernel is free of rank 1, spanned by a u with an entry 1 (`_kernel_line`).
+* U, the identity with u put in column 0 (its column 0 first exchanged with
+  the column of that entry), has det U = +-1, and T = U^-1*A*U mod p^E has
+  first column r*e_0.
+* A lattice of index p^e <= p^E contains p^E*Z^n, so the lattices up to that
+  index are the subgroups of (Z/p^E)^n.  x -> x*U permutes them and keeps
+  their index, and L is A-invariant exactly when L*U is T-invariant, since
+  A*U = U*T mod p^E: the argument of `_triangular`, with GL_n(Z/p^E) in
+  place of GL_n(Z).
+
+chi(r) = 0, A*u = r*u, U*U^-1 = I and A*U = U*T, all mod p^E, and T[i][0] = 0
+for i >= 1 are checked exactly.  chi is that of the reduced matrix, computed
+once; the root comes from its factors mod p, which the tree
+(`_LatticeTree`) finds and keeps, and the tree forms no g(A) until it
+produces a level, so a count the peel takes forms none.  Below E = 2 the
+tree factors nothing and no count is peeled at a root.
+
+The peel enumerates the whole (n - 1)-block, so it is taken only when that
+costs less, in HNF candidates (`_peel_pays`): the block's candidate totals
+of levels 1..E plus one _HNF_LEVEL, against E times the cheaper way to
+produce level 1, its candidate total plus _HNF_LEVEL or the tree's exact
+cost of it.  On 58 matrices with a simple root that reach the level loop
+(six random dense ones, entries in [-9, 9], at each of 15 (n, p, E) with
+n = 2-4, and two cycles of verify-sparse; best of 3, one CPU, two runs),
+the rule peeled 41, each 1.4-23 times faster than the loop; of the 17 it
+left to the loop, the peel would have been faster on 9-10, by 1-61 %.  The
+split classes of verify-sparse, x^2+1 at 13 and 17 and with huge entries
+at 5, peel a 1 x 1 block, E candidates and one _HNF_LEVEL, against E times
+the 6000 the tree charges for its two lines; its cubics with a root at 7
+and at 19 keep the loop (12 465 against 9000, 12 401 against 6000).  A
+dense 6 x 6 matrix at p = 7, E = 3 would enumerate 1.7*10^10 block
+candidates.
 
 HNF enumeration batches a whole level, not one diagonal at a time
 (`_batches`): one rule cuts each diagonal into runs of at most _BATCH bases
@@ -516,6 +559,12 @@ def _times(v, cols, modulus: int) -> list[int]:
     return [sum(map(operator.mul, v, col)) % modulus for col in cols]
 
 
+def _mulmod(x, y, modulus: int) -> list[list[int]]:
+    """The product of two matrices given as rows, mod modulus."""
+    cols = list(zip(*y))
+    return [_times(row, cols, modulus) for row in x]
+
+
 def _index(b) -> int:
     """The index of the lattice of an upper-triangular basis: its diagonal product."""
     return math.prod(row[i] for i, row in enumerate(b))
@@ -557,45 +606,57 @@ class _LatticeTree:
     """The invariant lattices of the levels the tree may still expand.
 
     levels[l] holds the HNF bases C, tuples of rows of Python ints, of the
-    invariant lattices of level l.  factors holds (d, G) for each distinct
-    monic irreducible factor g of degree d of the characteristic polynomial
-    mod p, G the columns of g(A) mod p^top.  lines is the number of
-    invariant lattices of level 1, the children of Z^n for the factors of
-    degree 1: (p^k - 1)/(p - 1) for each, k = n - rank(g(A) mod p).
-    totals[e] is the candidate total of level e (from _level_totals), and
-    counts[e] the number of invariant lattices of level e, for the levels
-    found so far.
+    invariant lattices of level l.  chi is the characteristic polynomial of
+    A over Z, lowest coefficient first, and factors holds (d, g) for each
+    distinct monic irreducible factor g of degree d of chi mod p; actions
+    holds (d, G) for the same factors, G the columns of g(A) mod p^top,
+    formed on first use, so that a count the peel takes forms none.  lines
+    is the number of invariant lattices of level 1, the children of Z^n for
+    the factors of degree 1: (p^k - 1)/(p - 1) for each, k = n - rank(g(A)
+    mod p), and root is the first r with x - r a factor and chi'(r) != 0 mod
+    p, or None.  totals[e] is the candidate total of level e (from
+    _level_totals), and counts[e] the number of invariant lattices of level
+    e, for the levels found so far.  Below level 2 the tree keeps nothing
+    and factors nothing.
     """
 
     def __init__(self, a: IntMatrix, p: int, totals: list[int]):
         self.n = n = a.n_rows
         self.p = p
-        self.top = top = len(totals) - 1
+        self.a = a
+        self.top = len(totals) - 1
         self.totals = totals
         self.entries = a.entries
         self.cols = list(zip(*a.entries))
-        self.keeping = top >= 2
+        self.keeping = self.top >= 2
         self.levels = {0: [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]}
         self.counts = [1]
+        self.chi = None
         self.factors = []
+        self.actions = None
         self.lines = 0
+        self.root = None
         if self.keeping:
-            chi = DDM([[x % p for x in row] for row in a.entries], (n, n), ZZ).charpoly()
-            chi = [int(x) for x in reversed(chi)]
-            modulus = p ** top
+            chi = DDM([list(row) for row in a.entries], (n, n), ZZ).charpoly()
+            self.chi = chi = [int(x) for x in reversed(chi)]
             for d, part in distinct_degree(chi, p):
                 for g in _equal_degree(part, d, p):
-                    power = poly_at_matrix(IntPoly(g), a)
-                    cols = [tuple(x % modulus for x in col) for col in zip(*power.entries)]
-                    self.factors.append((d, cols))
+                    self.factors.append((d, g))
                     if d == 1:
                         # the children of Z^n for g = x - r are the (p^k - 1)/(p - 1)
                         # lines of Z^n/N0 = F_p^k, and 1 <= k <= m, the multiplicity
-                        # of g: k = 1 when m = 1, that is when chi'(r) != 0 mod p
-                        r = -g[0]
-                        simple = sum(i * c * r ** (i - 1) for i, c in enumerate(chi) if i) % p
-                        self.lines += 1 if simple else (
-                            _index(self._floor(self.levels[0][0], 0, cols)) - 1) // (p - 1)
+                        # of g: k = 1 when m = 1, that is when chi'(r) != 0 mod p;
+                        # N0 = pZ^n + Z^n(A - rI) needs A - rI mod p alone
+                        r = -g[0] % p
+                        if _at(chi, r, p)[1]:
+                            self.lines += 1
+                            if self.root is None:
+                                self.root = r
+                        else:
+                            shifted = [[(x - r * (i == j)) % p for i, x in enumerate(col)]
+                                       for j, col in enumerate(self.cols)]
+                            self.lines += (_index(self._floor(self.levels[0][0], 0, shifted))
+                                           - 1) // (p - 1)
 
     def _cost(self, nodes: int, e: int) -> int:
         """The cost, in HNF candidates, of producing level e by expanding
@@ -609,12 +670,14 @@ class _LatticeTree:
             children = last * last // max(1, before)
         return _TREE_NODE * nodes + _TREE_CHILD * children
 
+    def level_cost(self, e: int) -> int:
+        """The cost of producing level e from the levels kept so far."""
+        return self._cost(sum(len(self.levels.get(e - d, ())) for d, _ in self.factors), e)
+
     def cheaper(self, e: int) -> bool:
         """Would the tree produce level e for less than HNF enumeration, whose
         cost is the level's candidate total and _HNF_LEVEL?"""
-        return (self.keeping and self._cost(
-            sum(len(self.levels.get(e - d, ())) for d, _ in self.factors), e)
-            < self.totals[e] + _HNF_LEVEL)
+        return self.keeping and self.level_cost(e) < self.totals[e] + _HNF_LEVEL
 
     def record(self, e: int, nodes) -> None:
         """Keep level e as found by count_at_exponent: its arrays of bases."""
@@ -623,8 +686,13 @@ class _LatticeTree:
 
     def produce(self, e: int) -> int:
         """Count level e: the children of level e - d for each factor of degree d."""
+        if self.actions is None:
+            modulus = self.p ** self.top
+            self.actions = [(d, [tuple(x % modulus for x in col)
+                                 for col in zip(*poly_at_matrix(IntPoly(g), self.a).entries)])
+                            for d, g in self.factors]
         found = set()
-        for d, g in self.factors:
+        for d, g in self.actions:
             for c in self.levels.get(e - d, ()):
                 found.update(self._children(c, e - d, d, g))
         for b in found:
@@ -810,14 +878,115 @@ def _triangular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(t)
 
 
-def _level_counts(a: IntMatrix, p: int, totals: list[int]) -> list[int]:
-    """The counts of levels 0..top of the A-invariant sublattices, top = len(totals) - 1.
+def _at(f, x: int, modulus: int) -> tuple[int, int]:
+    """(f(x), f'(x)) mod modulus by Horner's rule, f a list of ints lowest
+    coefficient first."""
+    value = slope = 0
+    for c in reversed(f):
+        slope = (slope * x + value) % modulus
+        value = (value * x + c) % modulus
+    return value, slope
+
+
+def _kernel_line(m, p: int, modulus: int) -> tuple[list[int], int]:
+    """(u, f) with m*u = 0 mod modulus and u[f] = 1, for a square m of rank
+    n - 1 mod p whose right kernel mod modulus, a power of p, is free of rank 1.
+
+    Gauss-Jordan elimination mod modulus, column by column, on pivots that
+    are units; f is the one column left without one.  Each pivot row then
+    reads x_j + c*x_f = 0, so u_j = -c.  The row left over is 0 mod p, and 0
+    mod modulus when the kernel has rank 1; the caller checks A*u = r*u.
+    Raises RuntimeError unless exactly one column lacks a unit pivot.
+    """
+    n = len(m)
+    rows = [[x % modulus for x in row] for row in m]
+    pivots = []
+    for j in range(n):
+        k = len(pivots)
+        i = next((i for i in range(k, n) if rows[i][j] % p), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        inverse = pow(rows[k][j], -1, modulus)
+        rows[k] = [x * inverse % modulus for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[j]:
+                rows[i] = [(x - row[j] * y) % modulus for x, y in zip(row, rows[k])]
+        pivots.append(j)
+    free = [j for j in range(n) if j not in pivots]
+    if len(free) != 1:
+        raise RuntimeError(f"A - rI has rank {len(pivots)} mod {p}, not {n - 1}")
+    f = free[0]
+    u = [int(j == f) for j in range(n)]
+    for row, j in zip(rows, pivots):
+        u[j] = -row[f] % modulus
+    return u, f
+
+
+def _eigen_conjugate(a: IntMatrix, chi, r: int, p: int, top: int) -> IntMatrix:
+    """T = U^-1*A*U mod p^top, centred, with first column r'*e_0 and det U = +-1.
+
+    r is a root of chi, the characteristic polynomial of A, mod p with
+    chi'(r) != 0 mod p.  Newton steps r -> r - chi(r)/chi'(r), each mod the
+    square of the last modulus, lift it to r' with chi(r') = 0 mod q = p^top.
+    The right kernel of A - r'I mod q is then free of rank 1, spanned by u
+    with u[f] = 1 (`_kernel_line`).  U is the identity with columns 0 and f
+    exchanged and u put in column 0; with w = u - e_f, it is I + w*e_f^t with
+    those columns exchanged, and U^-1 is I - w*e_f^t with those rows
+    exchanged, since w[f] = 0.  Raises RuntimeError unless chi(r') = 0,
+    A*u = r'*u, U*U^-1 = I and A*U = U*T, all mod q, and T[i][0] = 0 for
+    i >= 1.
+    """
+    n, q = a.n_rows, p ** top
+    modulus = p
+    while modulus < q:
+        modulus = min(modulus * modulus, q)
+        value, slope = _at(chi, r, modulus)
+        r = (r - value * pow(slope, -1, modulus)) % modulus
+    if _at(chi, r, q)[0]:
+        raise RuntimeError(f"the lifted root {r} is not a root of chi mod {p}^{top}")
+    u, f = _kernel_line([[x - r * (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(a.entries)], p, q)
+    if _mulmod(a.entries, [[x] for x in u], q) != [[r * x % q] for x in u]:
+        raise RuntimeError(f"u is not an eigenvector of A for {r} mod {p}^{top}")
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    conj, inverse = [row[:] for row in eye], [row[:] for row in eye]
+    for i, x in enumerate(u):
+        if i != f:  # w = u - e_f
+            conj[i][f] += x
+            inverse[i][f] -= x
+    for row in conj:
+        row[0], row[f] = row[f], row[0]
+    inverse[0], inverse[f] = inverse[f], inverse[0]
+    moved = _mulmod(a.entries, conj, q)
+    t = [[x - q if 2 * x > q else x for x in row]  # centred, as by _reduced
+         for row in _mulmod(inverse, moved, q)]
+    if (_mulmod(conj, inverse, q) != eye or moved != _mulmod(conj, t, q)
+            or any(row[0] for row in t[1:])):
+        raise RuntimeError(f"the conjugate by U in GL_n(Z/{p}^{top}) failed its exact check")
+    return IntMatrix(t)
+
+
+def _peel_pays(tree: _LatticeTree) -> bool:
+    """Is peeling at tree.root cheaper than the level loop, in HNF candidates?
+
+    The peel enumerates levels 1..top of Z^(n-1) in one pass: their
+    candidate totals and one _HNF_LEVEL.  The level loop is estimated as top
+    levels, each costing at least what level 1 does: its candidate total and
+    _HNF_LEVEL, or the tree's exact cost of it, whichever is less.
+    """
+    block = sum(itertools.islice(_level_totals(tree.n - 1, tree.p), 1, tree.top + 1))
+    return block + _HNF_LEVEL < tree.top * min(tree.totals[1] + _HNF_LEVEL, tree.level_cost(1))
+
+
+def _level_counts(tree: _LatticeTree) -> list[int]:
+    """The counts of levels 0..top of the sublattices invariant under the
+    tree's matrix A, top = tree.top.
 
     Each level e >= 1 comes from HNF enumeration or from the tree, whichever
     is cheaper.
     """
-    top = len(totals) - 1
-    tree = _LatticeTree(a, p, totals)
+    a, p, top = tree.a, tree.p, tree.top
     values = [1]
     for e in range(1, top + 1):
         if tree.cheaper(e):
@@ -883,8 +1052,10 @@ def _peeled(a: IntMatrix, p: int, top: int) -> list[int]:
     p^top, finds the invariant L' of levels 1..top, each basis's level is
     read off its diagonal, and both indices are gcds of maximal minors
     (`_minor_gcds`): g that of the rows of L' and T' - dI, and g / p^o that
-    of those rows and t0.  No matrix that is scalar mod p^top gets here
-    (`count_invariant_sublattices`), so n >= 2 and top >= 1.
+    of those rows and t0.  a is a triangular conjugate or a conjugate at a
+    simple root mod p (`_eigen_conjugate`), reduced mod p^top; no matrix
+    that is scalar mod p^top gets here (`count_invariant_sublattices`), so
+    n >= 2 and top >= 1.
     """
     m = a.n_rows - 1
     d, *t0 = a.entries[0]
@@ -921,14 +1092,17 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     candidate total exceeds the budget, at the first level where the
     running total passes it.  Then A = cI mod p^max_exp, under which every
     sublattice up to index p^max_exp is invariant, counts as those candidate
-    totals.  Otherwise both producers count A, or its triangular conjugate
-    (`_triangular`), entries centred mod p^max_exp (`_reduced`), which has
-    the same invariant lattices up to index p^max_exp.  A matrix whose first
+    totals.  Otherwise A, or its triangular conjugate (`_triangular`), is
+    counted with entries centred mod p^max_exp (`_reduced`), which has the
+    same invariant lattices up to index p^max_exp.  A matrix whose first
     column is then zero below the diagonal is counted from its trailing
-    block (`_peeled`); every other one level by level (`_level_counts`),
-    each level e >= 1 from HNF enumeration or from the tree of invariant
-    lattices, whichever is cheaper.  Both producers are deterministic and self-check their work
-    against closed-form totals.
+    block (`_peeled`).  So is one whose characteristic polynomial has a
+    simple root mod p, conjugated in GL_n(Z/p^max_exp) to first column
+    r*e_0 (`_eigen_conjugate`), when the block costs less than the level
+    loop by `_peel_pays`.  Every other one is counted level by level
+    (`_level_counts`), each level e >= 1 from HNF enumeration or from the
+    tree of invariant lattices, whichever is cheaper.  Both producers are
+    deterministic and self-check their work against closed-form totals.
     """
     if not sympy.isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -956,4 +1130,7 @@ def count_invariant_sublattices(a: IntMatrix, p: int, max_exp: int,
     a = _reduced(_triangular(a), p ** max_exp)
     if not any(row[0] for row in a.entries[1:]):
         return tuple(_peeled(a, p, max_exp))
-    return tuple(_level_counts(a, p, totals))
+    tree = _LatticeTree(a, p, totals)
+    if tree.root is not None and _peel_pays(tree):
+        return tuple(_peeled(_eigen_conjugate(a, tree.chi, tree.root, p, max_exp), p, max_exp))
+    return tuple(_level_counts(tree))

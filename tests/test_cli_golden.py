@@ -41,7 +41,8 @@ COMMANDS = (
         ["special", "zpxn", "3"],
         ["special", "powerseries", "12"],
         ["special", "fe-check", "3", "2", "1"],
-        ["verify", "[[0,1],[-1,0]]", "--primes", "13", "--max-index-exp", "4"],  # lattice tree
+        # x^2 + 1 splits mod 13: peeled at a root lifted mod 13^4
+        ["verify", "[[0,1],[-1,0]]", "--primes", "13", "--max-index-exp", "4"],
         ["analyze", "[[-2,-2],[1,1]]"],  # (1, 2) * A = 0: minpoly past its first chain
         ["verify", MATRICES[1]],                                # default primes 3, 5, 7
         ["verify", "[[0,2],[0,0]]", "--primes", "2,5"],         # a bad and a good prime

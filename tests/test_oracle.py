@@ -151,7 +151,9 @@ def test_counts_invariant_under_unimodular_conjugation():
 def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch):
     # at p^E = 13^6 the reduced entries of the 10^30 conjugate of x^2+1 still
     # fail the bound, so the higher levels run in dtype object; the tree works
-    # in Python integers, so HNF enumeration is made to produce every level
+    # in Python integers, so HNF enumeration is made to produce every level of
+    # the level loop (count_invariant_sublattices peels this matrix at a root
+    # of x^2+1 mod 13, and enumerates a 1 x 1 block)
     p, top = 13, 6
     _forced(monkeypatch, False)
     huge = _huge_x2_plus_1()
@@ -165,8 +167,9 @@ def test_reduced_matrices_that_fail_the_int64_bound_count_on_objects(monkeypatch
 
     monkeypatch.setattr(oracle, "_hnf_dtype", recording)
     # p = 1 mod 4 splits in Z[i]: e + 1 ideals of norm p^e
-    assert count_invariant_sublattices(huge, p, top) == tuple(range(1, top + 2))
+    assert _level_loop(huge, p, top) == tuple(range(1, top + 2))
     assert object in dtypes and np.int64 in dtypes
+    assert count_invariant_sublattices(huge, p, top) == tuple(range(1, top + 2))
 
 
 def test_block_diagonal_counts_are_convolutions():
@@ -523,8 +526,11 @@ def test_tree_matches_hnf_per_level(name, a, p, top):
 def test_tree_matches_hnf_on_random_matrices(rows, p):
     a = IntMatrix(tuple(tuple(r) for r in rows))
     top = {1: 5, 2: 3, 3: 2}[a.n_rows]
-    assert _tree_counts(a, p, top) == _hnf_counts(a, p, top)
-    assert count_invariant_sublattices(a, p, top)[2:] == tuple(_hnf_counts(a, p, top))
+    want = _hnf_counts(a, p, top)
+    assert _tree_counts(a, p, top) == want
+    # the level loop, which a matrix with a simple root mod p may skip for the peel
+    assert _level_loop(a, p, top)[2:] == tuple(want)
+    assert count_invariant_sublattices(a, p, top)[2:] == tuple(want)
 
 
 @st.composite
@@ -617,19 +623,24 @@ def test_random_5x5_and_6x6_counts_survive_unimodular_conjugation_in_time(monkey
 
 def test_x2_plus_1_at_89_runs_past_the_int64_bound_in_time():
     # (n*p^E)^2 >= 2^62 switched the old tree off, and HNF enumeration of
-    # 5.7*10^9 candidates ran for minutes; the tree builds two children a node
-    start = time.perf_counter()
-    assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 89, 5,
-                                       max_candidates=10 ** 10) == (1, 2, 3, 4, 5, 6)
-    assert time.perf_counter() - start < 0.5
+    # 5.7*10^9 candidates ran for minutes; in the level loop the tree builds
+    # two children a node, and the count peels at a root of x^2+1 mod 89
+    a = companion(IntPoly((1, 0, 1)))
+    for count in (_level_loop, lambda a, p, top: count_invariant_sublattices(
+            a, p, top, max_candidates=10 ** 10)):
+        start = time.perf_counter()
+        assert count(a, 89, 5) == (1, 2, 3, 4, 5, 6)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_counts_leave_the_global_random_state_alone():
     # x^2+1 at p = 13: chi splits into two linear factors mod 13, so the
-    # equal-degree step runs, and the tree produces levels 4-5.  That step
-    # is deterministic: it draws from neither `random` nor sympy's generator
+    # equal-degree step runs, before the count peels at a root and in the
+    # level loop, where the tree produces every level.  That step is
+    # deterministic: it draws from neither `random` nor sympy's generator
     state, sympy_state = random.getstate(), sympy.core.random.rng.getstate()
     assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
+    assert _level_loop(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
     assert random.getstate() == state
     assert sympy.core.random.rng.getstate() == sympy_state
 
@@ -932,7 +943,7 @@ def _level_loop(a, p, top):
     """The counts of the level loop alone, on the matrix count_invariant_sublattices
     prepares: a matrix it would count from its trailing block is counted whole."""
     prepared = _reduced(oracle._triangular(a), p ** top)
-    return tuple(oracle._level_counts(prepared, p, _totals(a.n_rows, p, top)))
+    return tuple(oracle._level_counts(_LatticeTree(prepared, p, _totals(a.n_rows, p, top))))
 
 
 def _recorded_hnf_levels(monkeypatch, a, p, top, count=None):
@@ -1638,13 +1649,13 @@ def test_shifted_counts_match_hnf_levels_and_unimodular_conjugates(case, rng):
 
 def test_level_1_is_costed_with_its_exact_children(monkeypatch):
     # x^2 + 1 splits mod 13: its two lines cost the tree less than HNF's
-    # fixed cost, so the tree produces level 1
+    # fixed cost, so the level loop has the tree produce level 1
+    # (count_invariant_sublattices peels this matrix at a root mod 13)
     x2_plus_1 = _LatticeTree(companion(IntPoly((1, 0, 1))), 13, _totals(2, 13, 5))
     assert x2_plus_1.lines == 2
     with pytest.MonkeyPatch.context() as mp:
         produced = _produced_levels(mp)
-        assert count_invariant_sublattices(companion(IntPoly((1, 0, 1))), 13, 5) == \
-            (1, 2, 3, 4, 5, 6)
+        assert _level_loop(companion(IntPoly((1, 0, 1))), 13, 5) == (1, 2, 3, 4, 5, 6)
     assert produced[0] == 1
     # I mod 3 has one factor, x - 1, whose N0 is 3Z^3: the 13 lines of
     # F_3^3, where the growth estimate would read 1; they cost more than
@@ -1723,6 +1734,9 @@ def test_sparse_classes_match_the_dedekind_form_and_hnf_levels(case):
     f, p, top, a = case
     want = _dedekind_counts(f, p, top)
     assert count_invariant_sublattices(a, p, top) == want
+    # the split classes peel at a root mod p, so the level loop is run too,
+    # by its cost rule and by HNF enumeration alone
+    assert _level_loop(a, p, top) == want
     with pytest.MonkeyPatch.context() as mp:
         _forced(mp, False)
         assert _level_loop(a, p, top) == want
@@ -1761,3 +1775,188 @@ def test_compositions_and_count_at_exponent_reject_bad_input():
         list(compositions(2, 0))
     with pytest.raises(ValueError):
         count_at_exponent(IntMatrix(((0, 1, 0), (0, 0, 1))), 2, range(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the peel at a simple root of chi mod p, conjugated in GL_n(Z/p^E)
+
+
+def _peel_path(a, p, top, forced=True, **limits):
+    """(counts, whether the count peeled at a root mod p): count_invariant_sublattices
+    with the peel made to pay whenever a simple root exists, or by its rule."""
+    calls = []
+    conjugate = oracle._eigen_conjugate
+
+    def spy(*args):
+        calls.append(args)
+        return conjugate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_eigen_conjugate", spy)
+        if forced:
+            mp.setattr(oracle, "_peel_pays", lambda tree: True)
+        got = count_invariant_sublattices(a, p, top, **limits)
+    return got, bool(calls)
+
+
+def _simple_root_tree(a, p, top):
+    """The tree count_invariant_sublattices builds for A, or None when it
+    never builds one: A scalar mod p^E, or its first column zero below the
+    diagonal once conjugated and reduced."""
+    if _scalar_mod(a, p ** top):
+        return None
+    prepared = _reduced(oracle._triangular(a), p ** top)
+    if not any(row[0] for row in prepared.entries[1:]):
+        return None
+    return _LatticeTree(prepared, p, _totals(a.n_rows, p, top))
+
+
+@st.composite
+def _simple_root_cases(draw):
+    """(A, p, E): n = 2-4, p in {2, 3, 5, 7, 13}, 2 <= E <= 5 with at most
+    2*10^4 HNF candidates, and A either [r] + B conjugated by a unimodular
+    matrix or a random dense matrix; the caller keeps those with a simple
+    root mod p."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    tops = [e for e in range(2, 6) if sum(_totals(n, p, e)) <= 2 * 10 ** 4]
+    assume(tops)
+    top = draw(st.sampled_from(tops))
+    if draw(st.booleans()):
+        b = IntMatrix(draw(_square(n - 1, st.integers(-4, 4))))
+        a = block_diag(diag(draw(st.integers(-9, 9))), b)
+        a = _conjugate(random_unimodular(draw(st.randoms(use_true_random=False)), n), a)
+    else:
+        a = IntMatrix(draw(_square(n, st.integers(-9, 9))))
+    return a, p, top
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_simple_root_cases(), st.randoms(use_true_random=False))
+# x^2+1 at 5 and (x - 1)^2 (x - 2) conjugated at 5, whose first root mod 5 is double
+@example((companion(IntPoly((1, 0, 1))), 5, 5), random.Random(0))
+@example((_conjugate(random_unimodular(random.Random(4), 3), IntMatrix(
+    ((1, 1, 0), (0, 1, 0), (0, 0, 2)))), 5, 3), random.Random(0))
+def test_peel_at_a_simple_root_matches_the_level_loop_hnf_and_conjugates(case, rng):
+    a, p, top = case
+    tree = _simple_root_tree(a, p, top)
+    assume(tree is not None and tree.root is not None)
+    got, peeled = _peel_path(a, p, top)
+    assert peeled
+    assert got == _level_loop(a, p, top) == _hnf_values(a, p, top)
+    conj = _conjugate(random_unimodular(rng, a.n_rows), a)
+    assert _peel_path(conj, p, top)[0] == got
+
+
+def test_simple_root_is_the_first_linear_factor_that_chi_has_once():
+    # (x - 1)^2 (x - 2) at 5: x - 1 comes first but is double, so the root is 2;
+    # (x - 1)^2 (x^2 + 2) has no simple root mod 5, x^2 + 1 two at 13
+    a = _conjugate(random_unimodular(random.Random(4), 3),
+                   IntMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 2))))
+    tree = _LatticeTree(a, 5, _totals(3, 5, 3))
+    assert [g for _, g in tree.factors] == [[4, 1], [3, 1]]
+    assert tree.root == 2
+    b = block_diag(IntMatrix(((1, 1), (0, 1))), companion(IntPoly((2, 0, 1))))
+    assert _LatticeTree(b, 5, _totals(4, 5, 2)).root is None
+    assert _LatticeTree(companion(IntPoly((1, 0, 1))), 13, _totals(2, 13, 2)).root == 8
+    # below level 2 the tree factors nothing, so nothing is peeled at a root
+    tree = _LatticeTree(companion(IntPoly((1, 0, 1))), 13, _totals(2, 13, 1))
+    assert tree.chi is None and tree.root is None
+
+
+def _sparse_cycle_matrices():
+    """(class, A, p, E) for the first cycle of the verify-sparse workload, seed 1."""
+    cycle = next(_WORKLOADS.gen_verify_sparse(1))
+    return [(op["kind"], IntMatrix(json.loads(op["argv"][1])), op["prime"],
+             int(op["argv"][op["argv"].index("--max-index-exp") + 1])) for op in cycle]
+
+
+@pytest.mark.parametrize("kind, a, p, top", _sparse_cycle_matrices(),
+                         ids=[kind for kind, *_ in _sparse_cycle_matrices()])
+def test_peel_rule_takes_the_split_classes_of_verify_sparse_alone(kind, a, p, top):
+    # x^2+1 at 13 and 17, and with huge entries at 5, have a root mod p: a
+    # 1 x 1 block costs 12 000 and a few candidates, against E levels of at
+    # least the tree's 6000 for its two lines.  A cubic with a root at 7 or 19
+    # has a 2 x 2 block, 12 465 or 12 401, against 9000 or 6000
+    got, peeled = _peel_path(a, p, top, forced=False)
+    assert peeled == (kind in ("x2+1-split@13", "x2+1-split@17", "x2+1-bigint@5"))
+    assert got == _level_loop(a, p, top)
+
+
+@pytest.mark.parametrize("a, top", [
+    # p^E = 13^20 > 2^62: the lift, the conjugate and the block's minors all
+    # run in Python integers
+    (companion(IntPoly((1, 0, 1))), 20),
+    # the 10^30 conjugate, whose entries reduced mod 13^6 still fail the
+    # int64 bound of the whole matrix
+    (_huge_x2_plus_1(), 6),
+])
+def test_x2_plus_1_at_13_peels_past_the_int64_bound(a, top, monkeypatch):
+    dtypes = []
+    minor_gcds = oracle._minor_gcds
+
+    def recording(cols, rows):
+        dtypes.append(cols.dtype)
+        return minor_gcds(cols, rows)
+
+    monkeypatch.setattr(oracle, "_minor_gcds", recording)
+    got, peeled = _peel_path(a, 13, top, forced=False, max_candidates=10 ** 25)
+    assert peeled and got == tuple(range(1, top + 2))
+    assert dtypes == [object if 13 ** top > oracle._INT64_SAFE else np.int64]
+
+
+def test_kernel_line_spans_the_kernel_or_raises():
+    # A - 2I for x^2+1 at 5^3 = 125, 2 lifted to 57: the kernel line has a unit entry
+    m = [[-57, -1], [1, -57]]
+    u, f = oracle._kernel_line(m, 5, 125)
+    assert u[f] == 1
+    assert all(sum(x * y for x, y in zip(row, u)) % 125 == 0 for row in m)
+    # a matrix of rank 1 mod 5 at n = 3, and one of full rank
+    for m in ([[5, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0], [0, 1]]):
+        with pytest.raises(RuntimeError, match="rank"):
+            oracle._kernel_line(m, 5, 125)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_eigen_conjugate_checks_each_of_its_products(k, monkeypatch):
+    """_eigen_conjugate forms A*u, then A*U, T = U^-1*(A*U), U*U^-1 and U*T;
+    an error in any of the five products fails an exact check."""
+    a = _conjugate(random_unimodular(random.Random(8), 3), companion(IntPoly((2, -1, -2, 1))))
+    tree = _LatticeTree(a, 5, _totals(3, 5, 4))
+    mulmod = oracle._mulmod
+    calls = []
+
+    def corrupted(x, y, modulus):
+        out = mulmod(x, y, modulus)
+        calls.append(out)
+        if len(calls) == k:
+            out[0][0] = (out[0][0] + 1) % modulus
+        return out
+
+    oracle._eigen_conjugate(a, tree.chi, tree.root, 5, 4)
+    monkeypatch.setattr(oracle, "_mulmod", corrupted)
+    with pytest.raises(RuntimeError, match="not an eigenvector" if k == 1 else "exact check"):
+        oracle._eigen_conjugate(a, tree.chi, tree.root, 5, 4)
+    assert len(calls) >= k
+
+
+def test_eigen_conjugate_checks_the_lift_and_the_eigenvector(monkeypatch):
+    a = companion(IntPoly((1, 0, 1)))
+    tree = _LatticeTree(a, 13, _totals(2, 13, 4))
+    t = oracle._eigen_conjugate(a, tree.chi, tree.root, 13, 4)
+    assert t.entries[1][0] == 0 and (t.entries[0][0] ** 2 + 1) % 13 ** 4 == 0
+    # a slope of 1 in place of chi'(r) lifts r to no root mod 13^4
+    with monkeypatch.context() as mp:
+        at = oracle._at
+        mp.setattr(oracle, "_at", lambda f, x, modulus: (at(f, x, modulus)[0], 1))
+        with pytest.raises(RuntimeError, match="not a root of chi mod 13"):
+            oracle._eigen_conjugate(a, tree.chi, tree.root, 13, 4)
+    kernel_line = oracle._kernel_line
+
+    def off_by_13_cubed(m, p, modulus):
+        u, f = kernel_line(m, p, modulus)
+        return [x + (j != f) * 13 ** 3 for j, x in enumerate(u)], f
+
+    monkeypatch.setattr(oracle, "_kernel_line", off_by_13_cubed)
+    with pytest.raises(RuntimeError, match="not an eigenvector"):
+        oracle._eigen_conjugate(a, tree.chi, tree.root, 13, 4)
