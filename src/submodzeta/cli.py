@@ -13,6 +13,12 @@ special ...         zpxn N | powerseries N | fe-check PARTS
 MATRIX is inline JSON ("[[0,1],[0,0]]" or {"n":2,"entries":[[0,1],[0,0]]}),
 a path to a file holding the same, or "-" for standard input.
 
+Parsing: each command has its own argparse parser, and an argv whose first
+word is a command name is parsed by that parser alone, in one pass.  The
+top-level parser takes only an argv that names no command (an empty one,
+-h, an unknown command, an option before the command), so its help and its
+error wording are argparse's own.
+
 Flags may also be supplied through SUBMODZETA_-prefixed environment
 variables (SUBMODZETA_FORMAT, _EDV, _PRIMES, _MAX_INDEX_EXP, _BUDGET);
 explicit flags win, and SUBMODZETA_EDV applies only when analyze is given no
@@ -453,7 +459,14 @@ def cmd_special(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every main call."""
+    """The command-line parser, built on first use and shared by every main call.
+
+    Its `commands` maps each command name to that command's own parser, one
+    parser per command.  main parses an argv that starts with a command name
+    by that parser alone, and gives the top-level parser only an argv that
+    names no command: through its subparsers action, the top-level parser
+    parses a command's arguments a second time.
+    """
     parser = _Parser(
         prog="submodzeta",
         description="Submodule zeta functions of integer matrices, exactly.",
@@ -490,10 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("special", help="closed forms and the functional-equation check")
     ps.add_argument("what", choices=["zpxn", "powerseries", "fe-check"])
     ps.add_argument("n", nargs="?", default=None, help="size argument")
-    ps.add_argument("parts", nargs="*", help="partition parts for fe-check")
+    # a default, or argparse counts a "*" positional among the required ones
+    ps.add_argument("parts", nargs="*", default=(), help="partition parts for fe-check")
     add_format(ps)
     ps.set_defaults(func=cmd_special)
 
+    parser.commands = {"analyze": pa, "verify": pv, "special": ps}
     return parser
 
 
@@ -546,10 +561,21 @@ def _apply_env(args) -> None:
                 raise UsageError(f"{source}: must be <= {MAX_INDEX_EXP}, got {value}")
 
 
+def _parse_args(argv):
+    """The parsed argv, in one argparse pass: by the command's own parser
+    when argv starts with a command name, else by the top-level parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a subcommand is required (analyze, verify, special)")
         _apply_env(args)

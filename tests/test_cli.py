@@ -1,7 +1,11 @@
+import contextlib
 import io
+import itertools
 import json
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +16,14 @@ from submodzeta.canonical import edv_context
 from submodzeta.cli import _json_text, main
 from submodzeta.linalg import IntMatrix
 from submodzeta.zetacore import bad_prime_reasons, global_formula
+from test_cli_golden import CASES as GOLDEN_CASES
 
 ZERO_2 = "[[0,0],[0,0]]"
 NILP_2 = "[[0,1],[0,0]]"
 NILP_21 = "[[0,1,0],[0,0,0],[0,0,0]]"
 ROT_2 = "[[0,-1],[1,0]]"  # companion of x^2 + 1
 ZERO_4 = "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +222,81 @@ def test_analyze_lists_no_negative_bad_prime(capsys):
     assert "% bad primes: 2\n" in capsys.readouterr().out
 
 
-def test_main_calls_share_one_parser(capsys, monkeypatch):
+def test_each_command_is_parsed_once_by_its_own_parser(capsys, monkeypatch):
+    """The top-level parser is built once, a command's argv is parsed in one
+    pass by that command's parser, the same object on every call, and the
+    top-level parser parses only an argv that names no command."""
     import argparse
 
-    parsers = []
-    parse_args = argparse.ArgumentParser.parse_args
+    built, parsed = [], []
+    init, parse_known_args = cli._Parser.__init__, argparse.ArgumentParser.parse_known_args
 
-    def recording(self, *args, **kwargs):
-        parsers.append(self)
-        return parse_args(self, *args, **kwargs)
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
-    assert main(["analyze", ZERO_2]) == 0
-    assert main(["special", "zpxn", "2"]) == 0
+    def recording(self, args=None, namespace=None):
+        parsed.append((self, list(args)))
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recording_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    cli.build_parser.cache_clear()
+    calls = [["analyze", ZERO_2], ["special", "zpxn", "2"]] * 2
+    for argv in calls:
+        assert main(argv) == 0
+    assert main([]) == 1
     capsys.readouterr()
-    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    top = cli.build_parser()
+    assert built == [top, *top.commands.values()]
+    assert parsed == [(top.commands[argv[0]], argv[1:]) for argv in calls] + [(top, [])]
+
+
+def _ci_argvs():
+    """The argv of each submodzeta command in CI's console-script step."""
+    text = WORKFLOW.read_text().replace("\\\n", " ")
+    step = text.split("The installed console script")[1].split("\n  bench-smoke:")[0]
+    argvs = []
+    for line in step.splitlines():
+        if "$cli" not in line and not line.lstrip().startswith("submodzeta "):
+            continue
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        words = list(itertools.takewhile(lambda w: w not in ("|", ">"), lexer))
+        cli_at = words.index("$cli") if "$cli" in words else words.index("submodzeta")
+        argvs.append(words[cli_at + 1:])
+    return argvs
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the parsed argv, or the UsageError's message, or the
+    SystemExit's code and printed output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except cli.UsageError as exc:
+        return ("UsageError", str(exc))
+    except SystemExit as exc:
+        return ("SystemExit", exc.code, out.getvalue(), err.getvalue())
+
+
+def test_dispatched_parse_matches_the_top_level_parser():
+    """On every golden and CI argv, and on help, the one-pass parse gives
+    what the top-level parser, with its second pass through the subparsers
+    action, gives."""
+    ci = _ci_argvs()
+    for argv in ([], ["frob"], ["special"],
+                 ["verify", "[[0,1],[0,0]]", "--prim", "5", "--max-index", "3", "--format", "json"],
+                 ["analyze", "--edv", "$RUNNER_TEMP/x1000.json", "--format", "json"]):
+        assert argv in ci
+    argvs = GOLDEN_CASES + ci + [["-h"], ["verify", "-h"], ["special", "-h"]]
+    kinds = set()
+    for argv in argvs:
+        want = _parse_outcome(cli.build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == want, argv
+        kinds.add(want[0] if isinstance(want, tuple) else "parsed")
+    assert kinds == {"parsed", "UsageError", "SystemExit"}
 
 
 def test_analyze_reads_stdin_and_files(capsys, monkeypatch, tmp_path):
@@ -437,6 +503,13 @@ def test_special_powerseries(capsys):
     assert lines[0] == "1\t1"
     assert lines[3] == "4\t3"
     assert lines[7] == "8\t7"
+
+
+def test_special_without_a_form_names_only_the_form_as_required(capsys):
+    """parts has a default, or argparse would list it among the required
+    arguments although it takes zero or more."""
+    assert main(["special"]) == 1
+    assert capsys.readouterr() == ("", "error: the following arguments are required: what\n")
 
 
 def test_special_fe_check(capsys):

@@ -28,6 +28,7 @@ MATRICES = [
     "[[0,-1],[1,0]]",              # x^2 + 1, ramified at 2
     "[[13,0,-30],[0,3,0],[4,0,-9]]",  # a conjugate of diag(1, 3, 3)
 ]
+NILP = "[[0,1],[0,0]]"
 COMMANDS = (
     [["analyze", m] for m in MATRICES]
     + [
@@ -59,7 +60,20 @@ COMMANDS = (
         ["verify", "[[1,3,0],[3,4,3],[0,3,4]]", "--primes", "3", "--max-index-exp", "4"],
     ]
 )
-CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")]
+# where the command line itself is at stake, each argv recorded as it stands:
+# no command, an unknown one, an option before the command, an extra
+# positional, abbreviated and "="-joined flags, "--", and special without a form
+EDGES = [
+    [],
+    ["frob", NILP],
+    ["--format", "json", "verify", NILP],
+    ["verify", NILP, "extra"],
+    ["verify", NILP, "--prim", "5", "--max-index", "3"],
+    ["verify", NILP, "--primes=5", "--max-index-exp=3"],
+    ["verify", "--", NILP, "--primes", "5"],
+    ["special"],
+]
+CASES = [argv + ["--format", fmt] for argv in COMMANDS for fmt in ("json", "text", "latex")] + EDGES
 
 
 def run(argv):
